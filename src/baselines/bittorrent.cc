@@ -16,10 +16,7 @@ BitTorrent::BitTorrent(const Context& ctx, const FileParams& file, NodeId source
   piece_blocks_held_.assign(NumPieces(), 0);
   if (is_source()) {
     for (uint32_t piece = 0; piece < NumPieces(); ++piece) {
-      const uint32_t first = piece * static_cast<uint32_t>(config_.piece_blocks);
-      const uint32_t last =
-          std::min(file_.num_blocks, first + static_cast<uint32_t>(config_.piece_blocks));
-      piece_blocks_held_[piece] = static_cast<int>(last - first);
+      piece_blocks_held_[piece] = static_cast<int>(PieceEnd(piece) - PieceBegin(piece));
     }
   }
 }
@@ -29,24 +26,47 @@ uint32_t BitTorrent::NumPieces() const {
          static_cast<uint32_t>(config_.piece_blocks);
 }
 
-bool BitTorrent::PieceComplete(uint32_t piece) const {
-  const uint32_t first = piece * static_cast<uint32_t>(config_.piece_blocks);
-  const uint32_t last =
-      std::min(file_.num_blocks, first + static_cast<uint32_t>(config_.piece_blocks));
-  return piece_blocks_held_[piece] >= static_cast<int>(last - first);
+uint32_t BitTorrent::PieceEnd(uint32_t piece) const {
+  return std::min(file_.num_blocks,
+                  PieceBegin(piece) + static_cast<uint32_t>(config_.piece_blocks));
 }
 
-std::vector<uint32_t> BitTorrent::MissingBlocksOf(uint32_t piece) const {
+bool BitTorrent::PieceComplete(uint32_t piece) const {
+  return piece_blocks_held_[piece] >= static_cast<int>(PieceEnd(piece) - PieceBegin(piece));
+}
+
+std::optional<StreamPlayback::RequestWindow> BitTorrent::RequestWindowNow() const {
+  if (stream() == nullptr) {
+    return std::nullopt;
+  }
+  return stream()->WindowAt(now());
+}
+
+bool BitTorrent::Requestable(uint32_t block,
+                             const std::optional<StreamPlayback::RequestWindow>& window) const {
+  return !have_.Test(block) && requested_.find(block) == requested_.end() &&
+         (!window.has_value() || window->Contains(block));
+}
+
+std::vector<uint32_t> BitTorrent::RequestableBlocksOf(uint32_t piece) const {
+  const auto window = RequestWindowNow();
   std::vector<uint32_t> out;
-  const uint32_t first = piece * static_cast<uint32_t>(config_.piece_blocks);
-  const uint32_t last =
-      std::min(file_.num_blocks, first + static_cast<uint32_t>(config_.piece_blocks));
-  for (uint32_t b = first; b < last; ++b) {
-    if (!have_.Test(b) && requested_.find(b) == requested_.end()) {
+  for (uint32_t b = PieceBegin(piece); b < PieceEnd(piece); ++b) {
+    if (Requestable(b, window)) {
       out.push_back(b);
     }
   }
   return out;
+}
+
+bool BitTorrent::HasRequestableBlock(
+    uint32_t piece, const std::optional<StreamPlayback::RequestWindow>& window) const {
+  for (uint32_t b = PieceBegin(piece); b < PieceEnd(piece); ++b) {
+    if (Requestable(b, window)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 void BitTorrent::Start() {
@@ -75,21 +95,6 @@ void BitTorrent::StreamRequestTick() {
     }
   }
   queue().ScheduleAfter(stream()->block_duration(), [this] { StreamRequestTick(); });
-}
-
-std::vector<uint32_t> BitTorrent::RequestableBlocksOf(uint32_t piece) const {
-  std::vector<uint32_t> out = MissingBlocksOf(piece);
-  if (stream() == nullptr) {
-    return out;
-  }
-  std::vector<uint32_t> windowed;
-  windowed.reserve(out.size());
-  for (const uint32_t b : out) {
-    if (stream()->Eligible(b, now())) {
-      windowed.push_back(b);
-    }
-  }
-  return windowed;
 }
 
 void BitTorrent::OnConnUp(ConnId conn, NodeId /*peer*/, bool initiator) {
@@ -344,6 +349,7 @@ void BitTorrent::UpdateInterest(Peer& p) {
 int BitTorrent::SelectPiece(const Peer& p) {
   // Strict priority pass 1: pieces already started; pass 2: any piece. Rarest-first
   // with random tie-break in both passes.
+  const auto window = RequestWindowNow();
   for (const bool partial_only : {true, false}) {
     int best = -1;
     int best_rarity = INT32_MAX;
@@ -355,7 +361,7 @@ int BitTorrent::SelectPiece(const Peer& p) {
       if (partial_only && piece_blocks_held_[piece] == 0) {
         continue;
       }
-      if (RequestableBlocksOf(piece).empty()) {
+      if (!HasRequestableBlock(piece, window)) {
         continue;
       }
       const int r = piece_rarity_[piece];

@@ -12,6 +12,7 @@
 #ifndef SRC_BASELINES_BITTORRENT_H_
 #define SRC_BASELINES_BITTORRENT_H_
 
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <vector>
@@ -141,12 +142,23 @@ class BitTorrent : public DisseminationProtocol {
   uint32_t PieceOf(uint32_t block) const {
     return block / static_cast<uint32_t>(config_.piece_blocks);
   }
+  // Blocks [PieceBegin, PieceEnd) make up `piece`.
+  uint32_t PieceBegin(uint32_t piece) const {
+    return piece * static_cast<uint32_t>(config_.piece_blocks);
+  }
+  uint32_t PieceEnd(uint32_t piece) const;
   bool PieceComplete(uint32_t piece) const;
-  // Blocks of `piece` we still need and have not requested.
-  std::vector<uint32_t> MissingBlocksOf(uint32_t piece) const;
-  // As MissingBlocksOf; streaming mode additionally restricts to blocks inside
-  // the sliding playback window (required, released, not yet held).
+  // The streaming request window at now(); nullopt in bulk mode.
+  std::optional<StreamPlayback::RequestWindow> RequestWindowNow() const;
+  // A block we still need and have not requested; streaming mode additionally
+  // requires it inside the sliding playback window (released, not yet held).
+  bool Requestable(uint32_t block,
+                   const std::optional<StreamPlayback::RequestWindow>& window) const;
+  // The requestable blocks of `piece` at now(), in block order.
   std::vector<uint32_t> RequestableBlocksOf(uint32_t piece) const;
+  // Whether `piece` has a requestable block under `window`; allocation-free.
+  bool HasRequestableBlock(uint32_t piece,
+                           const std::optional<StreamPlayback::RequestWindow>& window) const;
   void StreamRequestTick();
 
   void HandleTrackerRequest(ConnId conn, NodeId from);

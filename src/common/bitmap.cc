@@ -5,7 +5,6 @@
 namespace bullet {
 
 namespace {
-constexpr size_t kWordBits = 64;
 constexpr size_t kDiffHeaderBytes = 8;
 }  // namespace
 
@@ -15,13 +14,6 @@ void Bitmap::Resize(size_t size) {
   size_ = size;
   words_.assign((size + kWordBits - 1) / kWordBits, 0);
   count_ = 0;
-}
-
-bool Bitmap::Test(size_t i) const {
-  if (i >= size_) {
-    return false;
-  }
-  return (words_[i / kWordBits] >> (i % kWordBits)) & 1u;
 }
 
 bool Bitmap::Set(size_t i) {

@@ -25,7 +25,10 @@ class Bitmap {
   bool empty() const { return count_ == 0; }
   bool full() const { return count_ == size_; }
 
-  bool Test(size_t i) const;
+  // Inline: the request pickers test a bit per candidate scanned.
+  bool Test(size_t i) const {
+    return i < size_ && ((words_[i / kWordBits] >> (i % kWordBits)) & 1u) != 0;
+  }
   // Returns true if the bit was newly set (i.e. it was previously clear).
   bool Set(size_t i);
   void Clear(size_t i);
@@ -49,6 +52,8 @@ class Bitmap {
   size_t WireBytes() const;
 
  private:
+  static constexpr size_t kWordBits = 64;
+
   size_t size_ = 0;
   size_t count_ = 0;
   std::vector<uint64_t> words_;

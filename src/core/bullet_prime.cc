@@ -20,6 +20,7 @@ BulletPrime::BulletPrime(const Context& ctx, const FileParams& file, NodeId sour
     : TreeOverlayProtocol(ctx, file, source, tree, RanSubAgent::Config{}),
       config_(config),
       senders_(ctx.net->arena_counter()),
+      is_requested_(file.BlockSpace(), 0),
       rarity_(file.BlockSpace(), 0),
       receivers_(ctx.net->arena_counter()) {
   max_senders_ = config_.initial_senders;
@@ -80,7 +81,7 @@ std::vector<BulletPrime::SenderDebug> BulletPrime::DebugSenders() const {
     d.has_count = s.has.count();
     d.raw_candidates = s.candidates.RawSize();
     for (const uint32_t id : s.has.SetBits()) {
-      if (!have_.Test(id) && requested_.find(id) == requested_.end()) {
+      if (!have_.Test(id) && is_requested_[id] == 0) {
         ++d.valid_candidates;
       }
     }
@@ -367,15 +368,7 @@ void BulletPrime::OnPeerConnDown(ConnId conn, NodeId /*peer*/) {
     for (const uint32_t id : s.has.SetBits()) {
       --rarity_[id];
     }
-    std::vector<uint32_t> requeue;
-    for (const auto& [block, c] : requested_) {
-      if (c == conn) {
-        requeue.push_back(block);
-      }
-    }
-    for (const uint32_t id : requeue) {
-      requested_.erase(id);
-    }
+    const std::vector<uint32_t> requeue = TakeRequestsFrom(conn);
     sender_nodes_.erase(s.node);
     senders_.erase(sit);
     for (const uint32_t id : requeue) {
@@ -397,15 +390,7 @@ void BulletPrime::DisconnectSender(ConnId conn, Sender& s) {
   for (const uint32_t id : s.has.SetBits()) {
     --rarity_[id];
   }
-  std::vector<uint32_t> requeue;
-  for (const auto& [block, c] : requested_) {
-    if (c == conn) {
-      requeue.push_back(block);
-    }
-  }
-  for (const uint32_t id : requeue) {
-    requested_.erase(id);
-  }
+  const std::vector<uint32_t> requeue = TakeRequestsFrom(conn);
   sender_nodes_.erase(s.node);
   net().Close(conn);
   senders_.erase(conn);
@@ -416,6 +401,19 @@ void BulletPrime::DisconnectSender(ConnId conn, Sender& s) {
       }
     }
   }
+}
+
+std::vector<uint32_t> BulletPrime::TakeRequestsFrom(ConnId conn) {
+  std::vector<uint32_t> taken;
+  for (const auto& [block, c] : requested_) {
+    if (c == conn) {
+      taken.push_back(block);
+    }
+  }
+  for (const uint32_t id : taken) {
+    ClearRequested(id);
+  }
+  return taken;
 }
 
 // ---------------------------------------------------------------------------
@@ -525,21 +523,29 @@ void BulletPrime::IssueRequests(Sender& s) {
   if (!s.active || complete()) {
     return;
   }
-  const auto valid = [this](uint32_t id) {
-    return !have_.Test(id) && requested_.find(id) == requested_.end();
-  };
+  const auto valid = [this](uint32_t id) { return !have_.Test(id) && is_requested_[id] == 0; };
   const auto rarity = [this](uint32_t id) { return rarity_[id]; };
   // Streaming mode: only blocks inside the sliding playback window (and
   // already released at the source) are requestable; the configured strategy
-  // applies within the window. Out-of-window candidates stay queued.
-  const auto eligible = [this](uint32_t id) { return stream_->Eligible(id, now()); };
+  // applies within the window. Out-of-window candidates stay queued. One
+  // window serves the whole call: sends are asynchronous, so nothing below
+  // marks a position held, and now() does not move.
+  const bool windowed = stream_ != nullptr;
+  const StreamPlayback::RequestWindow window =
+      windowed ? stream_->WindowAt(now()) : StreamPlayback::RequestWindow{};
+  const auto eligible = [&window](uint32_t id) { return window.Contains(id); };
   const int limit = OutstandingLimit(s);
+  // A windowed pick that scans every entry and returns nothing has just shown
+  // that no candidate is valid and in-window: the RunningDry scan below
+  // would answer "dry", so it is skipped (see CandidateSet::PickWindowed).
+  bool known_dry = false;
   while (s.outstanding < limit) {
     const auto pick =
-        stream_ != nullptr
+        windowed
             ? s.candidates.PickWindowed(config_.request_strategy, valid, eligible, rarity, rng())
             : s.candidates.Pick(config_.request_strategy, valid, rarity, rng());
     if (!pick.has_value()) {
+      known_dry = windowed && config_.request_strategy != RequestStrategy::kFirstEncountered;
       break;
     }
     auto req = std::make_unique<bp::BlockRequestMsg>();
@@ -550,18 +556,16 @@ void BulletPrime::IssueRequests(Sender& s) {
       s.mark_inflight = true;
     }
     AccountControlOut(req->wire_bytes);
-    requested_.emplace(*pick, s.conn);
+    MarkRequested(*pick, s.conn);
     ++s.outstanding;
     net().Send(s.conn, self(), std::move(req));
   }
   // About to run dry on this sender: ask for a diff (Section 3.3.4). In
   // streaming mode "dry" means dry *within the window* — availability news may
   // unlock in-window blocks even while out-of-window candidates queue up.
-  const auto dry_valid = [&](uint32_t id) {
-    return valid(id) && (stream_ == nullptr || eligible(id));
-  };
+  const auto dry_valid = [&](uint32_t id) { return valid(id) && (!windowed || eligible(id)); };
   if (!s.diff_request_inflight && !s.diff_request_exhausted &&
-      s.candidates.RunningDry(static_cast<size_t>(limit) + 1, dry_valid)) {
+      (known_dry || s.candidates.RunningDry(static_cast<size_t>(limit) + 1, dry_valid))) {
     auto dreq = std::make_unique<bp::DiffRequestMsg>();
     AccountControlOut(dreq->wire_bytes);
     s.diff_request_inflight = true;
@@ -629,7 +633,7 @@ void BulletPrime::OnBlockMsg(ConnId conn, NodeId /*from*/, bp::BlockMsg& msg) {
   }
   Sender& s = it->second;
   s.outstanding = std::max(0, s.outstanding - 1);
-  requested_.erase(msg.block_id);
+  ClearRequested(msg.block_id);
   s.epoch_bytes += msg.wire_bytes;
   s.last_arrival = now();
 

@@ -100,6 +100,18 @@ class BulletPrime : public TreeOverlayProtocol {
   void ConnectToSender(NodeId node);
   void DisconnectSender(ConnId conn, Sender& s);
   void IssueRequests(Sender& s);
+  // Keep `requested_` and its dense mirror `is_requested_` in step.
+  void MarkRequested(uint32_t id, ConnId conn) {
+    requested_.emplace(id, conn);
+    is_requested_[id] = 1;
+  }
+  void ClearRequested(uint32_t id) {
+    requested_.erase(id);
+    is_requested_[id] = 0;
+  }
+  // Clears and returns the blocks requested from `conn`, in `requested_`'s
+  // iteration order (the order they are re-added to other senders).
+  std::vector<uint32_t> TakeRequestsFrom(ConnId conn);
   int OutstandingLimit(const Sender& s) const;
   void HandleAvailability(Sender& s, const std::vector<uint32_t>& ids);
   void OnBlockMsg(ConnId conn, NodeId from, bp::BlockMsg& msg);
@@ -118,8 +130,12 @@ class BulletPrime : public TreeOverlayProtocol {
   // std::map it replaced, so results stay byte-identical.
   StableFlatMap<ConnId, Sender> senders_;
   std::set<NodeId> sender_nodes_;  // active + pending, to avoid duplicate peering
-  std::unordered_map<uint32_t, ConnId> requested_;  // block id -> sender conn
-  std::vector<int> rarity_;                         // per block id: senders holding it
+  // block id -> sender conn. Its iteration order fixes the order in which a
+  // failed sender's requests are re-added elsewhere, so it stays a hash map;
+  // `is_requested_` answers the per-candidate "requested?" test densely.
+  std::unordered_map<uint32_t, ConnId> requested_;
+  std::vector<char> is_requested_;  // per block id: 1 iff in requested_
+  std::vector<int> rarity_;         // per block id: senders holding it
 
   StableFlatMap<ConnId, Receiver> receivers_;
 

@@ -61,16 +61,16 @@ bool StreamPlayback::MarkHeld(uint32_t position) {
   return true;
 }
 
-bool StreamPlayback::Eligible(uint32_t id, SimTime t) const {
-  const uint32_t pos = PositionOf(id);
-  if (pos < next_needed_ || held_[pos]) {
-    return false;  // already played/held (or before this receiver's range)
-  }
-  if (pos >= next_needed_ + static_cast<uint32_t>(spec_.window_blocks)) {
-    return false;  // outside the sliding window — retained, eligible later
-  }
-  // Released (or being released) at the source.
-  return pos <= LiveEdge(t);
+StreamPlayback::RequestWindow StreamPlayback::WindowAt(SimTime t) const {
+  RequestWindow w;
+  w.num_positions = num_positions_;
+  // Positions below next_needed are played or held (or before this receiver's
+  // range); positions at or past `end` are retained, eligible in a later window.
+  w.next_needed = next_needed_;
+  w.end = next_needed_ + static_cast<uint32_t>(spec_.window_blocks);
+  w.live_edge = LiveEdge(t);
+  w.held = held_.data();
+  return w;
 }
 
 PlaybackStats ComputePlaybackStats(const StreamingSpec& spec, uint32_t num_positions,

@@ -72,10 +72,29 @@ class StreamPlayback {
 
   // Required: position inside this receiver's playback range.
   bool Required(uint32_t id) const { return PositionOf(id) >= start_position_; }
-  // Sliding-window eligibility at time `t`: the block's position is required,
-  // inside [next_needed, next_needed + window_blocks), not yet held, and
-  // released (or being released) at the source.
-  bool Eligible(uint32_t id, SimTime t) const;
+
+  // The sliding request window at one instant, with its bounds computed once
+  // so that testing a candidate costs a few compares. The bounds are a
+  // snapshot (a later MarkHeld or a later `t` does not move them); take a
+  // new window after either.
+  struct RequestWindow {
+    uint32_t num_positions = 0;
+    uint32_t next_needed = 0;  // first position of the window
+    uint32_t end = 0;          // next_needed + window_blocks, exclusive
+    uint32_t live_edge = 0;    // LiveEdge(t), inclusive
+    const char* held = nullptr;
+
+    // The block's position is inside [next_needed, end), not yet held, and
+    // released (or being released) at the source.
+    bool Contains(uint32_t id) const {
+      const uint32_t pos = id < num_positions ? id : id % num_positions;
+      return pos >= next_needed && pos < end && pos <= live_edge && held[pos] == 0;
+    }
+  };
+  RequestWindow WindowAt(SimTime t) const;
+
+  // Sliding-window eligibility at time `t`; see RequestWindow::Contains.
+  bool Eligible(uint32_t id, SimTime t) const { return WindowAt(t).Contains(id); }
 
  private:
   StreamingSpec spec_;

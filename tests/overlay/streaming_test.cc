@@ -94,6 +94,99 @@ TEST(StreamPlayback, MarkHeldAdvancesWindow) {
   EXPECT_EQ(p.next_needed(), 10u);
 }
 
+// The eligibility arithmetic as it stood before RequestWindow, spelled out
+// through the public accessors: the reference the window must match.
+bool DirectEligible(const StreamPlayback& p, uint32_t id, SimTime t) {
+  const uint32_t pos = p.PositionOf(id);
+  if (pos < p.next_needed() || p.Held(pos)) {
+    return false;
+  }
+  if (pos >= p.next_needed() + static_cast<uint32_t>(p.spec().window_blocks)) {
+    return false;
+  }
+  return pos <= p.LiveEdge(t);
+}
+
+// Every id of three encoded passes at every instant around the session: one
+// block duration before the start, the start itself, each release boundary
+// and mid-position, and well past the last release.
+void ExpectWindowMatchesDirect(const StreamPlayback& p, SimTime session_start) {
+  const SimTime dur = p.block_duration();
+  std::vector<SimTime> times = {0, session_start - dur, session_start - 1, session_start,
+                                session_start + 1000 * dur};
+  for (SimTime k = 0; k <= p.num_positions() + 1; ++k) {
+    times.push_back(session_start + k * dur);
+    times.push_back(session_start + k * dur + dur / 2);
+  }
+  for (const SimTime t : times) {
+    const StreamPlayback::RequestWindow w = p.WindowAt(t);
+    for (uint32_t id = 0; id < 3 * p.num_positions(); ++id) {
+      ASSERT_EQ(w.Contains(id), DirectEligible(p, id, t)) << "id " << id << " t " << t;
+      ASSERT_EQ(p.Eligible(id, t), DirectEligible(p, id, t)) << "id " << id << " t " << t;
+    }
+  }
+}
+
+TEST(StreamPlayback, RequestWindowMatchesDirectEligibility) {
+  const SimTime start = SecToSim(3.0);
+  const StreamPlayback probe(Spec(), 40, kBlockBytes, start, start);
+  const SimTime dur = probe.block_duration();
+  // window 8 inside a 40-position stream; window 1 (the window is its own last
+  // slot); a window wider than the stream.
+  for (const int window : {8, 1, 64}) {
+    SCOPED_TRACE(testing::Message() << "window " << window);
+    // An on-time joiner and a late joiner whose start position is 12, so ids
+    // below it (and their encoded wraps) are out of range.
+    for (const SimTime join : {start, start + 12 * dur + dur / 3}) {
+      StreamPlayback p(Spec(2.0, window), 40, kBlockBytes, start, join);
+      ExpectWindowMatchesDirect(p, start);
+      // Out-of-order holds: the window's first slot stays put while held
+      // positions inside and just past it drop out.
+      for (const uint32_t pos : {p.start_position() + 2, p.start_position() + 5,
+                                 p.start_position() + 8}) {
+        p.MarkHeld(pos);
+      }
+      ExpectWindowMatchesDirect(p, start);
+      // The contiguous prefix fills: next_needed jumps past the held run.
+      for (uint32_t pos = p.start_position(); pos < p.start_position() + 3; ++pos) {
+        p.MarkHeld(pos);
+      }
+      EXPECT_EQ(p.next_needed(), p.start_position() + 3);
+      ExpectWindowMatchesDirect(p, start);
+      // Complete: nothing is eligible any more.
+      for (uint32_t pos = 0; pos < 40; ++pos) {
+        p.MarkHeld(pos);
+      }
+      ASSERT_TRUE(p.Complete());
+      ExpectWindowMatchesDirect(p, start);
+    }
+  }
+}
+
+TEST(StreamPlayback, RequestWindowEdges) {
+  const SimTime start = SecToSim(3.0);
+  StreamPlayback p(Spec(2.0, /*window=*/4), 10, kBlockBytes, start, start);
+  const SimTime dur = p.block_duration();
+  // Before the session starts the live edge is 0: only position 0 is open.
+  const StreamPlayback::RequestWindow early = p.WindowAt(start - dur);
+  EXPECT_EQ(early.live_edge, 0u);
+  EXPECT_TRUE(early.Contains(0));
+  EXPECT_FALSE(early.Contains(1));
+  EXPECT_TRUE(early.Contains(10)) << "encoded id 10 wraps onto position 0";
+  // At live edge 3 the window [0, 4) is fully released: 3 is both the live
+  // edge and the window's last slot; 4 is past the window.
+  const StreamPlayback::RequestWindow w = p.WindowAt(start + 3 * dur);
+  EXPECT_EQ(w.live_edge, 3u);
+  EXPECT_EQ(w.end, 4u);
+  EXPECT_TRUE(w.Contains(3));
+  EXPECT_TRUE(w.Contains(13));
+  EXPECT_FALSE(w.Contains(4));
+  // A held position inside the window is not requestable.
+  p.MarkHeld(2);
+  EXPECT_FALSE(p.WindowAt(start + 3 * dur).Contains(2));
+  EXPECT_TRUE(p.WindowAt(start + 3 * dur).Contains(1));
+}
+
 TEST(PlaybackStats, NoStallWhenBlocksBeatTheSchedule) {
   const StreamingSpec spec = Spec(2.0, 8, /*buffer=*/1.0);
   const StreamPlayback ref(spec, 10, kBlockBytes, 0, 0);

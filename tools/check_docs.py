@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs consistency checker for the CI docs job.
 
-Two checks, both against the working tree (no build needed):
+Three checks, all against the working tree (no build needed):
 
  1. Scenario-table consistency: every scenario registered via
     BULLET_SCENARIO(...) in bench/*.cc must have a row in the README's
@@ -11,7 +11,10 @@ Two checks, both against the working tree (no build needed):
     docs/*.md must exist on disk (anchors are stripped; external URLs and
     badge images are ignored).
 
-Exit 0 when both pass, 1 with a FAIL line per violation otherwise.
+ 3. Change-log entries: CHANGES.md has an entry line starting `PR N:` (or
+    `PR N (tag):`) for every N from 1 to the highest N it mentions.
+
+Exit 0 when all pass, 1 with a FAIL line per violation otherwise.
 
 Usage: tools/check_docs.py [repo-root]
 """
@@ -76,6 +79,22 @@ def check_links(root):
     return failures
 
 
+CHANGES_ENTRY = re.compile(r"^PR (\d+)(?: \([^)]*\))?:")
+
+
+def check_changes(root):
+    """One FAIL per PR number missing between 1 and the highest entry."""
+    path = os.path.join(root, "CHANGES.md")
+    if not os.path.isfile(path):
+        return ["FAIL CHANGES.md: missing"]
+    with open(path, encoding="utf-8") as fh:
+        numbers = {int(m.group(1)) for m in map(CHANGES_ENTRY.match, fh) if m}
+    if not numbers:
+        return ["FAIL CHANGES.md: no `PR N:` entries"]
+    return [f"FAIL CHANGES.md: no entry for PR {n} (entries run to PR {max(numbers)})"
+            for n in range(1, max(numbers) + 1) if n not in numbers]
+
+
 def main():
     root = sys.argv[1] if len(sys.argv) > 1 else os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     failures = []
@@ -94,6 +113,7 @@ def main():
             failures.append(f"FAIL README.md: scenario table row `{name}` has no BULLET_SCENARIO registration")
 
     failures += check_links(root)
+    failures += check_changes(root)
 
     for f in failures:
         print(f)
