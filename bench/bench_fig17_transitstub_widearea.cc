@@ -23,8 +23,6 @@
 namespace bullet {
 namespace {
 
-BULLET_SCENARIO_TRANSIT_STUB_DEFAULT(fig17_transitstub_widearea);
-
 BULLET_SCENARIO(fig17_transitstub_widearea,
                 "Extension — routed transit-stub wide-area dissemination") {
   ScenarioConfig cfg;

@@ -16,8 +16,6 @@
 namespace bullet {
 namespace {
 
-BULLET_SCENARIO_TRANSIT_STUB_DEFAULT(fig19_concurrent_sessions);
-
 BULLET_SCENARIO(fig19_concurrent_sessions,
                 "Extension — two concurrent sessions over a shared transit-stub core") {
   ScenarioConfig cfg;

@@ -14,8 +14,6 @@
 namespace bullet {
 namespace {
 
-BULLET_SCENARIO_TRANSIT_STUB_DEFAULT(fig20_mixed_systems);
-
 BULLET_SCENARIO(fig20_mixed_systems,
                 "Extension — Bullet' vs BitTorrent sessions competing in one network") {
   ScenarioConfig cfg;

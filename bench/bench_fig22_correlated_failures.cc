@@ -26,8 +26,6 @@
 namespace bullet {
 namespace {
 
-BULLET_SCENARIO_TRANSIT_STUB_DEFAULT(fig22_correlated_failures);
-
 BULLET_SCENARIO(fig22_correlated_failures,
                 "Extension — correlated stub/gateway outage over the transit-stub core") {
   ScenarioConfig cfg;
@@ -50,7 +48,6 @@ BULLET_SCENARIO(fig22_correlated_failures,
   params.deadline = cfg.deadline;
   params.record_arrivals = cfg.record_arrivals;
   params.full_recompute_allocator = cfg.full_recompute_allocator;
-  params.skip_idle_ticks = cfg.skip_idle_ticks;
   params.quantum = cfg.quantum;
 
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);

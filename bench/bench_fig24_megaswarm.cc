@@ -36,8 +36,6 @@
 namespace bullet {
 namespace {
 
-BULLET_SCENARIO_TRANSIT_STUB_DEFAULT(fig24_megaswarm);
-
 BULLET_SCENARIO(fig24_megaswarm,
                 "Extension — mega-swarm: 100k-member flash crowd on compressed routes, "
                 "aggregated flows and arena node state") {

@@ -34,10 +34,6 @@ const char* ProfilePhaseName(ProfilePhase phase) {
       return "path_lookup";
     case ProfilePhase::kTopologyMetrics:
       return "topology_metrics";
-    case ProfilePhase::kBarrierWait:
-      return "barrier_wait";
-    case ProfilePhase::kMerge:
-      return "merge";
     case ProfilePhase::kCount:
       break;
   }

@@ -3,11 +3,8 @@
 // Two layers with different cost/availability trade-offs:
 //
 //  * RunCounters — always compiled in. Deterministic event/epoch/byte totals
-//    the simulator publishes as it runs (plain integer increments, published
-//    only from the thread that called Network::Run; the parallel engine
-//    accumulates worker-side counts into its own per-partition tallies and
-//    folds them in at superstep barriers, so worker threads never touch the
-//    thread-local instance). The harness installs a fresh RunCounters per
+//    the simulator publishes as it runs (plain integer increments; the network
+//    is single-threaded per run). The harness installs a fresh RunCounters per
 //    scenario run through a thread-local pointer, so concurrent sweep workers
 //    each observe only their own run. These counts depend solely on the seed
 //    and configuration — never on wall time — which is what lets sweep
@@ -84,8 +81,6 @@ enum class ProfilePhase : int {
   kRequestStrategy,     // protocol request-issuing loops (core + baselines)
   kPathLookup,          // route/path-cache snapshots at Connect()
   kTopologyMetrics,     // PathDelay/Rtt/PathLoss composition at Connect()
-  kBarrierWait,         // parallel engine: workers idle at superstep barriers
-  kMerge,               // parallel engine: deterministic handoff-ring merge
   kCount,
 };
 

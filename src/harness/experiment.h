@@ -41,9 +41,6 @@ struct ExperimentParams {
   // quantum) instead of the incremental allocator. A/B reference for the
   // perf_core_scale benchmark and the determinism tests.
   bool full_recompute_allocator = false;
-  // Elide idle tick events entirely (see NetworkConfig::skip_idle_ticks; not
-  // bit-reproducible against the default mode).
-  bool skip_idle_ticks = false;
 };
 
 class Experiment {

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
 #include <utility>
 
 #include "src/harness/flag_parse.h"
@@ -325,29 +324,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
            json->Field("stream_window_blocks", *opts.stream_window_blocks);
          }
        }},
-      {"--threads", "threads", "threads", ScenarioOptionDef::Kind::kNumber,
-       /*sweepable=*/true, "--threads requires an integer in [1, 64]",
-       "threads values must be integers in [1, 64]",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || v < 1 || v > 64) {
-           return false;
-         }
-         opts->threads = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return IsIntegral(v) && v >= 1 && v <= 64; },
-       [](double v, ScenarioOptions* opts) { opts->threads = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.threads) {
-           cfg->num_threads = *opts.threads;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.threads) {
-           json->Field("threads", *opts.threads);
-         }
-       }},
       {"--compress-routes", "compress-routes", "compress_routes",
        ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
        "--compress-routes requires 0 or 1", "compress-routes values must be 0 or 1",
@@ -483,19 +459,6 @@ std::vector<const ScenarioRegistry::Entry*> ScenarioRegistry::List() const {
   return out;
 }
 
-namespace {
-
-std::set<std::string>& TransitStubDefaultNames() {
-  static std::set<std::string>* names = new std::set<std::string>();
-  return *names;
-}
-
-}  // namespace
-
-bool ScenarioDefaultsToTransitStub(const std::string& name) {
-  return TransitStubDefaultNames().count(name) > 0;
-}
-
 namespace harness_internal {
 
 ScenarioRegistrar::ScenarioRegistrar(const char* name, const char* description,
@@ -504,10 +467,6 @@ ScenarioRegistrar::ScenarioRegistrar(const char* name, const char* description,
     std::fprintf(stderr, "duplicate scenario registration: %s\n", name);
     std::abort();
   }
-}
-
-TransitStubDefaultRegistrar::TransitStubDefaultRegistrar(const char* name) {
-  TransitStubDefaultNames().insert(name);
 }
 
 }  // namespace harness_internal

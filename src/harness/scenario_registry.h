@@ -51,10 +51,6 @@ struct ScenarioOptions {
   // (fig23_streaming_deadlines); bulk scenarios ignore them.
   std::optional<double> stream_bitrate_mbps;
   std::optional<int> stream_window_blocks;
-  // Engine worker threads (--threads). Values > 1 select the partitioned
-  // parallel engine and are only valid with a transit-stub topology; the
-  // runner validates the combination up front (exit-2 usage error).
-  std::optional<int> threads;
   // Mega-swarm scale knobs, 0/1 (--compress-routes / --aggregate-flows; see
   // ScenarioConfig). Scenarios on non-transit-stub topologies ignore
   // compress_routes like any other inapplicable override.
@@ -178,22 +174,10 @@ class ScenarioRegistry {
   std::map<std::string, Entry> entries_;
 };
 
-// Side registry of scenarios whose *default* topology is the routed
-// transit-stub graph (tagged with BULLET_SCENARIO_TRANSIT_STUB_DEFAULT next to
-// their BULLET_SCENARIO body). The runner's --threads validation consults it:
-// threads > 1 needs a transit-stub topology, and without a --topology override
-// only the scenario itself knows its default. Like the scenario registry,
-// mutated only by static initializers and read-only after main() starts.
-bool ScenarioDefaultsToTransitStub(const std::string& name);
-
 namespace harness_internal {
 
 struct ScenarioRegistrar {
   ScenarioRegistrar(const char* name, const char* description, ScenarioRegistry::RunFn fn);
-};
-
-struct TransitStubDefaultRegistrar {
-  explicit TransitStubDefaultRegistrar(const char* name);
 };
 
 }  // namespace harness_internal
@@ -220,12 +204,5 @@ struct TransitStubDefaultRegistrar {
   static ::bullet::ScenarioReport BulletScenarioRun_##scenario_name(                        \
       [[maybe_unused]] const ::bullet::ScenarioOptions& opts,                               \
       [[maybe_unused]] const char* kScenarioName)
-
-// Tags a scenario (registered separately via BULLET_SCENARIO) as defaulting
-// to the transit-stub topology, enabling --threads > 1 without an explicit
-// --topology transit-stub override.
-#define BULLET_SCENARIO_TRANSIT_STUB_DEFAULT(scenario_name)          \
-  static const ::bullet::harness_internal::TransitStubDefaultRegistrar \
-      bullet_scenario_ts_default_##scenario_name(#scenario_name)
 
 #endif  // SRC_HARNESS_SCENARIO_REGISTRY_H_

@@ -47,28 +47,6 @@ using bullet::ParseStrictDouble;
 using bullet::ParseStrictInt64;
 using bullet::ParseStrictUint64;
 
-// --threads > 1 selects the partitioned parallel engine, whose partition cut
-// is the transit-stub domain hierarchy — a mesh run has nothing to partition.
-// Validated up front as a usage-class error (exit 2, like --profile with
-// sweep mode), not left to become a silent serial fallback or an engine-level
-// abort. `topology` is the --topology override when given; otherwise only the
-// scenario itself knows its default, via the transit-stub side registry.
-bool ValidateThreadsRequest(const std::string& scenario,
-                            const std::optional<std::string>& topology, bool threads_above_one,
-                            std::string* error) {
-  if (!threads_above_one) {
-    return true;
-  }
-  const bool transit_stub =
-      topology ? *topology == "transit-stub" : ScenarioDefaultsToTransitStub(scenario);
-  if (transit_stub) {
-    return true;
-  }
-  *error = "--threads > 1 requires a transit-stub topology, but scenario '" + scenario +
-           "' does not default to one (add --topology transit-stub or drop --threads)";
-  return false;
-}
-
 }  // namespace
 
 RunnerArgs ParseRunnerArgs(int argc, const char* const* argv) {
@@ -337,9 +315,6 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --stream-window-blocks W\n"
         "                     sliding request-window size (blocks ahead of the\n"
         "                     playhead) for streaming-deadline scenarios\n"
-        "  --threads N        engine worker threads; > 1 runs the partitioned\n"
-        "                     parallel engine (transit-stub topologies only;\n"
-        "                     1 is bit-identical to the serial engine)\n"
         "  --compress-routes B\n"
         "                     1 caches shared gateway-to-gateway route segments\n"
         "                     and composes per-pair routes lazily (transit-stub\n"
@@ -363,7 +338,7 @@ void PrintRunnerUsage(std::ostream& os) {
         "                     deadline-sec, loss, join-fraction,\n"
         "                     lifetime-pareto-alpha, churn-model,\n"
         "                     stream-bitrate-mbps, stream-window-blocks,\n"
-        "                     threads, compress-routes, aggregate-flows);\n"
+        "                     compress-routes, aggregate-flows);\n"
         "                     repeat the flag for more axes\n"
         "  --sweep-file PATH  spec file (scenario/name/repeats/seed/set/sweep lines);\n"
         "                     command-line flags override file directives\n"
@@ -446,9 +421,6 @@ bool BuildSweepSpec(const RunnerArgs& args, SweepSpec* spec, std::string* error)
   if (o.churn_model) {
     spec->base.churn_model = o.churn_model;
   }
-  if (o.threads) {
-    spec->base.threads = o.threads;
-  }
   if (o.compress_routes) {
     spec->base.compress_routes = o.compress_routes;
   }
@@ -474,19 +446,6 @@ int RunSweepMode(const RunnerArgs& args, const ScenarioRegistry& registry, std::
         << registry.size() << "\n";
     return 2;
   }
-  bool threads_above_one = spec.base.threads && *spec.base.threads > 1;
-  for (const SweepAxis& axis : spec.axes) {
-    if (axis.key == "threads") {
-      for (const double v : axis.values) {
-        threads_above_one = threads_above_one || v > 1.0;
-      }
-    }
-  }
-  if (!ValidateThreadsRequest(spec.scenario, spec.base.topology, threads_above_one, &error)) {
-    err << "bullet_run: " << error << "\n";
-    return 2;
-  }
-
   const SweepRunOutcome outcome = RunSweep(spec, registry, args.jobs);
   if (!outcome.ok) {
     err << "bullet_run: sweep failed: " << outcome.error << "\n";
@@ -587,14 +546,6 @@ int RunnerMain(int argc, const char* const* argv, const ScenarioRegistry& regist
         << registry.size() << "\n";
     return 2;
   }
-  std::string threads_error;
-  if (!ValidateThreadsRequest(args.scenario, args.options.topology,
-                              args.options.threads && *args.options.threads > 1,
-                              &threads_error)) {
-    err << "bullet_run: " << threads_error << "\n";
-    return 2;
-  }
-
   // Counters always record (they are cheap and deterministic); the profiler
   // records per-phase data only in BULLET_PROFILE builds.
   RunCounters counters;

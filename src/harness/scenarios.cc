@@ -76,9 +76,7 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
   params.deadline = cfg.deadline;
   params.record_arrivals = cfg.record_arrivals;
   params.full_recompute_allocator = cfg.full_recompute_allocator;
-  params.skip_idle_ticks = cfg.skip_idle_ticks;
   params.quantum = cfg.quantum;
-  params.num_threads = cfg.num_threads;
   params.aggregate_flows = cfg.aggregate_flows;
 
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);

@@ -43,10 +43,6 @@ struct ScenarioConfig {
   // Pre-PR network tick loop (full allocator recompute every quantum); used by
   // perf_core_scale to benchmark against the incremental default.
   bool full_recompute_allocator = false;
-  // Elide idle tick events entirely (NetworkConfig::skip_idle_ticks): fastest
-  // for workloads with long quiet phases, but not bit-reproducible against the
-  // default mode, so no fig scenario sets it.
-  bool skip_idle_ticks = false;
   // Rate-allocation quantum. The paper's emulator uses 10 ms; perf_core_scale
   // runs finer-grained emulation, where the event-driven core's advantage grows
   // (its allocation count tracks flow churn, not tick rate).
@@ -74,11 +70,6 @@ struct ScenarioConfig {
   // both < 0 keeps sessions in bulk mode.
   double stream_bitrate_mbps = -1.0;
   int stream_window_blocks = -1;
-  // Engine worker threads via --threads. > 1 requests the partitioned parallel
-  // engine (NetworkConfig::num_threads; requires a transit-stub topology — the
-  // CLI validates before the run so a mesh request is a usage error, not a
-  // serial fallback surprise). 1 is bit-identical to the serial engine.
-  int num_threads = 1;
   // Mega-swarm scale knobs (fig24; --compress-routes / --aggregate-flows).
   // compress_routes caches gateway-to-gateway interior segments once and
   // composes per-pair routes lazily (transit-stub only; composed routes are

@@ -1,7 +1,6 @@
 #include "src/harness/workload.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "src/baselines/bittorrent.h"
 #include "src/baselines/bullet_legacy.h"
@@ -46,8 +45,6 @@ WorkloadExperiment::WorkloadExperiment(std::unique_ptr<Topology> topology,
   net_config.allocator_mode = params.full_recompute_allocator
                                   ? NetworkConfig::AllocatorMode::kFullRecompute
                                   : NetworkConfig::AllocatorMode::kIncremental;
-  net_config.skip_idle_ticks = params.skip_idle_ticks;
-  net_config.num_threads = params.num_threads;
   net_config.aggregate_flows = params.aggregate_flows;
   net_ = std::make_unique<Network>(std::move(topology), net_config, params.seed ^ 0x9e3779b9ULL);
   member_claimed_.assign(static_cast<size_t>(net_->num_nodes()), 0);
@@ -242,11 +239,7 @@ int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const ProtocolRegistry:
       if (node == at(index).spec.source) {
         return;
       }
-      // ScheduleGlobal, not queue().Schedule: the observer fires from protocol
-      // context, which under the parallel engine is a worker thread — the
-      // departure must be staged to the global queue at the barrier (departures
-      // fail the node network-wide, a cross-partition effect).
-      net_->ScheduleGlobal(t + linger, [this, index, node] { DepartNode(index, node); });
+      net_->queue().Schedule(t + linger, [this, index, node] { DepartNode(index, node); });
     });
   }
   s.protocols.resize(num_members);
@@ -360,24 +353,14 @@ void WorkloadExperiment::ScheduleDynamics() {
   }
 }
 
-// Fires from RunMetrics::NotifyIfAllComplete — protocol context, which under
-// the parallel engine may be any worker thread (whichever partition recorded
-// the session's last completion). The mutex makes the flag/counter updates
-// atomic; the outcome is value-deterministic regardless of firing thread, and
-// Stop() is itself safe from worker context.
 void WorkloadExperiment::OnSessionComplete(int session) {
   Session& s = at(session);
-  bool all_done = false;
-  {
-    std::lock_guard<std::mutex> lock(complete_mu_);
-    if (s.complete) {
-      return;
-    }
-    s.complete = true;
-    ++sessions_completed_;
-    all_done = sessions_completed_ == static_cast<int>(sessions_.size());
+  if (s.complete) {
+    return;
   }
-  if (all_done) {
+  s.complete = true;
+  ++sessions_completed_;
+  if (sessions_completed_ == static_cast<int>(sessions_.size())) {
     net_->Stop();
   }
 }

@@ -30,7 +30,6 @@
 
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <type_traits>
 #include <utility>
@@ -53,12 +52,6 @@ struct WorkloadParams {
   SimTime deadline = SecToSim(3600.0);
   bool record_arrivals = false;
   bool full_recompute_allocator = false;
-  bool skip_idle_ticks = false;
-  // > 1 requests the partitioned parallel engine (NetworkConfig::num_threads);
-  // effective only on transit-stub routed topologies in the incremental
-  // allocator mode, serial fallback otherwise. 1 is bit-identical to the
-  // serial engine.
-  int num_threads = 1;
   // Bundle flows sharing an interior route before water-filling
   // (NetworkConfig::aggregate_flows). Mega-swarm mode: conservation and
   // feasibility are exact but rates are not bit-identical to the default.
@@ -210,13 +203,6 @@ class WorkloadExperiment {
 
   WorkloadParams params_;
   std::unique_ptr<Network> net_;
-  // Serializes OnSessionComplete: under the parallel engine, sessions on
-  // different partitions can complete in the same superstep window, and the
-  // completion hook fires on whichever worker recorded the last completion.
-  // Its effects (flags, counter, the final Stop()) are value-deterministic
-  // regardless of which thread runs it first; the mutex only makes the
-  // read-modify-writes atomic.
-  std::mutex complete_mu_;
   // deque: Session addresses must stay stable — protocols hold pointers to
   // their session's tree and metrics across AddSession calls.
   std::deque<Session> sessions_;

@@ -32,11 +32,7 @@ class Protocol : public NetHandler {
  protected:
   NodeId self() const { return self_; }
   Network& net() { return *net_; }
-  // The queue this node's timers belong to: its partition's queue under the
-  // parallel engine, the global queue otherwise. Protocol code must schedule
-  // its own timers here (never on net().queue()) so they execute inside the
-  // node's superstep window.
-  EventQueue& queue() { return net_->node_queue(self_); }
+  EventQueue& queue() { return net_->queue(); }
   SimTime now() const { return net_->now(); }
   RunMetrics& metrics() { return *metrics_; }
   Rng& rng() { return rng_; }

@@ -72,7 +72,7 @@ class ProtocolRegistry {
   // Thread-safety: Register/Find/List/size serialize on an internal mutex, so
   // concurrent registration and lookup (e.g. sweep workers constructing
   // experiments while another thread's EnsureBuiltinProtocolsRegistered is
-  // mid-flight, or registry queries from parallel-engine callbacks) are safe.
+  // mid-flight) are safe.
   // Returned Entry pointers stay valid and immutable forever: entries_ is a
   // node-based map and entries are never erased or overwritten — Register of
   // a duplicate key leaves the registry unchanged.

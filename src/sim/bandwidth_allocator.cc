@@ -5,7 +5,6 @@
 #include <queue>
 
 #include "src/common/profiler.h"
-#include "src/sim/engine_parallel.h"
 
 namespace bullet {
 
@@ -304,7 +303,10 @@ void IncrementalMaxMin::Allocate() {
   size_t frozen_count = 0;
 
   heap_.clear();
-  auto push_link = [&](int32_t l) {
+  // Inlining is pinned: the heap push inlines into freeze, and freeze stays a
+  // call. GCC otherwise decides both from the size of the whole translation
+  // unit, and the flipped choice costs the water-fill about 15%.
+  auto push_link = [&](int32_t l) __attribute__((always_inline)) {
     const size_t li = static_cast<size_t>(l);
     if (nflows_[li] > 0) {
       heap_.push(HeapEntry{remaining_[li] / nflows_[li], l, stamp_[li]});
@@ -314,7 +316,7 @@ void IncrementalMaxMin::Allocate() {
     push_link(static_cast<int32_t>(l));
   }
 
-  auto freeze = [&](size_t fi, double rate) {
+  auto freeze = [&](size_t fi, double rate) __attribute__((noinline)) {
     rate_[fi] = std::max(rate, 0.0);
     frozen_[fi] = 1;
     ++frozen_count;
@@ -395,208 +397,6 @@ void IncrementalMaxMin::Allocate() {
       }
     }
     ++stamp_[li];
-  }
-}
-
-// Allocate() with the two parallel-engine optimizations described in the
-// header: per-round batched heap pushes (a saturated-link round bumps each
-// touched link's stamp per freeze as usual but defers the heap push until the
-// round ends, collapsing the heap traffic from one push per freeze-link pair
-// to one per touched link) and sharded wide rounds (a bottleneck row of
-// kShardMinRow+ flows is split into contiguous per-worker ranges; each worker
-// writes its flows' rates — disjoint, since a flow appears once per row — and
-// accumulates per-link demand deltas that the coordinator applies in
-// worker-index order). Selection logic, cap-freezing, and the freeze
-// arithmetic itself are unchanged from Allocate().
-void IncrementalMaxMin::AllocateParallel(WorkerPool* pool) {
-  BULLET_PROFILE_SCOPE(ProfilePhase::kWaterFill);
-  const size_t num_links = capacity_.size();
-  const size_t num_flows = cap_.size();
-
-  // Below this row width a sharded round's barrier cost outweighs the work.
-  constexpr uint32_t kShardMinRow = 512;
-
-  BuildEpochScratch();
-  size_t cap_cursor = 0;
-  size_t frozen_count = 0;
-
-  if (round_stamp_.size() < num_links) {
-    round_stamp_.resize(num_links, 0);
-  }
-  round_touched_.clear();
-
-  heap_.clear();
-  auto push_link = [&](int32_t l) {
-    const size_t li = static_cast<size_t>(l);
-    if (nflows_[li] > 0) {
-      heap_.push(HeapEntry{remaining_[li] / nflows_[li], l, stamp_[li]});
-    }
-  };
-  for (size_t l = 0; l < num_links; ++l) {
-    push_link(static_cast<int32_t>(l));
-  }
-
-  // Records a link as modified this round; end_round() re-pushes each touched
-  // link exactly once, with its final (share, stamp) for the round.
-  auto touch = [&](size_t li) {
-    if (round_stamp_[li] != round_id_) {
-      round_stamp_[li] = round_id_;
-      round_touched_.push_back(static_cast<int32_t>(li));
-    }
-  };
-  auto end_round = [&] {
-    for (const int32_t l : round_touched_) {
-      push_link(l);
-    }
-    round_touched_.clear();
-    ++round_id_;
-  };
-
-  // As Allocate()'s freeze, but deferring the heap push to end_round().
-  auto freeze = [&](size_t fi, double rate) {
-    rate_[fi] = std::max(rate, 0.0);
-    frozen_[fi] = 1;
-    ++frozen_count;
-    for (uint32_t off = flow_off_[fi]; off < flow_off_[fi + 1]; ++off) {
-      const int32_t l = flow_links_[off];
-      if (l < 0) {
-        continue;
-      }
-      const size_t li = static_cast<size_t>(l);
-      remaining_[li] = std::max(0.0, remaining_[li] - rate_[fi]);
-      --nflows_[li];
-      ++stamp_[li];
-      touch(li);
-    }
-  };
-
-  for (size_t i = 0; i < num_flows; ++i) {
-    bool has_link = false;
-    for (uint32_t off = flow_off_[i]; off < flow_off_[i + 1]; ++off) {
-      has_link |= flow_links_[off] >= 0;
-    }
-    if (!has_link && !frozen_[i]) {
-      frozen_[i] = 1;
-      ++frozen_count;
-      rate_[i] = cap_[i];
-    }
-  }
-
-  while (frozen_count < num_flows) {
-    double min_share = -1.0;
-    int32_t min_link = -1;
-    while (!heap_.empty()) {
-      const HeapEntry top = heap_.top();
-      const size_t li = static_cast<size_t>(top.link);
-      if (top.stamp != stamp_[li] || nflows_[li] <= 0) {
-        heap_.pop();
-        continue;
-      }
-      min_share = top.share;
-      min_link = top.link;
-      break;
-    }
-    if (min_link < 0) {
-      for (size_t i = 0; i < num_flows; ++i) {
-        if (!frozen_[i]) {
-          frozen_[i] = 1;
-          ++frozen_count;
-          rate_[i] = cap_[i];
-        }
-      }
-      break;
-    }
-
-    bool froze_capped = false;
-    while (cap_cursor < by_cap_.size()) {
-      const size_t fi = by_cap_[cap_cursor];
-      if (frozen_[fi]) {
-        ++cap_cursor;
-        continue;
-      }
-      if (cap_[fi] <= min_share) {
-        freeze(fi, cap_[fi]);
-        ++cap_cursor;
-        froze_capped = true;
-      } else {
-        break;
-      }
-    }
-    if (froze_capped) {
-      end_round();
-      continue;
-    }
-
-    const size_t li = static_cast<size_t>(min_link);
-    const uint32_t row_lo = link_off_[li];
-    const uint32_t row_hi = link_off_[li + 1];
-    if (pool != nullptr && pool->num_threads() > 1 && row_hi - row_lo >= kShardMinRow) {
-      const int nw = pool->num_threads();
-      if (shards_.size() < static_cast<size_t>(nw)) {
-        shards_.resize(static_cast<size_t>(nw));
-      }
-      const uint64_t round = round_id_;
-      const uint64_t width = row_hi - row_lo;
-      pool->RunOnAll([&](int w) {
-        ShardScratch& s = shards_[static_cast<size_t>(w)];
-        if (s.stamp.size() < num_links) {
-          s.stamp.resize(num_links, 0);
-          s.delta.resize(num_links, 0.0);
-          s.dcount.resize(num_links, 0);
-        }
-        s.touched.clear();
-        s.frozen = 0;
-        const uint32_t lo = row_lo + static_cast<uint32_t>(width * static_cast<uint64_t>(w) / nw);
-        const uint32_t hi =
-            row_lo + static_cast<uint32_t>(width * (static_cast<uint64_t>(w) + 1) / nw);
-        for (uint32_t off = lo; off < hi; ++off) {
-          const uint32_t fi = link_flow_[off];
-          // Flows frozen this round live in other workers' ranges and are
-          // never read here, so this flag is stable for the whole round.
-          if (frozen_[fi]) {
-            continue;
-          }
-          rate_[fi] = std::max(min_share, 0.0);
-          frozen_[fi] = 1;
-          ++s.frozen;
-          for (uint32_t foff = flow_off_[fi]; foff < flow_off_[fi + 1]; ++foff) {
-            const int32_t l = flow_links_[foff];
-            if (l < 0) {
-              continue;
-            }
-            const size_t lj = static_cast<size_t>(l);
-            if (s.stamp[lj] != round) {
-              s.stamp[lj] = round;
-              s.delta[lj] = 0.0;
-              s.dcount[lj] = 0;
-              s.touched.push_back(l);
-            }
-            s.delta[lj] += rate_[fi];
-            ++s.dcount[lj];
-          }
-        }
-      });
-      for (int w = 0; w < nw; ++w) {
-        ShardScratch& s = shards_[static_cast<size_t>(w)];
-        frozen_count += s.frozen;
-        for (const int32_t l : s.touched) {
-          const size_t lj = static_cast<size_t>(l);
-          remaining_[lj] = std::max(0.0, remaining_[lj] - s.delta[lj]);
-          nflows_[lj] -= s.dcount[lj];
-          ++stamp_[lj];
-          touch(lj);
-        }
-      }
-    } else {
-      for (uint32_t off = row_lo; off < row_hi; ++off) {
-        const uint32_t fi = link_flow_[off];
-        if (!frozen_[fi]) {
-          freeze(fi, min_share);
-        }
-      }
-    }
-    ++stamp_[li];
-    end_round();
   }
 }
 

@@ -41,20 +41,6 @@
 // Thread-safety: the free functions are safe to call concurrently on disjoint
 // arguments (they touch only their parameters); an IncrementalMaxMin instance
 // is single-threaded — its persistent scratch belongs to one Network.
-// AllocateParallel() is still driven from that single owning thread; it only
-// fans work out through a WorkerPool whose barrier brackets every shared
-// access, so no concurrent calls into the instance ever occur.
-//
-// AllocateParallel() determinism: results depend on the pool's worker count
-// but never on thread scheduling — workers fill disjoint flow ranges and the
-// coordinator merges their per-link deltas in worker-index order. It is NOT
-// bit-identical to Allocate() in general: freezes within a saturation round
-// are subtracted from each link as per-worker partial sums rather than one at
-// a time, and the reduced heap traffic can resolve exact FP share ties between
-// different links in a different order. On capacity sets where the arithmetic
-// is exact (e.g. power-of-two capacities) and ties are between equal shares,
-// both effects vanish and the two entry points agree bitwise — the invariants
-// tests pin this on such a network.
 //
 // Profiling: the water-filling body runs under a `water_fill` timed scope
 // (src/common/profiler.h) — distinct from the network's enclosing
@@ -70,8 +56,6 @@
 #include <vector>
 
 namespace bullet {
-
-class WorkerPool;
 
 struct FlowSpec {
   // Link indices into the capacity vector; -1 means unused slot.
@@ -135,15 +119,6 @@ class IncrementalMaxMin {
   // the same links/flows sequence.
   void Allocate();
 
-  // Water-fills the current epoch with the parallel engine's variant: heap
-  // pushes are batched per saturation round (one push per touched link instead
-  // of one per freeze), and rounds whose bottleneck row is wide are sharded
-  // across `pool`'s workers (disjoint rate writes; per-link demand deltas
-  // reduced in worker-index order). `pool` may be null, which keeps every
-  // round on the calling thread but retains the batched-push arithmetic. See
-  // the header comment for the determinism contract relative to Allocate().
-  void AllocateParallel(WorkerPool* pool);
-
   size_t num_flows() const { return cap_.size(); }
   size_t num_links() const { return capacity_.size(); }
   double rate(size_t flow_index) const { return rate_[flow_index]; }
@@ -172,7 +147,7 @@ class IncrementalMaxMin {
  private:
   // Rebuilds the per-epoch scratch (remaining capacities, CSR link->flow rows,
   // ascending-cap order, frozen flags, zeroed rates) from the epoch inputs.
-  // Pure data movement shared by Allocate() and AllocateParallel().
+  // Pure data movement, kept apart from Allocate()'s arithmetic.
   void BuildEpochScratch();
 
   struct HeapEntry {
@@ -209,21 +184,6 @@ class IncrementalMaxMin {
   std::vector<size_t> by_cap_;
   std::vector<char> frozen_;
   ReusableHeap heap_;
-
-  // AllocateParallel scratch. round_id_ is monotonically increasing across
-  // epochs and never reset, so the stamp arrays need no per-epoch clearing:
-  // a stale stamp from any earlier round or epoch simply compares unequal.
-  uint64_t round_id_ = 1;
-  std::vector<uint64_t> round_stamp_;   // per link: round that last touched it
-  std::vector<int32_t> round_touched_;  // links touched this round, first-touch order
-  struct ShardScratch {
-    std::vector<uint64_t> stamp;   // per link: round of last accumulation
-    std::vector<double> delta;     // per link: demand frozen by this worker
-    std::vector<int32_t> dcount;   // per link: flows frozen by this worker
-    std::vector<int32_t> touched;  // links this worker accumulated into
-    size_t frozen = 0;
-  };
-  std::vector<ShardScratch> shards_;
 };
 
 }  // namespace bullet

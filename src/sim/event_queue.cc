@@ -65,35 +65,4 @@ uint64_t EventQueue::RunUntil(SimTime until) {
   return executed;
 }
 
-uint64_t EventQueue::RunWindow(SimTime end) {
-  stopped_ = false;
-  uint64_t executed = 0;
-  while (!stopped_ && !heap_.empty()) {
-    EventState& st = state_[static_cast<size_t>(heap_.front().seq)];
-    if (st == EventState::kDone) {
-      std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
-      heap_.pop_back();
-      continue;
-    }
-    if (heap_.front().at >= end) {
-      break;
-    }
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<Entry>());
-    Entry entry = std::move(heap_.back());
-    heap_.pop_back();
-    now_ = entry.at;
-    st = EventState::kDone;
-    --live_;
-    {
-      BULLET_PROFILE_SCOPE(ProfilePhase::kEventDispatch);
-      entry.fn();
-    }
-    ++executed;
-  }
-  if (now_ < end) {
-    now_ = end;
-  }
-  return executed;
-}
-
 }  // namespace bullet

@@ -11,14 +11,9 @@
 // independent of the heap's internal layout — this is what makes the
 // representation swap byte-identical to the previous map-based implementation.
 //
-// Thread-safety: none — an EventQueue is never shared between threads
-// concurrently. The sweep engine gets its parallelism from whole-run isolation
-// (one network + queue per worker). The parallel engine (network.cc) gets its
-// parallelism from whole-queue ownership handoff: each partition's queue is
-// driven by exactly one worker during a superstep window (RunWindow), and only
-// by the coordinator between windows (merge/schedule at the barrier); the
-// barrier's synchronizes-with edges make that handoff race-free without any
-// locking here.
+// Thread-safety: none — an EventQueue belongs to exactly one Network and is
+// driven from one thread. The sweep engine gets its parallelism from whole-run
+// isolation (one network + queue per worker), never from sharing a queue.
 //
 // Profiling: Schedule() counts into the `event_schedule` phase and RunNext()
 // wraps callback execution in an `event_dispatch` timed scope
@@ -160,24 +155,6 @@ class EventQueue {
   // Runs events until the queue is empty, `until` is passed, or Stop() is called.
   // Returns the number of events executed.
   uint64_t RunUntil(SimTime until);
-
-  // Runs events with `at < end` (exclusive upper bound, unlike RunUntil's
-  // inclusive one) and then advances now() to `end`. The parallel engine runs
-  // each partition's queue over the window [t_k, t_k + quantum) with this, so
-  // events landing exactly on a quantum boundary execute after that boundary's
-  // barrier work — deterministically, in every partition. Returns the number of
-  // events executed.
-  uint64_t RunWindow(SimTime end);
-
-  // Advances now() to `t` without running anything. Precondition: no pending
-  // event is earlier than `t` (BULLET_CHECKed indirectly by Schedule's clamp
-  // staying a no-op). The coordinator uses this to pin the global queue's clock
-  // to the barrier time before ticking the allocator.
-  void SyncNow(SimTime t) {
-    if (t > now_) {
-      now_ = t;
-    }
-  }
 
   // Requests RunUntil to return after the current event completes.
   void Stop() { stopped_ = true; }

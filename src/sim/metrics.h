@@ -1,21 +1,11 @@
 // Per-run metrics filled in by protocols. The experiment harness turns these into the
 // CDFs and tables reported by the paper.
-//
-// Thread-safety: under the parallel engine (network.h), protocols on different
-// partitions record metrics concurrently. Per-node state (NodeMetrics) is only
-// ever written by its own node's protocol — one partition — so it needs no
-// synchronization; the cross-session aggregates (completed_,
-// departed_incomplete_, the one-shot completion hooks) are guarded by an
-// internal mutex. The completion observer and the all-complete callback fire
-// outside the lock, so they may re-enter RunMetrics freely; both are installed
-// before the run starts and are not re-installed concurrently.
 
 #ifndef SRC_SIM_METRICS_H_
 #define SRC_SIM_METRICS_H_
 
 #include <cstdint>
 #include <functional>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -46,62 +36,26 @@ class RunMetrics {
  public:
   explicit RunMetrics(int num_nodes) : nodes_(static_cast<size_t>(num_nodes)) {}
 
-  // Copyable: the harness returns RunMetrics snapshots by value. The mutex is
-  // not part of the value (each copy owns a fresh one); copying is only valid
-  // while no concurrent recording is in flight, i.e. outside Network::Run().
-  RunMetrics(const RunMetrics& o)
-      : record_arrivals(o.record_arrivals),
-        nodes_(o.nodes_),
-        completed_(o.completed_),
-        departed_incomplete_(o.departed_incomplete_),
-        num_positions_(o.num_positions_),
-        completion_target_(o.completion_target_),
-        on_all_complete_(o.on_all_complete_),
-        completion_observer_(o.completion_observer_),
-        members_(o.members_) {}
-  RunMetrics& operator=(const RunMetrics& o) {
-    if (this != &o) {
-      record_arrivals = o.record_arrivals;
-      nodes_ = o.nodes_;
-      completed_ = o.completed_;
-      departed_incomplete_ = o.departed_incomplete_;
-      num_positions_ = o.num_positions_;
-      completion_target_ = o.completion_target_;
-      on_all_complete_ = o.on_all_complete_;
-      completion_observer_ = o.completion_observer_;
-      members_ = o.members_;
-    }
-    return *this;
-  }
-
   NodeMetrics& node(NodeId n) { return nodes_[static_cast<size_t>(n)]; }
   const NodeMetrics& node(NodeId n) const { return nodes_[static_cast<size_t>(n)]; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
 
   void RecordCompletion(NodeId n, SimTime t) {
     NodeMetrics& m = node(n);
-    bool first = false;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (m.completion < 0) {
-        m.completion = t;
-        ++completed_;
-        if (m.departed >= 0) {
-          // Completed after departing (an in-flight delivery landed first): the
-          // node must not count toward the live target twice.
-          --departed_incomplete_;
-        }
-        first = true;
+    if (m.completion < 0) {
+      m.completion = t;
+      ++completed_;
+      if (m.departed >= 0) {
+        // Completed after departing (an in-flight delivery landed first): the
+        // node must not count toward the live target twice.
+        --departed_incomplete_;
+      }
+      if (completion_observer_) {
+        completion_observer_(n, t);
       }
     }
-    if (first && completion_observer_) {
-      completion_observer_(n, t);
-    }
   }
-  int completed() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return completed_;
-  }
+  int completed() const { return completed_; }
 
   // Marks a member as departed (failed / left the overlay). Idempotent. A
   // departure before completion shrinks the session's live receiver set: the
@@ -109,7 +63,6 @@ class RunMetrics {
   // file, so a session whose stragglers all left still terminates.
   void RecordDeparture(NodeId n, SimTime t) {
     NodeMetrics& m = node(n);
-    std::lock_guard<std::mutex> lock(mu_);
     if (m.departed < 0) {
       m.departed = t;
       if (m.completion < 0) {
@@ -117,10 +70,7 @@ class RunMetrics {
       }
     }
   }
-  int departed_incomplete() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return departed_incomplete_;
-  }
+  int departed_incomplete() const { return departed_incomplete_; }
 
   // --- streaming ---
   //
@@ -173,21 +123,13 @@ class RunMetrics {
   }
   bool has_completion_policy() const { return completion_target_ >= 0; }
   bool all_complete() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return AllCompleteLocked();
+    return completion_target_ >= 0 && completed_ + departed_incomplete_ >= completion_target_;
   }
   void NotifyIfAllComplete() {
-    std::function<void()> cb;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (AllCompleteLocked() && on_all_complete_) {
-        // Move-out first (and call outside the lock): the callback may copy or
-        // destroy this object, or re-enter RunMetrics.
-        cb = std::move(on_all_complete_);
-        on_all_complete_ = nullptr;
-      }
-    }
-    if (cb) {
+    if (all_complete() && on_all_complete_) {
+      // Move-out first: the callback may copy or destroy this object.
+      std::function<void()> cb = std::move(on_all_complete_);
+      on_all_complete_ = nullptr;
       cb();
     }
   }
@@ -204,12 +146,7 @@ class RunMetrics {
   bool record_arrivals = false;
 
  private:
-  bool AllCompleteLocked() const {
-    return completion_target_ >= 0 && completed_ + departed_incomplete_ >= completion_target_;
-  }
-
   std::vector<NodeMetrics> nodes_;
-  mutable std::mutex mu_;  // guards completed_, departed_incomplete_, on_all_complete_
   int completed_ = 0;
   int departed_incomplete_ = 0;  // departed members that never completed
   uint32_t num_positions_ = 0;  // > 0: streaming session (position arrivals recorded)

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <unordered_map>
 #include <utility>
 
@@ -56,7 +55,6 @@ Network::Network(std::unique_ptr<Topology> topology, NetworkConfig config, uint6
                 config_.allocator_mode == NetworkConfig::AllocatorMode::kIncremental) &&
                "aggregate_flows requires the incremental allocator mode");
   current_rates_ = &alloc_.rates();
-  BuildPartitions();
 }
 
 void Network::SetHandler(NodeId node, NetHandler* handler) {
@@ -64,25 +62,10 @@ void Network::SetHandler(NodeId node, NetHandler* handler) {
 }
 
 Network::Conn* Network::GetConn(ConnId id) {
-  if (id < 0) {
+  if (id < 0 || static_cast<size_t>(id) >= conns_.size()) {
     return nullptr;
   }
-  const int32_t store = static_cast<int32_t>(id >> kConnStoreShift);
-  if (store == 0) {
-    if (static_cast<size_t>(id) >= conns_.size()) {
-      return nullptr;
-    }
-    return conns_[static_cast<size_t>(id)].get();
-  }
-  if (static_cast<size_t>(store) > partitions_.size()) {
-    return nullptr;
-  }
-  ConnStore& cs = partitions_[static_cast<size_t>(store - 1)]->conns;
-  const size_t idx = static_cast<size_t>(id & kConnIndexMask);
-  if (idx >= cs.size_acquire()) {
-    return nullptr;
-  }
-  return &cs.at(idx);
+  return conns_[static_cast<size_t>(id)].get();
 }
 
 const Network::Conn* Network::GetConn(ConnId id) const {
@@ -99,59 +82,9 @@ int Network::EndpointIndex(const Conn& c, NodeId node) {
   return -1;
 }
 
-// Fills one direction's PathCache from the topology and appends its interior
-// route to `pool`. Coordinator-context only (topology queries).
-void Network::FillPathCache(Conn& c, int i, std::vector<int32_t>& pool) {
-  const NodeId src = c.node[i];
-  const NodeId dst = c.node[1 - i];
-  {
-    BULLET_PROFILE_SCOPE(ProfilePhase::kTopologyMetrics);
-    c.path[i].path_delay = topology_->PathDelay(src, dst);
-    c.path[i].rtt = topology_->Rtt(src, dst);
-    c.path[i].loss = topology_->PathLoss(src, dst);
-  }
-  {
-    BULLET_PROFILE_SCOPE(ProfilePhase::kPathLookup);
-    const Topology::PathView route = topology_->InteriorPath(src, dst);
-    c.path[i].interior_off = static_cast<uint32_t>(pool.size());
-    c.path[i].interior_len = route.size;
-    pool.insert(pool.end(), route.begin(), route.end());
-  }
-}
-
-// Establishment instant: TCP handshake done, directions with queued bytes go
-// busy, both handlers hear OnConnUp. Runs on the global queue.
-void Network::RunEstablishment(ConnId id) {
-  Conn* c = GetConn(id);
-  if (c == nullptr || c->closed) {
-    return;
-  }
-  c->established = true;
-  for (int i = 0; i < 2; ++i) {
-    if (!c->dir[i].queue.empty()) {
-      c->dir[i].tcp.OnBecameActive(now(), config_.tcp);
-      ActivateDirection(*c, i);
-    } else {
-      c->dir[i].idle_since = now();
-    }
-  }
-  for (int i = 0; i < 2; ++i) {
-    NetHandler* h = handlers_[static_cast<size_t>(c->node[i])];
-    if (h != nullptr) {
-      h->OnConnUp(id, c->node[1 - i], /*initiator=*/i == 0);
-    }
-  }
-}
-
 ConnId Network::Connect(NodeId from, NodeId to) {
   if (from == to || IsNodeFailed(from) || IsNodeFailed(to)) {
     return -1;
-  }
-  if (parallel_) {
-    const int p = CurrentPartitionIndex();
-    if (p >= 0) {
-      return ConnectInWorker(p, from, to);
-    }
   }
   const ConnId id = static_cast<ConnId>(conns_.size());
   auto conn = std::make_unique<Conn>();
@@ -159,7 +92,21 @@ ConnId Network::Connect(NodeId from, NodeId to) {
   conn->node[0] = from;
   conn->node[1] = to;
   for (int i = 0; i < 2; ++i) {
-    FillPathCache(*conn, i, path_pool_);
+    const NodeId src = conn->node[i];
+    const NodeId dst = conn->node[1 - i];
+    {
+      BULLET_PROFILE_SCOPE(ProfilePhase::kTopologyMetrics);
+      conn->path[i].path_delay = topology_->PathDelay(src, dst);
+      conn->path[i].rtt = topology_->Rtt(src, dst);
+      conn->path[i].loss = topology_->PathLoss(src, dst);
+    }
+    {
+      BULLET_PROFILE_SCOPE(ProfilePhase::kPathLookup);
+      const Topology::PathView route = topology_->InteriorPath(src, dst);
+      conn->path[i].interior_off = static_cast<uint32_t>(path_pool_.size());
+      conn->path[i].interior_len = route.size;
+      path_pool_.insert(path_pool_.end(), route.begin(), route.end());
+    }
   }
   conns_.push_back(std::move(conn));
   conn_busy_mask_.push_back(0);
@@ -167,51 +114,31 @@ ConnId Network::Connect(NodeId from, NodeId to) {
 
   // TCP three-way handshake plus the first application-level write.
   const SimTime established_at = now() + topology_->Rtt(from, to) * 3 / 2;
-  queue_.Schedule(established_at, [this, id] { RunEstablishment(id); });
-  return id;
-}
-
-// Worker-context Connect: allocate the connection in the partition's stable
-// store so the caller gets a usable id immediately (it can Send right away —
-// the bytes queue, exactly as on a not-yet-established serial connection), and
-// stage a kConnect; the coordinator fills the path caches, registers the
-// connection, and schedules establishment at the barrier.
-ConnId Network::ConnectInWorker(int partition, NodeId from, NodeId to) {
-  Partition& part = *partitions_[static_cast<size_t>(partition)];
-  const size_t idx = part.conns.size_relaxed();
-  const ConnId id =
-      (static_cast<ConnId>(partition + 1) << kConnStoreShift) | static_cast<ConnId>(idx);
-  Conn& c = part.conns.NewSlot();
-  c.id = id;
-  c.store = partition + 1;
-  c.node[0] = from;
-  c.node[1] = to;
-  part.conns.Publish();
-  StagedCmd cmd;
-  cmd.kind = StagedCmd::Kind::kConnect;
-  cmd.at = part.queue.now();
-  cmd.conn = id;
-  part.staged.push_back(std::move(cmd));
+  queue_.Schedule(established_at, [this, id] {
+    Conn* c = GetConn(id);
+    if (c == nullptr || c->closed) {
+      return;
+    }
+    c->established = true;
+    for (int i = 0; i < 2; ++i) {
+      if (!c->dir[i].queue.empty()) {
+        c->dir[i].tcp.OnBecameActive(now(), config_.tcp);
+        ActivateDirection(*c, i);
+      } else {
+        c->dir[i].idle_since = now();
+      }
+    }
+    for (int i = 0; i < 2; ++i) {
+      NetHandler* h = handlers_[static_cast<size_t>(c->node[i])];
+      if (h != nullptr) {
+        h->OnConnUp(id, c->node[1 - i], /*initiator=*/i == 0);
+      }
+    }
+  });
   return id;
 }
 
 void Network::Close(ConnId conn_id) {
-  if (parallel_) {
-    const int p = CurrentPartitionIndex();
-    if (p >= 0) {
-      Partition& part = *partitions_[static_cast<size_t>(p)];
-      StagedCmd cmd;
-      cmd.kind = StagedCmd::Kind::kClose;
-      cmd.at = part.queue.now();
-      cmd.conn = conn_id;
-      part.staged.push_back(std::move(cmd));
-      return;
-    }
-  }
-  CloseAt(conn_id, queue_.now());
-}
-
-void Network::CloseAt(ConnId conn_id, SimTime at) {
   Conn* c = GetConn(conn_id);
   if (c == nullptr || c->closed) {
     return;
@@ -225,20 +152,18 @@ void Network::CloseAt(ConnId conn_id, SimTime at) {
     dir.queued_bytes = 0;
     dir.rate_bps = 0.0;
   }
-  BusyByte(*c) = 0;
+  conn_busy_mask_[static_cast<size_t>(conn_id)] = 0;
   // The next quantum boundary compacts this entry out of open_conns_ (doing it
   // right here would reorder the list differently from one batched pass and
   // change max-min tie-breaking; see RebuildAndAllocate).
   ++pending_close_;
   alloc_dirty_ = true;
-  WakeTicksIfPaused();
   // Notify both ends asynchronously; the remote end hears after one path delay.
-  // CloseAt runs only in coordinator context, so the topology query is safe.
   for (int i = 0; i < 2; ++i) {
     const NodeId endpoint = c->node[i];
     const NodeId peer = c->node[1 - i];
-    const SimTime t = i == 0 ? at : at + topology_->PathDelay(c->node[0], c->node[1]);
-    queue_.Schedule(t, [this, conn_id, endpoint, peer] {
+    const SimTime at = i == 0 ? now() : now() + topology_->PathDelay(c->node[0], c->node[1]);
+    queue_.Schedule(at, [this, conn_id, endpoint, peer] {
       NetHandler* h = handlers_[static_cast<size_t>(endpoint)];
       if (h != nullptr) {
         h->OnConnDown(conn_id, peer);
@@ -253,32 +178,6 @@ bool Network::IsOpen(ConnId conn_id) const {
 }
 
 bool Network::Send(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg) {
-  if (parallel_) {
-    const int p = CurrentPartitionIndex();
-    if (p >= 0) {
-      // Validate against barrier-stable state (closes and endpoint identity
-      // only change at barriers), then stage. A connection closed by another
-      // partition in the same window still accepts the send here; the merge
-      // drops it, exactly as a serial send racing a close would.
-      Conn* c = GetConn(conn_id);
-      if (c == nullptr || c->closed || msg == nullptr || EndpointIndex(*c, from) < 0) {
-        return false;
-      }
-      Partition& part = *partitions_[static_cast<size_t>(p)];
-      StagedCmd cmd;
-      cmd.kind = StagedCmd::Kind::kSend;
-      cmd.at = part.queue.now();
-      cmd.conn = conn_id;
-      cmd.from = from;
-      cmd.msg = std::move(msg);
-      part.staged.push_back(std::move(cmd));
-      return true;
-    }
-  }
-  return SendAt(conn_id, from, std::move(msg), queue_.now());
-}
-
-bool Network::SendAt(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg, SimTime at) {
   Conn* c = GetConn(conn_id);
   if (c == nullptr || c->closed || msg == nullptr) {
     return false;
@@ -289,7 +188,7 @@ bool Network::SendAt(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg, 
   }
   Direction& dir = c->dir[idx];
   if (dir.queue.empty() && c->established) {
-    dir.tcp.OnBecameActive(at, config_.tcp);
+    dir.tcp.OnBecameActive(now(), config_.tcp);
     ActivateDirection(*c, idx);
   }
   dir.queued_bytes += msg->wire_bytes;
@@ -302,10 +201,9 @@ bool Network::SendAt(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg, 
 // mark the flow set dirty so the next quantum re-water-fills.
 void Network::ActivateDirection(Conn& c, int dir_idx) {
   c.dir[dir_idx].cap_steady = false;
-  BusyByte(c) |= static_cast<uint8_t>(1 << dir_idx);
+  conn_busy_mask_[static_cast<size_t>(c.id)] |= static_cast<uint8_t>(1 << dir_idx);
   ++active_dirs_;
   alloc_dirty_ = true;
-  WakeTicksIfPaused();
 }
 
 size_t Network::QueuedMessages(ConnId conn_id, NodeId from) const {
@@ -358,8 +256,8 @@ int Network::CountFlowsOnInteriorLink(int32_t link_id) const {
       if (c->dir[i].queued_bytes <= 0) {
         continue;
       }
-      for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-           it != PathInteriorEnd(*c, c->path[i]); ++it) {
+      for (const int32_t* it = PathInteriorBegin(c->path[i]);
+           it != PathInteriorEnd(c->path[i]); ++it) {
         if (*it == link_id) {
           ++flows;
           break;
@@ -381,8 +279,8 @@ double Network::InteriorLinkAllocatedBps(int32_t link_id) const {
       if (c->dir[i].queued_bytes <= 0) {
         continue;
       }
-      for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-           it != PathInteriorEnd(*c, c->path[i]); ++it) {
+      for (const int32_t* it = PathInteriorBegin(c->path[i]);
+           it != PathInteriorEnd(c->path[i]); ++it) {
         if (*it == link_id) {
           bps += c->dir[i].rate_bps;
           break;
@@ -406,34 +304,8 @@ void Network::FailNode(NodeId node) {
   }
 }
 
-void Network::ScheduleFirstTick() {
-  tick_scheduled_ = true;
-  tick_anchor_ = now() + config_.quantum;
-  queue_.ScheduleAfter(config_.quantum, [this] { Tick(); });
-}
-
 void Network::ScheduleNextTick() {
-  if (config_.skip_idle_ticks && active_dirs_ == 0 && pending_close_ == 0) {
-    tick_paused_ = true;
-    return;
-  }
   queue_.ScheduleAfter(config_.quantum, [this] { Tick(); });
-}
-
-void Network::WakeTicksIfPaused() {
-  if (!tick_paused_) {
-    return;
-  }
-  tick_paused_ = false;
-  tick_resumed_ = true;
-  queue_.Schedule(NextGridTickTime(), [this] { Tick(); });
-}
-
-SimTime Network::NextGridTickTime() const {
-  if (now() < tick_anchor_) {
-    return tick_anchor_;
-  }
-  return tick_anchor_ + ((now() - tick_anchor_) / config_.quantum + 1) * config_.quantum;
 }
 
 // Removes closed connections in one ascending-position swap-with-back pass — the
@@ -455,15 +327,8 @@ void Network::CompactOpenConns() {
 }
 
 void Network::Tick() {
-  SimTime dt = now() - last_tick_;
-  if (tick_resumed_) {
-    // Waking from an idle pause: the interval since the last executed tick
-    // carried no transmissions, so the advance budget covers one quantum.
-    dt = config_.quantum;
-    tick_resumed_ = false;
-  }
+  const double dt_sec = SimToSec(now() - last_tick_);
   last_tick_ = now();
-  const double dt_sec = SimToSec(dt);
 
   if (pending_close_ > 0) {
     CompactOpenConns();
@@ -471,11 +336,7 @@ void Network::Tick() {
 
   if (config_.allocator_mode == NetworkConfig::AllocatorMode::kFullRecompute) {
     TickFullRecompute(dt_sec);
-    ScheduleNextTick();
-    return;
-  }
-
-  if (active_dirs_ > 0) {
+  } else if (active_dirs_ > 0) {
     const bool caps_same = CapacitiesUnchanged();
     if (alloc_dirty_ || !caps_same) {
       RebuildAndAllocate(caps_same);
@@ -571,8 +432,8 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
       flow_link_scratch_.clear();
       flow_link_scratch_.push_back(src);
       flow_link_scratch_.push_back(static_cast<int32_t>(n) + dst);
-      for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-           it != PathInteriorEnd(*c, c->path[i]); ++it) {
+      for (const int32_t* it = PathInteriorBegin(c->path[i]);
+           it != PathInteriorEnd(c->path[i]); ++it) {
         flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
       }
       if (!dir.cap_steady) {
@@ -638,7 +499,7 @@ void Network::AdvanceTransmissions(double dt_sec) {
     } else {
       dir.idle_since = now();
       dir.rate_bps = 0.0;
-      BusyByte(*c) &= static_cast<uint8_t>(~(1 << dir_idx));
+      conn_busy_mask_[static_cast<size_t>(c->id)] &= static_cast<uint8_t>(~(1 << dir_idx));
       --active_dirs_;
       alloc_dirty_ = true;
     }
@@ -677,8 +538,8 @@ void Network::TickFullRecompute(double dt_sec) {
       flow.links.reserve(2 + c->path[i].interior_len);
       flow.links.push_back(src);
       flow.links.push_back(static_cast<int32_t>(n) + dst);
-      for (const int32_t* pi = PathInteriorBegin(*c, c->path[i]);
-           pi != PathInteriorEnd(*c, c->path[i]); ++pi) {
+      for (const int32_t* pi = PathInteriorBegin(c->path[i]);
+           pi != PathInteriorEnd(c->path[i]); ++pi) {
         auto [it, inserted] = interior_ids.emplace(*pi, static_cast<int32_t>(capacities.size()));
         if (inserted) {
           capacities.push_back(topology_->interior_link(*pi).bandwidth_bps);
@@ -771,14 +632,9 @@ void Network::EnqueueDelivery(ConnId conn_id, Conn& c, int sender_idx, std::uniq
   dir.delivery_floor = delivered_at;
 
   const int receiver_idx = 1 - sender_idx;
-  // Delivery executes on the receiver's queue: the node's partition queue
-  // under the parallel engine (delivered_at is past the current barrier, since
-  // this runs at barrier time and path delays are positive), the global queue
-  // otherwise — where node_queue() is exactly queue_.
-  node_queue(c.node[receiver_idx])
-      .Schedule(delivered_at, [this, conn_id, receiver_idx, msg = std::move(msg)]() mutable {
-        DeliverMessage(conn_id, receiver_idx, std::move(msg));
-      });
+  queue_.Schedule(delivered_at, [this, conn_id, receiver_idx, msg = std::move(msg)]() mutable {
+    DeliverMessage(conn_id, receiver_idx, std::move(msg));
+  });
 }
 
 void Network::DeliverMessage(ConnId conn_id, int receiver_idx, std::unique_ptr<Message> msg) {
@@ -809,395 +665,16 @@ size_t Network::route_cache_bytes() const {
   return routed != nullptr ? routed->route_cache_bytes() : 0;
 }
 
-size_t Network::path_pool_bytes() const {
-  size_t bytes = path_pool_.capacity() * sizeof(int32_t);
-  for (const auto& part : partitions_) {
-    bytes += part->path_pool.capacity() * sizeof(int32_t);
-  }
-  return bytes;
-}
-
-void Network::Stop() {
-  if (parallel_) {
-    stop_flag_.store(true, std::memory_order_relaxed);
-    const int p = CurrentPartitionIndex();
-    if (p >= 0) {
-      // Stop the caller's own window early (its remaining window events are
-      // deterministically elided); the engine exits at the barrier.
-      partitions_[static_cast<size_t>(p)]->queue.Stop();
-      return;
-    }
-  }
-  queue_.Stop();
-}
-
-void Network::ScheduleGlobal(SimTime at, EventQueue::Callback fn) {
-  if (parallel_) {
-    const int p = CurrentPartitionIndex();
-    if (p >= 0) {
-      Partition& part = *partitions_[static_cast<size_t>(p)];
-      StagedCmd cmd;
-      cmd.kind = StagedCmd::Kind::kGlobal;
-      cmd.at = at;
-      cmd.fn = std::move(fn);
-      part.staged.push_back(std::move(cmd));
-      return;
-    }
-  }
-  queue_.Schedule(at, std::move(fn));
-}
-
-// Computes the partition plan: nodes grouped by their stub domain's transit
-// router, transit routers grouped contiguously into partitions, the whole plan
-// validated against the conservative-sync lookahead (minimum cross-partition
-// path delay must cover one quantum). Falls back to the serial engine — by
-// leaving parallel_ false — whenever the preconditions fail.
-void Network::BuildPartitions() {
-  if (config_.num_threads <= 1 ||
-      config_.allocator_mode != NetworkConfig::AllocatorMode::kIncremental) {
-    return;
-  }
-  const RoutedTopology* routed = topology_->AsRouted();
-  if (routed == nullptr) {
-    return;
-  }
-  const RoutedTopology::TransitStubInfo* ts = routed->transit_stub_info();
-  if (ts == nullptr || ts->num_transit_routers < 2) {
-    return;
-  }
-  const int n = topology_->num_nodes();
-  if (n == 0) {
-    return;
-  }
-
-  // Access-link delay floors (every overlay path crosses one uplink and one
-  // downlink), shared by every candidate plan.
-  SimTime min_up = std::numeric_limits<SimTime>::max();
-  SimTime min_down = std::numeric_limits<SimTime>::max();
-  for (NodeId i = 0; i < n; ++i) {
-    min_up = std::min(min_up, topology_->uplink(i).delay);
-    min_down = std::min(min_down, topology_->downlink(i).delay);
-  }
-
-  // Node -> transit router, via attach router -> stub domain.
-  std::vector<int32_t> node_transit(static_cast<size_t>(n));
-  for (NodeId i = 0; i < n; ++i) {
-    const int domain = ts->stub_domain_of_router(routed->attach(i));
-    BULLET_CHECK(domain >= 0 && "overlay node attached to a transit router");
-    node_transit[static_cast<size_t>(i)] = ts->transit_router(domain);
-  }
-
-  int np = std::min(config_.num_threads, ts->num_transit_routers);
-  std::vector<int32_t> plan;  // node -> partition for the candidate np
-  while (np > 1) {
-    plan.resize(static_cast<size_t>(n));
-    // Per-partition attach-router sets for the lookahead Dijkstras.
-    std::vector<std::vector<int32_t>> part_routers(static_cast<size_t>(np));
-    std::vector<char> seen(static_cast<size_t>(routed->num_routers()) * static_cast<size_t>(np),
-                           0);
-    for (NodeId i = 0; i < n; ++i) {
-      const int p = node_transit[static_cast<size_t>(i)] * np / ts->num_transit_routers;
-      plan[static_cast<size_t>(i)] = p;
-      const int32_t r = routed->attach(i);
-      char& s = seen[static_cast<size_t>(p) * static_cast<size_t>(routed->num_routers()) +
-                     static_cast<size_t>(r)];
-      if (s == 0) {
-        s = 1;
-        part_routers[static_cast<size_t>(p)].push_back(r);
-      }
-    }
-    // Minimum cross-partition interior delay: from each partition's attach
-    // routers (multi-source) to every other partition's attach routers.
-    SimTime min_interior = std::numeric_limits<SimTime>::max();
-    bool nonempty = true;
-    for (int p = 0; p < np; ++p) {
-      if (part_routers[static_cast<size_t>(p)].empty()) {
-        nonempty = false;
-        break;
-      }
-    }
-    if (nonempty) {
-      for (int p = 0; p < np; ++p) {
-        const std::vector<SimTime> dist =
-            routed->RouterDistancesFrom(part_routers[static_cast<size_t>(p)]);
-        for (int q = 0; q < np; ++q) {
-          if (q == p) {
-            continue;
-          }
-          for (const int32_t r : part_routers[static_cast<size_t>(q)]) {
-            const SimTime d = dist[static_cast<size_t>(r)];
-            if (d >= 0) {
-              min_interior = std::min(min_interior, d);
-            }
-          }
-        }
-      }
-      if (min_interior != std::numeric_limits<SimTime>::max()) {
-        const SimTime lookahead = min_up + min_interior + min_down;
-        if (lookahead >= config_.quantum) {
-          lookahead_ = lookahead;
-          break;  // plan accepted
-        }
-      }
-    }
-    --np;  // fewer partitions merge the closest domains; retry
-  }
-  if (np <= 1) {
-    return;  // no multi-partition plan covers the quantum: serial engine
-  }
-
-  node_partition_ = std::move(plan);
-  partitions_.reserve(static_cast<size_t>(np));
-  for (int p = 0; p < np; ++p) {
-    partitions_.push_back(std::make_unique<Partition>());
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    partitions_[static_cast<size_t>(node_partition_[static_cast<size_t>(i)])]->nodes.push_back(i);
-  }
-  // All route state the coordinator will query is built up front; after this,
-  // workers never touch the topology (see topology.h's thread-safety note).
-  routed->PrewarmRoutes();
-  parallel_ = true;
-}
-
-void Network::EnsurePool() {
-  if (pool_ == nullptr) {
-    pool_ = std::make_unique<WorkerPool>(static_cast<int>(partitions_.size()),
-                                         PhaseProfiler::Current());
-  }
-}
-
-// Applies every staged worker command in the documented deterministic merge
-// order: ascending partition id, then staging order (the source partition's
-// own event order). Runs at the barrier, before the global queue catches up,
-// so queue_.now() (the previous barrier) never exceeds any staged timestamp
-// and Schedule's past-clamp stays inert.
-void Network::MergeStaged() {
-  BULLET_PROFILE_SCOPE(ProfilePhase::kMerge);
-  for (auto& part_ptr : partitions_) {
-    Partition& part = *part_ptr;
-    for (StagedCmd& cmd : part.staged) {
-      switch (cmd.kind) {
-        case StagedCmd::Kind::kSend:
-          SendAt(cmd.conn, cmd.from, std::move(cmd.msg), cmd.at);
-          break;
-        case StagedCmd::Kind::kClose:
-          CloseAt(cmd.conn, cmd.at);
-          break;
-        case StagedCmd::Kind::kConnect: {
-          Conn* c = GetConn(cmd.conn);
-          for (int i = 0; i < 2; ++i) {
-            FillPathCache(*c, i, part.path_pool);
-          }
-          open_conns_.push_back(cmd.conn);
-          const ConnId id = cmd.conn;
-          queue_.Schedule(cmd.at + c->path[0].rtt * 3 / 2, [this, id] { RunEstablishment(id); });
-          break;
-        }
-        case StagedCmd::Kind::kGlobal:
-          queue_.Schedule(cmd.at, std::move(cmd.fn));
-          break;
-      }
-    }
-    part.staged.clear();
-  }
-}
-
-// The barrier-time counterpart of Tick(). The parallel engine has no tick
-// *event*: the allocator runs here, at each anchor + k*quantum barrier, which
-// is the identical cadence (skip_idle_ticks is ignored — the windows
-// themselves are the clock).
-void Network::TickParallel() {
-  const SimTime dt = queue_.now() - last_tick_;
-  last_tick_ = queue_.now();
-  if (pending_close_ > 0) {
-    CompactOpenConns();
-  }
-  if (active_dirs_ > 0) {
-    const bool caps_same = CapacitiesUnchanged();
-    if (alloc_dirty_ || !caps_same) {
-      RebuildAndAllocateParallel(caps_same);
-    }
-    AdvanceTransmissions(SimToSec(dt));
-  }
-}
-
-// RebuildAndAllocate, restructured for the pool: the flow scan, CSR assembly
-// and link numbering stay serial (they define allocation order, which the
-// max-min arithmetic depends on), while the TCP-cap evaluation — the
-// transcendental-heavy part — shards across workers over disjoint flow
-// ranges, and the water-fill itself runs AllocateParallel.
-void Network::RebuildAndAllocateParallel(bool base_caps_unchanged) {
-  BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
-  ++allocator_epochs_;
-  const int n = topology_->num_nodes();
-  if (base_caps_unchanged && base_caps_.size() == static_cast<size_t>(2 * n)) {
-    alloc_.BeginEpoch(static_cast<size_t>(2 * n));
-  } else {
-    alloc_.BeginEpoch(0);
-    base_caps_.resize(static_cast<size_t>(2 * n));
-    for (NodeId i = 0; i < n; ++i) {
-      const double up = topology_->uplink(i).bandwidth_bps;
-      alloc_.AddLink(up);
-      base_caps_[static_cast<size_t>(i)] = up;
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      const double down = topology_->downlink(i).bandwidth_bps;
-      alloc_.AddLink(down);
-      base_caps_[static_cast<size_t>(n + i)] = down;
-    }
-  }
-  ++epoch_counter_;
-  interior_caps_.clear();
-  cached_flows_.clear();
-  ramping_flows_ = 0;
-
-  // Pass 1 (serial): the canonical busy-flow scan, defining flow order.
-  for (const ConnId id : open_conns_) {
-    Conn* c = GetConn(id);
-    const uint8_t busy = BusyByte(*c);
-    if (busy == 0) {
-      continue;
-    }
-    for (int i = 0; i < 2; ++i) {
-      if ((busy & (1 << i)) != 0) {
-        cached_flows_.push_back(CachedFlow{c, i});
-      }
-    }
-  }
-
-  // Pass 2 (sharded): TCP-cap evaluation. Each worker owns a contiguous flow
-  // range — disjoint cap_cache/cap_steady writes — and counts its ramping
-  // flows into its own slot; the fold below is in worker-index order. The
-  // evaluation itself is identical either way (same per-flow writes, same
-  // ramping total), so the shard threshold is pure scheduling: below it the
-  // pool's dispatch+join costs more than the cap math it would spread.
-  constexpr size_t kCapShardMinFlows = 2048;
-  const size_t nf = cached_flows_.size();
-  const SimTime tick_now = queue_.now();
-  auto eval_caps = [this, tick_now](size_t lo, size_t hi) {
-    size_t ramping = 0;
-    for (size_t fi = lo; fi < hi; ++fi) {
-      Conn* c = cached_flows_[fi].conn;
-      const int i = cached_flows_[fi].dir_idx;
-      Direction& dir = c->dir[i];
-      if (!dir.cap_steady) {
-        bool steady = false;
-        dir.cap_cache = TcpRateCapDetail(dir.tcp, tick_now, c->path[i].rtt, c->path[i].loss,
-                                         config_.tcp, &steady);
-        dir.cap_steady = steady;
-        if (!steady) {
-          ++ramping;
-        }
-      }
-    }
-    return ramping;
-  };
-  if (nf >= kCapShardMinFlows) {
-    const size_t nw = static_cast<size_t>(pool_->num_threads());
-    shard_ramping_.assign(nw, 0);
-    pool_->RunOnAll([this, nf, nw, &eval_caps](int w) {
-      shard_ramping_[static_cast<size_t>(w)] =
-          eval_caps(nf * static_cast<size_t>(w) / nw, nf * (static_cast<size_t>(w) + 1) / nw);
-    });
-    for (const size_t r : shard_ramping_) {
-      ramping_flows_ += r;
-    }
-  } else {
-    ramping_flows_ += eval_caps(0, nf);
-  }
-
-  // Pass 3 (serial): CSR assembly and interior-link numbering in flow order —
-  // identical numbering to the serial rebuild over the same flow sequence.
-  for (const CachedFlow& cf : cached_flows_) {
-    Conn* c = cf.conn;
-    const int i = cf.dir_idx;
-    flow_link_scratch_.clear();
-    flow_link_scratch_.push_back(c->node[i]);
-    flow_link_scratch_.push_back(static_cast<int32_t>(n) + c->node[1 - i]);
-    for (const int32_t* it = PathInteriorBegin(*c, c->path[i]);
-         it != PathInteriorEnd(*c, c->path[i]); ++it) {
-      flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
-    }
-    alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(),
-                       c->dir[i].cap_cache);
-  }
-
-  if (config_.aggregate_flows) {
-    // The aggregated water-fill runs serially at the barrier: the bundle
-    // count it allocates over is far below the flow count that makes the
-    // sharded fill worthwhile, and serial execution keeps it deterministic
-    // and identical to the serial engine's aggregated epoch.
-    aggregator_.Allocate(alloc_, static_cast<size_t>(2 * n));
-    current_rates_ = &aggregator_.rates();
-    max_interior_link_flows_ =
-        std::max(max_interior_link_flows_, aggregator_.max_interior_link_flows());
-  } else {
-    alloc_.AllocateParallel(pool_.get());
-    current_rates_ = &alloc_.rates();
-    for (size_t l = static_cast<size_t>(2 * n); l < alloc_.num_links(); ++l) {
-      max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
-    }
-  }
-  alloc_dirty_ = ramping_flows_ > 0;
-}
-
-// The superstep loop. Each iteration: run every partition's window in
-// parallel up to the next quantum-grid barrier, merge staged commands, catch
-// the global queue up, then execute the allocator tick at the barrier.
-void Network::ParallelRun(SimTime until) {
-  EnsurePool();
-  if (!tick_scheduled_) {
-    // No tick event exists under the parallel engine; the barriers fire on the
-    // same anchor + k*quantum grid the serial tick would.
-    tick_scheduled_ = true;
-    tick_anchor_ = queue_.now() + config_.quantum;
-    last_tick_ = queue_.now();
-  }
-  stop_flag_.store(false, std::memory_order_relaxed);
-  while (queue_.now() < until) {
-    const SimTime t = queue_.now();
-    const SimTime grid =
-        t < tick_anchor_
-            ? tick_anchor_
-            : tick_anchor_ + ((t - tick_anchor_) / config_.quantum + 1) * config_.quantum;
-    const SimTime window_end = std::min(grid, until);
-    pool_->RunOnAll([this, window_end](int w) {
-      PartitionScope scope(w);
-      Partition& part = *partitions_[static_cast<size_t>(w)];
-      part.window_events = part.queue.RunWindow(window_end);
-    });
-    for (const auto& part : partitions_) {
-      events_executed_ += part->window_events;
-    }
-    MergeStaged();
-    events_executed_ += queue_.RunUntil(window_end);
-    if (queue_.stopped() || stop_flag_.load(std::memory_order_relaxed)) {
-      // Mirror the serial engine: Stop() leaves the clock at the last executed
-      // event rather than advancing to the barrier.
-      break;
-    }
-    queue_.SyncNow(window_end);
-    if (window_end == grid) {
-      TickParallel();
-      ++events_executed_;  // the serial engine's tick event, executed inline
-    }
-  }
-}
+size_t Network::path_pool_bytes() const { return path_pool_.capacity() * sizeof(int32_t); }
 
 void Network::Run(SimTime until) {
-  if (parallel_) {
-    ParallelRun(until);
-  } else {
-    if (!tick_scheduled_) {
-      ScheduleFirstTick();
-    }
-    events_executed_ += queue_.RunUntil(until);
+  if (!tick_scheduled_) {
+    tick_scheduled_ = true;
+    ScheduleNextTick();
   }
+  events_executed_ += queue_.RunUntil(until);
   // Publish the deltas since the last publication into the harness's installed
   // per-run counters (if any); several networks may feed one run's totals.
-  // Parallel mode publishes here too — on the coordinator, after the final
-  // barrier — so counters are only ever written by the thread calling Run().
   if (RunCounters* rc = RunCounters::Current()) {
     rc->events_executed += events_executed_ - rc_published_events_;
     rc->allocator_epochs += allocator_epochs_ - published_epochs_;

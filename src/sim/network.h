@@ -43,66 +43,19 @@
 // steady-state message handling performs no per-message allocation.
 //
 // NetworkConfig::allocator_mode selects the legacy full-recompute-every-quantum
-// tick (the pre-PR behaviour, kept as a reference and for A/B benchmarking);
-// NetworkConfig::skip_idle_ticks additionally elides idle tick events entirely and
-// schedules the next tick on the quantum grid when a flow wakes — fastest for
-// workloads with long quiet phases, but same-time event tie-breaking can differ
-// from the reference modes, so identical-seed runs are only reproducible against
-// the same mode, not across modes.
+// tick (the pre-PR behaviour, kept as a reference and for A/B benchmarking).
 //
-// Parallel engine (this PR). NetworkConfig::num_threads > 1 on a transit-stub
-// RoutedTopology runs a partitioned conservative-synchronization engine:
-//
-//   * Nodes are partitioned by transit-stub domain (each stub domain maps to
-//     its transit router; transit routers are grouped contiguously into
-//     num_threads partitions). Every partition owns a private EventQueue that
-//     carries its nodes' protocol timers and message deliveries.
-//   * All partitions advance in lockstep over windows of one quantum. Within a
-//     window, workers execute only partition-local state transitions; every
-//     observable shared structure (connection table, open-connection list,
-//     busy masks, the global queue, the topology's route caches) is read-only.
-//     Worker-context Network calls that would mutate shared state — Send,
-//     Close, Connect registration, ScheduleGlobal — are appended to the
-//     partition's staged-command log with their issue-time timestamps.
-//   * At the window barrier the coordinator drains the staged logs in the
-//     documented deterministic merge order — ascending partition id, then
-//     staging order (which is the source partition's event order) — then runs
-//     the global queue up to the barrier (establishment and conn-down
-//     notifications, joins, departures, dynamics), then executes the
-//     allocator tick: one global IncrementalMaxMin epoch whose TCP-cap
-//     evaluation is sharded across the workers and whose water-fill runs
-//     AllocateParallel (see bandwidth_allocator.h). Transmissions advance and
-//     deliveries are scheduled onto the receiver partitions' queues exactly as
-//     the serial tick would.
-//   * The partition plan is validated against the conservative-sync lookahead:
-//     the minimum cross-partition path delay (derived from the router graph)
-//     must cover one quantum, so a message sent in window k physically cannot
-//     be delivered before the k+1 barrier at which the engine schedules it.
-//     If the lookahead is too small the engine reduces the partition count and
-//     rechecks; mesh topologies, kFullRecompute mode, and plans that collapse
-//     to one partition all fall back to the serial engine.
-//
-// num_threads == 1 *is* the serial engine — bit-identical behaviour and BENCH
-// output to previous releases. num_threads > 1 is run-to-run deterministic for
-// a fixed thread count (merge order and worker-order reductions never depend
-// on thread scheduling) but diverges from the serial schedule in documented,
-// deterministic ways: staged worker commands apply at the barrier (a
-// cross-partition Close becomes visible to IsOpen at the next barrier; a Send
-// issued after its connection established in the same window anchors its TCP
-// ramp at the establishment instant); worker Connects register in merge order
-// rather than global time order; Stop() takes effect at the next barrier;
-// skip_idle_ticks is ignored (the barrier cadence is the quantum).
-//
-// Thread-safety contract: Network's public API may be called from protocol
-// code in worker context (the engine routes such calls through the staging
-// paths) and from the coordinator between windows. It must never be called
-// from threads outside the engine while Run() executes. RunCounters are
-// published only by the thread calling Run().
+// Thread-safety: none. A Network — with its topology, event queue, allocator
+// and the protocols attached to it — belongs to one simulation run and is
+// driven only from the thread that calls Run(). The one source of parallelism
+// is the sweep engine's --jobs pool (src/harness/sweep.h), which isolates
+// whole runs: every worker builds its own Network, and the run counters and
+// phase profiler it publishes to are installed thread-locally per run, so no
+// simulator state is ever shared between threads.
 
 #ifndef SRC_SIM_NETWORK_H_
 #define SRC_SIM_NETWORK_H_
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <type_traits>
@@ -111,7 +64,6 @@
 
 #include "src/common/rng.h"
 #include "src/sim/bandwidth_allocator.h"
-#include "src/sim/engine_parallel.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/scale/arena.h"
 #include "src/sim/scale/flow_aggregation.h"
@@ -155,18 +107,6 @@ struct NetworkConfig {
   };
   AllocatorMode allocator_mode = AllocatorMode::kIncremental;
 
-  // Elide tick events while no direction has queued bytes and no close is pending
-  // compaction; the next tick is scheduled on the quantum grid when a flow wakes.
-  // Not bit-reproducible against the non-skipping modes (see header comment).
-  bool skip_idle_ticks = false;
-
-  // > 1 requests the partitioned parallel engine (see the header comment).
-  // Effective only on transit-stub routed topologies in kIncremental mode; the
-  // engine may use fewer threads than requested (at most one per transit
-  // router, fewer if the lookahead check demands it) and silently falls back
-  // to the serial engine when no valid multi-partition plan exists.
-  int num_threads = 1;
-
   // Mega-swarm mode: water-fill *bundles* of flows sharing an identical
   // interior route instead of individual flows (src/sim/scale/
   // flow_aggregation.h). Epoch cost scales with bundles (bounded by ordered
@@ -191,26 +131,7 @@ class Network {
   }
 
   EventQueue& queue() { return queue_; }
-  // The queue protocol code on `n` should schedule its timers on: the node's
-  // partition queue under the parallel engine, the global queue otherwise.
-  EventQueue& node_queue(NodeId n) {
-    if (parallel_) {
-      return partitions_[static_cast<size_t>(node_partition_[static_cast<size_t>(n)])]->queue;
-    }
-    return queue_;
-  }
-  // Context-aware simulated time: the executing partition's clock inside a
-  // worker window, the global clock otherwise. In serial mode this is always
-  // the global clock.
-  SimTime now() const {
-    if (parallel_) {
-      const int p = CurrentPartitionIndex();
-      if (p >= 0) {
-        return partitions_[static_cast<size_t>(p)]->queue.now();
-      }
-    }
-    return queue_.now();
-  }
+  SimTime now() const { return queue_.now(); }
   Topology& topology() { return *topology_; }
   Rng& rng() { return rng_; }
   int num_nodes() const { return topology_->num_nodes(); }
@@ -291,8 +212,7 @@ class Network {
   // ceiling baseline (bytes <= baseline; bench_check bullet-ceilings-v1).
   // Routing state held by the topology (0 on mesh topologies).
   size_t route_cache_bytes() const;
-  // Pooled per-connection interior-route slices, every store (main +
-  // partition pools).
+  // Pooled per-connection interior-route slices.
   size_t path_pool_bytes() const;
   // Protocol node-state arenas registered via arena_counter(): live bytes now
   // and the run's peak.
@@ -303,23 +223,8 @@ class Network {
 
   // Runs the simulation until `until` or Stop().
   void Run(SimTime until);
-  // Serial engine: stops after the current event. Parallel engine: stops at
-  // the next superstep barrier (window granularity; see the header comment).
-  void Stop();
-
-  // Schedules a callback on the global queue from any engine context. Worker
-  // context stages the request into the partition's command log (applied in
-  // merge order at the barrier); elsewhere this is queue().Schedule. Harness
-  // code whose callbacks may fire from protocol context (e.g. completion
-  // observers) must use this instead of queue().Schedule.
-  void ScheduleGlobal(SimTime at, EventQueue::Callback fn);
-
-  // Partition count of the active parallel plan; 0 when the serial engine
-  // runs. The plan is fixed at construction.
-  int parallel_partitions() const { return parallel_ ? static_cast<int>(partitions_.size()) : 0; }
-  // Minimum cross-partition path delay the active plan was validated against
-  // (>= quantum); 0 in serial mode.
-  SimTime parallel_lookahead() const { return lookahead_; }
+  // Stops after the current event.
+  void Stop() { queue_.Stop(); }
 
  private:
   struct QueuedMsg {
@@ -387,116 +292,22 @@ class Network {
     PathCache path[2];  // path[i] describes node[i] -> node[1-i]
     bool established = false;
     bool closed = false;
-    // Which backing store holds this connection: 0 = the main conns_ table,
-    // p + 1 = partition p's ConnStore (worker-opened under the parallel
-    // engine). Selects the path pool and the busy-byte location.
-    int32_t store = 0;
-    // Busy-direction bits for store != 0 connections (the conn_busy_mask_
-    // flat vector only spans the main table). Mutated only at barriers.
-    uint8_t busy = 0;
   };
-
-  // Stable-address growable Conn storage for worker-opened connections. The
-  // owning worker appends mid-window while other threads may concurrently read
-  // previously published entries (a peer learns the id via OnConnUp after a
-  // barrier), so growth must never move existing Conns: storage is a fixed
-  // table of chunk slots filled on demand. Single-writer (the owning worker
-  // mid-window, the coordinator at barriers); NewSlot() returns the next slot
-  // without publishing it, Publish() release-stores the new size after the
-  // caller finished writing fields, and readers acquire-load `size` before
-  // indexing — the release/acquire pair makes the fields visible.
-  class ConnStore {
-   public:
-    static constexpr int kChunkBits = 10;  // 1024 conns per chunk
-    static constexpr size_t kChunkSize = size_t{1} << kChunkBits;
-    static constexpr size_t kMaxChunks = 4096;  // 4M conns per partition
-
-    ConnStore() : chunks_(kMaxChunks) {}
-
-    size_t size_acquire() const { return size_.load(std::memory_order_acquire); }
-    size_t size_relaxed() const { return size_.load(std::memory_order_relaxed); }
-    Conn& at(size_t i) {
-      return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
-    }
-    const Conn& at(size_t i) const {
-      return chunks_[i >> kChunkBits][i & (kChunkSize - 1)];
-    }
-    // Slot for index size_relaxed(); allocates its chunk if needed. The slot is
-    // invisible to readers until Publish().
-    Conn& NewSlot() {
-      const size_t i = size_relaxed();
-      auto& chunk = chunks_[i >> kChunkBits];
-      if (!chunk) {
-        chunk = std::make_unique<Conn[]>(kChunkSize);
-      }
-      return chunk[i & (kChunkSize - 1)];
-    }
-    void Publish() { size_.fetch_add(1, std::memory_order_release); }
-
-   private:
-    std::vector<std::unique_ptr<Conn[]>> chunks_;  // fixed-size slot table
-    std::atomic<size_t> size_{0};
-  };
-
-  // One worker-context Network call recorded mid-window, applied by the
-  // coordinator at the barrier. Logs are drained in ascending partition id,
-  // then staging order — the engine's documented deterministic merge order.
-  struct StagedCmd {
-    enum class Kind : uint8_t { kSend, kClose, kConnect, kGlobal };
-    Kind kind;
-    SimTime at = 0;            // partition-local issue time
-    ConnId conn = -1;          // kSend / kClose / kConnect
-    NodeId from = -1;          // kSend
-    std::unique_ptr<Message> msg;  // kSend
-    EventQueue::Callback fn;       // kGlobal
-  };
-
-  struct Partition {
-    EventQueue queue;
-    std::vector<NodeId> nodes;      // members, ascending
-    ConnStore conns;                // worker-opened connections
-    std::vector<int32_t> path_pool; // interior routes of those connections
-    std::vector<StagedCmd> staged;  // drained at each barrier
-    uint64_t window_events = 0;     // events the last window executed
-  };
-
-  // Encoded ConnId layout: low 40 bits index into the store, bits above select
-  // it (0 = conns_, p + 1 = partition p). Store-0 ids are numerically the
-  // plain index, so serial-mode ids — and their serialized appearance in BENCH
-  // output — are unchanged.
-  static constexpr int kConnStoreShift = 40;
-  static constexpr ConnId kConnIndexMask = (ConnId{1} << kConnStoreShift) - 1;
 
   Conn* GetConn(ConnId id);
   const Conn* GetConn(ConnId id) const;
   // Returns 0 or 1: which endpoint `node` is; -1 if neither.
   static int EndpointIndex(const Conn& c, NodeId node);
 
-  // Pool holding the interior-route slices of `c`'s PathCaches: the main
-  // path_pool_ for store-0 connections, the owning partition's pool otherwise.
-  const std::vector<int32_t>& PathPoolOf(const Conn& c) const {
-    return c.store == 0 ? path_pool_ : partitions_[static_cast<size_t>(c.store - 1)]->path_pool;
+  // First interior link id of the path's pooled route slice.
+  const int32_t* PathInteriorBegin(const PathCache& path) const {
+    return path_pool_.data() + path.interior_off;
   }
-  // First interior link id of the path's pooled route slice. `path` must be
-  // one of `c`'s two PathCaches.
-  const int32_t* PathInteriorBegin(const Conn& c, const PathCache& path) const {
-    return PathPoolOf(c).data() + path.interior_off;
-  }
-  const int32_t* PathInteriorEnd(const Conn& c, const PathCache& path) const {
-    return PathPoolOf(c).data() + path.interior_off + path.interior_len;
+  const int32_t* PathInteriorEnd(const PathCache& path) const {
+    return path_pool_.data() + path.interior_off + path.interior_len;
   }
 
-  // Busy-direction bits of the connection: the flat conn_busy_mask_ entry for
-  // main-table connections (serial layout unchanged), the Conn's own busy byte
-  // for partition-store ones.
-  uint8_t& BusyByte(Conn& c) {
-    return c.store == 0 ? conn_busy_mask_[static_cast<size_t>(c.id & kConnIndexMask)] : c.busy;
-  }
-
-  void ScheduleFirstTick();
   void ScheduleNextTick();
-  void WakeTicksIfPaused();
-  SimTime NextGridTickTime() const;
   void Tick();
   void TickFullRecompute(double dt_sec);
   void CompactOpenConns();
@@ -504,33 +315,6 @@ class Network {
   void RebuildAndAllocate(bool base_caps_unchanged);
   void AdvanceTransmissions(double dt_sec);
 
-  // --- parallel engine (see the header comment) ---
-  // Computes the partition plan at construction; leaves parallel_ false when
-  // no valid multi-partition plan exists.
-  void BuildPartitions();
-  // Lazily builds the worker pool on the first parallel Run().
-  void EnsurePool();
-  // The superstep loop: window / merge / global-queue / allocator-tick.
-  void ParallelRun(SimTime until);
-  // Drains staged command logs in merge order at a barrier.
-  void MergeStaged();
-  // The barrier-time counterpart of Tick(): compaction, allocation, advance.
-  void TickParallel();
-  // RebuildAndAllocate with TCP-cap evaluation sharded over the pool and the
-  // water-fill run through IncrementalMaxMin::AllocateParallel.
-  void RebuildAndAllocateParallel(bool base_caps_unchanged);
-  // Worker-context Connect: allocates the conn in the partition store and
-  // stages a kConnect for the coordinator to complete at the barrier.
-  ConnId ConnectInWorker(int partition, NodeId from, NodeId to);
-  // Establishment instant of connection `id`: flips established, activates
-  // queued directions, fires OnConnUp. Shared by serial Connect and the merge.
-  void RunEstablishment(ConnId id);
-  // Snapshots direction `i`'s path parameters and interior route into `pool`.
-  void FillPathCache(Conn& c, int i, std::vector<int32_t>& pool);
-  // Send/Close bodies parameterized on the action's simulated time; the public
-  // entry points pass now(), the merge passes the staged timestamps.
-  bool SendAt(ConnId conn, NodeId from, std::unique_ptr<Message> msg, SimTime at);
-  void CloseAt(ConnId conn, SimTime at);
   int32_t InteriorLinkIdForEpoch(int32_t interior_id);
   void ActivateDirection(Conn& c, int dir_idx);
   void DeliverMessage(ConnId conn_id, int receiver_idx, std::unique_ptr<Message> msg);
@@ -606,21 +390,7 @@ class Network {
   int64_t published_bytes_ = 0;
 
   SimTime last_tick_ = 0;
-  SimTime tick_anchor_ = 0;  // time of the first tick; the grid is anchor + k*quantum
   bool tick_scheduled_ = false;
-  bool tick_paused_ = false;    // skip_idle_ticks mode: no tick event pending
-  bool tick_resumed_ = false;   // next tick woke from a pause; clamp its dt
-
-  // --- parallel engine state (empty/unused in serial mode) ---
-  bool parallel_ = false;
-  SimTime lookahead_ = 0;  // validated min cross-partition path delay
-  std::vector<std::unique_ptr<Partition>> partitions_;
-  std::vector<int32_t> node_partition_;  // node -> partition index
-  std::atomic<bool> stop_flag_{false};   // Stop() under the parallel engine
-  std::vector<size_t> shard_ramping_;    // per-worker ramping-flow counts
-  // Declared last: the destructor joins the workers while every structure
-  // they may still reference (partitions, allocator scratch) is alive.
-  std::unique_ptr<WorkerPool> pool_;
 };
 
 }  // namespace bullet

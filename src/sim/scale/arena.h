@@ -11,7 +11,7 @@
 #ifndef SRC_SIM_SCALE_ARENA_H_
 #define SRC_SIM_SCALE_ARENA_H_
 
-#include <atomic>
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <utility>
@@ -22,23 +22,20 @@
 namespace bullet {
 
 // Live/peak byte counter shared by many arenas (one per node-state container).
-// Atomic because the partitioned parallel engine mutates protocol state from
-// worker threads; updates happen only on slab/table growth, not per operation.
+// Single-threaded like the network that owns it; updates happen only on
+// slab/table growth, not per operation.
 class ArenaCounter {
  public:
   void Add(int64_t delta) {
-    const int64_t now = current_.fetch_add(delta, std::memory_order_relaxed) + delta;
-    int64_t peak = peak_.load(std::memory_order_relaxed);
-    while (now > peak &&
-           !peak_.compare_exchange_weak(peak, now, std::memory_order_relaxed)) {
-    }
+    current_ += delta;
+    peak_ = std::max(peak_, current_);
   }
-  int64_t current_bytes() const { return current_.load(std::memory_order_relaxed); }
-  int64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
+  int64_t current_bytes() const { return current_; }
+  int64_t peak_bytes() const { return peak_; }
 
  private:
-  std::atomic<int64_t> current_{0};
-  std::atomic<int64_t> peak_{0};
+  int64_t current_ = 0;
+  int64_t peak_ = 0;
 };
 
 // Chunked typed arena: stable addresses (slabs never move), freed slots reused

@@ -160,8 +160,8 @@ class StableFlatMap {
   static Entry* Tombstone() { return reinterpret_cast<Entry*>(alignof(Entry)); }
 
   static uint64_t Mix(uint64_t x) {
-    // splitmix64 finalizer — ConnIds carry structure in high bits (partition
-    // store ids), so identity hashing would cluster under a power-of-2 mask.
+    // splitmix64 finalizer — keys may carry structure in their high bits, so
+    // identity hashing would cluster under a power-of-2 mask.
     x += 0x9e3779b97f4a7c15ull;
     x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
     x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;

@@ -393,41 +393,6 @@ void RoutedTopology::PrewarmRoutes() const {
   }
 }
 
-std::vector<SimTime> RoutedTopology::RouterDistancesFrom(
-    const std::vector<int32_t>& sources) const {
-  if (!adj_built_) {
-    BuildAdjacency();
-  }
-  std::vector<SimTime> dist(static_cast<size_t>(num_routers_), -1);
-  using QueueEntry = std::pair<SimTime, int32_t>;
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<QueueEntry>> heap;
-  for (const int32_t src : sources) {
-    BULLET_CHECK(static_cast<uint32_t>(src) < static_cast<uint32_t>(num_routers_));
-    if (dist[static_cast<size_t>(src)] != 0) {
-      dist[static_cast<size_t>(src)] = 0;
-      heap.push({0, src});
-    }
-  }
-  while (!heap.empty()) {
-    const auto [d, router] = heap.top();
-    heap.pop();
-    const size_t ri = static_cast<size_t>(router);
-    if (d != dist[ri]) {
-      continue;
-    }
-    for (uint32_t off = adj_off_[ri]; off < adj_off_[ri + 1]; ++off) {
-      const Edge& e = edges_[static_cast<size_t>(adj_edge_[off])];
-      const size_t ti = static_cast<size_t>(e.to);
-      const SimTime nd = d + e.params.delay;
-      if (dist[ti] < 0 || nd < dist[ti]) {
-        dist[ti] = nd;
-        heap.push({nd, e.to});
-      }
-    }
-  }
-  return dist;
-}
-
 size_t RoutedTopology::MemoryFootprintBytes() const {
   return uplinks_.capacity() * sizeof(LinkParams) + downlinks_.capacity() * sizeof(LinkParams) +
          attach_.capacity() * sizeof(int32_t) + edges_.capacity() * sizeof(Edge);

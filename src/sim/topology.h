@@ -329,25 +329,18 @@ class RoutedTopology final : public Topology {
   bool segment_compression_enabled() const { return compress_segments_; }
 
   // Thread-safety: route state (adjacency CSR, per-source shortest-path trees,
-  // per-pair path cache) fills lazily under const queries, so concurrent
-  // InteriorPath/PathDelay calls from multiple threads race. The parallel
-  // engine's contract is: PrewarmRoutes() once at startup (single-threaded),
-  // then all path queries happen on the coordinator thread only — worker
-  // threads never query the topology (network.h documents the matching engine
-  // contract). PrewarmRoutes computes the shortest-path tree from every router
-  // an overlay node attaches to, plus the adjacency CSR, so the only state
-  // still mutating afterwards is the per-pair path cache. Under segment
+  // per-pair path cache) fills lazily under const queries, so a topology must
+  // not be queried from two threads at once. Each simulation run owns its
+  // topology (sweep --jobs isolates whole runs), so this never arises in the
+  // simulator itself.
+  //
+  // PrewarmRoutes() fills that lazy state up front — the adjacency CSR plus
+  // the shortest-path tree from every router an overlay node attaches to —
+  // leaving only the per-pair path cache to fill on demand. Under segment
   // compression it instead warms the (far fewer) transit-router trees and all
-  // transit segments between them; the compose scratch still mutates per
-  // query, coordinator-only like the path cache.
+  // transit segments between them. Callers use it as a cold-cache warmer, so
+  // later route queries measure cached lookups rather than Dijkstra runs.
   void PrewarmRoutes() const;
-
-  // Multi-source delay-weighted Dijkstra over the router graph: distance from
-  // the nearest of `sources` to every router; -1 where unreachable. A pure
-  // query apart from lazily building the adjacency CSR. The parallel engine
-  // derives its conservative-sync lookahead (minimum cross-partition path
-  // delay) from these distances.
-  std::vector<SimTime> RouterDistancesFrom(const std::vector<int32_t>& sources) const;
 
  private:
   struct Edge {

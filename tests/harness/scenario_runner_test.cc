@@ -181,6 +181,15 @@ TEST_F(RunnerMainTest, BadFlagFailsWithUsage) {
   EXPECT_EQ(Run({"--bogus"}), 2);
   EXPECT_NE(err_.str().find("unknown argument"), std::string::npos);
   EXPECT_TRUE(out_.str().empty());
+
+  // There is no engine-thread option: neither the flag nor the sweep axis
+  // exists, even on a transit-stub topology.
+  EXPECT_EQ(Run({"--scenario", "tiny", "--topology", "transit-stub", "--threads", "2"}), 2);
+  EXPECT_NE(err_.str().find("unknown argument: --threads"), std::string::npos) << err_.str();
+  EXPECT_EQ(Run({"--scenario", "tiny", "--topology", "transit-stub", "--sweep", "threads=1,2"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown sweep key 'threads'"), std::string::npos) << err_.str();
+  EXPECT_TRUE(out_.str().empty());
 }
 
 TEST_F(RunnerMainTest, UnknownSystemIsUsageError) {
@@ -339,6 +348,21 @@ TEST_F(RunnerMainTest, SweepUnknownScenarioIsUsageError) {
 TEST_F(RunnerMainTest, SweepMissingSpecFileIsUsageError) {
   EXPECT_EQ(Run({"--sweep-file", "/nonexistent/sweep.spec"}), 2);
   EXPECT_NE(err_.str().find("cannot read sweep file"), std::string::npos);
+
+  // A readable spec file whose axis names no sweepable option fails the same way.
+  const std::string path = ::testing::TempDir() + "/bullet_runner_threads_axis.sweep";
+  {
+    std::ofstream spec(path);
+    spec << "scenario tiny\nsweep threads=1,2\n";
+  }
+  const std::string dir = ::testing::TempDir() + "/bullet_runner_threads_axis";
+  EXPECT_EQ(Run({"--sweep-file", path.c_str(), "--topology", "transit-stub", "--out-dir",
+                 dir.c_str(), "--quiet"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown sweep key 'threads'"), std::string::npos) << err_.str();
+  EXPECT_TRUE(out_.str().empty());
+  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(WriteReportJsonTest, EscapesAndNonFinite) {

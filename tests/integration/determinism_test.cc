@@ -7,8 +7,6 @@
 //    agree flow-for-flow: identical delivery timelines on a scripted
 //    network-level scenario (including dynamics-driven capacity changes), and
 //    identical completion times on a full protocol run.
-//  * The skip-idle-ticks mode must produce the same timeline as the default
-//    mode when wakeups do not collide with other same-time events.
 //  * All of the above hold on the routed transit-stub topology too, where the
 //    script's churn and periodic bandwidth halving land on genuinely shared
 //    interior links (lossy transit tier, so the delivery RNG stream is
@@ -23,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "src/common/profiler.h"
 #include "src/harness/churn.h"
 #include "src/harness/scenario_runner.h"
 #include "src/harness/scenarios.h"
@@ -342,23 +339,6 @@ TEST(Determinism, LateJoinChurnWorkloadIncrementalMatchesFullRecompute) {
   EXPECT_EQ(full.sessions_completed, 0);
 }
 
-TEST(Determinism, SkipIdleTicksMatchesDefaultOnCollisionFreeScript) {
-  // The script's sends/closes land off the 10 ms tick grid, so eliding idle
-  // tick events cannot reorder same-time events and the timeline must match
-  // the default mode exactly (the mode's documented contract).
-  NetworkConfig heartbeat;
-  NetworkConfig skipping;
-  skipping.skip_idle_ticks = true;
-
-  const std::vector<std::string> a = RunScript(heartbeat);
-  const std::vector<std::string> b = RunScript(skipping);
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "event " << i;
-  }
-}
-
 // The full generator stack — diurnal arrivals, Pareto lifetimes with seeder
 // departure, DSL access-link cohorts, and a correlated stub outage — must be
 // exactly reproducible: two in-process runs of the same spec serialize to the
@@ -403,163 +383,6 @@ TEST(Determinism, GeneratorDrivenChurnWorkloadSerializesIdentically) {
   EXPECT_EQ(first, second);
   // The spec actually produced dynamics, or this golden pins a static run.
   EXPECT_NE(first.find('@'), std::string::npos);
-}
-
-// --- parallel engine goldens (partitioned multi-threaded core) ---
-
-std::unique_ptr<Topology> ParallelScriptTopology() {
-  Rng rng(97);
-  RoutedTopology::TransitStubParams params;
-  params.num_nodes = 16;
-  params.transit_domains = 2;
-  params.routers_per_transit = 2;
-  params.stub_domains_per_transit_router = 1;
-  params.routers_per_stub = 2;
-  // Exact power-of-two capacities: the regime where AllocateParallel is
-  // documented to agree bitwise with Allocate() (see bandwidth_allocator.h),
-  // so 1-thread and N-thread runs can be compared flow for flow.
-  params.transit_bps = 134217728.0;      // 2^27
-  params.transit_stub_bps = 33554432.0;  // 2^25
-  params.stub_bps = 67108864.0;          // 2^26
-  params.access_bps = 8388608.0;         // 2^23
-  // Fixed 20 ms transit tier: the minimum cross-partition path delay (the
-  // lookahead) comfortably clears the 10 ms quantum, so BuildPartitions
-  // accepts the 2- and 4-way plans instead of falling back to serial.
-  params.transit_delay_min = MsToSim(20);
-  params.transit_delay_max = MsToSim(20);
-  return std::make_unique<RoutedTopology>(RoutedTopology::TransitStub(params, rng));
-}
-
-// A connect-and-send script over the 16-node transit-stub net above: conns
-// span partitions, sends stagger across the run in bursts. Deliberately no
-// closes and no failures — teardown landing in the same superstep window as
-// in-flight deliveries is the one documented behavioral divergence of the
-// parallel engine, so excluding it makes the serial and parallel timelines
-// comparable event for event. Counters from the run land in *counters.
-std::vector<std::string> RunParallelScript(int num_threads, RunCounters* counters = nullptr) {
-  NetworkConfig config;
-  config.num_threads = num_threads;
-  Network net(ParallelScriptTopology(), config, 777);
-  if (num_threads > 1) {
-    // The plan must actually engage, or this compares serial against serial.
-    EXPECT_GE(net.parallel_partitions(), 2) << num_threads << " threads";
-  }
-  std::vector<std::unique_ptr<TimelineRecorder>> handlers;
-  for (NodeId n = 0; n < 16; ++n) {
-    handlers.push_back(std::make_unique<TimelineRecorder>(&net));
-    net.SetHandler(n, handlers.back().get());
-  }
-  const NodeId pairs[][2] = {{0, 8}, {1, 9}, {2, 12}, {3, 13}, {4, 10},
-                             {0, 1}, {8, 9}, {5, 14}, {6, 11}, {7, 15}};
-  constexpr size_t kNumPairs = sizeof(pairs) / sizeof(pairs[0]);
-  std::vector<ConnId> conns;
-  for (const auto& p : pairs) {
-    conns.push_back(net.Connect(p[0], p[1]));
-  }
-  int next_id = 0;
-  for (int burst = 0; burst < 5; ++burst) {
-    // Off-grid send times, well past the ~84 ms establishment handshakes.
-    net.queue().Schedule(SecToSim(0.4) + burst * SecToSim(1.3) + MsToSim(7), [&, burst] {
-      for (size_t c = 0; c < kNumPairs; ++c) {
-        if ((burst + static_cast<int>(c)) % 3 == 0) {
-          net.Send(conns[c], pairs[c][0], std::make_unique<ScriptMsg>(next_id++, 384 * 1024));
-        }
-        if ((burst + static_cast<int>(c)) % 4 == 1) {
-          net.Send(conns[c], pairs[c][1], std::make_unique<ScriptMsg>(next_id++, 96 * 1024));
-        }
-      }
-    });
-  }
-  RunCounters local;
-  {
-    ScopedRunCounters install(&local);
-    net.Run(SecToSim(12.0));
-  }
-  if (counters) {
-    *counters = local;
-  }
-  std::vector<std::string> all;
-  for (auto& h : handlers) {
-    for (auto& e : h->events) {
-      all.push_back(std::move(e));
-    }
-  }
-  return all;
-}
-
-TEST(Determinism, ParallelEngineMatchesSerialFlowForFlow) {
-  const std::vector<std::string> serial = RunParallelScript(1);
-  const std::vector<std::string> parallel = RunParallelScript(4);
-  ASSERT_FALSE(serial.empty());
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    EXPECT_EQ(serial[i], parallel[i]) << "event " << i;
-  }
-}
-
-TEST(Determinism, ParallelRunCountersMatchSerialBitwise) {
-  RunCounters serial;
-  RunCounters parallel;
-  RunParallelScript(1, &serial);
-  RunParallelScript(4, &parallel);
-  EXPECT_GT(serial.events_executed, 0u);
-  EXPECT_EQ(serial.events_executed, parallel.events_executed);
-  EXPECT_EQ(serial.allocator_epochs, parallel.allocator_epochs);
-  EXPECT_EQ(serial.sim_bytes_sent, parallel.sim_bytes_sent);
-}
-
-TEST(Determinism, ParallelScriptRepeatedRunsIdentical) {
-  for (int threads : {2, 4}) {
-    const std::vector<std::string> a = RunParallelScript(threads);
-    const std::vector<std::string> b = RunParallelScript(threads);
-    ASSERT_FALSE(a.empty());
-    EXPECT_EQ(a, b) << threads << " threads";
-  }
-}
-
-// Staggered joins, leaf churn, and periodic correlated bandwidth halving on
-// the parallel engine. Only run-to-run determinism is asserted — that is the
-// parallel contract; protocol runs are NOT expected to match the serial engine
-// flow for flow (staged commands apply at superstep barriers, which shifts
-// protocol-visible interleavings; see network.h).
-WorkloadResult RunParallelChurnWorkload(int num_threads) {
-  WorkloadParams params;
-  params.seed = 2601;
-  params.deadline = SecToSim(120.0);
-  params.num_threads = num_threads;
-  WorkloadExperiment exp(ParallelScriptTopology(), params);
-  if (num_threads > 1) {
-    EXPECT_GE(exp.net().parallel_partitions(), 2) << num_threads << " threads";
-  }
-
-  SessionSpec spec;
-  spec.protocol = "bullet-prime";
-  spec.file.block_bytes = 16 * 1024;
-  spec.file.num_blocks = 64;  // 1 MB
-  spec.seed = 2601;
-  for (NodeId n = 0; n < 16; ++n) {
-    spec.members.push_back(n);
-    spec.join_offsets.push_back(n >= 8 ? SecToSim(8.0) : 0);
-  }
-  exp.AddSession(spec);
-
-  Rng churn_rng(778);
-  ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), /*source=*/0, /*count=*/2, churn_rng);
-  plan.first_kill = SecToSim(12.0);
-  ScheduleChurn(exp.net(), plan);
-  BandwidthDynamicsParams dyn;
-  dyn.period = SecToSim(5.0);
-  StartPeriodicBandwidthChanges(exp.net(), dyn);
-  return exp.Run();
-}
-
-TEST(Determinism, ParallelWorkloadDoubleRunSerializesIdentically) {
-  for (int threads : {2, 4}) {
-    const std::string first = SerializeWorkload(RunParallelChurnWorkload(threads));
-    const std::string second = SerializeWorkload(RunParallelChurnWorkload(threads));
-    EXPECT_FALSE(first.empty());
-    EXPECT_EQ(first, second) << threads << " threads";
-  }
 }
 
 }  // namespace

@@ -328,30 +328,6 @@ TEST(Network, CloseCompactsWithinOneQuantum) {
   EXPECT_EQ(net.open_conn_entries(), 0u);
 }
 
-TEST(Network, CloseCompactsUnderSkipIdleTicks) {
-  // Same regression with idle tick events elided entirely: the Close() must
-  // wake the ticker so the compaction pass still runs within one quantum.
-  MeshTopology topo(3);
-  for (NodeId n = 0; n < 3; ++n) {
-    topo.uplink(n) = LinkParams{8e6, 0, 0.0};
-    topo.downlink(n) = LinkParams{8e6, 0, 0.0};
-    for (NodeId d = 0; d < 3; ++d) {
-      topo.core(n, d) = LinkParams{8e6, MsToSim(1), 0.0};
-    }
-  }
-  NetworkConfig config;
-  config.skip_idle_ticks = true;
-  Network net(std::move(topo), config, 17);
-  const ConnId a = net.Connect(0, 1);
-  const ConnId b = net.Connect(1, 2);
-  net.Run(SecToSim(5.0));  // long idle stretch with ticks paused
-  ASSERT_EQ(net.open_conn_entries(), 2u);
-  net.Close(a);
-  net.Run(net.now() + MsToSim(10));
-  EXPECT_EQ(net.open_conn_entries(), 1u);
-  EXPECT_TRUE(net.IsOpen(b));
-}
-
 TEST(Network, ActiveDirectionAccountingAcrossLifecycle) {
   Network net = MakeTwoNodeNet();
   Recorder h0(&net);

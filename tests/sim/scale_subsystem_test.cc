@@ -69,8 +69,8 @@ TEST(SegmentCompression, ComposedRoutesAreBitwiseIdenticalToDirectDijkstra) {
 }
 
 TEST(SegmentCompression, PrewarmedComposedRoutesStayBitwiseIdentical) {
-  // PrewarmRoutes in compressed mode warms transit trees + segments up front
-  // (the parallel engine's startup contract); answers must not change.
+  // PrewarmRoutes in compressed mode warms transit trees + segments up front;
+  // answers must not change.
   auto [plain, compressed] = TwinTopologies(48, 929, /*prewarm_compressed=*/true);
   ExpectAllPairsBitwiseEqual(plain, compressed, 48);
 }

@@ -39,8 +39,8 @@ TEST(StableFlatMap, RandomizedOpsMatchStdMap) {
   StableFlatMap<uint64_t, int> map(&counter);
   std::map<uint64_t, int> reference;
   for (int op = 0; op < 20000; ++op) {
-    // Structured keys on purpose: high bits carry a "partition id" the way
-    // ConnIds do, stressing the hash mix rather than identity-friendly keys.
+    // Structured keys on purpose: high bits carry a tag, stressing the hash
+    // mix rather than identity-friendly keys.
     const uint64_t key = (static_cast<uint64_t>(rng.UniformInt(0, 7)) << 56) |
                          static_cast<uint64_t>(rng.UniformInt(0, 400));
     const int kind = static_cast<int>(rng.UniformInt(0, 9));
