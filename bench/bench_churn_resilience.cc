@@ -4,48 +4,36 @@
 // completion times; the dual sweep runs legacy Bullet, whose receivers depend partly
 // on tree forwarding, for contrast.
 
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/baselines/bullet_legacy.h"
-#include "src/core/bullet_prime.h"
 #include "src/harness/churn.h"
-#include "src/harness/experiment.h"
 #include "src/harness/scenario_registry.h"
 
 namespace bullet {
 namespace {
 
 std::vector<double> RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) {
-  ExperimentParams params;
-  params.seed = cfg.seed;
-  params.file.block_bytes = cfg.block_bytes;
-  params.file.num_blocks =
-      static_cast<uint32_t>(cfg.file_mb * 1024.0 * 1024.0 / static_cast<double>(cfg.block_bytes));
-  params.file.encoded = legacy;
-  params.deadline = cfg.deadline;
-  Experiment exp(BuildScenarioTopology(cfg), params);
+  WorkloadExperiment exp(BuildScenarioTopology(cfg), ScenarioWorkloadParams(cfg));
+  SessionSpec session;
+  session.protocol = legacy ? "bullet" : "bullet-prime";
+  session.seed = cfg.seed;
+  session.file.block_bytes = cfg.block_bytes;
+  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
+  exp.AddSession(session);
 
   std::vector<char> is_victim(static_cast<size_t>(cfg.num_nodes), 0);
   if (kills > 0) {
     Rng churn_rng(cfg.seed ^ 0xc0ffee);
-    const ChurnPlan plan = PlanLeafFailures(exp.tree(), params.source, kills, churn_rng);
+    const ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), session.source, kills, churn_rng);
     for (const NodeId v : plan.victims) {
       is_victim[static_cast<size_t>(v)] = 1;
     }
     ScheduleChurn(exp.net(), plan);
   }
-  BulletPrimeConfig bp;
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree)
-                                   -> std::unique_ptr<Protocol> {
-    if (legacy) {
-      return std::make_unique<BulletLegacy>(ctx, params.file, params.source, tree,
-                                            BulletLegacyConfig{});
-    }
-    return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, bp);
-  });
+  exp.Run();
 
+  const RunMetrics& metrics = exp.session_metrics(0);
   std::vector<double> survivor_times;
   for (NodeId n = 1; n < cfg.num_nodes; ++n) {
     if (is_victim[static_cast<size_t>(n)]) {
@@ -53,7 +41,7 @@ std::vector<double> RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) 
     }
     survivor_times.push_back(metrics.node(n).completion >= 0
                                  ? SimToSec(metrics.node(n).completion)
-                                 : SimToSec(params.deadline));
+                                 : SimToSec(cfg.deadline));
   }
   return survivor_times;
 }

@@ -7,11 +7,9 @@
 // collapsed links and delay the 8th node; the dynamic controller beats every fixed
 // choice by 7-22% on the slowest node (3 and 6 outstanding are far slower still).
 
-#include <memory>
 #include <string>
 
-#include "src/core/bullet_prime.h"
-#include "src/harness/experiment.h"
+#include "src/core/config.h"
 #include "src/harness/scenario_registry.h"
 #include "src/sim/dynamics.h"
 
@@ -44,13 +42,14 @@ MeshTopology Fig12Topology() {
 
 // The topology is fixed at 8 nodes, so only the file/seed/deadline overrides apply.
 BULLET_SCENARIO(fig12_outstanding_cascade, "Fig. 12 — cascading bandwidth collapses") {
-  ExperimentParams params;
+  WorkloadParams params;
   params.seed = opts.seed.value_or(1201);
-  params.file.block_bytes = opts.block_bytes.value_or(8 * 1024);
-  params.file.num_blocks = static_cast<uint32_t>(
-      opts.file_mb.value_or(ScaledFileMb(100.0)) * 1024.0 * 1024.0 /
-      static_cast<double>(params.file.block_bytes));
   params.deadline = SecToSim(opts.deadline_sec.value_or(7200.0));
+  SessionSpec session;
+  session.seed = params.seed;
+  session.file.block_bytes = opts.block_bytes.value_or(8 * 1024);
+  session.file.num_blocks =
+      FileBlocks(opts.file_mb.value_or(ScaledFileMb(100.0)), session.file.block_bytes);
 
   ScenarioReport report(kScenarioName);
   for (const int window : {0, 9, 15, 50, 6, 3}) {
@@ -66,15 +65,16 @@ BULLET_SCENARIO(fig12_outstanding_cascade, "Fig. 12 — cascading bandwidth coll
       bp.fixed_outstanding = window;
       name = "BulletPrime " + std::to_string(window) + " outstanding";
     }
+    session.protocol_config = bp;
 
-    Experiment exp(Fig12Topology(), params);
+    WorkloadExperiment exp(Fig12Topology(), params);
+    exp.AddSession(session);
     // Every 25 s another peer's dedicated link toward the 8th node collapses.
     StartCascade(exp.net(), kSlowNode, {1, 2, 3, 4, 5, 6}, SecToSim(25.0), 100e3);
-    RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-      return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, bp);
-    });
+    exp.Run();
 
-    const auto all = metrics.CompletionSeconds(params.source, SimToSec(params.deadline));
+    const RunMetrics& metrics = exp.session_metrics(0);
+    const auto all = metrics.CompletionSeconds(session.source, SimToSec(params.deadline));
     SeriesReport& s = report.AddSeries(name, all);
     s.metrics.emplace_back("slow_node_s", metrics.node(kSlowNode).completion >= 0
                                               ? SimToSec(metrics.node(kSlowNode).completion)

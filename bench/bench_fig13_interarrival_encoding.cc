@@ -10,13 +10,10 @@
 // benefit in this setting.
 
 #include <algorithm>
-#include <memory>
 #include <numeric>
 #include <vector>
 
 #include "src/common/stats.h"
-#include "src/core/bullet_prime.h"
-#include "src/harness/experiment.h"
 #include "src/harness/scenario_registry.h"
 
 namespace bullet {
@@ -30,22 +27,18 @@ BULLET_SCENARIO(fig13_interarrival_encoding, "Fig. 13 — inter-arrival vs encod
   cfg.record_arrivals = true;
   ApplyScenarioOptions(opts, &cfg);
 
-  // Run via the experiment layer so we can reach per-node arrival times.
-  ExperimentParams params;
-  params.seed = cfg.seed;
-  params.file.block_bytes = cfg.block_bytes;
-  params.file.num_blocks = static_cast<uint32_t>(cfg.file_mb * 1024.0 * 1024.0 /
-                                                 static_cast<double>(cfg.block_bytes));
-  params.deadline = cfg.deadline;
-  params.record_arrivals = true;
-  Experiment exp(BuildScenarioTopology(cfg), params);
-  BulletPrimeConfig bp;
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-    return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, bp);
-  });
+  // Run the workload directly so we can reach per-node arrival times.
+  SessionSpec session;
+  session.seed = cfg.seed;
+  session.file.block_bytes = cfg.block_bytes;
+  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
+  WorkloadExperiment exp(BuildScenarioTopology(cfg), ScenarioWorkloadParams(cfg));
+  exp.AddSession(session);
+  exp.Run();
+  const RunMetrics& metrics = exp.session_metrics(0);
 
   // Average inter-arrival time across receivers, by arrival index.
-  const uint32_t n = params.file.num_blocks;
+  const uint32_t n = session.file.num_blocks;
   std::vector<double> sum(n, 0.0);
   std::vector<int> count(n, 0);
   for (NodeId node = 1; node < cfg.num_nodes; ++node) {
@@ -71,7 +64,7 @@ BULLET_SCENARIO(fig13_interarrival_encoding, "Fig. 13 — inter-arrival vs encod
     overage += std::max(0.0, avg_interarrival[i] - mean_gap);
   }
   // Cost of a 4% reception overhead at the median observed download rate.
-  const auto completion = metrics.CompletionSeconds(params.source);
+  const auto completion = metrics.CompletionSeconds(session.source);
   const double median_time = Percentile(completion, 0.5);
   const double encoding_cost = 0.04 * median_time;
 

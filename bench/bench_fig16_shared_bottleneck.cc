@@ -12,10 +12,6 @@
 // — asserted in tests/sim/routed_topology_test.cc and visible in the BENCH
 // output here.
 
-#include <memory>
-
-#include "src/core/bullet_prime.h"
-#include "src/harness/experiment.h"
 #include "src/harness/scenario_registry.h"
 
 namespace bullet {
@@ -56,28 +52,28 @@ MeshTopology PrivateCoreTopology(int nodes) {
 BULLET_SCENARIO(fig16_shared_bottleneck,
                 "Extension — routed dumbbell: flows share one bottleneck core link") {
   const int nodes = opts.nodes.value_or(16);
-  ExperimentParams params;
+  WorkloadParams params;
   params.seed = opts.seed.value_or(1601);
-  params.file.block_bytes = opts.block_bytes.value_or(16 * 1024);
-  params.file.num_blocks = static_cast<uint32_t>(
-      opts.file_mb.value_or(ScaledFileMb(10.0)) * 1024.0 * 1024.0 /
-      static_cast<double>(params.file.block_bytes));
   params.deadline = SecToSim(opts.deadline_sec.value_or(7200.0));
+  SessionSpec session;
+  session.seed = params.seed;
+  session.file.block_bytes = opts.block_bytes.value_or(16 * 1024);
+  session.file.num_blocks =
+      FileBlocks(opts.file_mb.value_or(ScaledFileMb(10.0)), session.file.block_bytes);
 
   ScenarioReport report(kScenarioName);
   int32_t shared_flows = 0;
   int32_t private_flows = 0;
   for (const bool shared : {true, false}) {
-    Experiment exp = shared ? Experiment(DumbbellTopology(nodes), params)
-                            : Experiment(PrivateCoreTopology(nodes), params);
-    RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-      return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree,
-                                           BulletPrimeConfig{});
-    });
+    WorkloadExperiment exp = shared ? WorkloadExperiment(DumbbellTopology(nodes), params)
+                                    : WorkloadExperiment(PrivateCoreTopology(nodes), params);
+    exp.AddSession(session);
+    const WorkloadResult result = exp.Run();
     report.AddSeries(shared ? "BulletPrime (shared dumbbell core)"
                             : "BulletPrime (private per-pair cores)",
-                     metrics.CompletionSeconds(params.source, SimToSec(params.deadline)));
-    (shared ? shared_flows : private_flows) = exp.net().max_interior_link_flows();
+                     exp.session_metrics(0).CompletionSeconds(session.source,
+                                                              SimToSec(params.deadline)));
+    (shared ? shared_flows : private_flows) = result.max_shared_link_flows;
   }
 
   report.AddScalar("bottleneck_mbps", kBottleneckBps / 1e6);

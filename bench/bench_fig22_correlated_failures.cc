@@ -43,13 +43,6 @@ BULLET_SCENARIO(fig22_correlated_failures,
   const double feasible = TcpFeasibleSeconds(cfg.file_mb, 6e6, /*startup_sec=*/12.0);
   const SimTime outage_at = SecToSim(0.8 * feasible);
 
-  WorkloadParams params;
-  params.seed = cfg.seed;
-  params.deadline = cfg.deadline;
-  params.record_arrivals = cfg.record_arrivals;
-  params.full_recompute_allocator = cfg.full_recompute_allocator;
-  params.quantum = cfg.quantum;
-
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);
   const RoutedTopology* routed = topology->AsRouted();
   const RoutedTopology::TransitStubInfo* info = routed->transit_stub_info();
@@ -59,7 +52,7 @@ BULLET_SCENARIO(fig22_correlated_failures,
   // the experiment owns it for the rest of the scope.)
   const std::vector<int32_t> links = info->gateway_uplink_edge;
 
-  WorkloadExperiment exp(std::move(topology), params);
+  WorkloadExperiment exp(std::move(topology), ScenarioWorkloadParams(cfg));
   if (churn_name == "leaf") {
     exp.SetChurnModel(std::make_shared<LeafFailureChurn>(std::max(1, cfg.num_nodes / 10),
                                                          outage_at));
@@ -81,8 +74,7 @@ BULLET_SCENARIO(fig22_correlated_failures,
   session.source = 0;
   session.seed = cfg.seed;
   session.file.block_bytes = cfg.block_bytes;
-  session.file.num_blocks = static_cast<uint32_t>(cfg.file_mb * 1024.0 * 1024.0 /
-                                                  static_cast<double>(cfg.block_bytes));
+  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
   session.file.encoded = cfg.force_encoded;
   exp.AddSession(session);
   const WorkloadResult wl = exp.Run();

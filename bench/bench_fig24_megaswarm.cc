@@ -3,8 +3,8 @@
 // scenario pushes the *simulator* to 100,000 swarm members on one machine to
 // exercise the scale subsystem end to end:
 //
-//   * compressed routes (RoutedTopology::EnableSegmentCompression) — per-pair
-//     interior routes are composed from shared gateway-to-gateway segments
+//   * composed routes (every TransitStub-built RoutedTopology) — per-pair
+//     interior routes are composed from shared transit-to-transit segments
 //     instead of being cached whole, so route memory scales with the router
 //     graph, not with member pairs;
 //   * aggregated flows (NetworkConfig::aggregate_flows) — the allocator
@@ -49,8 +49,7 @@ BULLET_SCENARIO(fig24_megaswarm,
   cfg.block_bytes = 64 * 1024;
   cfg.seed = 2401;
   cfg.deadline = SecToSim(7200.0);
-  cfg.compress_routes = true;
-  cfg.aggregate_flows = true;
+  cfg.net.aggregate_flows = true;
   ApplyScenarioOptions(opts, &cfg);
   // The scenario *is* the mega-swarm routed graph; like fig17/perf_core_*,
   // a --topology override does not apply.

@@ -35,17 +35,17 @@ BULLET_SCENARIO(perf_core_scale,
   // Finer-grained emulation than the paper's 10 ms: per-quantum cost is what this
   // benchmark scales, and production-fidelity quanta are where the tick loop
   // must be event-driven rather than O(flows x links) every quantum.
-  cfg.quantum = MsToSim(2);
+  cfg.net.quantum = MsToSim(2);
   ApplyScenarioOptions(opts, &cfg);
 
   ScenarioReport report(kScenarioName);
 
-  cfg.full_recompute_allocator = false;
+  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
   const auto t_inc = std::chrono::steady_clock::now();
   const ScenarioResult inc = RunScenario("bullet-prime", cfg);
   const double wall_inc = WallSeconds(t_inc);
 
-  cfg.full_recompute_allocator = true;
+  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
   const auto t_full = std::chrono::steady_clock::now();
   const ScenarioResult full = RunScenario("bullet-prime", cfg);
   const double wall_full = WallSeconds(t_full);

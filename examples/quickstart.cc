@@ -8,8 +8,7 @@
 #include <iostream>
 
 #include "src/common/cdf.h"
-#include "src/core/bullet_prime.h"
-#include "src/harness/experiment.h"
+#include "src/harness/scenarios.h"
 
 int main(int argc, char** argv) {
   const int num_nodes = argc > 1 ? std::atoi(argv[1]) : 100;
@@ -22,25 +21,26 @@ int main(int argc, char** argv) {
   mesh.core_loss_max = loss_max;
   bullet::MeshTopology topo = bullet::MeshTopology::FullMesh(mesh, topo_rng);
 
-  bullet::ExperimentParams params;
+  bullet::WorkloadParams params;
   params.seed = 11;
-  params.file.block_bytes = 16 * 1024;
-  params.file.num_blocks = static_cast<uint32_t>(file_mb * 1024 * 1024 / params.file.block_bytes);
   params.deadline = bullet::SecToSim(3600.0);
+  bullet::SessionSpec session;
+  session.protocol = "bullet-prime";
+  session.seed = params.seed;
+  session.file.block_bytes = 16 * 1024;
+  session.file.num_blocks = bullet::FileBlocks(file_mb, session.file.block_bytes);
 
   std::printf("bullet' quickstart: %d nodes, %.1f MB file (%u blocks), loss 0-%.1f%%\n", num_nodes,
-              file_mb, params.file.num_blocks, loss_max * 100.0);
+              file_mb, session.file.num_blocks, loss_max * 100.0);
 
-  bullet::Experiment exp(std::move(topo), params);
-  bullet::BulletPrimeConfig config;
-  bullet::RunMetrics metrics =
-      exp.Run([&](const bullet::Protocol::Context& ctx, const bullet::ControlTree* tree) {
-        return std::make_unique<bullet::BulletPrime>(ctx, params.file, params.source, tree, config);
-      });
+  bullet::WorkloadExperiment exp(std::move(topo), params);
+  exp.AddSession(session);
+  exp.Run();
+  const bullet::RunMetrics& metrics = exp.session_metrics(0);
 
   bullet::CdfSeries series;
   series.name = "bullet_prime download time (s)";
-  series.samples = metrics.CompletionSeconds(params.source);
+  series.samples = metrics.CompletionSeconds(session.source);
   std::printf("completed: %d/%d receivers, duplicate data: %.2f%%, control overhead: %.2f%%\n",
               metrics.completed(), num_nodes - 1, metrics.DuplicateFraction() * 100.0,
               metrics.ControlOverheadFraction() * 100.0);

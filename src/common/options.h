@@ -1,4 +1,4 @@
-// Experiment scale knobs.
+// Scale knobs for scenario runs.
 //
 // The paper runs 100-node / 100 MB experiments on a ModelNet cluster; those parameters
 // are faithful but slow for CI. REPRO_SCALE selects between:

@@ -15,6 +15,10 @@ namespace {
 
 bool IsIntegral(double v) { return v == std::floor(v); }
 
+// Simulated time is int64 microseconds (SecToSim); 1e9 s (~32 years) keeps
+// the conversion far inside its range.
+bool IsDeadlineSec(double v) { return v > 0.0 && v <= 1e9; }
+
 bool IsChurnModelName(const std::string& text) {
   return text == "none" || text == "leaf" || text == "stub" || text == "gateway";
 }
@@ -116,17 +120,17 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          }
        }},
       {"--deadline-sec", "deadline-sec", "deadline_sec", ScenarioOptionDef::Kind::kNumber,
-       /*sweepable=*/true, "--deadline-sec requires a positive number",
-       "deadline-sec values must be positive",
+       /*sweepable=*/true, "--deadline-sec requires a number in (0, 1e9]",
+       "deadline-sec values must be in (0, 1e9]",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          double v = 0.0;
-         if (!ParseStrictDouble(text, &v) || v <= 0.0) {
+         if (!ParseStrictDouble(text, &v) || !IsDeadlineSec(v)) {
            return false;
          }
          opts->deadline_sec = v;
          return true;
        },
-       [](double v) { return v > 0.0; },
+       IsDeadlineSec,
        [](double v, ScenarioOptions* opts) { opts->deadline_sec = v; },
        [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
          if (opts.deadline_sec) {
@@ -324,29 +328,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
            json->Field("stream_window_blocks", *opts.stream_window_blocks);
          }
        }},
-      {"--compress-routes", "compress-routes", "compress_routes",
-       ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--compress-routes requires 0 or 1", "compress-routes values must be 0 or 1",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || (v != 0 && v != 1)) {
-           return false;
-         }
-         opts->compress_routes = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return v == 0.0 || v == 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->compress_routes = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.compress_routes) {
-           cfg->compress_routes = *opts.compress_routes != 0;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.compress_routes) {
-           json->Field("compress_routes", *opts.compress_routes);
-         }
-       }},
       {"--aggregate-flows", "aggregate-flows", "aggregate_flows",
        ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
        "--aggregate-flows requires 0 or 1", "aggregate-flows values must be 0 or 1",
@@ -362,7 +343,7 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
        [](double v, ScenarioOptions* opts) { opts->aggregate_flows = static_cast<int>(v); },
        [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
          if (opts.aggregate_flows) {
-           cfg->aggregate_flows = *opts.aggregate_flows != 0;
+           cfg->net.aggregate_flows = *opts.aggregate_flows != 0;
          }
        },
        [](const ScenarioOptions& opts, JsonWriter* json) {

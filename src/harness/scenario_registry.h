@@ -51,10 +51,8 @@ struct ScenarioOptions {
   // (fig23_streaming_deadlines); bulk scenarios ignore them.
   std::optional<double> stream_bitrate_mbps;
   std::optional<int> stream_window_blocks;
-  // Mega-swarm scale knobs, 0/1 (--compress-routes / --aggregate-flows; see
-  // ScenarioConfig). Scenarios on non-transit-stub topologies ignore
-  // compress_routes like any other inapplicable override.
-  std::optional<int> compress_routes;
+  // Mega-swarm flow aggregation, 0/1 (--aggregate-flows; see
+  // NetworkConfig::aggregate_flows).
   std::optional<int> aggregate_flows;
 };
 

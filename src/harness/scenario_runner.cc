@@ -89,6 +89,7 @@ RunnerArgs ParseRunnerArgs(int argc, const char* const* argv) {
         args.error = error.empty() ? def->flag_error : error;
         return args;
       }
+      args.option_flags.emplace_back(def, std::move(text));
     } else if (MatchesFlag(arg, "--sweep")) {
       std::string text;
       SweepAxis axis;
@@ -296,7 +297,7 @@ void PrintRunnerUsage(std::ostream& os) {
         "                     REPRO_SCALE when this is set)\n"
         "  --seed S           simulation seed (sweeps: base seed for stream derivation)\n"
         "  --block-bytes B    block size in bytes\n"
-        "  --deadline-sec D   simulated-time deadline\n"
+        "  --deadline-sec D   simulated-time deadline in seconds, at most 1e9\n"
         "  --loss L           per-link loss rates become uniform in [0, L]\n"
         "  --topology T       mesh | transit-stub (routed sparse graph with shared\n"
         "                     interior links; fixed-topology scenarios ignore it)\n"
@@ -315,10 +316,6 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --stream-window-blocks W\n"
         "                     sliding request-window size (blocks ahead of the\n"
         "                     playhead) for streaming-deadline scenarios\n"
-        "  --compress-routes B\n"
-        "                     1 caches shared gateway-to-gateway route segments\n"
-        "                     and composes per-pair routes lazily (transit-stub\n"
-        "                     only; composed routes are bitwise-identical)\n"
         "  --aggregate-flows B\n"
         "                     1 water-fills bundles of flows sharing an interior\n"
         "                     route instead of individual flows (mega-swarm\n"
@@ -338,7 +335,7 @@ void PrintRunnerUsage(std::ostream& os) {
         "                     deadline-sec, loss, join-fraction,\n"
         "                     lifetime-pareto-alpha, churn-model,\n"
         "                     stream-bitrate-mbps, stream-window-blocks,\n"
-        "                     compress-routes, aggregate-flows);\n"
+        "                     aggregate-flows);\n"
         "                     repeat the flag for more axes\n"
         "  --sweep-file PATH  spec file (scenario/name/repeats/seed/set/sweep lines);\n"
         "                     command-line flags override file directives\n"
@@ -388,47 +385,17 @@ bool BuildSweepSpec(const RunnerArgs& args, SweepSpec* spec, std::string* error)
     *error = "duplicate sweep axis '" + duplicate + "'";
     return false;
   }
-  // Fixed CLI overrides become the base point; the seed doubles as the stream-
-  // derivation base. Null fields keep whatever the file's `set`/`seed` lines said.
-  const ScenarioOptions& o = args.options;
-  if (o.nodes) {
-    spec->base.nodes = o.nodes;
+  // Fixed CLI overrides become the base point: each option-table flag replays
+  // through its row's parse hook (ParseRunnerArgs already validated it), so
+  // every option reaches the runs and overrides the file's `set` lines. The
+  // seed instead becomes the stream-derivation base; each run gets its own.
+  for (const auto& [def, text] : args.option_flags) {
+    std::string unused;
+    def->parse(text, &spec->base, &unused);
   }
-  if (o.file_mb) {
-    spec->base.file_mb = o.file_mb;
-  }
-  if (o.block_bytes) {
-    spec->base.block_bytes = o.block_bytes;
-  }
-  if (o.deadline_sec) {
-    spec->base.deadline_sec = o.deadline_sec;
-  }
-  if (o.loss) {
-    spec->base.loss = o.loss;
-  }
-  if (o.topology) {
-    spec->base.topology = o.topology;
-  }
-  if (o.system) {
-    spec->base.system = o.system;
-  }
-  if (o.join_fraction) {
-    spec->base.join_fraction = o.join_fraction;
-  }
-  if (o.lifetime_pareto_alpha) {
-    spec->base.lifetime_pareto_alpha = o.lifetime_pareto_alpha;
-  }
-  if (o.churn_model) {
-    spec->base.churn_model = o.churn_model;
-  }
-  if (o.compress_routes) {
-    spec->base.compress_routes = o.compress_routes;
-  }
-  if (o.aggregate_flows) {
-    spec->base.aggregate_flows = o.aggregate_flows;
-  }
-  if (o.seed) {
-    spec->base_seed = *o.seed;
+  if (spec->base.seed) {
+    spec->base_seed = *spec->base.seed;
+    spec->base.seed.reset();
   }
   return true;
 }

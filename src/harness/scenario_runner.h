@@ -7,6 +7,7 @@
 #include <optional>
 #include <ostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/harness/scenario_registry.h"
@@ -24,6 +25,9 @@ struct RunnerArgs {
   std::string scenario;
   std::string out_path;    // empty => BENCH_<scenario>.json in the working directory
   ScenarioOptions options;
+  // The option-table flags as given, in argv order (sweep mode replays them
+  // onto the sweep's base point).
+  std::vector<std::pair<const ScenarioOptionDef*, std::string>> option_flags;
 
   // Sweep mode (any of --sweep/--sweep-file/--repeats engages it): the scenario
   // runs over a parameter grid on a worker pool instead of once.

@@ -1,5 +1,6 @@
 #include "src/harness/scenarios.h"
 
+#include <algorithm>
 #include <memory>
 #include <utility>
 
@@ -45,11 +46,7 @@ std::unique_ptr<Topology> BuildScenarioTopology(const ScenarioConfig& cfg) {
       params.num_nodes = cfg.num_nodes;
       params.transit_loss_min = cfg.loss_min;
       params.transit_loss_max = cfg.loss_max;
-      auto topo = std::make_unique<RoutedTopology>(RoutedTopology::TransitStub(params, rng));
-      if (cfg.compress_routes) {
-        topo->EnableSegmentCompression();
-      }
-      return topo;
+      return std::make_unique<RoutedTopology>(RoutedTopology::TransitStub(params, rng));
     }
   }
   MeshTopology::MeshParams mesh;
@@ -69,16 +66,23 @@ bool ParseTopologyName(const std::string& name, ScenarioConfig::Topo* topo) {
   return false;
 }
 
-WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec& workload) {
-  EnsureBuiltinProtocolsRegistered();
+WorkloadParams ScenarioWorkloadParams(const ScenarioConfig& cfg) {
   WorkloadParams params;
   params.seed = cfg.seed;
   params.deadline = cfg.deadline;
   params.record_arrivals = cfg.record_arrivals;
-  params.full_recompute_allocator = cfg.full_recompute_allocator;
-  params.quantum = cfg.quantum;
-  params.aggregate_flows = cfg.aggregate_flows;
+  params.net = cfg.net;
+  return params;
+}
 
+uint32_t FileBlocks(double file_mb, int64_t block_bytes) {
+  const auto blocks =
+      static_cast<uint32_t>(file_mb * 1024.0 * 1024.0 / static_cast<double>(block_bytes));
+  return std::max<uint32_t>(blocks, 1);
+}
+
+WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec& workload) {
+  EnsureBuiltinProtocolsRegistered();
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);
   if (workload.access_links != nullptr) {
     // Access-link cohorts rewrite per-node link parameters before the network
@@ -87,7 +91,7 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
     Rng access_rng(cfg.seed ^ 0xa0761d6478bd642fULL);
     workload.access_links->Apply(*topology, access_rng);
   }
-  WorkloadExperiment exp(std::move(topology), params);
+  WorkloadExperiment exp(std::move(topology), ScenarioWorkloadParams(cfg));
   if (workload.churn != nullptr) {
     exp.SetChurnModel(workload.churn);
   }
@@ -96,10 +100,9 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
   }
   for (SessionSpec session : workload.sessions) {
     if (session.file.num_blocks == 0) {
-      // Inherit the scenario's file sizing (the legacy single-session rule).
+      // Inherit the scenario's file sizing.
       session.file.block_bytes = cfg.block_bytes;
-      session.file.num_blocks = static_cast<uint32_t>(cfg.file_mb * 1024.0 * 1024.0 /
-                                                      static_cast<double>(cfg.block_bytes));
+      session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
     }
     if (cfg.force_encoded) {
       session.file.encoded = true;

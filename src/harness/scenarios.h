@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/core/config.h"
-#include "src/harness/experiment.h"
 #include "src/harness/workload.h"
 #include "src/sim/dynamics.h"
 
@@ -40,13 +39,11 @@ struct ScenarioConfig {
   uint64_t seed = 1;
   SimTime deadline = SecToSim(7200.0);
   bool record_arrivals = false;
-  // Pre-PR network tick loop (full allocator recompute every quantum); used by
-  // perf_core_scale to benchmark against the incremental default.
-  bool full_recompute_allocator = false;
-  // Rate-allocation quantum. The paper's emulator uses 10 ms; perf_core_scale
-  // runs finer-grained emulation, where the event-driven core's advantage grows
-  // (its allocation count tracks flow churn, not tick rate).
-  SimTime quantum = MsToSim(10);
+  // Network knobs, handed to the Network unchanged. perf_core_scale sets a
+  // finer quantum than the paper's 10 ms and A/Bs the full-recompute tick;
+  // fig24 (or --aggregate-flows) water-fills flow bundles, which is NOT
+  // bit-identical to the default allocator.
+  NetworkConfig net;
   // Force encoded-stream methodology regardless of system (Bullet and SplitStream are
   // always treated as encoded with 4% overhead, per Section 4.2).
   bool force_encoded = false;
@@ -70,14 +67,6 @@ struct ScenarioConfig {
   // both < 0 keeps sessions in bulk mode.
   double stream_bitrate_mbps = -1.0;
   int stream_window_blocks = -1;
-  // Mega-swarm scale knobs (fig24; --compress-routes / --aggregate-flows).
-  // compress_routes caches gateway-to-gateway interior segments once and
-  // composes per-pair routes lazily (transit-stub only; composed routes are
-  // bitwise-identical to the direct computation, so any scenario may enable
-  // it). aggregate_flows water-fills bundles of flows sharing an interior
-  // route instead of individual flows — NOT bit-identical, opt-in only.
-  bool compress_routes = false;
-  bool aggregate_flows = false;
 };
 
 struct ScenarioResult {
@@ -109,6 +98,14 @@ struct ScenarioResult {
 // Builds the topology for `cfg` (deterministic in cfg.seed).
 std::unique_ptr<Topology> BuildScenarioTopology(const ScenarioConfig& cfg);
 
+// The run-level knobs of `cfg` (seed, deadline, arrival recording, network).
+WorkloadParams ScenarioWorkloadParams(const ScenarioConfig& cfg);
+
+// Blocks in a file of `file_mb` MB (2^20 bytes) at `block_bytes` per block:
+// truncated, but never fewer than one, so a file smaller than a block still
+// transfers.
+uint32_t FileBlocks(double file_mb, int64_t block_bytes);
+
 // Parses a --topology CLI value ("mesh" or "transit-stub") onto `*topo`;
 // returns false on anything else.
 bool ParseTopologyName(const std::string& name, ScenarioConfig::Topo* topo);
@@ -135,12 +132,12 @@ std::string ScenarioSubsetSystemOr(const ScenarioConfig& cfg, const std::string&
 
 // Runs an arbitrary workload (N sessions with join schedules) over the
 // scenario's topology, dynamics and network knobs. Sessions whose FileParams
-// have num_blocks == 0 inherit the scenario file sizing (cfg.file_mb /
-// cfg.block_bytes); cfg.force_encoded applies to every session. Workload-level
-// generators are honored here: `access_links` mutates the freshly built
-// topology (before the network snapshots it) and `churn` is installed on the
-// experiment. This is what RunScenario wraps, and what the session scenarios
-// (fig18+) call directly.
+// have num_blocks == 0 inherit the scenario file sizing (FileBlocks of
+// cfg.file_mb and cfg.block_bytes); cfg.force_encoded applies to every
+// session. Workload-level generators are honored here: `access_links` mutates
+// the freshly built topology (before the network snapshots it) and `churn` is
+// installed on the experiment. This is what RunScenario wraps, and what the
+// session scenarios (fig18+) call directly.
 WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec& workload);
 
 // Converts one session's results to the legacy per-system ScenarioResult

@@ -1,7 +1,7 @@
 // Parallel scenario-sweep engine. A SweepSpec names one registered scenario, a
 // cartesian parameter grid (axes), and a repeat count; RunSweep fans the resulting
 // runs out across a worker pool and the aggregator reduces repeats into
-// median/p10/p90 bands per grid point (schema bullet-bench-v2).
+// median/p10/p90 bands per grid point (schema bullet-bench-v3).
 //
 // Determinism contract: every run executes in an isolated ScenarioContext whose
 // seed is derived from (base_seed, point_index, repeat) alone, and aggregate JSON

@@ -39,14 +39,9 @@ uint64_t DeriveSessionSeed(uint64_t base, int index) {
 
 WorkloadExperiment::WorkloadExperiment(std::unique_ptr<Topology> topology,
                                        const WorkloadParams& params)
-    : params_(params) {
-  NetworkConfig net_config;
-  net_config.quantum = params.quantum;
-  net_config.allocator_mode = params.full_recompute_allocator
-                                  ? NetworkConfig::AllocatorMode::kFullRecompute
-                                  : NetworkConfig::AllocatorMode::kIncremental;
-  net_config.aggregate_flows = params.aggregate_flows;
-  net_ = std::make_unique<Network>(std::move(topology), net_config, params.seed ^ 0x9e3779b9ULL);
+    : params_(params),
+      net_(std::make_unique<Network>(std::move(topology), params.net,
+                                     params.seed ^ 0x9e3779b9ULL)) {
   member_claimed_.assign(static_cast<size_t>(net_->num_nodes()), 0);
 }
 
@@ -59,12 +54,8 @@ int WorkloadExperiment::AddSession(const SessionSpec& spec) {
 
 int WorkloadExperiment::AddSession(const SessionSpec& spec,
                                    ProtocolRegistry::NodeFactory factory) {
+  BULLET_CHECK(factory != nullptr && "AddSession needs a protocol factory");
   return AddSessionImpl(spec, nullptr, std::move(factory));
-}
-
-void WorkloadExperiment::SetSessionFactory(int session, ProtocolRegistry::NodeFactory factory) {
-  BULLET_CHECK(!ran_ && "factories must be installed before Run()");
-  at(session).factory = std::move(factory);
 }
 
 int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const ProtocolRegistry::Entry* entry,
@@ -368,13 +359,10 @@ void WorkloadExperiment::OnSessionComplete(int session) {
 WorkloadResult WorkloadExperiment::Run() {
   BULLET_CHECK(!ran_ && "WorkloadExperiment::Run may only be called once");
   BULLET_CHECK(!sessions_.empty() && "no sessions added");
-  for (const Session& s : sessions_) {
-    BULLET_CHECK(s.factory != nullptr && "session has no protocol factory");
-  }
   ran_ = true;
 
-  // Time-zero buckets run before the event loop starts — this is the legacy
-  // Experiment::Run start loop, so pre-existing runs keep their exact event
+  // Time-zero buckets run before the event loop starts — the historical
+  // single-session start loop, so all-at-t0 runs keep their exact event
   // numbering. Later buckets are event-queue-driven joins.
   for (int si = 0; si < static_cast<int>(sessions_.size()); ++si) {
     Session& s = at(si);

@@ -1,9 +1,9 @@
 // Workload harness: wires a topology, a network, and N *sessions* — each with its
 // own file, source, member set, join schedule, protocol (picked by name from the
-// ProtocolRegistry) and metrics — and runs them to completion or deadline.
-//
-// This is the generalization of the single-session Experiment (experiment.h,
-// now a thin wrapper): sessions may start staggered (flash crowds, late
+// ProtocolRegistry, or built by a caller-supplied factory) and metrics — and
+// runs them to completion or deadline. It is the one way a run reaches the
+// network: the single-session shape (one file, every node joining at t=0) is a
+// workload with one session. Sessions may start staggered (flash crowds, late
 // joiners), run concurrently over shared links, and mix protocols in one
 // network. The two pieces of machinery that make that correct:
 //
@@ -13,11 +13,12 @@
 //     AcceptBlock rule — stop at num_nodes()-1 completions — is kept only as
 //     the fallback for bare protocols without an installed policy.)
 //   * join-time instantiation off the event queue. Members with join time 0
-//     are created and started before the event loop, exactly like the old
-//     Experiment::Run start loop (this keeps all legacy runs byte-identical);
-//     later joiners are created, registered and started by events at their
-//     join times, grouped per (session, time) bucket — create-all-then-
-//     start-all within a bucket, mirroring the two-phase time-zero path.
+//     are created and started before the event loop, in the historical
+//     create-all-then-start-all order (this keeps all-at-t0 runs
+//     byte-identical to the original single-session harness); later joiners
+//     are created, registered and started by events at their join times,
+//     grouped per (session, time) bucket — create-all-then-start-all within
+//     a bucket, mirroring the two-phase time-zero path.
 //
 // Constraints (BULLET_CHECK-enforced at AddSession): sessions' member sets are
 // pairwise disjoint (one node runs at most one protocol instance), the source
@@ -44,18 +45,17 @@
 
 namespace bullet {
 
-// Network-level knobs shared by every session (see ExperimentParams for the
-// field-by-field rationale; sessions carry the per-transfer state).
+// Run-level knobs shared by every session; sessions carry the per-transfer
+// state.
 struct WorkloadParams {
+  // Seeds the network RNG, the churn schedule and every session that does not
+  // pin its own seed.
   uint64_t seed = 1;
-  SimTime quantum = MsToSim(10);
   SimTime deadline = SecToSim(3600.0);
+  // Record every block arrival per node (RunMetrics::record_arrivals).
   bool record_arrivals = false;
-  bool full_recompute_allocator = false;
-  // Bundle flows sharing an interior route before water-filling
-  // (NetworkConfig::aggregate_flows). Mega-swarm mode: conservation and
-  // feasibility are exact but rates are not bit-identical to the default.
-  bool aggregate_flows = false;
+  // Handed to the Network unchanged.
+  NetworkConfig net;
 };
 
 struct SessionResult {
@@ -137,11 +137,9 @@ class WorkloadExperiment {
   // Adds a session whose protocol is resolved by name through
   // ProtocolRegistry::Global(). Returns the session index.
   int AddSession(const SessionSpec& spec);
-  // Adds a session driven by a caller-supplied per-node factory (the legacy
-  // Experiment wrapper and tests); spec.protocol is ignored. A null factory
-  // defers the choice — install one with SetSessionFactory before Run.
+  // Adds a session driven by a caller-supplied per-node factory (custom or
+  // instrumented protocols); spec.protocol is ignored.
   int AddSession(const SessionSpec& spec, ProtocolRegistry::NodeFactory factory);
-  void SetSessionFactory(int session, ProtocolRegistry::NodeFactory factory);
 
   // Installs a churn model whose schedule is drawn at Run() over every session
   // (WorkloadSpec::churn; RunScenarioWorkload forwards it automatically).

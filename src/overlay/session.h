@@ -58,7 +58,10 @@ struct SessionSpec {
   // any protocol-level structures (e.g. SplitStream's forest) all derive from
   // this value with the same constants the single-session harness always used.
   std::optional<uint64_t> seed;
-  // Control-tree fanout (see ExperimentParams::tree_fanout for the rationale).
+  // Control-tree fanout. The source pushes fresh blocks only to its tree
+  // children, so its fanout determines how many (randomly drawn, possibly
+  // lossy) core paths carry fresh data into the overlay; 8 keeps injection
+  // robust to bad draws.
   int tree_fanout = 8;
   // Optional protocol-specific configuration. Must be empty or hold exactly
   // the registered Entry::config_type (e.g. BulletPrimeConfig); the harness

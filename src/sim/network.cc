@@ -9,6 +9,12 @@
 #include "src/common/profiler.h"
 
 namespace bullet {
+namespace {
+
+// Every run uses the default TCP model (tcp_model.h).
+const TcpModelParams kTcp{};
+
+}  // namespace
 
 void Network::MsgRing::push_back(QueuedMsg qm) {
   if (size_ == buf_.size()) {
@@ -122,7 +128,7 @@ ConnId Network::Connect(NodeId from, NodeId to) {
     c->established = true;
     for (int i = 0; i < 2; ++i) {
       if (!c->dir[i].queue.empty()) {
-        c->dir[i].tcp.OnBecameActive(now(), config_.tcp);
+        c->dir[i].tcp.OnBecameActive(now(), kTcp);
         ActivateDirection(*c, i);
       } else {
         c->dir[i].idle_since = now();
@@ -188,7 +194,7 @@ bool Network::Send(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg) {
   }
   Direction& dir = c->dir[idx];
   if (dir.queue.empty() && c->established) {
-    dir.tcp.OnBecameActive(now(), config_.tcp);
+    dir.tcp.OnBecameActive(now(), kTcp);
     ActivateDirection(*c, idx);
   }
   dir.queued_bytes += msg->wire_bytes;
@@ -438,8 +444,8 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
       }
       if (!dir.cap_steady) {
         bool steady = false;
-        dir.cap_cache = TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss,
-                                         config_.tcp, &steady);
+        dir.cap_cache =
+            TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, kTcp, &steady);
         dir.cap_steady = steady;
         if (!steady) {
           ++ramping_flows_;
@@ -548,7 +554,7 @@ void Network::TickFullRecompute(double dt_sec) {
       }
       // The PathCache snapshot equals the live Rtt/PathLoss lookups the pre-PR
       // code performed here: delay and loss are static for a run's lifetime.
-      flow.cap_bps = TcpRateCapBps(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, config_.tcp);
+      flow.cap_bps = TcpRateCapBps(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, kTcp);
       flows.push_back(std::move(flow));
       flow_dirs.emplace_back(id, i);
     }
@@ -610,22 +616,24 @@ void Network::EnqueueDelivery(ConnId conn_id, Conn& c, int sender_idx, std::uniq
   const PathCache& path = c.path[sender_idx];
   Direction& dir = c.dir[sender_idx];
 
+  // Messages that suffer packet loss arrive late (TCP retransmission plus
+  // head-of-line blocking). Throughput loss is modelled separately via the
+  // Mathis cap; this term affects message latency, which is what makes
+  // availability information stale on lossy paths (Section 4.3).
   SimTime delivered_at = now() + path.path_delay;
-  if (config_.loss_latency) {
-    const double p = path.loss;
-    if (p > 0.0) {
-      const double packets =
-          std::max(1.0, std::ceil(static_cast<double>(msg->wire_bytes) / config_.tcp.mss_bytes));
-      const double p_msg = 1.0 - std::pow(1.0 - p, packets);
-      if (rng_.Bernoulli(p_msg)) {
-        // Fast retransmit in the common case; occasionally a full RTO.
-        const SimTime rtt = path.rtt;
-        SimTime penalty = rtt + rtt / 2;
-        if (rng_.Bernoulli(0.2)) {
-          penalty = std::max<SimTime>(MsToSim(200), 2 * rtt);
-        }
-        delivered_at += penalty;
+  const double p = path.loss;
+  if (p > 0.0) {
+    const double packets =
+        std::max(1.0, std::ceil(static_cast<double>(msg->wire_bytes) / kTcp.mss_bytes));
+    const double p_msg = 1.0 - std::pow(1.0 - p, packets);
+    if (rng_.Bernoulli(p_msg)) {
+      // Fast retransmit in the common case; occasionally a full RTO.
+      const SimTime rtt = path.rtt;
+      SimTime penalty = rtt + rtt / 2;
+      if (rng_.Bernoulli(0.2)) {
+        penalty = std::max<SimTime>(MsToSim(200), 2 * rtt);
       }
+      delivered_at += penalty;
     }
   }
   delivered_at = std::max(delivered_at, dir.delivery_floor);

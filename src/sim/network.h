@@ -42,8 +42,8 @@
 // delivery events capture their message directly in the event-queue closure, so
 // steady-state message handling performs no per-message allocation.
 //
-// NetworkConfig::allocator_mode selects the legacy full-recompute-every-quantum
-// tick (the pre-PR behaviour, kept as a reference and for A/B benchmarking).
+// NetworkConfig::allocator_mode selects the full-recompute-every-quantum tick
+// (the pre-PR behaviour, kept as a reference and for A/B benchmarking).
 //
 // Thread-safety: none. A Network — with its topology, event queue, allocator
 // and the protocols attached to it — belongs to one simulation run and is
@@ -92,14 +92,13 @@ class NetHandler {
   virtual void OnMessage(ConnId conn, NodeId from, std::unique_ptr<Message> msg) = 0;
 };
 
+// The network knobs a run can vary: the allocation quantum, the tick loop and
+// flow aggregation. The harness embeds one of these in WorkloadParams and
+// ScenarioConfig and hands it through unchanged. TCP model parameters are the
+// TcpModelParams defaults, and lossy paths always add the retransmission
+// delivery latency (see EnqueueDelivery).
 struct NetworkConfig {
   SimTime quantum = MsToSim(10);
-  TcpModelParams tcp;
-  // Model the extra delivery latency of messages that suffer packet loss (TCP
-  // retransmission + head-of-line blocking). Throughput loss is modelled separately
-  // via the Mathis cap; this term affects message latency, which is what makes
-  // availability information stale on lossy paths (Section 4.3).
-  bool loss_latency = true;
 
   enum class AllocatorMode {
     kIncremental,    // dirty-tracked allocation with cached rates (default)

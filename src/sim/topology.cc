@@ -247,7 +247,7 @@ Topology::PathView RoutedTopology::InteriorPath(NodeId src, NodeId dst) const {
   if (r0 == r1) {
     return PathView{nullptr, 0};  // same stub router: access links only
   }
-  if (compress_segments_) {
+  if (transit_stub_info() != nullptr) {
     return ComposedInteriorPath(r0, r1);
   }
   const int64_t key = static_cast<int64_t>(r0) * num_routers_ + r1;
@@ -270,16 +270,6 @@ Topology::PathView RoutedTopology::InteriorPath(NodeId src, NodeId dst) const {
     it = path_cache_.emplace(key, std::make_pair(off, len)).first;
   }
   return PathView{path_pool_.data() + it->second.first, it->second.second};
-}
-
-void RoutedTopology::EnableSegmentCompression() {
-  BULLET_CHECK(transit_stub_info() != nullptr &&
-               "segment compression requires a TransitStub-built topology");
-  BULLET_CHECK(!adj_built_ && "enable segment compression before the first route query");
-  compress_segments_ = true;
-  const size_t t = static_cast<size_t>(transit_stub_info_.num_transit_routers);
-  segment_off_.assign(t * t, kSegmentUnset);
-  segment_len_.assign(t * t, 0);
 }
 
 std::pair<uint32_t, uint32_t> RoutedTopology::TransitSegment(int32_t tr0, int32_t tr1) const {
@@ -313,7 +303,7 @@ Topology::PathView RoutedTopology::ComposedInteriorPath(int32_t r0, int32_t r1) 
   const TransitStubInfo& ts = transit_stub_info_;
   const int d0 = ts.stub_domain_of_router(r0);
   const int d1 = ts.stub_domain_of_router(r1);
-  BULLET_CHECK(d0 >= 0 && d1 >= 0 && "segment compression composes stub-attached nodes only");
+  BULLET_CHECK(d0 >= 0 && d1 >= 0 && "transit-stub routes compose stub-attached nodes only");
   compose_scratch_.clear();
   const int32_t g0 = ts.gateway_router(d0);
   const int32_t g1 = ts.gateway_router(d1);
@@ -349,7 +339,7 @@ void RoutedTopology::PrewarmRoutes() const {
   if (!adj_built_) {
     BuildAdjacency();
   }
-  if (compress_segments_) {
+  if (transit_stub_info() != nullptr) {
     // Only transit-router trees are needed (stub legs come straight from the
     // recorded build edges); warm one tree per transit router serving an
     // attached node's domain, then every segment between warmed routers so
@@ -360,7 +350,7 @@ void RoutedTopology::PrewarmRoutes() const {
         continue;
       }
       const int d = ts.stub_domain_of_router(router);
-      BULLET_CHECK(d >= 0 && "segment compression composes stub-attached nodes only");
+      BULLET_CHECK(d >= 0 && "transit-stub routes compose stub-attached nodes only");
       const int32_t tr = ts.transit_router(d);
       if (!routes_[static_cast<size_t>(tr)].computed) {
         ComputeRoutesFrom(tr);
@@ -475,6 +465,9 @@ RoutedTopology RoutedTopology::TransitStub(const TransitStubParams& p, Rng& rng)
   topo.transit_stub_info_.stub_domains_per_transit_router = p.stub_domains_per_transit_router;
   topo.transit_stub_info_.gateway_uplink_edge.reserve(static_cast<size_t>(num_stub_domains));
   topo.transit_stub_info_.member_uplink_edge.assign(static_cast<size_t>(num_routers), -1);
+  const size_t segments = static_cast<size_t>(num_transit) * static_cast<size_t>(num_transit);
+  topo.segment_off_.assign(segments, kSegmentUnset);
+  topo.segment_len_.assign(segments, 0);
   std::vector<int32_t> stub_routers;
   stub_routers.reserve(static_cast<size_t>(num_stub_domains) *
                        static_cast<size_t>(p.routers_per_stub));

@@ -16,10 +16,11 @@
 //    the delay-shortest route between the attachment routers, so flows from
 //    different pairs genuinely share links — the regime where max-min fair
 //    emulation produces the paper's "correlated and cumulative" bandwidth
-//    effects. Memory is O(N + routers + edges); routes are computed on demand
-//    (one Dijkstra per used source router) and per-pair link-id lists are
-//    cached, so the footprint scales with the pairs actually connected, not
-//    with N^2.
+//    effects. Memory is O(N + routers + edges). A TransitStub-built graph
+//    composes each route from its two stub legs and a cached transit-to-
+//    transit segment; an explicit edge list runs one Dijkstra per used source
+//    router and caches per-pair link-id lists, so its footprint scales with
+//    the pairs actually connected, not with N^2.
 //
 // Interior link ids are topology-defined dense integers (mesh: src*N+dst; routed:
 // edge index). Propagation delay and loss are fixed once routes are first used;
@@ -291,7 +292,7 @@ class RoutedTopology final : public Topology {
     // Per router: the interior link id of the gateway->member direction of its
     // intra-stub star link (member->gateway is the next id); -1 for transit
     // routers and stub gateways, which have no star link of their own. Recorded
-    // so segment-compressed routing can compose stub legs without Dijkstra.
+    // so route composition can build stub legs without Dijkstra.
     std::vector<int32_t> member_uplink_edge;
 
     // The stub domain owning `router`; -1 for transit routers.
@@ -312,34 +313,32 @@ class RoutedTopology final : public Topology {
     return transit_stub_info_.num_stub_domains > 0 ? &transit_stub_info_ : nullptr;
   }
 
-  // --- Segment-compressed routing (mega-swarm mode) ---
-  // Opt-in for TransitStub-built topologies: per-pair routes are composed
-  // lazily as (src stub leg, cached transit->transit segment, dst stub leg)
-  // instead of materializing one pooled edge list per router pair, so route
-  // memory is O(T^2 segments + routers), not O(pairs x path length). Composed
-  // views are backed by scratch (valid until the next InteriorPath call, per
-  // the PathView contract) and are bitwise-equal to the uncompressed edge
-  // lists: a stub star leaves through its gateway's single transit uplink, so
-  // the Dijkstra tree beyond the transit router is shift-invariant in the
-  // source (same (dist, router) heap order, same strict-improvement
-  // relaxations), making the composed list exactly the tree walk the
-  // uncompressed path cache would have stored (route_composition_test pins
-  // this). Must be enabled before the first route query.
-  void EnableSegmentCompression();
-  bool segment_compression_enabled() const { return compress_segments_; }
-
-  // Thread-safety: route state (adjacency CSR, per-source shortest-path trees,
-  // per-pair path cache) fills lazily under const queries, so a topology must
-  // not be queried from two threads at once. Each simulation run owns its
-  // topology (sweep --jobs isolates whole runs), so this never arises in the
-  // simulator itself.
+  // --- Route stores ---
+  // A TransitStub-built topology composes each route lazily as (src stub leg,
+  // cached transit->transit segment, dst stub leg) instead of materializing
+  // one pooled edge list per router pair, so route memory is O(T^2 segments +
+  // routers), not O(pairs x path length). Composed views are backed by
+  // scratch (valid until the next InteriorPath call, per the PathView
+  // contract) and are bitwise-equal to the per-pair Dijkstra walk: a stub
+  // star leaves through its gateway's single transit uplink, so the Dijkstra
+  // tree beyond the transit router is shift-invariant in the source (same
+  // (dist, router) heap order, same strict-improvement relaxations), making
+  // the composed list exactly the tree walk the per-pair cache would store
+  // (scale_subsystem_test pins this on generated shapes). Explicit router
+  // graphs (AddEdge/AttachNode) take the per-pair cache.
   //
-  // PrewarmRoutes() fills that lazy state up front — the adjacency CSR plus
-  // the shortest-path tree from every router an overlay node attaches to —
-  // leaving only the per-pair path cache to fill on demand. Under segment
-  // compression it instead warms the (far fewer) transit-router trees and all
-  // transit segments between them. Callers use it as a cold-cache warmer, so
-  // later route queries measure cached lookups rather than Dijkstra runs.
+  // Thread-safety: route state (adjacency CSR, per-source shortest-path trees,
+  // transit segments, per-pair path cache) fills lazily under const queries,
+  // so a topology must not be queried from two threads at once. Each
+  // simulation run owns its topology (sweep --jobs isolates whole runs), so
+  // this never arises in the simulator itself.
+  //
+  // PrewarmRoutes() fills that lazy state up front. On a TransitStub graph it
+  // warms the transit-router trees and all transit segments between them; on
+  // an explicit graph, the adjacency CSR plus the shortest-path tree from
+  // every router an overlay node attaches to, leaving only the per-pair path
+  // cache to fill on demand. Callers use it as a cold-cache warmer, so later
+  // route queries measure cached lookups rather than Dijkstra runs.
   void PrewarmRoutes() const;
 
  private:
@@ -353,7 +352,7 @@ class RoutedTopology final : public Topology {
   // Dijkstra (delay-weighted, deterministic (dist, router) tie-break) from
   // `src_router`, filling routes_[src_router].
   void ComputeRoutesFrom(int32_t src_router) const;
-  // Compressed-mode route assembly: stub legs from the recorded build edges,
+  // TransitStub route assembly: stub legs from the recorded build edges,
   // interior from the cached transit segment. Returns a scratch-backed view.
   PathView ComposedInteriorPath(int32_t r0, int32_t r1) const;
   // (offset, length) into segment_pool_ of the tr0->tr1 transit segment,
@@ -366,7 +365,8 @@ class RoutedTopology final : public Topology {
   TransitStubInfo transit_stub_info_;  // empty unless TransitStub-built
 
   // Lazy routing state (const-queried, cached): CSR adjacency over routers,
-  // per-source shortest-path trees, and pooled per-router-pair edge lists.
+  // per-source shortest-path trees, and (explicit graphs) pooled
+  // per-router-pair edge lists.
   mutable bool adj_built_ = false;
   mutable std::vector<uint32_t> adj_off_;
   mutable std::vector<int32_t> adj_edge_;
@@ -378,11 +378,10 @@ class RoutedTopology final : public Topology {
   mutable std::unordered_map<int64_t, std::pair<uint32_t, uint32_t>> path_cache_;
   mutable std::vector<int32_t> path_pool_;
 
-  // Segment-compression state: dense T x T transit-segment cache (offset into
+  // TransitStub route state: dense T x T transit-segment cache (offset into
   // segment_pool_; kSegmentUnset until computed) plus the scratch buffer that
   // backs composed PathViews.
   static constexpr uint32_t kSegmentUnset = 0xffffffffu;
-  bool compress_segments_ = false;
   mutable std::vector<uint32_t> segment_off_;
   mutable std::vector<uint32_t> segment_len_;
   mutable std::vector<int32_t> segment_pool_;

@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+
 #include "src/baselines/bittorrent.h"
 #include "src/baselines/bullet_legacy.h"
 #include "src/baselines/splitstream.h"
 #include "src/baselines/stripe_forest.h"
-#include "src/harness/experiment.h"
+#include "src/harness/workload.h"
 
 namespace bullet {
 namespace {
@@ -69,62 +72,67 @@ FileParams SmallFile(bool encoded) {
   return file;
 }
 
+// One all-nodes session; the run's seed doubles as the session seed.
+SessionSpec SmallSession(const std::string& protocol, uint64_t seed, bool encoded) {
+  SessionSpec session;
+  session.protocol = protocol;
+  session.seed = seed;
+  session.file = SmallFile(encoded);
+  return session;
+}
+
+WorkloadParams RunParams(uint64_t seed, double deadline_sec) {
+  WorkloadParams params;
+  params.seed = seed;
+  params.deadline = SecToSim(deadline_sec);
+  return params;
+}
+
 TEST(BitTorrentSystem, SwarmCompletes) {
-  ExperimentParams params;
-  params.seed = 31;
-  params.file = SmallFile(false);
-  params.deadline = SecToSim(600.0);
-  Experiment exp(SmallMesh(16, 31), params);
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree*) {
-    return std::make_unique<BitTorrent>(ctx, params.file, params.source, BitTorrentConfig{});
-  });
+  WorkloadExperiment exp(SmallMesh(16, 31), RunParams(31, 600.0));
+  exp.AddSession(SmallSession("bittorrent", 31, false));
+  exp.Run();
+  const RunMetrics& metrics = exp.session_metrics(0);
   EXPECT_EQ(metrics.completed(), 15);
   EXPECT_LT(metrics.DuplicateFraction(), 0.02);
 }
 
 TEST(BitTorrentSystem, UnchokeSlotsBounded) {
-  ExperimentParams params;
-  params.seed = 32;
-  params.file = SmallFile(false);
-  params.deadline = SecToSim(45.0);  // stop mid-download
-  Experiment exp(SmallMesh(20, 32), params);
-  std::vector<BitTorrent*> protos;
-  exp.Run([&](const Protocol::Context& ctx, const ControlTree*) {
-    auto p = std::make_unique<BitTorrent>(ctx, params.file, params.source, BitTorrentConfig{});
-    protos.push_back(p.get());
-    return p;
-  });
+  // Stop mid-download.
+  WorkloadExperiment exp(SmallMesh(20, 32), RunParams(32, 45.0));
+  exp.AddSession(SmallSession("bittorrent", 32, false));
+  exp.Run();
   const BitTorrentConfig config;
-  for (const auto* p : protos) {
+  for (NodeId n = 0; n < 20; ++n) {
+    const auto* p = static_cast<const BitTorrent*>(exp.session_protocol(0, n));
     EXPECT_LE(p->num_unchoked(), config.unchoke_slots + 1);  // + optimistic
   }
 }
 
 TEST(BulletLegacySystem, SwarmCompletesEncoded) {
-  ExperimentParams params;
-  params.seed = 33;
-  params.file = SmallFile(true);  // the paper runs Bullet as source-encoded
-  params.deadline = SecToSim(600.0);
-  Experiment exp(SmallMesh(16, 33), params);
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-    return std::make_unique<BulletLegacy>(ctx, params.file, params.source, tree,
-                                          BulletLegacyConfig{});
+  // The paper runs Bullet as source-encoded.
+  WorkloadExperiment exp(SmallMesh(16, 33), RunParams(33, 600.0));
+  exp.AddSession(SmallSession("bullet", 33, true));
+  exp.Run();
+  EXPECT_EQ(exp.session_metrics(0).completed(), 15);
+}
+
+// SplitStream over an explicitly built stripe forest (the registry factory
+// draws its own from the session seed).
+void AddSplitStreamSession(WorkloadExperiment* exp, uint64_t seed, const StripeForest* forest) {
+  const SessionSpec session = SmallSession("splitstream", seed, true);
+  exp->AddSession(session, [file = session.file, forest](const Protocol::Context& ctx) {
+    return std::make_unique<SplitStream>(ctx, file, /*source=*/0, forest, SplitStreamConfig{});
   });
-  EXPECT_EQ(metrics.completed(), 15);
 }
 
 TEST(SplitStreamSystem, SwarmCompletesEncoded) {
-  ExperimentParams params;
-  params.seed = 34;
-  params.file = SmallFile(true);
-  params.deadline = SecToSim(900.0);
-  Experiment exp(SmallMesh(16, 34), params);
+  WorkloadExperiment exp(SmallMesh(16, 34), RunParams(34, 900.0));
   Rng forest_rng(34);
   const StripeForest forest = StripeForest::Build(16, 8, 0, forest_rng);
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree*) {
-    return std::make_unique<SplitStream>(ctx, params.file, params.source, &forest,
-                                         SplitStreamConfig{});
-  });
+  AddSplitStreamSession(&exp, 34, &forest);
+  exp.Run();
+  const RunMetrics& metrics = exp.session_metrics(0);
   EXPECT_EQ(metrics.completed(), 15);
   // Push-only trees generate no request/diff traffic at all.
   EXPECT_LT(metrics.ControlOverheadFraction(), 0.01);
@@ -133,24 +141,18 @@ TEST(SplitStreamSystem, SwarmCompletesEncoded) {
 TEST(SplitStreamSystem, SlowInteriorStarvesOnlyItsStripe) {
   // Throttle every core link out of one interior node; receivers still complete
   // because the other stripes keep flowing (the encoded stream needs any 1.04n).
-  ExperimentParams params;
-  params.seed = 35;
-  params.file = SmallFile(true);
-  params.deadline = SecToSim(1800.0);
   MeshTopology topo = SmallMesh(16, 35);
   for (NodeId d = 0; d < 16; ++d) {
     if (d != 1) {
       topo.core(1, d).bandwidth_bps = 50e3;  // node 1 is interior in one stripe only
     }
   }
-  Experiment exp(std::move(topo), params);
+  WorkloadExperiment exp(std::move(topo), RunParams(35, 1800.0));
   Rng forest_rng(35);
   const StripeForest forest = StripeForest::Build(16, 8, 0, forest_rng);
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree*) {
-    return std::make_unique<SplitStream>(ctx, params.file, params.source, &forest,
-                                         SplitStreamConfig{});
-  });
-  EXPECT_EQ(metrics.completed(), 15);
+  AddSplitStreamSession(&exp, 35, &forest);
+  exp.Run();
+  EXPECT_EQ(exp.session_metrics(0).completed(), 15);
 }
 
 }  // namespace

@@ -6,37 +6,50 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 
-#include "src/harness/experiment.h"
+#include "src/harness/workload.h"
 
 namespace bullet {
 namespace {
 
+// A lossless mesh swarm running one all-nodes Bullet' session.
 struct Swarm {
-  std::unique_ptr<Experiment> exp;
-  std::vector<BulletPrime*> protos;
+  std::unique_ptr<WorkloadExperiment> exp;
+  std::vector<BulletPrime*> protos;  // indexed by node
   RunMetrics metrics{0};
 };
 
-Swarm RunSwarm(int nodes, uint32_t blocks, const BulletPrimeConfig& config, double deadline_sec,
-               uint64_t seed = 44) {
+Swarm RunSwarm(int nodes, const FileParams& file, const BulletPrimeConfig& config,
+               double deadline_sec, uint64_t seed) {
   Rng topo_rng(seed);
   MeshTopology::MeshParams mesh;
   mesh.num_nodes = nodes;
   mesh.core_loss_max = 0.0;
-  MeshTopology topo = MeshTopology::FullMesh(mesh, topo_rng);
-  ExperimentParams params;
+  WorkloadParams params;
   params.seed = seed;
-  params.file.num_blocks = blocks;
   params.deadline = SecToSim(deadline_sec);
+  SessionSpec session;
+  session.protocol = "bullet-prime";
+  session.seed = seed;
+  session.file = file;
+  session.protocol_config = config;
   Swarm swarm;
-  swarm.exp = std::make_unique<Experiment>(std::move(topo), params);
-  swarm.metrics = swarm.exp->Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-    auto p = std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, config);
-    swarm.protos.push_back(p.get());
-    return p;
-  });
+  swarm.exp = std::make_unique<WorkloadExperiment>(MeshTopology::FullMesh(mesh, topo_rng), params);
+  swarm.exp->AddSession(session);
+  swarm.exp->Run();
+  swarm.metrics = swarm.exp->session_metrics(0);
+  for (NodeId n = 0; n < nodes; ++n) {
+    swarm.protos.push_back(static_cast<BulletPrime*>(swarm.exp->session_protocol(0, n)));
+  }
   return swarm;
+}
+
+Swarm RunSwarm(int nodes, uint32_t blocks, const BulletPrimeConfig& config, double deadline_sec,
+               uint64_t seed = 44) {
+  FileParams file;
+  file.num_blocks = blocks;
+  return RunSwarm(nodes, file, config, deadline_sec, seed);
 }
 
 TEST(BulletPrimeProtocol, SourceHidesUntilFullPass) {
@@ -108,24 +121,12 @@ TEST(BulletPrimeProtocol, NoDuplicateBlocksWithoutChurn) {
 }
 
 TEST(BulletPrimeProtocol, EncodedModeUsesOverheadRule) {
-  BulletPrimeConfig config;
-  Rng topo_rng(45);
-  MeshTopology::MeshParams mesh;
-  mesh.num_nodes = 10;
-  mesh.core_loss_max = 0.0;
-  MeshTopology topo = MeshTopology::FullMesh(mesh, topo_rng);
-  ExperimentParams params;
-  params.seed = 45;
-  params.file.num_blocks = 100;
-  params.file.encoded = true;
-  params.deadline = SecToSim(900.0);
-  Experiment exp(std::move(topo), params);
-  std::vector<BulletPrime*> protos;
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-    auto p = std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, config);
-    protos.push_back(p.get());
-    return p;
-  });
+  FileParams file;
+  file.num_blocks = 100;
+  file.encoded = true;
+  const Swarm swarm = RunSwarm(10, file, BulletPrimeConfig{}, 900.0, /*seed=*/45);
+  const std::vector<BulletPrime*>& protos = swarm.protos;
+  const RunMetrics& metrics = swarm.metrics;
   ASSERT_EQ(metrics.completed(), 9);
   for (size_t n = 1; n < protos.size(); ++n) {
     // Complete at (1 + 4%) * n distinct encoded blocks. Tree children of the source
@@ -137,7 +138,7 @@ TEST(BulletPrimeProtocol, EncodedModeUsesOverheadRule) {
   // Non-children of the source stop pulling at exactly the completion threshold.
   bool checked_non_child = false;
   for (size_t n = 1; n < protos.size(); ++n) {
-    const auto& kids = exp.tree().children[0];
+    const auto& kids = swarm.exp->session_tree(0).children[0];
     if (std::find(kids.begin(), kids.end(), static_cast<NodeId>(n)) == kids.end()) {
       EXPECT_EQ(protos[n]->have().count(), 104u) << "node " << n;
       checked_non_child = true;

@@ -6,11 +6,14 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "src/harness/bench_check.h"
 #include "src/harness/json_reader.h"
+#include "src/harness/json_writer.h"
 
 namespace bullet {
 namespace {
@@ -189,6 +192,23 @@ TEST_F(RunnerMainTest, BadFlagFailsWithUsage) {
   EXPECT_EQ(Run({"--scenario", "tiny", "--topology", "transit-stub", "--sweep", "threads=1,2"}),
             2);
   EXPECT_NE(err_.str().find("unknown sweep key 'threads'"), std::string::npos) << err_.str();
+
+  // Transit-stub routes are always composed: there is no route-store switch.
+  EXPECT_EQ(Run({"--scenario", "tiny", "--topology", "transit-stub", "--compress-routes", "1"}),
+            2);
+  EXPECT_NE(err_.str().find("unknown argument: --compress-routes"), std::string::npos)
+      << err_.str();
+  EXPECT_EQ(Run({"--scenario", "tiny", "--sweep", "compress-routes=0,1"}), 2);
+  EXPECT_NE(err_.str().find("unknown sweep key 'compress-routes'"), std::string::npos)
+      << err_.str();
+
+  // A deadline past 1e9 s would overflow simulated time (int64 microseconds).
+  EXPECT_EQ(Run({"--scenario", "tiny", "--deadline-sec", "1e13"}), 2);
+  EXPECT_NE(err_.str().find("--deadline-sec requires a number in (0, 1e9]"), std::string::npos)
+      << err_.str();
+  EXPECT_EQ(Run({"--scenario", "tiny", "--sweep", "deadline-sec=30,1e13"}), 2);
+  EXPECT_NE(err_.str().find("deadline-sec values must be in (0, 1e9]"), std::string::npos)
+      << err_.str();
   EXPECT_TRUE(out_.str().empty());
 }
 
@@ -350,18 +370,97 @@ TEST_F(RunnerMainTest, SweepMissingSpecFileIsUsageError) {
   EXPECT_NE(err_.str().find("cannot read sweep file"), std::string::npos);
 
   // A readable spec file whose axis names no sweepable option fails the same way.
-  const std::string path = ::testing::TempDir() + "/bullet_runner_threads_axis.sweep";
-  {
-    std::ofstream spec(path);
-    spec << "scenario tiny\nsweep threads=1,2\n";
+  const std::string dir = ::testing::TempDir() + "/bullet_runner_removed_axis";
+  for (const std::string key : {"threads", "compress-routes"}) {
+    const std::string path = ::testing::TempDir() + "/bullet_runner_" + key + "_axis.sweep";
+    {
+      std::ofstream spec(path);
+      spec << "scenario tiny\nsweep " << key << "=0,1\n";
+    }
+    EXPECT_EQ(Run({"--sweep-file", path.c_str(), "--topology", "transit-stub", "--out-dir",
+                   dir.c_str(), "--quiet"}),
+              2);
+    EXPECT_NE(err_.str().find("unknown sweep key '" + key + "'"), std::string::npos)
+        << err_.str();
+    std::remove(path.c_str());
   }
-  const std::string dir = ::testing::TempDir() + "/bullet_runner_threads_axis";
-  EXPECT_EQ(Run({"--sweep-file", path.c_str(), "--topology", "transit-stub", "--out-dir",
-                 dir.c_str(), "--quiet"}),
-            2);
-  EXPECT_NE(err_.str().find("unknown sweep key 'threads'"), std::string::npos) << err_.str();
   EXPECT_TRUE(out_.str().empty());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
+}
+
+// The options as a run sees them: the requested_options echo plus --loss, the
+// one row that is never echoed.
+std::string DescribeOptions(const ScenarioOptions& opts) {
+  std::ostringstream os;
+  JsonWriter json(os);
+  json.BeginObject();
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    if (def.echo != nullptr) {
+      def.echo(opts, &json);
+    }
+  }
+  json.EndObject();
+  if (opts.loss) {
+    os << " loss=" << *opts.loss;
+  }
+  return os.str();
+}
+
+// Every option-table flag given on the command line reaches the runs of a
+// sweep as it reaches a single run (--seed as the stream-derivation base). A
+// flag the sweep base point forgot would silently run the scenario default.
+TEST(RunnerSweepTest, EveryCliOptionReachesTheSweepRuns) {
+  // One valid value per row; a new row without a sample fails here.
+  const std::map<std::string, std::string> samples = {
+      {"nodes", "7"},
+      {"file-mb", "0.5"},
+      {"seed", "9"},
+      {"block-bytes", "4096"},
+      {"deadline-sec", "30"},
+      {"topology", "transit-stub"},
+      {"system", "bittorrent"},
+      {"join-fraction", "0.25"},
+      {"loss", "0.02"},
+      {"lifetime-pareto-alpha", "1.5"},
+      {"churn-model", "stub"},
+      {"stream-bitrate-mbps", "1.5"},
+      {"stream-window-blocks", "4"},
+      {"aggregate-flows", "1"},
+  };
+  std::vector<ScenarioOptions> seen;
+  ScenarioRegistry registry;
+  registry.Register("probe", "records the options it runs with",
+                    [&seen](const ScenarioOptions& opts) {
+                      seen.push_back(opts);
+                      return ScenarioReport("probe");
+                    });
+  const std::string dir = ::testing::TempDir() + "/bullet_sweep_cli_overlay";
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    SCOPED_TRACE(def.flag);
+    const auto sample = samples.find(def.key);
+    ASSERT_NE(sample, samples.end()) << "no sample value for " << def.flag;
+    ScenarioOptions expected;
+    std::string error;
+    ASSERT_TRUE(def.parse(sample->second, &expected, &error)) << error;
+
+    seen.clear();
+    std::vector<const char*> argv = {"bullet_run", "--scenario", "probe", "--repeats", "1",
+                                     "--jobs",     "1",          "--out-dir", dir.c_str(),
+                                     "--quiet",    def.flag,     sample->second.c_str()};
+    std::ostringstream out;
+    std::ostringstream err;
+    ASSERT_EQ(RunnerMain(static_cast<int>(argv.size()), argv.data(), registry, out, err), 0)
+        << err.str();
+    ASSERT_EQ(seen.size(), 1u);
+    ScenarioOptions run = seen[0];
+    if (expected.seed) {
+      EXPECT_EQ(run.seed, DeriveSweepSeed(*expected.seed, 0, 0));
+      continue;
+    }
+    run.seed.reset();  // every sweep run carries its own derived seed
+    EXPECT_NE(DescribeOptions(expected), DescribeOptions(ScenarioOptions{}));
+    EXPECT_EQ(DescribeOptions(run), DescribeOptions(expected));
+  }
   std::filesystem::remove_all(dir);
 }
 

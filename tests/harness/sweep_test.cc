@@ -32,6 +32,10 @@ TEST(ParseSweepAxisSpecTest, RejectsBadInput) {
   EXPECT_FALSE(ParseSweepAxisSpec("nodes=20.5", &axis, &error));     // fractional int
   EXPECT_FALSE(ParseSweepAxisSpec("nodes=1", &axis, &error));        // below range
   EXPECT_FALSE(ParseSweepAxisSpec("loss=1.5", &axis, &error));       // above range
+  // Past 1e9 s the deadline would overflow simulated time (int64 microseconds).
+  EXPECT_FALSE(ParseSweepAxisSpec("deadline-sec=30,1e13", &axis, &error));
+  EXPECT_NE(error.find("(0, 1e9]"), std::string::npos) << error;
+  EXPECT_TRUE(ParseSweepAxisSpec("deadline-sec=1e9", &axis, &error)) << error;
   EXPECT_FALSE(ParseSweepAxisSpec("warp=9", &axis, &error));         // unknown key
   EXPECT_NE(error.find("warp"), std::string::npos);
 }
@@ -169,6 +173,10 @@ TEST(ParseSweepFileTest, RejectsBadDirectives) {
   }
   {
     std::istringstream in("sweep warp=1\n");
+    EXPECT_FALSE(ParseSweepFile(in, &spec, &error));
+  }
+  {
+    std::istringstream in("set deadline-sec=1e13\n");
     EXPECT_FALSE(ParseSweepFile(in, &spec, &error));
   }
 }

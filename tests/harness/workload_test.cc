@@ -1,7 +1,7 @@
 // Session/workload harness coverage: the protocol registry, spec validation,
-// legacy-wrapper equivalence (the single-session Experiment must be a thin
-// wrapper over WorkloadExperiment, bit for bit), staggered joins, and the
-// per-session completion contract — session A completing never stops session B.
+// factory-vs-registry session equivalence (bit for bit), staggered joins, and
+// the per-session completion contract — session A completing never stops
+// session B.
 
 #include "src/harness/workload.h"
 
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "src/core/bullet_prime.h"
-#include "src/harness/experiment.h"
 #include "src/harness/scenarios.h"
 #include "src/harness/workload_gen.h"
 #include "src/overlay/protocol_registry.h"
@@ -67,45 +66,44 @@ TEST(ProtocolRegistry, DuplicateKeyIsRejected) {
   EXPECT_EQ(ProtocolRegistry::Global().Find("bullet-prime")->display_name, "BulletPrime");
 }
 
-// The legacy Experiment and a registry-driven WorkloadExperiment session with
-// the same (dense members, zero offsets) shape must produce bitwise-identical
-// completions: the wrapper claim is exact, not approximate.
-TEST(WorkloadExperiment, LegacyExperimentIsAThinWrapper) {
-  ExperimentParams params;
+// A session built by a caller-supplied factory and the same session resolved
+// through the registry must produce bitwise-identical completions: the
+// registry adds no behaviour of its own. The registry session names its
+// members explicitly (dense 0..n-1), which must still be recognized as the
+// all-nodes shape and build the same control tree.
+TEST(WorkloadExperiment, FactorySessionMatchesRegistrySession) {
+  WorkloadParams params;
   params.seed = 5151;
-  params.file = SmallFile(24);
   params.deadline = SecToSim(600.0);
-
-  Experiment legacy(SmallUniform(10, 42), params);
-  const RunMetrics legacy_metrics =
-      legacy.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-        return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree,
-                                             BulletPrimeConfig{});
-      });
-
-  WorkloadParams wl_params;
-  wl_params.seed = params.seed;
-  wl_params.deadline = params.deadline;
-  WorkloadExperiment wl(SmallUniform(10, 42), wl_params);
   SessionSpec spec;
-  spec.protocol = "bullet-prime";
-  spec.file = params.file;
+  spec.file = SmallFile(24);
   spec.seed = params.seed;
-  // Explicit dense members: must be recognized as the legacy shape.
+
+  WorkloadExperiment by_factory(SmallUniform(10, 42), params);
+  by_factory.AddSession(spec, [&by_factory, file = spec.file](const Protocol::Context& ctx) {
+    return std::make_unique<BulletPrime>(ctx, file, /*source=*/0, &by_factory.session_tree(0),
+                                         BulletPrimeConfig{});
+  });
+  const WorkloadResult factory_result = by_factory.Run();
+
+  WorkloadExperiment by_name(SmallUniform(10, 42), params);
+  spec.protocol = "bullet-prime";
   for (NodeId n = 0; n < 10; ++n) {
     spec.members.push_back(n);
   }
-  wl.AddSession(spec);
-  const WorkloadResult result = wl.Run();
+  by_name.AddSession(spec);
+  const WorkloadResult result = by_name.Run();
 
-  const std::vector<double> legacy_completions =
-      legacy_metrics.CompletionSeconds(0, SimToSec(params.deadline));
+  ASSERT_EQ(factory_result.sessions.size(), 1u);
   ASSERT_EQ(result.sessions.size(), 1u);
-  ASSERT_EQ(result.sessions[0].completion_sec.size(), legacy_completions.size());
-  for (size_t i = 0; i < legacy_completions.size(); ++i) {
-    EXPECT_EQ(result.sessions[0].completion_sec[i], legacy_completions[i]) << "receiver " << i;
+  const SessionResult& expected = factory_result.sessions[0];
+  ASSERT_EQ(result.sessions[0].completion_sec.size(), expected.completion_sec.size());
+  for (size_t i = 0; i < expected.completion_sec.size(); ++i) {
+    EXPECT_EQ(result.sessions[0].completion_sec[i], expected.completion_sec[i])
+        << "receiver " << i;
   }
-  EXPECT_EQ(result.sessions[0].completed, legacy_metrics.completed());
+  EXPECT_EQ(result.sessions[0].completed, expected.completed);
+  EXPECT_EQ(result.events_executed, factory_result.events_executed);
   EXPECT_EQ(result.sessions[0].name, "BulletPrime");
 }
 
@@ -355,6 +353,24 @@ TEST(RunScenarioByName, EncodedStreamFollowsRegistryEntry) {
   const ScenarioResult legacy_bullet = RunScenario("bullet", cfg);
   EXPECT_EQ(legacy_bullet.name, "Bullet");
   EXPECT_EQ(legacy_bullet.completed, legacy_bullet.receivers);
+}
+
+// The file-size rule truncates to whole blocks but never to zero: a zero-block
+// file would leave every receiver waiting for the deadline.
+TEST(RunScenarioByName, SubBlockFileRunsOneBlock) {
+  EXPECT_EQ(FileBlocks(1.0, 16 * 1024), 64u);
+  EXPECT_EQ(FileBlocks(1.01, 16 * 1024), 64u);
+  EXPECT_EQ(FileBlocks(0.001, 16 * 1024), 1u);
+
+  ScenarioConfig cfg;
+  cfg.num_nodes = 6;
+  cfg.file_mb = 0.001;
+  cfg.loss_max = 0.0;
+  cfg.seed = 708;
+  const ScenarioResult r = RunScenario("bullet-prime", cfg);
+  EXPECT_EQ(r.completed, r.receivers);
+  ASSERT_FALSE(r.completion_sec.empty());
+  EXPECT_LT(*std::max_element(r.completion_sec.begin(), r.completion_sec.end()), 60.0);
 }
 
 }  // namespace

@@ -6,9 +6,8 @@
 #include <memory>
 
 #include "src/common/stats.h"
-#include "src/core/bullet_prime.h"
 #include "src/harness/churn.h"
-#include "src/harness/experiment.h"
+#include "src/harness/workload.h"
 #include "src/sim/dynamics.h"
 
 namespace bullet {
@@ -25,23 +24,25 @@ ChurnRun RunWithChurn(int nodes, int kills, uint64_t seed) {
   mesh.num_nodes = nodes;
   mesh.core_loss_max = 0.0;
   MeshTopology topo = MeshTopology::FullMesh(mesh, topo_rng);
-  ExperimentParams params;
+  WorkloadParams params;
   params.seed = seed;
-  params.file.num_blocks = 640;  // 10 MB
   params.deadline = SecToSim(1800.0);
-  Experiment exp(std::move(topo), params);
+  SessionSpec session;
+  session.protocol = "bullet-prime";
+  session.seed = seed;
+  session.file.num_blocks = 640;  // 10 MB
+  WorkloadExperiment exp(std::move(topo), params);
+  exp.AddSession(session);
 
   ChurnRun run;
   if (kills > 0) {
     Rng churn_rng(seed ^ 0xdead);
-    ChurnPlan plan = PlanLeafFailures(exp.tree(), params.source, kills, churn_rng);
+    ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), session.source, kills, churn_rng);
     run.victims = static_cast<int>(plan.victims.size());
     ScheduleChurn(exp.net(), plan);
   }
-  BulletPrimeConfig config;
-  run.metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-    return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, config);
-  });
+  exp.Run();
+  run.metrics = exp.session_metrics(0);
   return run;
 }
 
@@ -174,22 +175,24 @@ TEST(Churn, FailuresUnderBandwidthDynamicsStillComplete) {
   mesh.num_nodes = 16;
   mesh.core_loss_max = 0.0;
   MeshTopology topo = MeshTopology::FullMesh(mesh, topo_rng);
-  ExperimentParams params;
+  WorkloadParams params;
   params.seed = 21;
-  params.file.num_blocks = 320;  // 5 MB
   params.deadline = SecToSim(1800.0);
-  Experiment exp(std::move(topo), params);
+  SessionSpec session;
+  session.protocol = "bullet-prime";
+  session.seed = 21;
+  session.file.num_blocks = 320;  // 5 MB
+  WorkloadExperiment exp(std::move(topo), params);
+  exp.AddSession(session);
   StartPeriodicBandwidthChanges(exp.net(), BandwidthDynamicsParams{});
 
   Rng churn_rng(21 ^ 0xdead);
-  ChurnPlan plan = PlanLeafFailures(exp.tree(), params.source, 3, churn_rng);
+  ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), session.source, 3, churn_rng);
   ASSERT_EQ(plan.victims.size(), 3u);
   ScheduleChurn(exp.net(), plan);
 
-  BulletPrimeConfig config;
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-    return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, config);
-  });
+  exp.Run();
+  const RunMetrics& metrics = exp.session_metrics(0);
 
   int survivors_done = 0;
   for (NodeId n = 1; n < 16; ++n) {

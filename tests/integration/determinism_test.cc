@@ -64,9 +64,9 @@ TEST(Determinism, IncrementalMatchesFullRecomputeOnProtocolRun) {
   cfg.num_nodes = 12;
   cfg.file_mb = 2.0;
 
-  cfg.full_recompute_allocator = false;
+  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
   const ScenarioResult incremental = RunScenario("bullet-prime", cfg);
-  cfg.full_recompute_allocator = true;
+  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
   const ScenarioResult full = RunScenario("bullet-prime", cfg);
 
   ASSERT_EQ(incremental.completion_sec.size(), full.completion_sec.size());
@@ -219,9 +219,9 @@ TEST(Determinism, TransitStubIncrementalMatchesFullRecomputeOnProtocolRun) {
   ScenarioConfig cfg = TransitStubConfig();
   cfg.num_nodes = 12;
 
-  cfg.full_recompute_allocator = false;
+  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
   const ScenarioResult incremental = RunScenario("bullet-prime", cfg);
-  cfg.full_recompute_allocator = true;
+  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
   const ScenarioResult full = RunScenario("bullet-prime", cfg);
 
   ASSERT_EQ(incremental.completion_sec.size(), full.completion_sec.size());
@@ -277,14 +277,14 @@ WorkloadResult RunLateJoinChurnWorkload(bool full_recompute) {
   WorkloadParams params;
   params.seed = cfg.seed;
   params.deadline = SecToSim(150.0);
-  params.full_recompute_allocator = full_recompute;
+  params.net.allocator_mode = full_recompute ? NetworkConfig::AllocatorMode::kFullRecompute
+                                             : NetworkConfig::AllocatorMode::kIncremental;
   WorkloadExperiment exp(BuildScenarioTopology(cfg), params);
 
   SessionSpec spec;
   spec.protocol = "bullet-prime";
   spec.file.block_bytes = cfg.block_bytes;
-  spec.file.num_blocks = static_cast<uint32_t>(cfg.file_mb * 1024.0 * 1024.0 /
-                                               static_cast<double>(cfg.block_bytes));
+  spec.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
   spec.seed = cfg.seed;
   for (NodeId n = 0; n < cfg.num_nodes; ++n) {
     spec.members.push_back(n);

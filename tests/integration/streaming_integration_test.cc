@@ -11,7 +11,6 @@
 
 #include "src/baselines/splitstream.h"
 #include "src/baselines/stripe_forest.h"
-#include "src/harness/experiment.h"
 #include "src/harness/workload.h"
 #include "src/harness/workload_gen.h"
 
@@ -146,12 +145,15 @@ TEST(Streaming, SplitStreamRepairsOrphanedStripes) {
   // runs completed 0 sessions) and every survivor must still finish.
   const int kNodes = 16;
   const uint64_t kSeed = 906;
-  ExperimentParams params;
+  WorkloadParams params;
   params.seed = kSeed;
-  params.file = SmallFile(320, /*encoded=*/true);
   params.deadline = SecToSim(900.0);
+  SessionSpec session;
+  session.seed = kSeed;
+  session.file = SmallFile(320, /*encoded=*/true);
   Rng topo_rng(kSeed);
-  Experiment exp(MeshTopology::Uniform(kNodes, 10e6, MsToSim(20), 0.0, 0.0, topo_rng), params);
+  WorkloadExperiment exp(MeshTopology::Uniform(kNodes, 10e6, MsToSim(20), 0.0, 0.0, topo_rng),
+                         params);
   Rng forest_rng(kSeed);
   const StripeForest forest = StripeForest::Build(kNodes, 8, 0, forest_rng);
 
@@ -174,13 +176,15 @@ TEST(Streaming, SplitStreamRepairsOrphanedStripes) {
   ASSERT_GE(victim, 0) << "forest has no non-source interior parents";
 
   std::map<NodeId, SplitStream*> instances;
-  exp.net().queue().Schedule(SecToSim(1.0), [&] { exp.net().FailNode(victim); });
-  const RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree*) {
-    auto p = std::make_unique<SplitStream>(ctx, params.file, params.source, &forest,
+  exp.AddSession(session, [&](const Protocol::Context& ctx) {
+    auto p = std::make_unique<SplitStream>(ctx, session.file, session.source, &forest,
                                            SplitStreamConfig{});
     instances[ctx.self] = p.get();
     return p;
   });
+  exp.net().queue().Schedule(SecToSim(1.0), [&] { exp.net().FailNode(victim); });
+  exp.Run();
+  const RunMetrics& metrics = exp.session_metrics(0);
 
   // The protocol instances outlive Run; the repaired parent pointer persists.
   ASSERT_TRUE(exp.net().IsNodeFailed(victim)) << "run ended before the scheduled failure";

@@ -9,8 +9,8 @@
 #include <map>
 #include <memory>
 
+#include "src/harness/workload.h"
 #include "src/overlay/tree_overlay.h"
-#include "src/harness/experiment.h"
 
 namespace bullet {
 namespace {
@@ -49,20 +49,23 @@ class RanSubFixture : public ::testing::Test {
     mesh.num_nodes = num_nodes;
     mesh.core_loss_max = 0.0;
     MeshTopology topo = MeshTopology::FullMesh(mesh, topo_rng);
-    ExperimentParams params;
+    WorkloadParams params;
     params.seed = seed;
-    params.file.num_blocks = 16;
     params.deadline = SecToSim(run_sec);
-    exp_ = std::make_unique<Experiment>(std::move(topo), params);
+    SessionSpec session;
+    session.seed = seed;
+    session.file.num_blocks = 16;
+    exp_ = std::make_unique<WorkloadExperiment>(std::move(topo), params);
     protos_.clear();
-    exp_->Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-      auto p = std::make_unique<RanSubOnly>(ctx, params.file, tree);
+    exp_->AddSession(session, [this, file = session.file](const Protocol::Context& ctx) {
+      auto p = std::make_unique<RanSubOnly>(ctx, file, &exp_->session_tree(0));
       protos_.push_back(p.get());
       return p;
     });
+    exp_->Run();
   }
 
-  std::unique_ptr<Experiment> exp_;
+  std::unique_ptr<WorkloadExperiment> exp_;
   std::vector<RanSubOnly*> protos_;
 };
 

@@ -3,8 +3,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/core/bullet_prime.h"
-#include "src/harness/experiment.h"
+#include "src/harness/workload.h"
 
 namespace bullet {
 namespace {
@@ -16,20 +15,22 @@ TEST(Smoke, BulletPrimeSmallMeshCompletes) {
   mesh.core_loss_max = 0.0;  // lossless for the smoke test
   MeshTopology topo = MeshTopology::FullMesh(mesh, topo_rng);
 
-  ExperimentParams params;
+  WorkloadParams params;
   params.seed = 7;
-  params.file.block_bytes = 16 * 1024;
-  params.file.num_blocks = 128;  // 2 MB
   params.deadline = SecToSim(300.0);
+  SessionSpec session;
+  session.protocol = "bullet-prime";
+  session.seed = params.seed;
+  session.file.block_bytes = 16 * 1024;
+  session.file.num_blocks = 128;  // 2 MB
 
-  Experiment exp(std::move(topo), params);
-  BulletPrimeConfig config;
-  RunMetrics metrics = exp.Run([&](const Protocol::Context& ctx, const ControlTree* tree) {
-    return std::make_unique<BulletPrime>(ctx, params.file, params.source, tree, config);
-  });
+  WorkloadExperiment exp(std::move(topo), params);
+  exp.AddSession(session);
+  exp.Run();
+  const RunMetrics& metrics = exp.session_metrics(0);
 
   EXPECT_EQ(metrics.completed(), 19);
-  const auto times = metrics.CompletionSeconds(params.source);
+  const auto times = metrics.CompletionSeconds(session.source);
   ASSERT_EQ(times.size(), 19u);
   for (const double t : times) {
     EXPECT_GT(t, 2.0);    // can't beat the file transfer time
