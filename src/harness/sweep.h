@@ -28,11 +28,13 @@ namespace bullet {
 // One grid dimension: a canonical parameter key and its value list. Supported
 // keys are the sweepable rows of the scenario option table (scenario_registry);
 // numeric axes fill `values`, string axes (e.g. churn-model) fill
-// `text_values` — exactly one of the two is non-empty.
+// `text_values` — exactly one of the two is non-empty. The default member
+// initializer lets a numeric axis be written SweepAxis{"nodes", {20, 50}}
+// without tripping -Wmissing-field-initializers.
 struct SweepAxis {
   std::string key;
   std::vector<double> values;
-  std::vector<std::string> text_values;
+  std::vector<std::string> text_values = {};
 
   bool is_string() const { return !text_values.empty(); }
   size_t size() const { return is_string() ? text_values.size() : values.size(); }

@@ -2,20 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <queue>
 
 #include "src/common/profiler.h"
 
 namespace bullet {
 
 namespace {
-
-struct HeapEntry {
-  double share;
-  int32_t link;
-  uint32_t stamp;
-  bool operator>(const HeapEntry& o) const { return share > o.share; }
-};
 
 // The stateless reference body shared by AllocateMaxMin and AllocateMaxMinPaths.
 // Flows arrive CSR-style: flow i crosses flow_links[flow_off[i] .. flow_off[i+1])
@@ -61,7 +53,7 @@ void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<u
   std::vector<char> frozen(num_flows, 0);
   size_t frozen_count = 0;
 
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> heap;
+  SaturationHeap heap;
   auto push_link = [&](int32_t l) {
     const size_t li = static_cast<size_t>(l);
     if (nflows[li] > 0) {
@@ -208,8 +200,8 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
   }
 }
 
-void IncrementalMaxMin::BeginEpoch(size_t keep_links) {
-  capacity_.resize(keep_links);
+void IncrementalMaxMin::BeginEpoch() {
+  capacity_.clear();
   flow_links_.clear();
   flow_off_.assign(1, 0);
   cap_.clear();
@@ -289,7 +281,7 @@ void IncrementalMaxMin::BuildEpochScratch() {
 // The reference algorithm (ReferenceMaxMin above) with every auxiliary structure
 // replaced by a persistent, allocation-free equivalent:
 //   link_flows (vector of vectors)  ->  CSR arrays rebuilt with two linear passes
-//   priority_queue                  ->  the same priority_queue over a reused vector
+//   SaturationHeap                  ->  the same heap over retained storage
 //   remaining/nflows/stamp/frozen   ->  assign() into retained capacity
 // Every comparison and arithmetic update mirrors the reference line for line, in
 // the same order, so the produced rates are bit-identical (see header contract).

@@ -31,12 +31,17 @@
 // freeze order depends on flow and link numbering (sort and heap tie-breaks).
 // Both implementations therefore perform the identical operation sequence (same
 // sort call, same heap algorithm, same update arithmetic), and the network feeds
-// them flows in the identical order. Equal-cap flows may be permuted by the sort:
-// they freeze at equal rates, and subtracting equal values commutes bitwise, so
-// such permutations are harmless. Partial recomputation of "affected bottleneck
-// groups" cannot meet this contract (restricting the heap to a subgraph changes
-// tie resolution), which is why incrementality here means exact result reuse
-// plus allocation-free rebuild rather than subgraph water-filling.
+// them flows in the identical order. Link ids themselves are labels: only their
+// order matters, through the heap's initial push of every link that carries a
+// flow, in id order. Leaving out links no flow crosses, or renumbering links in
+// a way that keeps that order, leaves every rate unchanged (the network
+// registers only the links its flows cross). Equal-cap flows may be permuted by
+// the sort: they freeze at equal rates, and subtracting equal values commutes
+// bitwise, so such permutations are harmless. Partial recomputation of
+// "affected bottleneck groups" cannot meet this contract (restricting the heap
+// to a subgraph changes tie resolution), which is why incrementality here means
+// exact result reuse plus allocation-free rebuild rather than subgraph
+// water-filling.
 //
 // Thread-safety: the free functions are safe to call concurrently on disjoint
 // arguments (they touch only their parameters); an IncrementalMaxMin instance
@@ -52,7 +57,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <queue>
 #include <vector>
 
 namespace bullet {
@@ -72,6 +76,81 @@ struct PathFlowSpec {
   std::vector<int32_t> links;
   double cap_bps = 0.0;
   double rate_bps = 0.0;  // output
+};
+
+// One saturation-heap entry: a link's fair share when it was pushed, and the
+// link's stamp at that time (a later freeze on the link makes the entry stale).
+// Ordered by share alone; `>` is what std::greater compares.
+struct HeapEntry {
+  double share;
+  int32_t link;
+  uint32_t stamp;
+  bool operator>(const HeapEntry& o) const { return share > o.share; }
+};
+
+// The min-share heap both water-fills use. It replays libstdc++'s
+// std::push_heap / std::pop_heap over std::greater<HeapEntry> step for step --
+// the hole moves, the pop's sift to a leaf and the sift back up -- so equal
+// shares come out in exactly the order std::priority_queue gives them, and the
+// rates, whose low bits depend on that order, stay those of the historical
+// priority_queue. Only the child choice of the sift-down is branch-free (on
+// equal shares it keeps the right child, as libstdc++ does), which matters
+// because most pops discard stale entries. Storage survives clear(), so an
+// epoch allocates nothing once warm. push and pop are forced inline: called
+// out of line they cost the water-fill about 10%.
+class SaturationHeap {
+ public:
+  bool empty() const { return v_.empty(); }
+  size_t size() const { return v_.size(); }
+  const HeapEntry& top() const { return v_.front(); }
+  void clear() { v_.clear(); }
+
+  __attribute__((always_inline)) void push(const HeapEntry& e) {
+    v_.push_back(e);
+    SiftUp(v_.size() - 1, e);
+  }
+
+  // libstdc++'s pop_heap + pop_back: the last entry leaves the array, the hole
+  // left at the root sinks to a leaf along the smaller child (the right one on
+  // equal shares), and the last entry is sifted up from there (__adjust_heap).
+  __attribute__((always_inline)) void pop() {
+    const size_t len = v_.size() - 1;  // entries left after the pop
+    if (len > 0) {
+      const HeapEntry last = v_[len];
+      size_t hole = 0;
+      size_t child = 0;
+      while (child < (len - 1) / 2) {
+        child = 2 * (child + 1);
+        child -= static_cast<size_t>(v_[child].share > v_[child - 1].share);
+        v_[hole] = v_[child];
+        hole = child;
+      }
+      if ((len & 1) == 0 && child == (len - 2) / 2) {
+        child = 2 * (child + 1);
+        v_[hole] = v_[child - 1];
+        hole = child - 1;
+      }
+      SiftUp(hole, last);
+    }
+    v_.pop_back();
+  }
+
+ private:
+  // libstdc++'s __push_heap: moves the hole at `hole` up while its parent's
+  // share is strictly greater than `e`'s, then stores `e` there.
+  void SiftUp(size_t hole, const HeapEntry& e) {
+    while (hole > 0) {
+      const size_t parent = (hole - 1) / 2;
+      if (!(v_[parent].share > e.share)) {
+        break;
+      }
+      v_[hole] = v_[parent];
+      hole = parent;
+    }
+    v_[hole] = e;
+  }
+
+  std::vector<HeapEntry> v_;
 };
 
 // Computes the allocation in place. `link_capacity_bps[i]` is the capacity of link i.
@@ -98,12 +177,9 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
 // across quanta in which the flow set, caps, and capacities are all unchanged.
 class IncrementalMaxMin {
  public:
-  // Resets the flow/link set for a new epoch; previously returned rates are
-  // invalidated. Scratch capacity is retained. The first `keep_links` link
-  // capacities survive into the new epoch (callers pass the count of fixed
-  // access links when they verified those capacities did not change, skipping
-  // 2n AddLink calls per epoch); pass 0 to start from an empty link set.
-  void BeginEpoch(size_t keep_links = 0);
+  // Resets the flow and link sets for a new epoch; previously returned rates
+  // are invalidated. Scratch capacity is retained.
+  void BeginEpoch();
 
   // Registers the next link; ids are assigned densely in call order.
   int32_t AddLink(double capacity_bps);
@@ -150,21 +226,6 @@ class IncrementalMaxMin {
   // Pure data movement, kept apart from Allocate()'s arithmetic.
   void BuildEpochScratch();
 
-  struct HeapEntry {
-    double share;
-    int32_t link;
-    uint32_t stamp;
-    bool operator>(const HeapEntry& o) const { return share > o.share; }
-  };
-  // std::priority_queue with a drainable underlying container, so the heap's
-  // storage survives across epochs. Same element order semantics as the
-  // reference implementation's priority_queue.
-  struct ReusableHeap
-      : std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<HeapEntry>> {
-    void clear() { c.clear(); }
-    void reserve(size_t n) { c.reserve(n); }
-  };
-
   // Epoch inputs. Flows are stored CSR-style: flow i crosses
   // flow_links_[flow_off_[i] .. flow_off_[i+1]).
   std::vector<double> capacity_;     // per link
@@ -183,7 +244,7 @@ class IncrementalMaxMin {
   std::vector<std::pair<double, uint32_t>> sort_buf_;  // (cap, flow) pairs
   std::vector<size_t> by_cap_;
   std::vector<char> frozen_;
-  ReusableHeap heap_;
+  SaturationHeap heap_;
 };
 
 }  // namespace bullet

@@ -1,6 +1,7 @@
 #include "src/sim/network.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <unordered_map>
 #include <utility>
@@ -57,6 +58,10 @@ Network::Network(std::unique_ptr<Topology> topology, NetworkConfig config, uint6
   const size_t interior_ids = static_cast<size_t>(topology_->interior_id_limit());
   interior_epoch_.assign(interior_ids, 0);
   interior_link_id_.assign(interior_ids, -1);
+  const size_t access_ids = 2 * static_cast<size_t>(topology_->num_nodes());
+  access_flows_.assign(access_ids, 0);
+  access_touched_.assign((access_ids + 63) / 64, 0);
+  access_link_id_.assign(access_ids, -1);
   BULLET_CHECK((!config_.aggregate_flows ||
                 config_.allocator_mode == NetworkConfig::AllocatorMode::kIncremental) &&
                "aggregate_flows requires the incremental allocator mode");
@@ -114,8 +119,12 @@ ConnId Network::Connect(NodeId from, NodeId to) {
       path_pool_.insert(path_pool_.end(), route.begin(), route.end());
     }
   }
+  conn->open_pos = static_cast<uint32_t>(open_conns_.size());
   conns_.push_back(std::move(conn));
   conn_busy_mask_.push_back(0);
+  if (busy_pos_.size() * 64 <= open_conns_.size()) {
+    busy_pos_.push_back(0);
+  }
   open_conns_.push_back(id);
 
   // TCP three-way handshake plus the first application-level write.
@@ -158,7 +167,7 @@ void Network::Close(ConnId conn_id) {
     dir.queued_bytes = 0;
     dir.rate_bps = 0.0;
   }
-  conn_busy_mask_[static_cast<size_t>(conn_id)] = 0;
+  SetConnBusyMask(*c, 0);
   // The next quantum boundary compacts this entry out of open_conns_ (doing it
   // right here would reorder the list differently from one batched pass and
   // change max-min tie-breaking; see RebuildAndAllocate).
@@ -207,9 +216,45 @@ bool Network::Send(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg) {
 // mark the flow set dirty so the next quantum re-water-fills.
 void Network::ActivateDirection(Conn& c, int dir_idx) {
   c.dir[dir_idx].cap_steady = false;
-  conn_busy_mask_[static_cast<size_t>(c.id)] |= static_cast<uint8_t>(1 << dir_idx);
+  const uint8_t mask = conn_busy_mask_[static_cast<size_t>(c.id)];
+  SetConnBusyMask(c, mask | static_cast<uint8_t>(1 << dir_idx));
   ++active_dirs_;
   alloc_dirty_ = true;
+}
+
+void Network::DeactivateDirection(Conn& c, int dir_idx) {
+  Direction& dir = c.dir[dir_idx];
+  dir.idle_since = now();
+  dir.rate_bps = 0.0;
+  const uint8_t mask = conn_busy_mask_[static_cast<size_t>(c.id)];
+  SetConnBusyMask(c, mask & static_cast<uint8_t>(~(1 << dir_idx)));
+  --active_dirs_;
+  alloc_dirty_ = true;
+}
+
+// Stores the connection's busy mask and keeps the busy index and the busy-flow
+// counts of the access links in step.
+void Network::SetConnBusyMask(Conn& c, uint8_t mask) {
+  const uint8_t flipped = conn_busy_mask_[static_cast<size_t>(c.id)] ^ mask;
+  conn_busy_mask_[static_cast<size_t>(c.id)] = mask;
+  uint64_t& word = busy_pos_[c.open_pos / 64];
+  const uint64_t bit = uint64_t{1} << (c.open_pos % 64);
+  word = mask != 0 ? (word | bit) : (word & ~bit);
+  const int n = topology_->num_nodes();
+  for (int i = 0; i < 2; ++i) {
+    if ((flipped & (1 << i)) != 0) {
+      const int32_t delta = (mask & (1 << i)) != 0 ? 1 : -1;
+      CountAccessFlow(static_cast<size_t>(c.node[i]), delta);
+      CountAccessFlow(static_cast<size_t>(n + c.node[1 - i]), delta);
+    }
+  }
+}
+
+void Network::CountAccessFlow(size_t key, int32_t delta) {
+  const int32_t flows = access_flows_[key] += delta;
+  const uint64_t bit = uint64_t{1} << (key % 64);
+  uint64_t& word = access_touched_[key / 64];
+  word = flows > 0 ? (word | bit) : (word & ~bit);
 }
 
 size_t Network::QueuedMessages(ConnId conn_id, NodeId from) const {
@@ -318,13 +363,21 @@ void Network::ScheduleNextTick() {
 // exact pass the pre-PR tick ran every quantum. Batch shape matters: the
 // resulting permutation feeds the allocator, whose FP tie-breaking depends on
 // flow order, so closes are compacted per quantum boundary rather than one by
-// one at Close() time.
+// one at Close() time. A moved connection takes its position and its busy-index
+// bit along (a closed connection's bit is already clear).
 void Network::CompactOpenConns() {
   for (size_t i = 0; i < open_conns_.size();) {
     const Conn* c = GetConn(open_conns_[i]);
     if (c == nullptr || c->closed) {
-      open_conns_[i] = open_conns_.back();
+      const size_t last = open_conns_.size() - 1;
+      open_conns_[i] = open_conns_[last];
       open_conns_.pop_back();
+      if (i != last) {
+        conns_[static_cast<size_t>(open_conns_[i])]->open_pos = static_cast<uint32_t>(i);
+        const uint64_t busy = (busy_pos_[last / 64] >> (last % 64)) & 1;
+        busy_pos_[last / 64] &= ~(uint64_t{1} << (last % 64));
+        busy_pos_[i / 64] |= busy << (i % 64);
+      }
     } else {
       ++i;
     }
@@ -343,10 +396,14 @@ void Network::Tick() {
   if (config_.allocator_mode == NetworkConfig::AllocatorMode::kFullRecompute) {
     TickFullRecompute(dt_sec);
   } else if (active_dirs_ > 0) {
-    const bool caps_same = CapacitiesUnchanged();
-    if (alloc_dirty_ || !caps_same) {
-      RebuildAndAllocate(caps_same);
+    if (alloc_dirty_ || !CapacitiesUnchanged()) {
+      RebuildAndAllocate();
     }
+#ifdef BULLET_VERIFY_CACHED_RATES
+    if (!config_.aggregate_flows) {
+      VerifyCachedRates();
+    }
+#endif
     AdvanceTransmissions(dt_sec);
   }
 
@@ -354,25 +411,26 @@ void Network::Tick() {
 }
 
 // True when every link capacity the last allocation used is unchanged, so the
-// cached rates are still exact. Covers all access links plus the interior links
-// that carried flows; links without flows cannot influence the allocation.
+// cached rates are still exact. Covers the access and interior links that
+// carried flows; links without flows cannot influence the allocation.
 bool Network::CapacitiesUnchanged() const {
-  const int n = topology_->num_nodes();
-  if (base_caps_.size() != static_cast<size_t>(2 * n)) {
-    return false;  // never allocated yet
-  }
-  for (NodeId i = 0; i < n; ++i) {
-    if (topology_->uplink(i).bandwidth_bps != base_caps_[static_cast<size_t>(i)] ||
-        topology_->downlink(i).bandwidth_bps != base_caps_[static_cast<size_t>(n + i)]) {
+  for (const LinkCap& lc : access_caps_) {
+    if (AccessLinkCapacity(lc.id) != lc.cap) {
       return false;
     }
   }
-  for (const InteriorCap& ic : interior_caps_) {
-    if (topology_->interior_link(ic.id).bandwidth_bps != ic.cap) {
+  for (const LinkCap& lc : interior_caps_) {
+    if (topology_->interior_link(lc.id).bandwidth_bps != lc.cap) {
       return false;
     }
   }
   return true;
+}
+
+double Network::AccessLinkCapacity(int32_t key) const {
+  const int n = topology_->num_nodes();
+  return key < n ? topology_->uplink(key).bandwidth_bps
+                 : topology_->downlink(key - n).bandwidth_bps;
 }
 
 int32_t Network::InteriorLinkIdForEpoch(int32_t interior_id) {
@@ -385,90 +443,92 @@ int32_t Network::InteriorLinkIdForEpoch(int32_t interior_id) {
     interior_epoch_[key] = epoch_counter_;
     const double cap = topology_->interior_link(interior_id).bandwidth_bps;
     interior_link_id_[key] = alloc_.AddLink(cap);
-    interior_caps_.push_back(InteriorCap{interior_id, cap});
+    interior_caps_.push_back(LinkCap{interior_id, cap});
   }
   return interior_link_id_[key];
 }
 
-// Rebuilds the active flow set and re-runs water-filling. Link ids and flow
-// order replicate the pre-routed tick exactly: uplink(i) = i, downlink(i) = n + i,
-// interior links assigned densely in first-use order while scanning open_conns_ —
-// the allocator's FP results depend on these orders (see bandwidth_allocator.h).
-void Network::RebuildAndAllocate(bool base_caps_unchanged) {
+// Rebuilds the active flow set and re-runs water-filling, at a cost of the busy
+// flows and their paths. Flow order and link numbering replicate the pre-routed
+// tick up to renaming: flows in open_conns_ scan order; links numbered touched
+// access links first, in legacy id order (uplink(i) = i before downlink(i) =
+// n + i), then interior links in first-use order. Links no flow crosses were
+// never pushed onto the allocator's heap, so leaving them out keeps its push
+// sequence, and with it every FP result (see bandwidth_allocator.h).
+void Network::RebuildAndAllocate() {
   BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
   ++allocator_epochs_;
   const int n = topology_->num_nodes();
-  if (base_caps_unchanged && base_caps_.size() == static_cast<size_t>(2 * n)) {
-    // Access-link capacities are verified unchanged; keep them in place.
-    alloc_.BeginEpoch(static_cast<size_t>(2 * n));
-  } else {
-    alloc_.BeginEpoch(0);
-    base_caps_.resize(static_cast<size_t>(2 * n));
-    for (NodeId i = 0; i < n; ++i) {
-      const double up = topology_->uplink(i).bandwidth_bps;
-      alloc_.AddLink(up);
-      base_caps_[static_cast<size_t>(i)] = up;
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      const double down = topology_->downlink(i).bandwidth_bps;
-      alloc_.AddLink(down);
-      base_caps_[static_cast<size_t>(n + i)] = down;
-    }
-  }
+  alloc_.BeginEpoch();
   ++epoch_counter_;
+  access_caps_.clear();
   interior_caps_.clear();
   cached_flows_.clear();
   ramping_flows_ = 0;
 
-  for (const ConnId id : open_conns_) {
-    const uint8_t busy = conn_busy_mask_[static_cast<size_t>(id)];
-    if (busy == 0) {
-      continue;  // no established direction with queued bytes
+  // Register the access links the busy flows cross, with their current
+  // capacities; the interior links follow in first-use order.
+  for (size_t w = 0; w < access_touched_.size(); ++w) {
+    for (uint64_t bits = access_touched_[w]; bits != 0; bits &= bits - 1) {
+      const size_t key = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      const double cap = AccessLinkCapacity(static_cast<int32_t>(key));
+      access_link_id_[key] = alloc_.AddLink(cap);
+      access_caps_.push_back(LinkCap{static_cast<int32_t>(key), cap});
     }
-    Conn* c = conns_[static_cast<size_t>(id)].get();
-    for (int i = 0; i < 2; ++i) {
-      if ((busy & (1 << i)) == 0) {
-        continue;
-      }
-      Direction& dir = c->dir[i];
-      const NodeId src = c->node[i];
-      const NodeId dst = c->node[1 - i];
-      // Allocator link list: uplink, downlink, then the interior links — the
-      // historical (src, n+dst, core) order generalized to routed paths.
-      flow_link_scratch_.clear();
-      flow_link_scratch_.push_back(src);
-      flow_link_scratch_.push_back(static_cast<int32_t>(n) + dst);
-      for (const int32_t* it = PathInteriorBegin(c->path[i]);
-           it != PathInteriorEnd(c->path[i]); ++it) {
-        flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
-      }
-      if (!dir.cap_steady) {
-        bool steady = false;
-        dir.cap_cache =
-            TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, kTcp, &steady);
-        dir.cap_steady = steady;
-        if (!steady) {
-          ++ramping_flows_;
+  }
+  const size_t num_access = alloc_.num_links();
+
+  // The busy flows, from the busy index in position order.
+  const size_t open = open_conns_.size();
+  for (size_t w = 0; w * 64 < open; ++w) {
+    for (uint64_t bits = busy_pos_[w]; bits != 0; bits &= bits - 1) {
+      const size_t pos = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      BULLET_CHECK(pos < open && "busy index bit past the open-connection list");
+      const ConnId id = open_conns_[pos];
+      const uint8_t busy = conn_busy_mask_[static_cast<size_t>(id)];
+      Conn* c = conns_[static_cast<size_t>(id)].get();
+      for (int i = 0; i < 2; ++i) {
+        if ((busy & (1 << i)) == 0) {
+          continue;
         }
+        Direction& dir = c->dir[i];
+        // Allocator link list: uplink, downlink, then the interior links — the
+        // historical (src, n+dst, core) order generalized to routed paths.
+        flow_link_scratch_.clear();
+        flow_link_scratch_.push_back(access_link_id_[static_cast<size_t>(c->node[i])]);
+        flow_link_scratch_.push_back(access_link_id_[static_cast<size_t>(n + c->node[1 - i])]);
+        for (const int32_t* it = PathInteriorBegin(c->path[i]);
+             it != PathInteriorEnd(c->path[i]); ++it) {
+          flow_link_scratch_.push_back(InteriorLinkIdForEpoch(*it));
+        }
+        if (!dir.cap_steady) {
+          bool steady = false;
+          dir.cap_cache =
+              TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, kTcp, &steady);
+          dir.cap_steady = steady;
+          if (!steady) {
+            ++ramping_flows_;
+          }
+        }
+        alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache);
+        cached_flows_.push_back(CachedFlow{c, i});
       }
-      alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache);
-      cached_flows_.push_back(CachedFlow{c, i});
     }
   }
 
   if (config_.aggregate_flows) {
     // Aggregated water-fill: bundles over the interior links only; the member
     // split and access-link bounds happen inside the aggregator.
-    aggregator_.Allocate(alloc_, static_cast<size_t>(2 * n));
+    aggregator_.Allocate(alloc_, num_access);
     current_rates_ = &aggregator_.rates();
     max_interior_link_flows_ =
         std::max(max_interior_link_flows_, aggregator_.max_interior_link_flows());
   } else {
     alloc_.Allocate();
     current_rates_ = &alloc_.rates();
-    // Shared-bottleneck introspection: widest interior link of this epoch (links
-    // below 2n are access links). The CSR row widths are valid after Allocate().
-    for (size_t l = static_cast<size_t>(2 * n); l < alloc_.num_links(); ++l) {
+    // Shared-bottleneck introspection: widest interior link of this epoch (the
+    // access links come first). The CSR row widths are valid after Allocate().
+    for (size_t l = num_access; l < alloc_.num_links(); ++l) {
       max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
     }
   }
@@ -480,62 +540,56 @@ void Network::RebuildAndAllocate(bool base_caps_unchanged) {
 void Network::AdvanceTransmissions(double dt_sec) {
   for (size_t fi = 0; fi < cached_flows_.size(); ++fi) {
     Conn* c = cached_flows_[fi].conn;
-    const int dir_idx = cached_flows_[fi].dir_idx;
-    if (c->closed) {
-      continue;
-    }
-    Direction& dir = c->dir[dir_idx];
-    if (dir.queue.empty()) {
-      continue;
-    }
-    dir.rate_bps = (*current_rates_)[fi];
-    dir.tcp.last_busy = now();
-    double budget = dir.rate_bps / 8.0 * dt_sec;
-    while (!dir.queue.empty() && budget >= dir.queue.front().remaining_bytes) {
-      QueuedMsg qm = std::move(dir.queue.front());
-      dir.queue.pop_front();
-      budget -= qm.remaining_bytes;
-      dir.queued_bytes -= qm.msg->wire_bytes;
-      tx_bytes_[static_cast<size_t>(c->node[dir_idx])] += qm.msg->wire_bytes;
-      // Delivery is scheduled, not synchronous, so no reentrancy happens here.
-      EnqueueDelivery(c->id, *c, dir_idx, std::move(qm.msg));
-    }
-    if (!dir.queue.empty()) {
-      dir.queue.front().remaining_bytes -= budget;
-    } else {
-      dir.idle_since = now();
-      dir.rate_bps = 0.0;
-      conn_busy_mask_[static_cast<size_t>(c->id)] &= static_cast<uint8_t>(~(1 << dir_idx));
-      --active_dirs_;
-      alloc_dirty_ = true;
+    if (!c->closed) {
+      AdvanceDirection(*c, cached_flows_[fi].dir_idx, (*current_rates_)[fi], dt_sec);
     }
   }
 }
 
-// The pre-PR tick body: rebuild every auxiliary structure and recompute all
-// rates each quantum. Kept as the A/B reference for the perf_core_scale
-// benchmark and the determinism tests.
-void Network::TickFullRecompute(double dt_sec) {
-  // Build the active flow set. Link ids: uplink(n) = n, downlink(n) = N + n,
-  // interior links assigned densely on demand.
+// Transmits up to one quantum's worth of a busy direction's queue at `rate_bps`,
+// scheduling the delivery of every message that completes; a direction whose
+// queue drains goes idle.
+void Network::AdvanceDirection(Conn& c, int dir_idx, double rate_bps, double dt_sec) {
+  Direction& dir = c.dir[dir_idx];
+  if (dir.queue.empty()) {
+    return;
+  }
+  dir.rate_bps = rate_bps;
+  dir.tcp.last_busy = now();
+  double budget = dir.rate_bps / 8.0 * dt_sec;
+  while (!dir.queue.empty() && budget >= dir.queue.front().remaining_bytes) {
+    QueuedMsg qm = std::move(dir.queue.front());
+    dir.queue.pop_front();
+    budget -= qm.remaining_bytes;
+    dir.queued_bytes -= qm.msg->wire_bytes;
+    tx_bytes_[static_cast<size_t>(c.node[dir_idx])] += qm.msg->wire_bytes;
+    // Delivery is scheduled, not synchronous, so no reentrancy happens here.
+    EnqueueDelivery(c.id, c, dir_idx, std::move(qm.msg));
+  }
+  if (!dir.queue.empty()) {
+    dir.queue.front().remaining_bytes -= budget;
+  } else {
+    DeactivateDirection(c, dir_idx);
+  }
+}
+
+Network::FullFlowSet Network::AssembleFullFlowSet() const {
   const int n = topology_->num_nodes();
-  std::vector<PathFlowSpec> flows;
-  std::vector<std::pair<ConnId, int>> flow_dirs;
-  std::vector<double> capacities(static_cast<size_t>(2 * n));
+  FullFlowSet set;
+  set.capacities.resize(static_cast<size_t>(2 * n));
   for (NodeId i = 0; i < n; ++i) {
-    capacities[static_cast<size_t>(i)] = topology_->uplink(i).bandwidth_bps;
-    capacities[static_cast<size_t>(n + i)] = topology_->downlink(i).bandwidth_bps;
+    set.capacities[static_cast<size_t>(i)] = topology_->uplink(i).bandwidth_bps;
+    set.capacities[static_cast<size_t>(n + i)] = topology_->downlink(i).bandwidth_bps;
   }
   std::unordered_map<int32_t, int32_t> interior_ids;
   for (const ConnId id : open_conns_) {
-    Conn* c = GetConn(id);
+    const Conn* c = GetConn(id);
     if (!c->established) {
       continue;
     }
     for (int i = 0; i < 2; ++i) {
-      Direction& dir = c->dir[i];
+      const Direction& dir = c->dir[i];
       if (dir.queue.empty()) {
-        dir.rate_bps = 0.0;
         continue;
       }
       const NodeId src = c->node[i];
@@ -544,35 +598,59 @@ void Network::TickFullRecompute(double dt_sec) {
       flow.links.reserve(2 + c->path[i].interior_len);
       flow.links.push_back(src);
       flow.links.push_back(static_cast<int32_t>(n) + dst);
-      for (const int32_t* pi = PathInteriorBegin(c->path[i]);
-           pi != PathInteriorEnd(c->path[i]); ++pi) {
-        auto [it, inserted] = interior_ids.emplace(*pi, static_cast<int32_t>(capacities.size()));
+      for (const int32_t* pi = PathInteriorBegin(c->path[i]); pi != PathInteriorEnd(c->path[i]);
+           ++pi) {
+        auto [it, inserted] =
+            interior_ids.emplace(*pi, static_cast<int32_t>(set.capacities.size()));
         if (inserted) {
-          capacities.push_back(topology_->interior_link(*pi).bandwidth_bps);
+          set.capacities.push_back(topology_->interior_link(*pi).bandwidth_bps);
         }
         flow.links.push_back(it->second);
       }
       // The PathCache snapshot equals the live Rtt/PathLoss lookups the pre-PR
       // code performed here: delay and loss are static for a run's lifetime.
       flow.cap_bps = TcpRateCapBps(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, kTcp);
-      flows.push_back(std::move(flow));
-      flow_dirs.emplace_back(id, i);
+      set.flows.push_back(std::move(flow));
+      set.dirs.emplace_back(id, i);
     }
   }
+  return set;
+}
 
+// The rates this quantum transmits at must be bit for bit the ones the
+// full-recompute tick would compute now.
+void Network::VerifyCachedRates() const {
+  FullFlowSet full = AssembleFullFlowSet();
+  AllocateMaxMinPaths(full.flows, full.capacities);
+  BULLET_CHECK(full.flows.size() == cached_flows_.size() && "cached flow set is stale");
+  for (size_t fi = 0; fi < full.flows.size(); ++fi) {
+    BULLET_CHECK(full.dirs[fi].first == cached_flows_[fi].conn->id &&
+                 full.dirs[fi].second == cached_flows_[fi].dir_idx && "cached flow order differs");
+    BULLET_CHECK(std::bit_cast<uint64_t>(full.flows[fi].rate_bps) ==
+                     std::bit_cast<uint64_t>((*current_rates_)[fi]) &&
+                 "cached rate differs from a full recompute");
+  }
+}
+
+// The pre-PR tick body: rebuild every auxiliary structure and recompute all
+// rates each quantum. Kept as the A/B reference for the perf_core_scale
+// benchmark and the determinism tests.
+void Network::TickFullRecompute(double dt_sec) {
+  FullFlowSet full = AssembleFullFlowSet();
   ++allocator_epochs_;
   {
     BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
-    AllocateMaxMinPaths(flows, capacities);
+    AllocateMaxMinPaths(full.flows, full.capacities);
   }
   // Shared-bottleneck introspection, mirroring RebuildAndAllocate: interior
   // link ids start at 2n; count per-link flows directly from the flow lists.
-  if (capacities.size() > static_cast<size_t>(2 * n)) {
-    std::vector<int32_t> interior_flow_counts(capacities.size() - static_cast<size_t>(2 * n), 0);
-    for (const PathFlowSpec& flow : flows) {
+  const size_t num_access = static_cast<size_t>(2 * topology_->num_nodes());
+  if (full.capacities.size() > num_access) {
+    std::vector<int32_t> interior_flow_counts(full.capacities.size() - num_access, 0);
+    for (const PathFlowSpec& flow : full.flows) {
       for (const int32_t l : flow.links) {
-        if (l >= 2 * n) {
-          ++interior_flow_counts[static_cast<size_t>(l - 2 * n)];
+        if (static_cast<size_t>(l) >= num_access) {
+          ++interior_flow_counts[static_cast<size_t>(l) - num_access];
         }
       }
     }
@@ -581,33 +659,10 @@ void Network::TickFullRecompute(double dt_sec) {
     }
   }
 
-  // Advance transmissions.
-  for (size_t fi = 0; fi < flows.size(); ++fi) {
-    const auto [conn_id, dir_idx] = flow_dirs[fi];
-    Conn* c = GetConn(conn_id);
-    if (c == nullptr || c->closed) {
-      continue;
-    }
-    Direction& dir = c->dir[dir_idx];
-    dir.rate_bps = flows[fi].rate_bps;
-    dir.tcp.last_busy = now();
-    double budget = dir.rate_bps / 8.0 * dt_sec;
-    while (!dir.queue.empty() && budget >= dir.queue.front().remaining_bytes) {
-      QueuedMsg qm = std::move(dir.queue.front());
-      dir.queue.pop_front();
-      budget -= qm.remaining_bytes;
-      dir.queued_bytes -= qm.msg->wire_bytes;
-      tx_bytes_[static_cast<size_t>(c->node[dir_idx])] += qm.msg->wire_bytes;
-      EnqueueDelivery(conn_id, *c, dir_idx, std::move(qm.msg));
-    }
-    if (!dir.queue.empty()) {
-      dir.queue.front().remaining_bytes -= budget;
-    } else {
-      dir.idle_since = now();
-      dir.rate_bps = 0.0;
-      conn_busy_mask_[static_cast<size_t>(conn_id)] &= static_cast<uint8_t>(~(1 << dir_idx));
-      --active_dirs_;
-      alloc_dirty_ = true;
+  for (size_t fi = 0; fi < full.flows.size(); ++fi) {
+    Conn* c = GetConn(full.dirs[fi].first);
+    if (c != nullptr && !c->closed) {
+      AdvanceDirection(*c, full.dirs[fi].second, full.flows[fi].rate_bps, dt_sec);
     }
   }
 }

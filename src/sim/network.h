@@ -30,12 +30,26 @@
 //   * compaction of closed connections runs only on quanta that saw a Close();
 //   * the flow set is rebuilt and re-water-filled only when dirty — a direction
 //     became busy or idle, a connection closed, a flow's TCP cap is still ramping,
-//     or a link capacity changed (detected by comparing the capacities the last
-//     allocation used against the topology);
+//     or a capacity changed on a link the last allocation used (a link no flow
+//     crosses cannot influence the rates; the next flow to cross it dirties the
+//     flow set anyway, and the rebuild reads every capacity fresh);
+//   * a rebuild costs what the busy flows cost, not what the network holds: a
+//     busy index (one bit per open_conns_ position, moved with its connection
+//     by the compaction) lists the connections with a busy direction in scan
+//     order, and only the access links those flows cross are registered —
+//     uplinks, then downlinks, each in node order, so the allocator's heap sees
+//     the same push sequence as with all 2n access links registered. Both
+//     indexes change only where a direction goes busy or idle;
 //   * on clean quanta the cached rates are reused — by determinism they are
 //     exactly what a recompute would produce — and only transmission advancement
 //     runs;
 //   * a fully idle network (no queued bytes anywhere) ticks in O(1).
+//
+// Checked builds (BULLET_SANITIZE=ON defines BULLET_VERIFY_CACHED_RATES) verify
+// the cached rates every quantum that has flows: they rebuild the flow set the
+// way the full-recompute tick does, water-fill it with the stateless reference
+// and BULLET_CHECK that every cached rate is bitwise equal (exact allocator
+// only; the aggregated one is not bit-exact by design).
 //
 // Per-flow TCP caps are cached once the slow-start ramp reaches its steady ceiling
 // (tcp_model.h), message queues are ring buffers that recycle their storage, and
@@ -289,6 +303,7 @@ class Network {
     NodeId node[2] = {-1, -1};
     Direction dir[2];   // dir[i] carries node[i] -> node[1-i]
     PathCache path[2];  // path[i] describes node[i] -> node[1-i]
+    uint32_t open_pos = 0;  // index in open_conns_ while listed there
     bool established = false;
     bool closed = false;
   };
@@ -306,16 +321,38 @@ class Network {
     return path_pool_.data() + path.interior_off + path.interior_len;
   }
 
+  // The flow set as the full-recompute tick builds it: every established
+  // direction with queued bytes in open_conns_ order, link ids uplink(i) = i,
+  // downlink(i) = n + i and interior links from 2n in first-use order, fresh
+  // TCP caps and capacities. Independent of the busy index and the touched-link
+  // registration, so the checked-build verifier can hold those to it.
+  struct FullFlowSet {
+    std::vector<PathFlowSpec> flows;
+    std::vector<std::pair<ConnId, int>> dirs;  // (conn, direction) per flow
+    std::vector<double> capacities;
+  };
+  FullFlowSet AssembleFullFlowSet() const;
+
   void ScheduleNextTick();
   void Tick();
   void TickFullRecompute(double dt_sec);
   void CompactOpenConns();
   bool CapacitiesUnchanged() const;
-  void RebuildAndAllocate(bool base_caps_unchanged);
+  void RebuildAndAllocate();
   void AdvanceTransmissions(double dt_sec);
+  void AdvanceDirection(Conn& c, int dir_idx, double rate_bps, double dt_sec);
+  // Checked builds call this every quantum that has flows (see the file comment).
+  void VerifyCachedRates() const;
 
+  // Capacity of the access link with legacy id `key`: uplink(key) for key < n,
+  // downlink(key - n) above.
+  double AccessLinkCapacity(int32_t key) const;
   int32_t InteriorLinkIdForEpoch(int32_t interior_id);
   void ActivateDirection(Conn& c, int dir_idx);
+  // Busy -> idle transition of a direction whose queue just drained.
+  void DeactivateDirection(Conn& c, int dir_idx);
+  void SetConnBusyMask(Conn& c, uint8_t mask);
+  void CountAccessFlow(size_t key, int32_t delta);
   void DeliverMessage(ConnId conn_id, int receiver_idx, std::unique_ptr<Message> msg);
   void EnqueueDelivery(ConnId conn_id, Conn& c, int sender_idx, std::unique_ptr<Message> msg);
 
@@ -329,10 +366,13 @@ class Network {
   // Pooled PathCache interior routes (see PathCache); append-only.
   std::vector<int32_t> path_pool_;
   std::vector<ConnId> open_conns_;            // compacted on quantum boundaries
-  // Bit i set when conn->dir[i] is established with queued bytes. Lets the
-  // rebuild scan skip idle connections with one flat byte load instead of a
-  // pointer chase (most connections are idle in any given quantum).
+  // Bit i set when conn->dir[i] is established with queued bytes.
   std::vector<uint8_t> conn_busy_mask_;  // indexed by ConnId
+  // The busy index: bit p set while open_conns_[p] has a nonzero busy mask.
+  // CompactOpenConns moves a bit with its connection, so scanning the set bits
+  // in ascending order visits the busy connections in open_conns_ order
+  // without touching the idle ones (most connections are idle in any quantum).
+  std::vector<uint64_t> busy_pos_;
 
   std::vector<int64_t> tx_bytes_;
   std::vector<int64_t> rx_bytes_;
@@ -357,14 +397,21 @@ class Network {
   };
   std::vector<CachedFlow> cached_flows_;
   // Capacities the last allocation was computed from, for change detection:
-  // all access links (uplinks then downlinks, legacy id order) ...
-  std::vector<double> base_caps_;
-  // ... plus every interior link a flow used, as (topology id, capacity).
-  struct InteriorCap {
+  // every link a flow used, as (id, capacity) — access links by legacy id
+  // (uplink(i) = i, downlink(i) = n + i), interior links by topology id.
+  struct LinkCap {
     int32_t id;
     double cap;
   };
-  std::vector<InteriorCap> interior_caps_;
+  std::vector<LinkCap> access_caps_;
+  std::vector<LinkCap> interior_caps_;
+  // Busy flows per access link, by legacy id, kept by SetConnBusyMask; a bit
+  // per legacy id set while that count is positive; and the dense allocator
+  // id each touched link was registered under this epoch. Ascending legacy ids
+  // put uplinks before downlinks, each in node order.
+  std::vector<int32_t> access_flows_;
+  std::vector<uint64_t> access_touched_;
+  std::vector<int32_t> access_link_id_;
   // Per-topology-interior-link dense allocator id for the current allocation
   // epoch (stamped). On the mesh the topology id is src*N+dst, reproducing the
   // historical per-ordered-pair core-id table.

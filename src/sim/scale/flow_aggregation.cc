@@ -107,7 +107,7 @@ void FlowAggregator::Allocate(const IncrementalMaxMin& epoch, size_t num_access_
   // Pass 3: water-fill bundles over the interior links only (remapped to a
   // dense 0-based id space), and record the member-level link widths for the
   // shared-bottleneck telemetry.
-  bundle_alloc_.BeginEpoch(0);
+  bundle_alloc_.BeginEpoch();
   for (size_t l = 0; l < ni; ++l) {
     bundle_alloc_.AddLink(link_cap[num_access_links + l]);
   }

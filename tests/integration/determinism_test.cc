@@ -139,7 +139,12 @@ std::unique_ptr<Topology> RoutedScriptTopology() {
 
 // A fixed traffic script: connects, staggered sends (several per quantum,
 // some idle gaps), a mid-run close, a node failure, and periodic correlated
-// bandwidth halving. Returns every handler event of every node, in order.
+// bandwidth halving. Three more inputs aim at the incremental tick's
+// bookkeeping: many mostly idle connections whose closes move busy ones to
+// earlier open-list positions in quanta where other directions go busy or
+// idle; an access-link capacity change on a node that is idle at the time and
+// sends later; and one on the uplink of a busy flow. Returns every handler
+// event of every node, in order.
 std::vector<std::string> RunScript(const NetworkConfig& config,
                                    std::unique_ptr<Topology> topo = ScriptTopology()) {
   Network net(std::move(topo), config, 4242);
@@ -156,7 +161,53 @@ std::vector<std::string> RunScript(const NetworkConfig& config,
   const ConnId c02 = net.Connect(0, 2);
   const ConnId c12 = net.Connect(1, 2);
   const ConnId c34 = net.Connect(3, 4);
+  const ConnId c53 = net.Connect(5, 3);
+  const ConnId c05 = net.Connect(0, 5);
+  // Spare connections among nodes 0-4, listed after the ones above, so the
+  // swap-with-back compaction moves the last of them into closed slots.
+  struct Spare {
+    ConnId id;
+    NodeId end[2];
+  };
+  std::vector<Spare> spares;
+  for (int k = 0; k < 24; ++k) {
+    const NodeId from = k % 5;
+    const NodeId to = (k % 5 + 1 + (k / 5) % 4) % 5;
+    spares.push_back(Spare{net.Connect(from, to), {from, to}});
+  }
   int next_id = 0;
+  for (int j = 0; j < 8; ++j) {
+    net.queue().Schedule(SecToSim(0.85) + j * SecToSim(0.4) + MsToSim(4), [&, j] {
+      // A back entry goes busy while an early entry closes, so the next
+      // compaction moves a busy connection forward; a short message on a third
+      // spare goes busy now and idle within a few quanta.
+      const Spare& back = spares[static_cast<size_t>(23 - j)];
+      net.Send(back.id, back.end[j % 2], std::make_unique<ScriptMsg>(next_id++, 40 * 1024));
+      const Spare& brief = spares[static_cast<size_t>(8 + j)];
+      net.Send(brief.id, brief.end[0], std::make_unique<ScriptMsg>(next_id++, 2 * 1024));
+      net.Close(spares[static_cast<size_t>(j)].id);
+      if (j % 2 == 1) {
+        // Two closes in one quantum, one of a connection that may still be busy.
+        net.Close(spares[static_cast<size_t>(8 + j - 1)].id);
+      }
+    });
+  }
+  // Node 5 sends once, idles while its access links change, then sends again.
+  net.queue().Schedule(SecToSim(0.5) + MsToSim(2), [&] {
+    net.Send(c53, 5, std::make_unique<ScriptMsg>(next_id++, 32 * 1024));
+    net.Send(c05, 0, std::make_unique<ScriptMsg>(next_id++, 16 * 1024));
+  });
+  net.queue().Schedule(SecToSim(2.45) + MsToSim(5), [&] {
+    net.topology().uplink(5).bandwidth_bps = 0.1e6;
+    net.topology().downlink(5).bandwidth_bps = 0.08e6;
+  });
+  net.queue().Schedule(SecToSim(2.9) + MsToSim(6), [&] {
+    net.Send(c53, 5, std::make_unique<ScriptMsg>(next_id++, 48 * 1024));
+    net.Send(c05, 0, std::make_unique<ScriptMsg>(next_id++, 32 * 1024));
+  });
+  // Node 0's uplink narrows under the busy c01/c02 flows of the last burst.
+  net.queue().Schedule(SecToSim(6.1) + MsToSim(2),
+                       [&] { net.topology().uplink(0).bandwidth_bps = 0.15e6; });
   for (int burst = 0; burst < 6; ++burst) {
     net.queue().Schedule(SecToSim(0.3) + burst * SecToSim(1.1) + MsToSim(3), [&, burst] {
       net.Send(c01, 0, std::make_unique<ScriptMsg>(next_id++, 200 * 1024));

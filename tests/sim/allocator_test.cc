@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <queue>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -158,6 +160,60 @@ TEST_P(AllocatorPropertyTest, RandomInstanceInvariants) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, AllocatorPropertyTest, ::testing::Range(0, 25));
+
+#ifdef __GLIBCXX__
+// The water-fills' SaturationHeap replays libstdc++'s push_heap/pop_heap, so
+// entries with equal shares must leave it in exactly the order
+// std::priority_queue gives them: the allocator's rates depend on that order.
+// Seeded push/pop sequences over four distinct shares make ties the common
+// case; both heaps must show the same (share, link, stamp) on top after every
+// operation and drain in the same order.
+class SaturationHeapConformanceTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(SaturationHeapConformanceTest, MatchesStdPriorityQueueOnTies) {
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 17);
+  const double shares[] = {0.5e6, 1e6, 2.5e6, 4e6};
+  SaturationHeap heap;
+  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> reference;
+  auto expect_same_top = [&](int op) {
+    ASSERT_EQ(heap.size(), reference.size()) << "op " << op;
+    if (reference.empty()) {
+      return;
+    }
+    EXPECT_EQ(heap.top().share, reference.top().share) << "op " << op;
+    EXPECT_EQ(heap.top().link, reference.top().link) << "op " << op;
+    EXPECT_EQ(heap.top().stamp, reference.top().stamp) << "op " << op;
+  };
+  // Pushes outweigh pops early on and pops outweigh pushes later, so the heap
+  // grows to a few hundred entries and shrinks again through every size.
+  int32_t next_link = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const double push_p = op < 1500 ? 0.7 : 0.35;
+    if (reference.empty() || rng.Bernoulli(push_p)) {
+      const HeapEntry e{shares[rng.UniformInt(0, 3)], next_link++,
+                        static_cast<uint32_t>(rng.UniformInt(0, 7))};
+      heap.push(e);
+      reference.push(e);
+    } else {
+      heap.pop();
+      reference.pop();
+    }
+    expect_same_top(op);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+  }
+  while (!reference.empty()) {
+    ASSERT_FALSE(heap.empty());
+    EXPECT_EQ(heap.top().link, reference.top().link);
+    heap.pop();
+    reference.pop();
+  }
+  EXPECT_TRUE(heap.empty());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SaturationHeapConformanceTest, ::testing::Range(0, 12));
+#endif  // __GLIBCXX__
 
 }  // namespace
 }  // namespace bullet

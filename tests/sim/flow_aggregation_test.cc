@@ -24,7 +24,7 @@ namespace {
 // (uplink, downlink, interior...) like Network does it.
 struct EpochBuilder {
   explicit EpochBuilder(size_t num_access) : num_access_links(num_access) {
-    epoch.BeginEpoch(0);
+    epoch.BeginEpoch();
   }
 
   void AddAccessLinks(const std::vector<double>& caps) {

@@ -410,7 +410,7 @@ TEST(AllocatorPaths, IncrementalPathEngineMatchesReferenceBitwise) {
     const int num_links = static_cast<int>(rng.UniformInt(1, 24));
     const int num_flows = static_cast<int>(rng.UniformInt(1, 80));
     std::vector<double> capacity(static_cast<size_t>(num_links));
-    inc.BeginEpoch(0);
+    inc.BeginEpoch();
     for (auto& c : capacity) {
       // Tie-heavy: quantized capacities produce equal fair shares.
       c = 1e6 * rng.UniformInt(1, 8);
