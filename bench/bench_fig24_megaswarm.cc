@@ -7,9 +7,9 @@
 //     interior routes are composed from shared transit-to-transit segments
 //     instead of being cached whole, so route memory scales with the router
 //     graph, not with member pairs;
-//   * aggregated flows (NetworkConfig::aggregate_flows) — the allocator
-//     water-fills bundles of flows sharing an interior route, bounding epoch
-//     cost by router pairs instead of live flows;
+//   * the exact max-min allocator, as in every other scenario — every flow
+//     competes on its own for every link it crosses, and an allocator epoch
+//     costs what the busy flows cost (network.h);
 //   * arena-backed node state — the per-node peer tables live in pooled
 //     arenas whose live/peak bytes the run reports.
 //
@@ -37,8 +37,8 @@ namespace bullet {
 namespace {
 
 BULLET_SCENARIO(fig24_megaswarm,
-                "Extension — mega-swarm: 100k-member flash crowd on compressed routes, "
-                "aggregated flows and arena node state") {
+                "Extension — mega-swarm: 100k-member flash crowd on composed routes, "
+                "the exact allocator and arena node state") {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kTransitStub;
   cfg.num_nodes = 100000;
@@ -49,7 +49,6 @@ BULLET_SCENARIO(fig24_megaswarm,
   cfg.block_bytes = 64 * 1024;
   cfg.seed = 2401;
   cfg.deadline = SecToSim(7200.0);
-  cfg.net.aggregate_flows = true;
   ApplyScenarioOptions(opts, &cfg);
   // The scenario *is* the mega-swarm routed graph; like fig17/perf_core_*,
   // a --topology override does not apply.

@@ -1,16 +1,15 @@
 // perf_core_scale — simulator-core scaling benchmark (no paper figure).
 //
-// Runs the same Bullet' workload over the Fig. 14 wide-area topology twice: once
-// under the default incremental tick (dirty-tracked allocation, cached TCP caps,
-// O(1) idle quanta) and once under the pre-PR tick loop (full flow rebuild +
-// max-min recompute every quantum), and reports both wall clocks plus their
-// ratio. The two paths must agree flow-for-flow: `paths_match` is 1.0 only when
-// every receiver's completion time is bit-identical across the two runs, which
-// makes this scenario a large-scale determinism check as well as a speed gate.
+// Runs a Bullet' workload over the Fig. 14 wide-area topology at a 2 ms
+// quantum (dirty-tracked allocation, cached TCP caps, O(1) idle quanta) and
+// reports its wall clock next to the run's completion metrics. Correctness of
+// the cached rates is not measured here: checked builds hold every quantum of
+// every run to a full recompute (network.h).
 //
 // The committed baseline (bench/baselines/perf_core_baseline.json) pins the
-// speedup; bench_check enforces it in CI with a wide band for the wall-clock
-// metrics (machine-dependent) and a tight band for the behavioural ones.
+// completion metrics; bench_check enforces it in CI with a wide band for the
+// machine-dependent wall clock and the default band for the behavioural
+// metrics.
 
 #include <chrono>
 
@@ -24,7 +23,7 @@ double WallSeconds(const std::chrono::steady_clock::time_point& t0) {
 }
 
 BULLET_SCENARIO(perf_core_scale,
-                "Perf — incremental vs full-recompute simulator core, wide-area topology") {
+                "Perf — simulator core at a 2 ms quantum, wide-area topology") {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kWideArea;
   cfg.num_nodes = 200;
@@ -38,24 +37,13 @@ BULLET_SCENARIO(perf_core_scale,
   cfg.net.quantum = MsToSim(2);
   ApplyScenarioOptions(opts, &cfg);
 
+  const auto t0 = std::chrono::steady_clock::now();
+  const ScenarioResult result = RunScenario("bullet-prime", cfg);
+  const double wall = WallSeconds(t0);
+
   ScenarioReport report(kScenarioName);
-
-  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
-  const auto t_inc = std::chrono::steady_clock::now();
-  const ScenarioResult inc = RunScenario("bullet-prime", cfg);
-  const double wall_inc = WallSeconds(t_inc);
-
-  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
-  const auto t_full = std::chrono::steady_clock::now();
-  const ScenarioResult full = RunScenario("bullet-prime", cfg);
-  const double wall_full = WallSeconds(t_full);
-
-  report.AddCompletion("BulletPrime (incremental core)", inc);
-  report.AddCompletion("BulletPrime (full-recompute core)", full);
-  report.AddScalar("wall_sec_incremental", wall_inc);
-  report.AddScalar("wall_sec_full_recompute", wall_full);
-  report.AddScalar("speedup_full_over_incremental", wall_inc > 0.0 ? wall_full / wall_inc : 0.0);
-  report.AddScalar("paths_match", inc.completion_sec == full.completion_sec ? 1.0 : 0.0);
+  report.AddCompletion("BulletPrime (incremental core)", result);
+  report.AddScalar("wall_sec_incremental", wall);
   return report;
 }
 

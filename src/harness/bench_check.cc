@@ -10,10 +10,8 @@
 namespace bullet {
 namespace {
 
-// Aggregate schemas the band gate accepts. v3 added deterministic counter
-// metrics and (in profiled builds) per-point profile counts; the band
-// comparison itself is unchanged, so either side may be either version.
-constexpr const char* kAggregateSchemas[] = {"bullet-bench-v2", "bullet-bench-v3"};
+// The aggregate schema the band gate reads, on both sides.
+constexpr char kAggregateSchema[] = "bullet-bench-v3";
 constexpr char kFloorsSchema[] = "bullet-floors-v1";
 constexpr char kCeilingsSchema[] = "bullet-ceilings-v1";
 
@@ -52,17 +50,9 @@ bool CheckSchema(const JsonValue& doc, const char* which, const char* expected_s
     return false;
   }
   const std::string schema = doc.StringOr("schema", "");
-  bool accepted = false;
-  if (expected_schema != nullptr) {
-    accepted = schema == expected_schema;
-  } else {
-    for (const char* s : kAggregateSchemas) {
-      accepted = accepted || schema == s;
-    }
-  }
-  if (!accepted) {
+  if (schema != expected_schema) {
     log << "bench_check: " << which << " has schema '" << schema << "', expected '"
-        << (expected_schema != nullptr ? expected_schema : "bullet-bench-v2/-v3") << "'\n";
+        << expected_schema << "'\n";
     return false;
   }
   const JsonValue* points = doc.Find("points");
@@ -219,8 +209,8 @@ int CompareSweepDocs(const JsonValue& baseline, const JsonValue& current,
   if (baseline.is_object() && baseline.StringOr("schema", "") == kCeilingsSchema) {
     return CompareCeilingDocs(baseline, current, log);
   }
-  if (!CheckSchema(baseline, "baseline", nullptr, log) ||
-      !CheckSchema(current, "current", nullptr, log)) {
+  if (!CheckSchema(baseline, "baseline", kAggregateSchema, log) ||
+      !CheckSchema(current, "current", kAggregateSchema, log)) {
     return kBenchCheckBadInput;
   }
   if (!CheckComparable(baseline, current, log)) {

@@ -1,5 +1,5 @@
 // Bench-regression gate: diffs a freshly produced sweep aggregate
-// (bullet-bench-v2 or -v3) against a committed baseline, with per-metric
+// (bullet-bench-v3) against a committed baseline, with per-metric
 // tolerance bands. When both documents carry the bullet-floors-v1 schema the
 // comparison switches to the one-sided throughput-floor mode instead (current
 // must meet or beat every committed floor). CI runs this via tools/bench_check
@@ -38,9 +38,8 @@ struct BenchCheckOptions {
 // `current` are ignored so new instrumentation never breaks the gate. Verdict
 // lines (PASS/FAIL per comparison plus a summary) go to `log`.
 //
-// Accepts baselines in either aggregate schema (v2 from before the counter
-// instrumentation, v3 with it); the two documents need not match schemas, so
-// pre-existing committed baselines keep gating v3 currents unchanged.
+// Both documents must carry the bullet-bench-v3 aggregate schema (or, on both
+// sides, the floors or ceilings schema below); anything else is bad input.
 int CompareSweepDocs(const JsonValue& baseline, const JsonValue& current,
                      const BenchCheckOptions& opts, std::ostream& log);
 

@@ -328,29 +328,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
            json->Field("stream_window_blocks", *opts.stream_window_blocks);
          }
        }},
-      {"--aggregate-flows", "aggregate-flows", "aggregate_flows",
-       ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--aggregate-flows requires 0 or 1", "aggregate-flows values must be 0 or 1",
-       [](const std::string& text, ScenarioOptions* opts, std::string*) {
-         int64_t v = 0;
-         if (!ParseStrictInt64(text, &v) || (v != 0 && v != 1)) {
-           return false;
-         }
-         opts->aggregate_flows = static_cast<int>(v);
-         return true;
-       },
-       [](double v) { return v == 0.0 || v == 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->aggregate_flows = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.aggregate_flows) {
-           cfg->net.aggregate_flows = *opts.aggregate_flows != 0;
-         }
-       },
-       [](const ScenarioOptions& opts, JsonWriter* json) {
-         if (opts.aggregate_flows) {
-           json->Field("aggregate_flows", *opts.aggregate_flows);
-         }
-       }},
   };
   return *table;
 }

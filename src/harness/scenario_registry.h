@@ -51,9 +51,6 @@ struct ScenarioOptions {
   // (fig23_streaming_deadlines); bulk scenarios ignore them.
   std::optional<double> stream_bitrate_mbps;
   std::optional<int> stream_window_blocks;
-  // Mega-swarm flow aggregation, 0/1 (--aggregate-flows; see
-  // NetworkConfig::aggregate_flows).
-  std::optional<int> aggregate_flows;
 };
 
 class JsonWriter;

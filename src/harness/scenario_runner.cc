@@ -316,10 +316,6 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --stream-window-blocks W\n"
         "                     sliding request-window size (blocks ahead of the\n"
         "                     playhead) for streaming-deadline scenarios\n"
-        "  --aggregate-flows B\n"
-        "                     1 water-fills bundles of flows sharing an interior\n"
-        "                     route instead of individual flows (mega-swarm\n"
-        "                     mode; NOT bit-identical to the default allocator)\n"
         "  --out PATH         metrics JSON path (default BENCH_<scenario>.json; sweeps:\n"
         "                     aggregate path, default BENCH_sweep_<name>.json)\n"
         "  --quiet            suppress the summary table / CDF dump on stdout\n"
@@ -334,8 +330,7 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --sweep key=v1,..  one grid axis (nodes, file-mb, block-bytes,\n"
         "                     deadline-sec, loss, join-fraction,\n"
         "                     lifetime-pareto-alpha, churn-model,\n"
-        "                     stream-bitrate-mbps, stream-window-blocks,\n"
-        "                     aggregate-flows);\n"
+        "                     stream-bitrate-mbps, stream-window-blocks);\n"
         "                     repeat the flag for more axes\n"
         "  --sweep-file PATH  spec file (scenario/name/repeats/seed/set/sweep lines);\n"
         "                     command-line flags override file directives\n"

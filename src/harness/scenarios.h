@@ -39,10 +39,8 @@ struct ScenarioConfig {
   uint64_t seed = 1;
   SimTime deadline = SecToSim(7200.0);
   bool record_arrivals = false;
-  // Network knobs, handed to the Network unchanged. perf_core_scale sets a
-  // finer quantum than the paper's 10 ms and A/Bs the full-recompute tick;
-  // fig24 (or --aggregate-flows) water-fills flow bundles, which is NOT
-  // bit-identical to the default allocator.
+  // Network knobs, handed to the Network unchanged; perf_core_scale sets a
+  // finer quantum than the paper's 10 ms.
   NetworkConfig net;
   // Force encoded-stream methodology regardless of system (Bullet and SplitStream are
   // always treated as encoded with 4% overhead, per Section 4.2).

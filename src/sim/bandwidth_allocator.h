@@ -12,10 +12,11 @@
 //
 //  * AllocateMaxMin / AllocateMaxMinPaths — the stateless reference. Builds every
 //    auxiliary structure per call; kept as the ground truth the property tests
-//    compare against and as the pre-PR "full recompute every quantum" network
-//    mode. AllocateMaxMin is the historical fixed-3-link entry point; Paths takes
-//    a variable-length link list per flow. Both funnel into one reference body,
-//    and a 3-link flow performs the identical arithmetic through either.
+//    compare against and that checked builds hold the network's cached rates to
+//    every quantum (network.h). AllocateMaxMin is the historical fixed-3-link
+//    entry point; Paths takes a variable-length link list per flow. Both funnel
+//    into one reference body, and a 3-link flow performs the identical
+//    arithmetic through either.
 //
 //  * IncrementalMaxMin — the hot-path engine. All scratch (per-link flow lists as
 //    a CSR array, the saturation heap, the cap-sorted index, freeze flags)
@@ -199,19 +200,6 @@ class IncrementalMaxMin {
   size_t num_links() const { return capacity_.size(); }
   double rate(size_t flow_index) const { return rate_[flow_index]; }
   const std::vector<double>& rates() const { return rate_; }
-
-  // Read-only view of the current epoch's inputs (link capacities, per-flow
-  // link CSR, per-flow caps), for the aggregated water-fill in
-  // src/sim/scale/flow_aggregation.h. Valid from the last AddFlow* call until
-  // the next BeginEpoch(). Flow i crosses (*flow_links)[(*flow_off)[i] ..
-  // (*flow_off)[i+1]); negative entries are unused slots.
-  struct EpochView {
-    const std::vector<double>* capacity;
-    const std::vector<int32_t>* flow_links;
-    const std::vector<uint32_t>* flow_off;
-    const std::vector<double>* cap;
-  };
-  EpochView epoch_view() const { return EpochView{&capacity_, &flow_links_, &flow_off_, &cap_}; }
 
   // Number of flows the last Allocate() saw on `link` (CSR row width). Valid
   // until the next BeginEpoch(); used by the network's shared-bottleneck

@@ -62,10 +62,6 @@ Network::Network(std::unique_ptr<Topology> topology, NetworkConfig config, uint6
   access_flows_.assign(access_ids, 0);
   access_touched_.assign((access_ids + 63) / 64, 0);
   access_link_id_.assign(access_ids, -1);
-  BULLET_CHECK((!config_.aggregate_flows ||
-                config_.allocator_mode == NetworkConfig::AllocatorMode::kIncremental) &&
-               "aggregate_flows requires the incremental allocator mode");
-  current_rates_ = &alloc_.rates();
 }
 
 void Network::SetHandler(NodeId node, NetHandler* handler) {
@@ -393,16 +389,12 @@ void Network::Tick() {
     CompactOpenConns();
   }
 
-  if (config_.allocator_mode == NetworkConfig::AllocatorMode::kFullRecompute) {
-    TickFullRecompute(dt_sec);
-  } else if (active_dirs_ > 0) {
+  if (active_dirs_ > 0) {
     if (alloc_dirty_ || !CapacitiesUnchanged()) {
       RebuildAndAllocate();
     }
 #ifdef BULLET_VERIFY_CACHED_RATES
-    if (!config_.aggregate_flows) {
-      VerifyCachedRates();
-    }
+    VerifyCachedRates();
 #endif
     AdvanceTransmissions(dt_sec);
   }
@@ -516,21 +508,11 @@ void Network::RebuildAndAllocate() {
     }
   }
 
-  if (config_.aggregate_flows) {
-    // Aggregated water-fill: bundles over the interior links only; the member
-    // split and access-link bounds happen inside the aggregator.
-    aggregator_.Allocate(alloc_, num_access);
-    current_rates_ = &aggregator_.rates();
-    max_interior_link_flows_ =
-        std::max(max_interior_link_flows_, aggregator_.max_interior_link_flows());
-  } else {
-    alloc_.Allocate();
-    current_rates_ = &alloc_.rates();
-    // Shared-bottleneck introspection: widest interior link of this epoch (the
-    // access links come first). The CSR row widths are valid after Allocate().
-    for (size_t l = num_access; l < alloc_.num_links(); ++l) {
-      max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
-    }
+  alloc_.Allocate();
+  // Shared-bottleneck introspection: widest interior link of this epoch (the
+  // access links come first). The CSR row widths are valid after Allocate().
+  for (size_t l = num_access; l < alloc_.num_links(); ++l) {
+    max_interior_link_flows_ = std::max(max_interior_link_flows_, alloc_.flows_on_link(l));
   }
   // Ramping caps change next quantum, which changes the allocation; otherwise the
   // cached result stays exact until an activation/drain/close/capacity change.
@@ -541,7 +523,7 @@ void Network::AdvanceTransmissions(double dt_sec) {
   for (size_t fi = 0; fi < cached_flows_.size(); ++fi) {
     Conn* c = cached_flows_[fi].conn;
     if (!c->closed) {
-      AdvanceDirection(*c, cached_flows_[fi].dir_idx, (*current_rates_)[fi], dt_sec);
+      AdvanceDirection(*c, cached_flows_[fi].dir_idx, alloc_.rate(fi), dt_sec);
     }
   }
 }
@@ -617,8 +599,8 @@ Network::FullFlowSet Network::AssembleFullFlowSet() const {
   return set;
 }
 
-// The rates this quantum transmits at must be bit for bit the ones the
-// full-recompute tick would compute now.
+// The flows and rates this quantum transmits at must be bit for bit the ones a
+// full recompute would produce now.
 void Network::VerifyCachedRates() const {
   FullFlowSet full = AssembleFullFlowSet();
   AllocateMaxMinPaths(full.flows, full.capacities);
@@ -627,43 +609,8 @@ void Network::VerifyCachedRates() const {
     BULLET_CHECK(full.dirs[fi].first == cached_flows_[fi].conn->id &&
                  full.dirs[fi].second == cached_flows_[fi].dir_idx && "cached flow order differs");
     BULLET_CHECK(std::bit_cast<uint64_t>(full.flows[fi].rate_bps) ==
-                     std::bit_cast<uint64_t>((*current_rates_)[fi]) &&
+                     std::bit_cast<uint64_t>(alloc_.rate(fi)) &&
                  "cached rate differs from a full recompute");
-  }
-}
-
-// The pre-PR tick body: rebuild every auxiliary structure and recompute all
-// rates each quantum. Kept as the A/B reference for the perf_core_scale
-// benchmark and the determinism tests.
-void Network::TickFullRecompute(double dt_sec) {
-  FullFlowSet full = AssembleFullFlowSet();
-  ++allocator_epochs_;
-  {
-    BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
-    AllocateMaxMinPaths(full.flows, full.capacities);
-  }
-  // Shared-bottleneck introspection, mirroring RebuildAndAllocate: interior
-  // link ids start at 2n; count per-link flows directly from the flow lists.
-  const size_t num_access = static_cast<size_t>(2 * topology_->num_nodes());
-  if (full.capacities.size() > num_access) {
-    std::vector<int32_t> interior_flow_counts(full.capacities.size() - num_access, 0);
-    for (const PathFlowSpec& flow : full.flows) {
-      for (const int32_t l : flow.links) {
-        if (static_cast<size_t>(l) >= num_access) {
-          ++interior_flow_counts[static_cast<size_t>(l) - num_access];
-        }
-      }
-    }
-    for (const int32_t count : interior_flow_counts) {
-      max_interior_link_flows_ = std::max(max_interior_link_flows_, count);
-    }
-  }
-
-  for (size_t fi = 0; fi < full.flows.size(); ++fi) {
-    Conn* c = GetConn(full.dirs[fi].first);
-    if (c != nullptr && !c->closed) {
-      AdvanceDirection(*c, full.dirs[fi].second, full.flows[fi].rate_bps, dt_sec);
-    }
   }
 }
 

@@ -45,19 +45,18 @@
 //     runs;
 //   * a fully idle network (no queued bytes anywhere) ticks in O(1).
 //
-// Checked builds (BULLET_SANITIZE=ON defines BULLET_VERIFY_CACHED_RATES) verify
-// the cached rates every quantum that has flows: they rebuild the flow set the
-// way the full-recompute tick does, water-fill it with the stateless reference
-// and BULLET_CHECK that every cached rate is bitwise equal (exact allocator
-// only; the aggregated one is not bit-exact by design).
+// The reference is a full recompute: every established busy direction in
+// open_conns_ order, water-filled anew by the stateless AllocateMaxMinPaths
+// (see AssembleFullFlowSet). Checked builds (BULLET_SANITIZE=ON defines
+// BULLET_VERIFY_CACHED_RATES) hold every quantum that has flows to it: the
+// cached flow list must equal the reference's and every cached rate must be
+// bitwise equal, or the run aborts. Equal flows and rates at every quantum
+// make the whole run's timeline the full recompute's.
 //
 // Per-flow TCP caps are cached once the slow-start ramp reaches its steady ceiling
 // (tcp_model.h), message queues are ring buffers that recycle their storage, and
 // delivery events capture their message directly in the event-queue closure, so
 // steady-state message handling performs no per-message allocation.
-//
-// NetworkConfig::allocator_mode selects the full-recompute-every-quantum tick
-// (the pre-PR behaviour, kept as a reference and for A/B benchmarking).
 //
 // Thread-safety: none. A Network — with its topology, event queue, allocator
 // and the protocols attached to it — belongs to one simulation run and is
@@ -80,7 +79,6 @@
 #include "src/sim/bandwidth_allocator.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/scale/arena.h"
-#include "src/sim/scale/flow_aggregation.h"
 #include "src/sim/tcp_model.h"
 #include "src/sim/time.h"
 #include "src/sim/topology.h"
@@ -106,31 +104,12 @@ class NetHandler {
   virtual void OnMessage(ConnId conn, NodeId from, std::unique_ptr<Message> msg) = 0;
 };
 
-// The network knobs a run can vary: the allocation quantum, the tick loop and
-// flow aggregation. The harness embeds one of these in WorkloadParams and
-// ScenarioConfig and hands it through unchanged. TCP model parameters are the
-// TcpModelParams defaults, and lossy paths always add the retransmission
-// delivery latency (see EnqueueDelivery).
+// The network knobs a run can vary: the allocation quantum. The harness embeds
+// one of these in WorkloadParams and ScenarioConfig and hands it through
+// unchanged. TCP model parameters are the TcpModelParams defaults, and lossy
+// paths always add the retransmission delivery latency (see EnqueueDelivery).
 struct NetworkConfig {
   SimTime quantum = MsToSim(10);
-
-  enum class AllocatorMode {
-    kIncremental,    // dirty-tracked allocation with cached rates (default)
-    kFullRecompute,  // pre-PR behaviour: rebuild + water-fill every quantum
-  };
-  AllocatorMode allocator_mode = AllocatorMode::kIncremental;
-
-  // Mega-swarm mode: water-fill *bundles* of flows sharing an identical
-  // interior route instead of individual flows (src/sim/scale/
-  // flow_aggregation.h). Epoch cost scales with bundles (bounded by ordered
-  // router pairs on a transit-stub graph) rather than live flows. NOT
-  // bit-identical to the exact allocator — access links are treated as
-  // locally fair (capacity/k member caps) and intra-bundle competition at the
-  // interior bottleneck is replaced by the bounded split — but conservation
-  // and link feasibility hold exactly (allocator_invariants tests pin the
-  // deviation). Default off: the exact path is untouched and byte-identical.
-  // Requires kIncremental mode.
-  bool aggregate_flows = false;
 };
 
 class Network {
@@ -321,11 +300,11 @@ class Network {
     return path_pool_.data() + path.interior_off + path.interior_len;
   }
 
-  // The flow set as the full-recompute tick builds it: every established
-  // direction with queued bytes in open_conns_ order, link ids uplink(i) = i,
-  // downlink(i) = n + i and interior links from 2n in first-use order, fresh
-  // TCP caps and capacities. Independent of the busy index and the touched-link
-  // registration, so the checked-build verifier can hold those to it.
+  // The reference flow set: every established direction with queued bytes in
+  // open_conns_ order, link ids uplink(i) = i, downlink(i) = n + i and interior
+  // links from 2n in first-use order, fresh TCP caps and capacities.
+  // Independent of the busy index and the touched-link registration, so the
+  // checked-build verifier can hold those to it.
   struct FullFlowSet {
     std::vector<PathFlowSpec> flows;
     std::vector<std::pair<ConnId, int>> dirs;  // (conn, direction) per flow
@@ -335,7 +314,6 @@ class Network {
 
   void ScheduleNextTick();
   void Tick();
-  void TickFullRecompute(double dt_sec);
   void CompactOpenConns();
   bool CapacitiesUnchanged() const;
   void RebuildAndAllocate();
@@ -380,12 +358,6 @@ class Network {
 
   // --- incremental tick state ---
   IncrementalMaxMin alloc_;
-  // Aggregated water-fill engine (config_.aggregate_flows) and the rate
-  // vector AdvanceTransmissions reads: alloc_.rates() on the exact path,
-  // aggregator_.rates() on the aggregated one. The indirection is set by every
-  // rebuild and never dangles (both vectors live as long as the network).
-  FlowAggregator aggregator_;
-  const std::vector<double>* current_rates_ = nullptr;
   // Live/peak bytes of protocol node-state arenas (see arena_counter()).
   ArenaCounter arena_counter_;
   // (conn, direction) per allocated flow, in allocation order; parallel to

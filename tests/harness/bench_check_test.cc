@@ -8,8 +8,8 @@
 namespace bullet {
 namespace {
 
-// A two-point bullet-bench-v2 document with one metric band per point.
-std::string Doc(double p0_median, double p1_median, const char* schema = "bullet-bench-v2",
+// A two-point bullet-bench-v3 document with one metric band per point.
+std::string Doc(double p0_median, double p1_median, const char* schema = "bullet-bench-v3",
                 const char* scenario = "fig04") {
   std::ostringstream os;
   os << R"({"schema":")" << schema << R"(","sweep":"ci","scenario":")" << scenario
@@ -80,7 +80,7 @@ TEST(BenchCheckTest, AbsoluteFloorForTinyBaselines) {
 TEST(BenchCheckTest, MissingMetricIsRegression) {
   BenchCheckOptions opts;
   const std::string current =
-      R"({"schema":"bullet-bench-v2","scenario":"fig04","points":[)"
+      R"({"schema":"bullet-bench-v3","scenario":"fig04","points":[)"
       R"({"point_index":0,"params":{"nodes":20},"metrics":{}},)"
       R"({"point_index":1,"params":{"nodes":50},"metrics":{"Sys.p50_s":{"median":20}}}]})";
   std::string log;
@@ -91,7 +91,7 @@ TEST(BenchCheckTest, MissingMetricIsRegression) {
 TEST(BenchCheckTest, MissingPointIsRegression) {
   BenchCheckOptions opts;
   const std::string current =
-      R"({"schema":"bullet-bench-v2","scenario":"fig04","points":[)"
+      R"({"schema":"bullet-bench-v3","scenario":"fig04","points":[)"
       R"({"point_index":0,"params":{"nodes":20},"metrics":{"Sys.p50_s":{"median":10}}}]})";
   std::string log;
   EXPECT_EQ(Compare(Doc(10.0, 20.0), current, opts, &log), kBenchCheckRegression);
@@ -101,7 +101,7 @@ TEST(BenchCheckTest, MissingPointIsRegression) {
 TEST(BenchCheckTest, ExtraCurrentMetricsAndPointsAreIgnored) {
   BenchCheckOptions opts;
   const std::string current =
-      R"({"schema":"bullet-bench-v2","scenario":"fig04","points":[)"
+      R"({"schema":"bullet-bench-v3","scenario":"fig04","points":[)"
       R"({"point_index":0,"params":{"nodes":20},)"
       R"("metrics":{"Sys.p50_s":{"median":10},"New.p50_s":{"median":99}}},)"
       R"({"point_index":1,"params":{"nodes":50},"metrics":{"Sys.p50_s":{"median":20}}},)"
@@ -112,7 +112,7 @@ TEST(BenchCheckTest, ExtraCurrentMetricsAndPointsAreIgnored) {
 TEST(BenchCheckTest, IncomparableSweepParametersAreBadInput) {
   BenchCheckOptions opts;
   const auto doc = [](const char* preamble) {
-    return std::string(R"({"schema":"bullet-bench-v2","scenario":"fig04",)") + preamble +
+    return std::string(R"({"schema":"bullet-bench-v3","scenario":"fig04",)") + preamble +
            R"("points":[{"point_index":0,"params":{"nodes":20},)"
            R"("metrics":{"Sys.p50_s":{"median":10}}}]})";
   };
@@ -135,21 +135,22 @@ TEST(BenchCheckTest, SchemaOrScenarioMismatchIsBadInput) {
   BenchCheckOptions opts;
   EXPECT_EQ(Compare(Doc(10, 20, "bullet-bench-v1"), Doc(10, 20), opts), kBenchCheckBadInput);
   EXPECT_EQ(Compare(Doc(10, 20), Doc(10, 20, "bullet-bench-v1"), opts), kBenchCheckBadInput);
-  EXPECT_EQ(Compare(Doc(10, 20), Doc(10, 20, "bullet-bench-v2", "fig05"), opts),
+  EXPECT_EQ(Compare(Doc(10, 20), Doc(10, 20, "bullet-bench-v3", "fig05"), opts),
             kBenchCheckBadInput);
   EXPECT_EQ(Compare("[1,2,3]", Doc(10, 20), opts), kBenchCheckBadInput);
 }
 
-TEST(BenchCheckTest, AcceptsEitherAggregateSchemaVersion) {
+TEST(BenchCheckTest, RejectsV2AggregateOnEitherSide) {
   BenchCheckOptions opts;
-  // Committed v2 baselines keep gating freshly generated v3 sweeps (and the
-  // reverse): the band comparison is schema-version-agnostic across v2/v3.
-  EXPECT_EQ(Compare(Doc(10, 20, "bullet-bench-v2"), Doc(10, 20, "bullet-bench-v3"), opts),
-            kBenchCheckOk);
-  EXPECT_EQ(Compare(Doc(10, 20, "bullet-bench-v3"), Doc(10, 20, "bullet-bench-v2"), opts),
-            kBenchCheckOk);
-  EXPECT_EQ(Compare(Doc(10, 20, "bullet-bench-v3"), Doc(13, 20, "bullet-bench-v3"), opts),
-            kBenchCheckRegression);
+  // The gate reads one aggregate schema: a v2 document on either side is bad
+  // input, even where its medians would pass.
+  std::string log;
+  EXPECT_EQ(Compare(Doc(10, 20, "bullet-bench-v2"), Doc(10, 20), opts, &log),
+            kBenchCheckBadInput);
+  EXPECT_NE(log.find("baseline has schema 'bullet-bench-v2', expected 'bullet-bench-v3'"),
+            std::string::npos);
+  EXPECT_EQ(Compare(Doc(10, 20), Doc(10, 20, "bullet-bench-v2"), opts), kBenchCheckBadInput);
+  EXPECT_EQ(Compare(Doc(10, 20), Doc(13, 20), opts), kBenchCheckRegression);
 }
 
 // A two-point bullet-floors-v1 document with the two gated throughput metrics.
@@ -274,7 +275,7 @@ TEST(BenchCheckCeilingsTest, MissingPointOrMetricIsRegression) {
 TEST(BenchCheckTest, PointMatchingIgnoresAxisDeclarationOrder) {
   BenchCheckOptions opts;
   const auto doc = [](const char* params) {
-    return std::string(R"({"schema":"bullet-bench-v2","scenario":"fig04","points":[)") +
+    return std::string(R"({"schema":"bullet-bench-v3","scenario":"fig04","points":[)") +
            R"({"point_index":0,"params":)" + params +
            R"(,"metrics":{"Sys.p50_s":{"median":10}}}]})";
   };

@@ -425,7 +425,6 @@ TEST(RunnerSweepTest, EveryCliOptionReachesTheSweepRuns) {
       {"churn-model", "stub"},
       {"stream-bitrate-mbps", "1.5"},
       {"stream-window-blocks", "4"},
-      {"aggregate-flows", "1"},
   };
   std::vector<ScenarioOptions> seen;
   ScenarioRegistry registry;

@@ -1,16 +1,21 @@
-// Simulation-determinism layer: golden checks that the reworked simulator core
-// is exactly reproducible.
+// Simulation-determinism layer: golden checks that the simulator core is
+// exactly reproducible.
 //
 //  * Two in-process runs of the Fig. 4 static-mesh scenario (nodes=20, same
 //    seed) must serialize to byte-identical metrics.
-//  * The incremental allocator path and the pre-PR full-recompute path must
-//    agree flow-for-flow: identical delivery timelines on a scripted
-//    network-level scenario (including dynamics-driven capacity changes), and
-//    identical completion times on a full protocol run.
+//  * A scripted network-level scenario (closes, a node failure, access and
+//    dynamics-driven capacity changes) must replay the identical delivery
+//    timeline.
 //  * All of the above hold on the routed transit-stub topology too, where the
 //    script's churn and periodic bandwidth halving land on genuinely shared
 //    interior links (lossy transit tier, so the delivery RNG stream is
 //    exercised along multi-hop routes).
+//
+// The allocator oracle rides on these runs: checked builds (BULLET_SANITIZE=ON)
+// hold every quantum's cached flows and rates to a full recompute with the
+// stateless reference allocator and abort on the first bit that differs (see
+// network.h), so each run below is also a flow-for-flow comparison against
+// the full recompute at every quantum.
 //
 // Run standalone with `ctest -L invariants`.
 
@@ -43,12 +48,16 @@ ScenarioConfig Fig04Config() {
   return cfg;
 }
 
-std::string SerializedRun(const ScenarioConfig& cfg) {
+std::string Serialize(const ScenarioResult& result) {
   ScenarioReport report("determinism");
-  report.AddCompletion(RunScenario("bullet-prime", cfg));
+  report.AddCompletion(result);
   std::ostringstream os;
   WriteReportJson(os, report, ScenarioOptions{});
   return os.str();
+}
+
+std::string SerializedRun(const ScenarioConfig& cfg) {
+  return Serialize(RunScenario("bullet-prime", cfg));
 }
 
 TEST(Determinism, Fig04RepeatedRunsSerializeIdentically) {
@@ -57,27 +66,6 @@ TEST(Determinism, Fig04RepeatedRunsSerializeIdentically) {
   const std::string second = SerializedRun(cfg);
   EXPECT_FALSE(first.empty());
   EXPECT_EQ(first, second);
-}
-
-TEST(Determinism, IncrementalMatchesFullRecomputeOnProtocolRun) {
-  ScenarioConfig cfg = Fig04Config();
-  cfg.num_nodes = 12;
-  cfg.file_mb = 2.0;
-
-  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
-  const ScenarioResult incremental = RunScenario("bullet-prime", cfg);
-  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
-  const ScenarioResult full = RunScenario("bullet-prime", cfg);
-
-  ASSERT_EQ(incremental.completion_sec.size(), full.completion_sec.size());
-  for (size_t i = 0; i < incremental.completion_sec.size(); ++i) {
-    // Bitwise equality, not approximate: the incremental path must be exactly
-    // the full recomputation, or identical-seed runs would drift.
-    EXPECT_EQ(incremental.completion_sec[i], full.completion_sec[i]) << "receiver " << i;
-  }
-  EXPECT_EQ(incremental.completed, full.completed);
-  EXPECT_EQ(incremental.duplicate_fraction, full.duplicate_fraction);
-  EXPECT_EQ(incremental.control_overhead, full.control_overhead);
 }
 
 // --- scripted network-level comparison ---
@@ -145,9 +133,8 @@ std::unique_ptr<Topology> RoutedScriptTopology() {
 // idle; an access-link capacity change on a node that is idle at the time and
 // sends later; and one on the uplink of a busy flow. Returns every handler
 // event of every node, in order.
-std::vector<std::string> RunScript(const NetworkConfig& config,
-                                   std::unique_ptr<Topology> topo = ScriptTopology()) {
-  Network net(std::move(topo), config, 4242);
+std::vector<std::string> RunScript(std::unique_ptr<Topology> topo = ScriptTopology()) {
+  Network net(std::move(topo), NetworkConfig{}, 4242);
   std::vector<std::unique_ptr<TimelineRecorder>> handlers;
   for (NodeId n = 0; n < 6; ++n) {
     handlers.push_back(std::make_unique<TimelineRecorder>(&net));
@@ -231,19 +218,11 @@ std::vector<std::string> RunScript(const NetworkConfig& config,
   return all;
 }
 
-TEST(Determinism, IncrementalMatchesFullRecomputeFlowForFlow) {
-  NetworkConfig incremental;
-  incremental.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
-  NetworkConfig full;
-  full.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
-
-  const std::vector<std::string> a = RunScript(incremental);
-  const std::vector<std::string> b = RunScript(full);
+TEST(Determinism, ScriptRepeatedRunsIdentical) {
+  const std::vector<std::string> a = RunScript();
+  const std::vector<std::string> b = RunScript();
   ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "event " << i;
-  }
+  EXPECT_EQ(a, b);
 }
 
 // --- routed transit-stub goldens ---
@@ -260,53 +239,20 @@ ScenarioConfig TransitStubConfig() {
 
 TEST(Determinism, TransitStubRepeatedRunsSerializeIdentically) {
   const ScenarioConfig cfg = TransitStubConfig();
-  const std::string first = SerializedRun(cfg);
-  const std::string second = SerializedRun(cfg);
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-}
-
-TEST(Determinism, TransitStubIncrementalMatchesFullRecomputeOnProtocolRun) {
-  ScenarioConfig cfg = TransitStubConfig();
-  cfg.num_nodes = 12;
-
-  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
-  const ScenarioResult incremental = RunScenario("bullet-prime", cfg);
-  cfg.net.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
-  const ScenarioResult full = RunScenario("bullet-prime", cfg);
-
-  ASSERT_EQ(incremental.completion_sec.size(), full.completion_sec.size());
-  for (size_t i = 0; i < incremental.completion_sec.size(); ++i) {
-    EXPECT_EQ(incremental.completion_sec[i], full.completion_sec[i]) << "receiver " << i;
-  }
-  EXPECT_EQ(incremental.completed, full.completed);
-  EXPECT_EQ(incremental.max_shared_link_flows, full.max_shared_link_flows);
+  const ScenarioResult first = RunScenario("bullet-prime", cfg);
+  const std::string serialized = Serialize(first);
+  EXPECT_FALSE(serialized.empty());
+  EXPECT_EQ(SerializedRun(cfg), serialized);
   // The routed net must actually exercise shared links, or this golden is
   // testing nothing new over the mesh variant above.
-  EXPECT_GE(incremental.max_shared_link_flows, 2);
-}
-
-TEST(Determinism, TransitStubScriptIncrementalMatchesFullFlowForFlow) {
-  // Churn (FailNode), a close, and periodic correlated bandwidth halving on
-  // shared interior links: the incremental and full-recompute cores must agree
-  // on every delivery.
-  NetworkConfig incremental;
-  incremental.allocator_mode = NetworkConfig::AllocatorMode::kIncremental;
-  NetworkConfig full;
-  full.allocator_mode = NetworkConfig::AllocatorMode::kFullRecompute;
-
-  const std::vector<std::string> a = RunScript(incremental, RoutedScriptTopology());
-  const std::vector<std::string> b = RunScript(full, RoutedScriptTopology());
-  ASSERT_FALSE(a.empty());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i], b[i]) << "event " << i;
-  }
+  EXPECT_GE(first.max_shared_link_flows, 2);
 }
 
 TEST(Determinism, TransitStubScriptRepeatedRunsIdentical) {
-  const std::vector<std::string> a = RunScript(NetworkConfig{}, RoutedScriptTopology());
-  const std::vector<std::string> b = RunScript(NetworkConfig{}, RoutedScriptTopology());
+  // Churn (FailNode), a close, and periodic correlated bandwidth halving on
+  // shared interior links.
+  const std::vector<std::string> a = RunScript(RoutedScriptTopology());
+  const std::vector<std::string> b = RunScript(RoutedScriptTopology());
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
 }
@@ -318,7 +264,7 @@ TEST(Determinism, TransitStubScriptRepeatedRunsIdentical) {
 // complete and the run ends at the deadline. Exercises event-queue-driven
 // joins, the staged tree, session-scoped completion accounting and FailNode
 // racing in-flight joins/deliveries — all of it must be exactly reproducible.
-WorkloadResult RunLateJoinChurnWorkload(bool full_recompute) {
+WorkloadResult RunLateJoinChurnWorkload() {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kMesh;
   cfg.num_nodes = 14;
@@ -328,8 +274,6 @@ WorkloadResult RunLateJoinChurnWorkload(bool full_recompute) {
   WorkloadParams params;
   params.seed = cfg.seed;
   params.deadline = SecToSim(150.0);
-  params.net.allocator_mode = full_recompute ? NetworkConfig::AllocatorMode::kFullRecompute
-                                             : NetworkConfig::AllocatorMode::kIncremental;
   WorkloadExperiment exp(BuildScenarioTopology(cfg), params);
 
   SessionSpec spec;
@@ -363,31 +307,15 @@ std::string SerializeWorkload(const WorkloadResult& result) {
 }
 
 TEST(Determinism, LateJoinChurnWorkloadRepeatedRunsSerializeIdentically) {
-  const std::string first = SerializeWorkload(RunLateJoinChurnWorkload(false));
-  const std::string second = SerializeWorkload(RunLateJoinChurnWorkload(false));
-  EXPECT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-}
-
-TEST(Determinism, LateJoinChurnWorkloadIncrementalMatchesFullRecompute) {
-  const WorkloadResult incremental = RunLateJoinChurnWorkload(false);
-  const WorkloadResult full = RunLateJoinChurnWorkload(true);
-  ASSERT_EQ(incremental.sessions.size(), full.sessions.size());
-  const SessionResult& a = incremental.sessions[0];
-  const SessionResult& b = full.sessions[0];
-  ASSERT_EQ(a.completion_sec.size(), b.completion_sec.size());
-  for (size_t i = 0; i < a.completion_sec.size(); ++i) {
-    // Bitwise equality: the incremental tick must be exactly the full
-    // recomputation even across event-driven joins and churn.
-    EXPECT_EQ(a.completion_sec[i], b.completion_sec[i]) << "receiver " << i;
-    EXPECT_EQ(a.download_sec[i], b.download_sec[i]) << "receiver " << i;
-  }
-  EXPECT_EQ(a.completed, b.completed);
-  // The killed leaves keep the session from completing; both modes must agree
-  // the deadline, not a session stop, ended the run.
-  EXPECT_LT(a.completed, a.receivers);
-  EXPECT_EQ(incremental.sessions_completed, 0);
-  EXPECT_EQ(full.sessions_completed, 0);
+  const WorkloadResult first = RunLateJoinChurnWorkload();
+  const std::string serialized = SerializeWorkload(first);
+  EXPECT_FALSE(serialized.empty());
+  EXPECT_EQ(SerializeWorkload(RunLateJoinChurnWorkload()), serialized);
+  // The killed leaves keep the session from completing: the deadline, not a
+  // session stop, ended the run.
+  ASSERT_EQ(first.sessions.size(), 1u);
+  EXPECT_LT(first.sessions[0].completed, first.sessions[0].receivers);
+  EXPECT_EQ(first.sessions_completed, 0);
 }
 
 // The full generator stack — diurnal arrivals, Pareto lifetimes with seeder

@@ -232,9 +232,8 @@ std::unique_ptr<Topology> EncodedRouted(const std::vector<LinkParams>& core) {
 // A traffic script exercising allocation (several concurrent flows), the loss
 // RNG stream, a close, a node failure, and the periodic correlated bandwidth
 // halving. Returns every handler event of every node, in order.
-std::vector<std::string> RunEncodedScript(std::unique_ptr<Topology> topo,
-                                          const NetworkConfig& config) {
-  Network net(std::move(topo), config, 515151);
+std::vector<std::string> RunEncodedScript(std::unique_ptr<Topology> topo) {
+  Network net(std::move(topo), NetworkConfig{}, 515151);
   std::vector<std::unique_ptr<TimelineRecorder>> handlers;
   for (NodeId n = 0; n < kEncodedNodes; ++n) {
     handlers.push_back(std::make_unique<TimelineRecorder>(&net));
@@ -274,17 +273,12 @@ std::vector<std::string> RunEncodedScript(std::unique_ptr<Topology> topo,
 
 TEST(RoutedTopology, RoutedEncodingOfMeshIsBitwiseIdentical) {
   const std::vector<LinkParams> core = DrawCoreParams();
-  for (const auto mode : {NetworkConfig::AllocatorMode::kIncremental,
-                          NetworkConfig::AllocatorMode::kFullRecompute}) {
-    NetworkConfig config;
-    config.allocator_mode = mode;
-    const std::vector<std::string> mesh_events = RunEncodedScript(EncodedMesh(core), config);
-    const std::vector<std::string> routed_events = RunEncodedScript(EncodedRouted(core), config);
-    ASSERT_FALSE(mesh_events.empty());
-    ASSERT_EQ(mesh_events.size(), routed_events.size());
-    for (size_t i = 0; i < mesh_events.size(); ++i) {
-      EXPECT_EQ(mesh_events[i], routed_events[i]) << "event " << i;
-    }
+  const std::vector<std::string> mesh_events = RunEncodedScript(EncodedMesh(core));
+  const std::vector<std::string> routed_events = RunEncodedScript(EncodedRouted(core));
+  ASSERT_FALSE(mesh_events.empty());
+  ASSERT_EQ(mesh_events.size(), routed_events.size());
+  for (size_t i = 0; i < mesh_events.size(); ++i) {
+    EXPECT_EQ(mesh_events[i], routed_events[i]) << "event " << i;
   }
 }
 

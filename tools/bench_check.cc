@@ -1,4 +1,4 @@
-// CI perf gate: compares a fresh BENCH_sweep_*.json (bullet-bench-v2 or -v3)
+// CI perf gate: compares a fresh BENCH_sweep_*.json (bullet-bench-v3)
 // against a committed baseline and exits nonzero when any metric median leaves
 // its tolerance band. A bullet-floors-v1 baseline switches to the one-sided
 // throughput-floor mode (current events/sec and sim-bytes/sec must meet the
