@@ -10,8 +10,8 @@
 //   * the exact max-min allocator, as in every other scenario — every flow
 //     competes on its own for every link it crosses, and an allocator epoch
 //     costs what the busy flows cost (network.h);
-//   * arena-backed node state — the per-node peer tables live in pooled
-//     arenas whose live/peak bytes the run reports.
+//   * per-peer node state — every peer-table entry is its own allocation,
+//     and the run reports the tables' live/peak bytes (arena_peak_bytes).
 //
 // Membership is a flash crowd (the fig18 shape via the generator API): a
 // quarter of the receivers seed the swarm at t=0 and the rest pile in
@@ -38,7 +38,7 @@ namespace {
 
 BULLET_SCENARIO(fig24_megaswarm,
                 "Extension — mega-swarm: 100k-member flash crowd on composed routes, "
-                "the exact allocator and arena node state") {
+                "the exact allocator and per-entry peer tables") {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kTransitStub;
   cfg.num_nodes = 100000;

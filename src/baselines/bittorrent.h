@@ -174,8 +174,8 @@ class BitTorrent : public DisseminationProtocol {
 
   BitTorrentConfig config_;
 
-  // Arena-backed (mega-swarm): same ascending-ConnId iteration order as the
-  // std::map it replaced, so results stay byte-identical.
+  // Counted on the network's ArenaCounter (mega-swarm): same ascending-ConnId
+  // iteration order as the std::map it replaced, so results stay byte-identical.
   StableFlatMap<ConnId, Peer> peers_;
   std::set<NodeId> peer_nodes_;
   std::unordered_map<uint32_t, ConnId> requested_;  // block -> conn

@@ -126,8 +126,8 @@ class BulletPrime : public TreeOverlayProtocol {
 
   BulletPrimeConfig config_;
 
-  // Arena-backed (mega-swarm): same ascending-ConnId iteration order as the
-  // std::map it replaced, so results stay byte-identical.
+  // Counted on the network's ArenaCounter (mega-swarm): same ascending-ConnId
+  // iteration order as the std::map it replaced, so results stay byte-identical.
   StableFlatMap<ConnId, Sender> senders_;
   std::set<NodeId> sender_nodes_;  // active + pending, to avoid duplicate peering
   // block id -> sender conn. Its iteration order fixes the order in which a

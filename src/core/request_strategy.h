@@ -19,8 +19,8 @@
 #define SRC_CORE_REQUEST_STRATEGY_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <optional>
 #include <vector>
@@ -96,9 +96,13 @@ class CandidateSet {
                vec_.end());
   }
 
-  // `fifo_` preserves discovery order for kFirstEncountered; `vec_` provides O(1)
-  // random access for the sampled strategies. Both may contain stale entries.
-  std::deque<uint32_t> fifo_;
+  // `fifo_[fifo_head_..]` preserves discovery order for kFirstEncountered;
+  // `vec_` provides O(1) random access for the sampled strategies. Both may
+  // contain stale entries. The queue is a vector plus a head offset rather
+  // than a std::deque, which allocates 576 B at construction (and again on
+  // every move) although only kFirstEncountered ever reads it.
+  std::vector<uint32_t> fifo_;
+  size_t fifo_head_ = 0;
   std::vector<uint32_t> vec_;
 };
 
@@ -125,7 +129,7 @@ std::optional<uint32_t> CandidateSet::PickWindowed(RequestStrategy strategy, con
   if (strategy == RequestStrategy::kFirstEncountered) {
     // Walk discovery order: drop invalid entries, retain ineligible ones, take
     // the first valid + eligible candidate.
-    for (auto it = fifo_.begin(); it != fifo_.end();) {
+    for (auto it = fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_); it != fifo_.end();) {
       const uint32_t id = *it;
       if (!valid(id)) {
         it = fifo_.erase(it);
@@ -191,14 +195,21 @@ std::optional<uint32_t> CandidateSet::PickWindowed(RequestStrategy strategy, con
 
 template <typename Valid>
 std::optional<uint32_t> CandidateSet::PickFirst(const Valid& valid) {
-  while (!fifo_.empty()) {
-    const uint32_t id = fifo_.front();
-    fifo_.pop_front();
+  std::optional<uint32_t> picked;
+  while (fifo_head_ < fifo_.size()) {
+    const uint32_t id = fifo_[fifo_head_++];
     if (valid(id)) {
-      return id;
+      picked = id;
+      break;
     }
   }
-  return std::nullopt;
+  // Drop the consumed prefix once it is at least half the buffer, so the
+  // queue's storage tracks its live length at amortized O(1) per pick.
+  if (fifo_head_ * 2 >= fifo_.size()) {
+    fifo_.erase(fifo_.begin(), fifo_.begin() + static_cast<std::ptrdiff_t>(fifo_head_));
+    fifo_head_ = 0;
+  }
+  return picked;
 }
 
 template <typename Valid>

@@ -360,11 +360,16 @@ void Network::ScheduleNextTick() {
 // resulting permutation feeds the allocator, whose FP tie-breaking depends on
 // flow order, so closes are compacted per quantum boundary rather than one by
 // one at Close() time. A moved connection takes its position and its busy-index
-// bit along (a closed connection's bit is already clear).
+// bit along (a closed connection's bit is already clear). A removed connection's
+// Conn is freed: every entry point treats a missing Conn like a closed one, and
+// cached_flows_ cannot dangle because the Close() that led here set
+// alloc_dirty_, so the flow list is rebuilt before it is next read.
 void Network::CompactOpenConns() {
   for (size_t i = 0; i < open_conns_.size();) {
-    const Conn* c = GetConn(open_conns_[i]);
+    const ConnId id = open_conns_[i];
+    const Conn* c = GetConn(id);
     if (c == nullptr || c->closed) {
+      conns_[static_cast<size_t>(id)].reset();
       const size_t last = open_conns_.size() - 1;
       open_conns_[i] = open_conns_[last];
       open_conns_.pop_back();

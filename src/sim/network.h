@@ -27,7 +27,8 @@
 // numbering — and therefore same-time tie-breaking — identical to the original
 // fixed-quantum loop), but the expensive stages only run when something changed:
 //
-//   * compaction of closed connections runs only on quanta that saw a Close();
+//   * compaction of closed connections (which also frees their state) runs
+//     only on quanta that saw a Close();
 //   * the flow set is rebuilt and re-water-filled only when dirty — a direction
 //     became busy or idle, a connection closed, a flow's TCP cap is still ramping,
 //     or a capacity changed on a link the last allocation used (a link no flow
@@ -78,7 +79,7 @@
 #include "src/common/rng.h"
 #include "src/sim/bandwidth_allocator.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/scale/arena.h"
+#include "src/sim/scale/stable_flat_map.h"
 #include "src/sim/tcp_model.h"
 #include "src/sim/time.h"
 #include "src/sim/topology.h"
@@ -140,7 +141,9 @@ class Network {
   ConnId Connect(NodeId from, NodeId to);
 
   // Closes the connection. The remote end receives OnConnDown after one path delay;
-  // all queued and in-flight messages are dropped.
+  // all queued and in-flight messages are dropped. Calls on a closed id are no-ops
+  // (Close) or answer as for a closed connection (everything else), also once the
+  // next quantum boundary has freed its state.
   void Close(ConnId conn);
   bool IsOpen(ConnId conn) const;
 
@@ -160,6 +163,10 @@ class Network {
   size_t QueuedMessages(ConnId conn, NodeId from) const;
   int64_t QueuedBytes(ConnId conn, NodeId from) const;
   // Time since this direction last transmitted its final queued byte; 0 if busy.
+  // A closed connection reads a stale idle span until the quantum boundary after
+  // its Close() frees it, and 0 from then on. The one caller, BulletPrime's
+  // ServeBlock, probes only the connection a request was just delivered on,
+  // which is open.
   SimTime IdleTime(ConnId conn, NodeId from) const;
   // Most recent allocated rate for this direction, bits/second.
   double CurrentRateBps(ConnId conn, NodeId from) const;
@@ -206,11 +213,12 @@ class Network {
   size_t route_cache_bytes() const;
   // Pooled per-connection interior-route slices.
   size_t path_pool_bytes() const;
-  // Protocol node-state arenas registered via arena_counter(): live bytes now
-  // and the run's peak.
+  // Protocol node state registered via arena_counter(): live bytes now and the
+  // run's peak — every live StableFlatMap entry plus each map's index and
+  // hash-table capacity (the name predates per-entry storage).
   int64_t arena_current_bytes() const { return arena_counter_.current_bytes(); }
   int64_t arena_peak_bytes() const { return arena_counter_.peak_bytes(); }
-  // The counter protocol node-state containers (StableFlatMap) register with.
+  // The counter protocol node-state containers (StableFlatMap) charge.
   ArenaCounter* arena_counter() { return &arena_counter_; }
 
   // Runs the simulation until `until` or Stop().
@@ -267,8 +275,9 @@ class Network {
   // than a per-direction vector: the allocator rebuild walks every busy
   // direction's route each epoch, and one contiguous pool turns those walks
   // into sequential reads instead of a heap-pointer chase per direction (and
-  // drops two vector allocations per Connect). The pool only grows — conns_
-  // never erases — so slices stay valid for the connection's lifetime.
+  // drops two vector allocations per Connect). The pool is append-only, so a
+  // slice stays valid for its connection's lifetime (a freed connection's
+  // slice is simply never read again).
   struct PathCache {
     SimTime path_delay = 0;
     SimTime rtt = 0;
@@ -340,7 +349,9 @@ class Network {
   EventQueue queue_;
 
   std::vector<NetHandler*> handlers_;
-  std::vector<std::unique_ptr<Conn>> conns_;  // indexed by ConnId, never reused
+  // Indexed by ConnId; ids are never reused. A closed connection's Conn is freed
+  // (the slot left null) when CompactOpenConns drops it from open_conns_.
+  std::vector<std::unique_ptr<Conn>> conns_;
   // Pooled PathCache interior routes (see PathCache); append-only.
   std::vector<int32_t> path_pool_;
   std::vector<ConnId> open_conns_;            // compacted on quantum boundaries
@@ -358,11 +369,13 @@ class Network {
 
   // --- incremental tick state ---
   IncrementalMaxMin alloc_;
-  // Live/peak bytes of protocol node-state arenas (see arena_counter()).
+  // Live/peak bytes of protocol node state (see arena_counter()).
   ArenaCounter arena_counter_;
   // (conn, direction) per allocated flow, in allocation order; parallel to
   // alloc_.rates(). Valid until the next rebuild. Conn objects are heap-pinned
-  // (conns_ holds unique_ptrs and never erases), so raw pointers stay valid.
+  // (conns_ holds unique_ptrs), and a Conn is freed only by the compaction
+  // after its Close(), which leaves alloc_dirty_ set: the list is rebuilt
+  // before AdvanceTransmissions reads it again.
   struct CachedFlow {
     Conn* conn;
     int dir_idx;

@@ -1,12 +1,17 @@
-// StableFlatMap — an arena-backed ordered map for per-node protocol state.
+// StableFlatMap — an ordered map for per-node protocol state.
 //
 // Drop-in for the std::map peer tables in Bullet'/BitTorrent node state, built
-// for the mega-swarm regime (100k nodes x tens of peers): entries live in a
-// PooledArena (chunked slabs, stable addresses, LIFO slot reuse), membership
+// for the mega-swarm regime (100k nodes x tens of peers): every entry is its
+// own heap allocation (stable address for the entry's lifetime), membership
 // is an open-addressing hash table (splitmix64-mixed keys, linear probing,
 // tombstone deletion), and iteration walks a sorted pointer index so the
 // traversal order is ascending by key — byte-identical to the std::map order
 // the protocols' determinism contract depends on.
+//
+// Entries are not pooled: a node's table rarely holds more than a handful of
+// peers, so pooled slabs are mostly empty slots. 32-slot slabs peaked at
+// 17.8 MB on the 2000-member megaswarm sweep point, against 0.55 MB of
+// entries and index (docs/PERFORMANCE.md "PR 18").
 //
 // Iterator semantics match what the protocol code actually does with its
 // std::map iterators: dereference to pair<const Key, Value>&, hold an
@@ -24,9 +29,25 @@
 #include <vector>
 
 #include "src/common/logging.h"
-#include "src/sim/scale/arena.h"
 
 namespace bullet {
+
+// Live/peak byte counter shared by every StableFlatMap of one network (the
+// harness reports it as arena_peak_bytes): live entries plus each map's index
+// and hash-table capacity. Single-threaded like the network that owns it.
+class ArenaCounter {
+ public:
+  void Add(int64_t delta) {
+    current_ += delta;
+    peak_ = std::max(peak_, current_);
+  }
+  int64_t current_bytes() const { return current_; }
+  int64_t peak_bytes() const { return peak_; }
+
+ private:
+  int64_t current_ = 0;
+  int64_t peak_ = 0;
+};
 
 template <typename Key, typename Value>
 class StableFlatMap {
@@ -70,15 +91,15 @@ class StableFlatMap {
     Entry* const* p_ = nullptr;
   };
 
-  explicit StableFlatMap(ArenaCounter* counter = nullptr)
-      : counter_(counter), arena_(counter) {}
-  StableFlatMap(StableFlatMap&&) = default;
-  StableFlatMap& operator=(StableFlatMap&&) = default;
+  explicit StableFlatMap(ArenaCounter* counter = nullptr) : counter_(counter) {}
+  // The index holds owning raw pointers, so a copy would be shallow.
+  StableFlatMap(const StableFlatMap&) = delete;
+  StableFlatMap& operator=(const StableFlatMap&) = delete;
+  StableFlatMap(StableFlatMap&&) = delete;
+  StableFlatMap& operator=(StableFlatMap&&) = delete;
   ~StableFlatMap() {
     clear();
-    if (counter_ != nullptr) {
-      counter_->Add(-SideBytes());
-    }
+    Charge(-SideBytes());
   }
 
   size_t size() const { return index_.size(); }
@@ -113,13 +134,11 @@ class StableFlatMap {
       return {iterator(index_.data() + IndexPos(key)), false};
     }
     const int64_t before = SideBytes();
-    Entry* e = arena_.New(key, std::forward<V>(value));
+    Entry* e = new Entry(key, std::forward<V>(value));
     InsertTable(e);
     const size_t pos = IndexPos(key);
     index_.insert(index_.begin() + static_cast<ptrdiff_t>(pos), e);
-    if (counter_ != nullptr) {
-      counter_->Add(SideBytes() - before);
-    }
+    Charge(kEntryBytes + SideBytes() - before);
     return {iterator(index_.data() + pos), true};
   }
 
@@ -128,7 +147,8 @@ class StableFlatMap {
     const size_t pos = static_cast<size_t>(it.p_ - index_.data());
     EraseTable(e->first);
     index_.erase(index_.begin() + static_cast<ptrdiff_t>(pos));
-    arena_.Delete(e);
+    delete e;
+    Charge(-kEntryBytes);
     return iterator(index_.data() + pos);
   }
 
@@ -142,21 +162,30 @@ class StableFlatMap {
 
   void clear() {
     for (Entry* e : index_) {
-      arena_.Delete(e);
+      delete e;
     }
+    Charge(-kEntryBytes * static_cast<int64_t>(index_.size()));
     index_.clear();
     std::fill(table_.begin(), table_.end(), nullptr);
     table_used_ = 0;
   }
 
-  // Bytes held beyond the entries themselves (arena slabs are counted by the
-  // arena); exposed for tests pinning the telemetry.
+  // Bytes held beyond the entries themselves: index and hash-table capacity.
+  // Exposed for tests pinning the telemetry.
   int64_t SideBytes() const {
     return static_cast<int64_t>(index_.capacity() * sizeof(Entry*) +
                                 table_.capacity() * sizeof(Entry*));
   }
 
  private:
+  static constexpr int64_t kEntryBytes = static_cast<int64_t>(sizeof(Entry));
+
+  void Charge(int64_t delta) {
+    if (counter_ != nullptr) {
+      counter_->Add(delta);
+    }
+  }
+
   static Entry* Tombstone() { return reinterpret_cast<Entry*>(alignof(Entry)); }
 
   static uint64_t Mix(uint64_t x) {
@@ -247,8 +276,7 @@ class StableFlatMap {
   }
 
   ArenaCounter* counter_ = nullptr;
-  PooledArena<Entry> arena_;
-  std::vector<Entry*> index_;  // sorted ascending by key: the iteration order
+  std::vector<Entry*> index_;  // sorted ascending by key: the iteration order; owns the entries
   std::vector<Entry*> table_;  // open addressing; power-of-2, linear probing
   size_t table_used_ = 0;      // occupied slots including tombstones
 };

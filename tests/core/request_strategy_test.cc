@@ -593,8 +593,9 @@ struct World {
 // Runs one seeded random op sequence against both implementations, asserting
 // equal picks, RawSize() and RNG state after every op. With `fixed`, every
 // pick uses that strategy (as one Bullet' node does); otherwise each pick
-// draws one of the four.
-void RunDifferential(uint64_t seed, std::optional<RequestStrategy> fixed) {
+// draws one of the four. `head_picks` first-encountered picks run before the
+// mixed ops, so the discovery queue's head has already moved when they start.
+void RunDifferential(uint64_t seed, std::optional<RequestStrategy> fixed, int head_picks = 0) {
   Rng ops(seed);
   World w;
   // Small universes give many duplicates; large ones push the rarest
@@ -636,6 +637,15 @@ void RunDifferential(uint64_t seed, std::optional<RequestStrategy> fixed) {
     const uint32_t id = random_id();
     fast.Add(id);
     ref.Add(id);
+  }
+  for (int i = 0; i < head_picks; ++i) {
+    const auto a = fast.Pick(RequestStrategy::kFirstEncountered, valid, rarity, fast_rng);
+    const auto b = ref.Pick(RequestStrategy::kFirstEncountered, ref_valid, ref_rarity, ref_rng);
+    ASSERT_EQ(a, b) << "head pick " << i << " diverged, seed " << seed;
+    if (a.has_value()) {
+      w.invalid[*a] = 1;
+      picked.push_back(*a);
+    }
   }
 
   for (int op = 0; op < 600; ++op) {
@@ -730,6 +740,21 @@ TEST(CandidateSetDifferential, EachFixedStrategyMatchesReference) {
   for (const RequestStrategy s : kStrategies) {
     for (uint64_t seed = 100; seed < 125; ++seed) {
       RunDifferential(seed, s);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
+
+TEST(CandidateSetDifferential, FirstEncounteredMatchesReferenceAfterHeadMoves) {
+  // The discovery queue is consumed by advancing a head offset and compacted
+  // once the consumed prefix is half the buffer; from any head position,
+  // Pick, PickWindowed's in-place erase and Readd, interleaved with validity
+  // flips, must return the ids the std::deque reference returns.
+  for (uint64_t seed = 200; seed < 230; ++seed) {
+    for (const int head_picks : {1, 5, 11, 40}) {
+      RunDifferential(seed, RequestStrategy::kFirstEncountered, head_picks);
       if (HasFatalFailure()) {
         return;
       }

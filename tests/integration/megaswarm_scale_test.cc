@@ -24,12 +24,12 @@ TEST(MegaswarmScale, MemoryTelemetryFlowsThroughScenarioResult) {
   ScenarioConfig cfg = SmallMegaswarmConfig();
   const ScenarioResult r = RunScenario("bullet-prime", cfg);
   // Transit-stub routing populates the segment cache and the PathCache
-  // arena; Bullet' peer tables live on the counted protocol arenas.
+  // pool; Bullet' peer tables are charged to the network's ArenaCounter.
   EXPECT_GT(r.route_cache_bytes, 0u);
   EXPECT_GT(r.path_pool_bytes, 0u);
   EXPECT_GT(r.arena_peak_bytes, 0u);
 
-  // BitTorrent's peer table is arena-backed too.
+  // BitTorrent's peer table is counted too.
   const ScenarioResult bt = RunScenario("bittorrent", cfg);
   EXPECT_GT(bt.arena_peak_bytes, 0u);
 }

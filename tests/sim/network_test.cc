@@ -352,6 +352,70 @@ TEST(Network, ActiveDirectionAccountingAcrossLifecycle) {
   EXPECT_EQ(net.open_conn_entries(), 0u);
 }
 
+TEST(Network, CompactedClosedConnectionAnswersAsClosed) {
+  // The compaction pass frees a closed connection's state. Every call on its
+  // id must then answer as for a closed connection, the delivery still in
+  // flight must be dropped, and nothing may touch the freed state (the
+  // sanitizer build runs this test).
+  Network net = MakeTwoNodeNet(8e6, MsToSim(100));
+  Recorder h0(&net);
+  Recorder h1(&net);
+  net.SetHandler(0, &h0);
+  net.SetHandler(1, &h1);
+  const ConnId conn = net.Connect(0, 1);
+  const ConnId other = net.Connect(0, 1);
+  net.Run(SecToSim(1.0));
+  net.Send(conn, 0, std::make_unique<TestMsg>(1, 1000));
+  net.Send(conn, 0, std::make_unique<TestMsg>(2, 10 * 1000 * 1000));
+  net.Send(other, 0, std::make_unique<TestMsg>(3, 10 * 1000 * 1000));
+  // Quantum by quantum until message 1 is on the wire (its delivery is 100 ms
+  // out); message 2 is still queued.
+  for (int q = 0; q < 100 && net.node_bytes_sent(0) == 0; ++q) {
+    net.Run(net.now() + MsToSim(10));
+  }
+  ASSERT_EQ(net.node_bytes_sent(0), 1000);
+  ASSERT_EQ(net.node_bytes_received(1), 0);
+  ASSERT_GT(net.QueuedBytes(conn, 0), 0);
+  ASSERT_GT(net.IdleTime(conn, 1), 0);
+
+  net.Close(conn);
+  net.Run(net.now() + MsToSim(20));  // two quanta: compacted and freed
+  EXPECT_EQ(net.open_conn_entries(), 1u);
+  EXPECT_FALSE(net.IsOpen(conn));
+  EXPECT_FALSE(net.Send(conn, 0, std::make_unique<TestMsg>(4, 100)));
+  for (const NodeId n : {0, 1}) {
+    EXPECT_EQ(net.QueuedBytes(conn, n), 0);
+    EXPECT_EQ(net.QueuedMessages(conn, n), 0u);
+    EXPECT_EQ(net.CurrentRateBps(conn, n), 0.0);
+    EXPECT_EQ(net.IdleTime(conn, n), 0);
+  }
+  net.Close(conn);  // no-op: no second down notification
+  net.Run(SecToSim(2.0));
+  net.FailNode(0);  // closes `other`, leaves `conn` alone
+  net.Run(SecToSim(3.0));
+
+  const auto downs = [](const Recorder& h, ConnId id) {
+    int count = 0;
+    for (const auto& e : h.events) {
+      count += e.kind == Recorder::Event::Kind::kDown && e.conn == id ? 1 : 0;
+    }
+    return count;
+  };
+  for (const Recorder* h : {&h0, &h1}) {
+    EXPECT_EQ(downs(*h, conn), 1);
+    EXPECT_EQ(downs(*h, other), 1);
+  }
+  for (const auto& e : h1.events) {
+    EXPECT_FALSE(e.kind == Recorder::Event::Kind::kMsg && e.conn == conn)
+        << "message " << e.msg_id << " delivered on a closed connection";
+  }
+  // Message 1 left node 0 but never reached node 1; message 3 never finished.
+  EXPECT_EQ(net.node_bytes_sent(0), 1000);
+  EXPECT_EQ(net.node_bytes_received(1), 0);
+  EXPECT_EQ(net.open_conn_entries(), 0u);
+  EXPECT_EQ(net.active_directions(), 0u);
+}
+
 TEST(Dynamics, PeriodicHalvingIsCumulative) {
   MeshTopology topo(4);
   for (NodeId n = 0; n < 4; ++n) {

@@ -1,9 +1,9 @@
 // StableFlatMap must be observationally identical to the std::map peer tables
 // it replaced in the protocols: same ascending-key iteration order, same
 // find/erase/emplace results, iterators that survive the protocols' usage
-// patterns (held-iterator erase, conns snapshots), plus the arena properties
-// std::map cannot give — stable entry addresses and exact live/peak byte
-// telemetry that balances to zero at teardown and does not ratchet under
+// patterns (held-iterator erase, conns snapshots), plus stable entry addresses
+// and exact live/peak byte telemetry (live entries plus index and table
+// capacity) that balances to zero at teardown and does not ratchet under
 // churn.
 
 #include <gtest/gtest.h>
@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,12 @@
 
 namespace bullet {
 namespace {
+
+using IntMap = StableFlatMap<uint64_t, int>;
+
+// The index holds owning raw pointers: a copy would share (and double-free)
+// the entries, so the map must not be copyable.
+static_assert(!std::is_copy_constructible_v<IntMap> && !std::is_copy_assignable_v<IntMap>);
 
 void ExpectSameContents(StableFlatMap<uint64_t, int>& map,
                         const std::map<uint64_t, int>& reference) {
@@ -108,8 +115,8 @@ TEST(StableFlatMap, EntryAddressesAreStableAcrossGrowth) {
   for (uint64_t key = 2; key < 600; ++key) {
     map.emplace(key, static_cast<int>(key));
   }
-  // Hundreds of inserts later (several slab and table growths), the original
-  // entry has not moved.
+  // Hundreds of inserts later (several index and hash-table growths), the
+  // original entry has not moved.
   EXPECT_EQ(&map.at(1), first);
   EXPECT_EQ(*first, 100);
 }
@@ -136,6 +143,38 @@ TEST(StableFlatMap, CounterTracksGrowthAndBalancesToZero) {
   // Every byte the two maps charged was returned at destruction.
   EXPECT_EQ(counter.current_bytes(), 0);
   EXPECT_GT(counter.peak_bytes(), 0);
+}
+
+TEST(StableFlatMap, CounterChargesLiveEntriesPlusSideBytes) {
+  // The counter holds exactly sizeof(Entry) per live entry plus the index and
+  // table capacity, after every insert and every erase.
+  const int64_t entry = static_cast<int64_t>(sizeof(IntMap::Entry));
+  ArenaCounter counter;
+  Rng rng(7);
+  {
+    IntMap map(&counter);
+    std::vector<uint64_t> keys;
+    for (int64_t n = 1; n <= 300; ++n) {
+      const uint64_t key = static_cast<uint64_t>(n) * 7919;
+      map.emplace(key, static_cast<int>(n));
+      keys.push_back(key);
+      ASSERT_EQ(counter.current_bytes(), n * entry + map.SideBytes()) << n;
+    }
+    EXPECT_EQ(counter.peak_bytes(), counter.current_bytes());
+    rng.Shuffle(keys);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(map.erase(keys[i]), 1u);
+      const int64_t live = static_cast<int64_t>(keys.size() - i - 1);
+      ASSERT_EQ(counter.current_bytes(), live * entry + map.SideBytes()) << i;
+    }
+    EXPECT_EQ(counter.current_bytes(), map.SideBytes());
+    for (uint64_t key = 0; key < 40; ++key) {
+      map.emplace(key, 1);
+    }
+    map.clear();
+    EXPECT_EQ(counter.current_bytes(), map.SideBytes());
+  }
+  EXPECT_EQ(counter.current_bytes(), 0);
 }
 
 TEST(StableFlatMap, ChurnDoesNotRatchetMemory) {
