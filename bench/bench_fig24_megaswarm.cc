@@ -3,10 +3,11 @@
 // scenario pushes the *simulator* to 100,000 swarm members on one machine to
 // exercise the scale subsystem end to end:
 //
-//   * composed routes (every TransitStub-built RoutedTopology) — per-pair
-//     interior routes are composed from shared transit-to-transit segments
-//     instead of being cached whole, so route memory scales with the router
-//     graph, not with member pairs;
+//   * composed routes (every TransitStub-built RoutedTopology) — each
+//     interior route is composed from its two stub legs and a walk of the
+//     source transit router's shortest-path tree, and nothing is kept per
+//     pair, so route memory scales with the router graph, not with member
+//     pairs;
 //   * the exact max-min allocator, as in every other scenario — every flow
 //     competes on its own for every link it crosses, and an allocator epoch
 //     costs what the busy flows cost (network.h);

@@ -79,8 +79,8 @@ enum class ProfilePhase : int {
   kWaterFill,           // the water-fill proper (inside kAllocatorEpoch)
   kProtocolLogic,       // NetHandler::OnMessage protocol processing
   kRequestStrategy,     // protocol request-issuing loops (core + baselines)
-  kPathLookup,          // route/path-cache snapshots at Connect()
-  kTopologyMetrics,     // PathDelay/Rtt/PathLoss composition at Connect()
+  kPathLookup,          // InteriorPath route snapshots at Connect()
+  kTopologyMetrics,     // PathDelay/PathLoss composition at Connect()
   kCount,
 };
 

@@ -110,7 +110,7 @@ struct WorkloadResult {
   uint64_t allocator_epochs = 0;
   uint64_t sim_bytes_sent = 0;
   // Memory telemetry at the end of the run (deterministic byte counters, not
-  // RSS): routed-topology route cache, flow path pools, and the peak of the
+  // RSS): routed-topology route state, flow path pools, and the peak of the
   // per-node protocol peer tables (Network::arena_counter()). See docs/ARCHITECTURE.md
   // "Mega-swarm memory model"; the megaswarm sweep gates ceilings on these.
   uint64_t route_cache_bytes = 0;

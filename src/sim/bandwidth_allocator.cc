@@ -9,11 +9,11 @@ namespace bullet {
 
 namespace {
 
-// The stateless reference body shared by AllocateMaxMin and AllocateMaxMinPaths.
-// Flows arrive CSR-style: flow i crosses flow_links[flow_off[i] .. flow_off[i+1])
-// (negative entries are skipped). Every auxiliary structure is built fresh per
-// call; IncrementalMaxMin::Allocate() mirrors this body line for line over
-// persistent storage, and the invariants tests compare the two bitwise.
+// The stateless reference body behind AllocateMaxMinPaths. Flows arrive
+// CSR-style: flow i crosses flow_links[flow_off[i] .. flow_off[i+1]). Every
+// auxiliary structure is built fresh per call; IncrementalMaxMin::Allocate()
+// mirrors this body line for line over persistent storage, and the invariants
+// tests compare the two bitwise.
 void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<uint32_t>& flow_off,
                      const std::vector<double>& cap, const std::vector<double>& link_capacity_bps,
                      std::vector<double>& rate) {
@@ -27,11 +27,9 @@ void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<u
   std::vector<std::vector<uint32_t>> link_flows(num_links);
   for (size_t i = 0; i < num_flows; ++i) {
     for (uint32_t off = flow_off[i]; off < flow_off[i + 1]; ++off) {
-      const int32_t l = flow_links[off];
-      if (l >= 0) {
-        ++nflows[static_cast<size_t>(l)];
-        link_flows[static_cast<size_t>(l)].push_back(static_cast<uint32_t>(i));
-      }
+      const size_t l = static_cast<size_t>(flow_links[off]);
+      ++nflows[l];
+      link_flows[l].push_back(static_cast<uint32_t>(i));
     }
   }
 
@@ -71,9 +69,6 @@ void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<u
     ++frozen_count;
     for (uint32_t off = flow_off[fi]; off < flow_off[fi + 1]; ++off) {
       const int32_t l = flow_links[off];
-      if (l < 0) {
-        continue;
-      }
       const size_t li = static_cast<size_t>(l);
       remaining[li] = std::max(0.0, remaining[li] - rate[fi]);
       --nflows[li];
@@ -84,11 +79,7 @@ void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<u
 
   // Flows that traverse no links are bounded only by their cap.
   for (size_t i = 0; i < num_flows; ++i) {
-    bool has_link = false;
-    for (uint32_t off = flow_off[i]; off < flow_off[i + 1]; ++off) {
-      has_link |= flow_links[off] >= 0;
-    }
-    if (!has_link && !frozen[i]) {
+    if (flow_off[i] == flow_off[i + 1]) {
       frozen[i] = 1;
       ++frozen_count;
       rate[i] = cap[i];
@@ -156,30 +147,6 @@ void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<u
 
 }  // namespace
 
-void AllocateMaxMin(std::vector<FlowSpec>& flows, const std::vector<double>& link_capacity_bps) {
-  // Fixed-3 flows become CSR rows of exactly three entries (-1 slots included and
-  // skipped inside, matching the historical behaviour bit for bit).
-  std::vector<int32_t> flow_links;
-  flow_links.reserve(3 * flows.size());
-  std::vector<uint32_t> flow_off(flows.size() + 1, 0);
-  std::vector<double> cap(flows.size());
-  for (size_t i = 0; i < flows.size(); ++i) {
-    for (int32_t l : flows[i].links) {
-      flow_links.push_back(l);
-    }
-    flow_off[i + 1] = static_cast<uint32_t>(flow_links.size());
-    cap[i] = flows[i].cap_bps;
-  }
-  std::vector<double> rate;
-  {
-    BULLET_PROFILE_SCOPE(ProfilePhase::kWaterFill);
-    ReferenceMaxMin(flow_links, flow_off, cap, link_capacity_bps, rate);
-  }
-  for (size_t i = 0; i < flows.size(); ++i) {
-    flows[i].rate_bps = rate[i];
-  }
-}
-
 void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
                          const std::vector<double>& link_capacity_bps) {
   std::vector<int32_t> flow_links;
@@ -214,14 +181,6 @@ int32_t IncrementalMaxMin::AddLink(double capacity_bps) {
   return id;
 }
 
-void IncrementalMaxMin::AddFlow(int32_t l0, int32_t l1, int32_t l2, double cap_bps) {
-  flow_links_.push_back(l0);
-  flow_links_.push_back(l1);
-  flow_links_.push_back(l2);
-  flow_off_.push_back(static_cast<uint32_t>(flow_links_.size()));
-  cap_.push_back(cap_bps);
-}
-
 void IncrementalMaxMin::AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps) {
   flow_links_.insert(flow_links_.end(), ids, ids + num_ids);
   flow_off_.push_back(static_cast<uint32_t>(flow_links_.size()));
@@ -240,9 +199,7 @@ void IncrementalMaxMin::BuildEpochScratch() {
   // CSR build: count per-link flows, prefix-sum, then fill in flow order so each
   // link's flow sequence matches the reference's push_back order.
   for (const int32_t l : flow_links_) {
-    if (l >= 0) {
-      ++nflows_[static_cast<size_t>(l)];
-    }
+    ++nflows_[static_cast<size_t>(l)];
   }
   link_off_.assign(num_links + 1, 0);
   for (size_t l = 0; l < num_links; ++l) {
@@ -252,10 +209,7 @@ void IncrementalMaxMin::BuildEpochScratch() {
   fill_cursor_.assign(link_off_.begin(), link_off_.end() - 1);
   for (size_t i = 0; i < num_flows; ++i) {
     for (uint32_t off = flow_off_[i]; off < flow_off_[i + 1]; ++off) {
-      const int32_t l = flow_links_[off];
-      if (l >= 0) {
-        link_flow_[fill_cursor_[static_cast<size_t>(l)]++] = static_cast<uint32_t>(i);
-      }
+      link_flow_[fill_cursor_[static_cast<size_t>(flow_links_[off])]++] = static_cast<uint32_t>(i);
     }
   }
 
@@ -314,9 +268,6 @@ void IncrementalMaxMin::Allocate() {
     ++frozen_count;
     for (uint32_t off = flow_off_[fi]; off < flow_off_[fi + 1]; ++off) {
       const int32_t l = flow_links_[off];
-      if (l < 0) {
-        continue;
-      }
       const size_t li = static_cast<size_t>(l);
       remaining_[li] = std::max(0.0, remaining_[li] - rate_[fi]);
       --nflows_[li];
@@ -326,11 +277,7 @@ void IncrementalMaxMin::Allocate() {
   };
 
   for (size_t i = 0; i < num_flows; ++i) {
-    bool has_link = false;
-    for (uint32_t off = flow_off_[i]; off < flow_off_[i + 1]; ++off) {
-      has_link |= flow_links_[off] >= 0;
-    }
-    if (!has_link && !frozen_[i]) {
+    if (flow_off_[i] == flow_off_[i + 1]) {
       frozen_[i] = 1;
       ++frozen_count;
       rate_[i] = cap_[i];

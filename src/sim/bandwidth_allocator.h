@@ -8,15 +8,13 @@
 // fair share, and redistribute. Flows whose cap is below the current water level
 // are frozen at their cap first.
 //
-// Two implementations share the algorithm:
+// Two implementations share the algorithm and one flow form, a list of link
+// ids per flow (a flow with an empty list is bounded only by its cap):
 //
-//  * AllocateMaxMin / AllocateMaxMinPaths — the stateless reference. Builds every
-//    auxiliary structure per call; kept as the ground truth the property tests
-//    compare against and that checked builds hold the network's cached rates to
-//    every quantum (network.h). AllocateMaxMin is the historical fixed-3-link
-//    entry point; Paths takes a variable-length link list per flow. Both funnel
-//    into one reference body, and a 3-link flow performs the identical
-//    arithmetic through either.
+//  * AllocateMaxMinPaths — the stateless reference. Builds every auxiliary
+//    structure per call; kept as the ground truth the property tests compare
+//    against and that checked builds hold the network's cached rates to every
+//    quantum (network.h).
 //
 //  * IncrementalMaxMin — the hot-path engine. All scratch (per-link flow lists as
 //    a CSR array, the saturation heap, the cap-sorted index, freeze flags)
@@ -62,21 +60,13 @@
 
 namespace bullet {
 
-struct FlowSpec {
-  // Link indices into the capacity vector; -1 means unused slot.
-  int32_t links[3] = {-1, -1, -1};
-  // Per-flow rate cap in bits/second (TCP model); use a large value for "unlimited".
-  double cap_bps = 0.0;
-  // Output: allocated rate in bits/second.
-  double rate_bps = 0.0;
-};
-
-// Variable-length counterpart of FlowSpec for routed paths: a flow crosses every
-// link id in `links` (negative entries are ignored, mirroring FlowSpec's -1).
+// One flow: it crosses every link in `links` (indices into the capacity
+// vector; may be empty), at most `cap_bps` (TCP model; use a large value for
+// "unlimited").
 struct PathFlowSpec {
   std::vector<int32_t> links;
   double cap_bps = 0.0;
-  double rate_bps = 0.0;  // output
+  double rate_bps = 0.0;  // output: allocated rate in bits/second
 };
 
 // One saturation-heap entry: a link's fair share when it was pushed, and the
@@ -156,11 +146,6 @@ class SaturationHeap {
 
 // Computes the allocation in place. `link_capacity_bps[i]` is the capacity of link i.
 // Runs in O(F log F + saturation events * log L).
-void AllocateMaxMin(std::vector<FlowSpec>& flows, const std::vector<double>& link_capacity_bps);
-
-// As AllocateMaxMin, for flows that cross arbitrary-length link lists. A flow
-// whose `links` holds exactly three entries allocates bit-identically to the
-// same flow through AllocateMaxMin.
 void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
                          const std::vector<double>& link_capacity_bps);
 
@@ -169,8 +154,7 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
 //   alloc.BeginEpoch();
 //   for each link (fixed ids first, discovered ones after): alloc.AddLink(capacity);
 //   for each flow in the caller's canonical order:
-//     alloc.AddFlow(l0, l1, l2, cap);            // legacy fixed-3 form, or
-//     alloc.AddFlowPath(ids, num_ids, cap);      // routed variable-length form
+//     alloc.AddFlowPath(ids, num_ids, cap);
 //   alloc.Allocate();
 //   ... alloc.rate(i) ...
 //
@@ -185,11 +169,8 @@ class IncrementalMaxMin {
   // Registers the next link; ids are assigned densely in call order.
   int32_t AddLink(double capacity_bps);
 
-  // Registers the next flow (index = number of AddFlow* calls so far this epoch).
-  // Unused link slots are -1.
-  void AddFlow(int32_t l0, int32_t l1, int32_t l2, double cap_bps);
-
-  // Registers the next flow crossing `num_ids` links (negative ids are ignored).
+  // Registers the next flow (index = number of AddFlowPath calls so far this
+  // epoch), crossing the `num_ids` links at `ids`.
   void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps);
 
   // Water-fills the current epoch. Bit-identical to the stateless reference over
@@ -217,7 +198,7 @@ class IncrementalMaxMin {
   // Epoch inputs. Flows are stored CSR-style: flow i crosses
   // flow_links_[flow_off_[i] .. flow_off_[i+1]).
   std::vector<double> capacity_;     // per link
-  std::vector<int32_t> flow_links_;  // CSR payload (may contain negative = unused)
+  std::vector<int32_t> flow_links_;  // CSR payload
   std::vector<uint32_t> flow_off_;   // CSR offsets, size F+1
   std::vector<double> cap_;          // per flow
   std::vector<double> rate_;         // per flow (output)

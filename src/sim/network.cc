@@ -104,7 +104,6 @@ ConnId Network::Connect(NodeId from, NodeId to) {
     {
       BULLET_PROFILE_SCOPE(ProfilePhase::kTopologyMetrics);
       conn->path[i].path_delay = topology_->PathDelay(src, dst);
-      conn->path[i].rtt = topology_->Rtt(src, dst);
       conn->path[i].loss = topology_->PathLoss(src, dst);
     }
     {
@@ -115,6 +114,9 @@ ConnId Network::Connect(NodeId from, NodeId to) {
       path_pool_.insert(path_pool_.end(), route.begin(), route.end());
     }
   }
+  // Topology::Rtt is exactly this sum: delays are integers fixed for the run.
+  conn->path[0].rtt = conn->path[1].rtt = conn->path[0].path_delay + conn->path[1].path_delay;
+  const SimTime rtt = conn->path[0].rtt;
   conn->open_pos = static_cast<uint32_t>(open_conns_.size());
   conns_.push_back(std::move(conn));
   conn_busy_mask_.push_back(0);
@@ -124,7 +126,7 @@ ConnId Network::Connect(NodeId from, NodeId to) {
   open_conns_.push_back(id);
 
   // TCP three-way handshake plus the first application-level write.
-  const SimTime established_at = now() + topology_->Rtt(from, to) * 3 / 2;
+  const SimTime established_at = now() + rtt * 3 / 2;
   queue_.Schedule(established_at, [this, id] {
     Conn* c = GetConn(id);
     if (c == nullptr || c->closed) {
@@ -173,7 +175,7 @@ void Network::Close(ConnId conn_id) {
   for (int i = 0; i < 2; ++i) {
     const NodeId endpoint = c->node[i];
     const NodeId peer = c->node[1 - i];
-    const SimTime at = i == 0 ? now() : now() + topology_->PathDelay(c->node[0], c->node[1]);
+    const SimTime at = i == 0 ? now() : now() + c->path[0].path_delay;
     queue_.Schedule(at, [this, conn_id, endpoint, peer] {
       NetHandler* h = handlers_[static_cast<size_t>(endpoint)];
       if (h != nullptr) {

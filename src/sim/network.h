@@ -17,7 +17,8 @@
 // downlink, and the interior links of the topology's s->d path — one private
 // core link on the legacy mesh, a shared multi-hop route on RoutedTopology.
 // Interior routes are snapshotted per direction at Connect() (propagation delay
-// and loss are static; only link bandwidth is dynamic), and interior link ids
+// and loss are static; only link bandwidth is dynamic), the handshake and the
+// remote close notice read their delays from that snapshot, and interior link ids
 // are mapped to dense allocator ids per allocation epoch in first-use order —
 // on the mesh this reproduces the historical dense core-link-id scheme exactly,
 // so mesh results are bit-identical to the pre-routed implementation.
@@ -214,8 +215,8 @@ class Network {
   // Pooled per-connection interior-route slices.
   size_t path_pool_bytes() const;
   // Protocol node state registered via arena_counter(): live bytes now and the
-  // run's peak — every live StableFlatMap entry plus each map's index and
-  // hash-table capacity (the name predates per-entry storage).
+  // run's peak — every live StableFlatMap entry plus each map's index
+  // capacity (the name predates per-entry storage).
   int64_t arena_current_bytes() const { return arena_counter_.current_bytes(); }
   int64_t arena_peak_bytes() const { return arena_counter_.peak_bytes(); }
   // The counter protocol node-state containers (StableFlatMap) charge.

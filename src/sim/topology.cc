@@ -199,15 +199,18 @@ void RoutedTopology::BuildAdjacency() const {
   for (size_t e = 0; e < edges_.size(); ++e) {
     adj_edge_[cursor[static_cast<size_t>(edges_[e].from)]++] = static_cast<int32_t>(e);
   }
+  // The longest route: on a transit-stub graph at most T-1 transit hops (a
+  // shortest path between transit routers never enters a stub star, which it
+  // could only leave through the gateway it came in by) plus two stub legs of
+  // two edges each; on an explicit graph a tree path visits each router once.
+  const TransitStubInfo* ts = transit_stub_info();
+  route_scratch_.reserve(ts != nullptr ? static_cast<size_t>(ts->num_transit_routers) + 3 : r - 1);
   adj_built_ = true;
 }
 
 void RoutedTopology::ComputeRoutesFrom(int32_t src_router) const {
-  if (!adj_built_) {
-    BuildAdjacency();
-  }
-  SourceRoutes& out = routes_[static_cast<size_t>(src_router)];
-  out.prev_edge.assign(static_cast<size_t>(num_routers_), -1);
+  std::vector<int32_t>& prev_edge = routes_[static_cast<size_t>(src_router)];
+  prev_edge.assign(static_cast<size_t>(num_routers_), -1);
   std::vector<SimTime> dist(static_cast<size_t>(num_routers_), -1);  // -1 = unreached
 
   // Deterministic Dijkstra: the heap orders by (distance, router id), edges
@@ -231,12 +234,27 @@ void RoutedTopology::ComputeRoutesFrom(int32_t src_router) const {
       const SimTime nd = d + e.params.delay;
       if (dist[ti] < 0 || nd < dist[ti]) {
         dist[ti] = nd;
-        out.prev_edge[ti] = eid;
+        prev_edge[ti] = eid;
         heap.push({nd, e.to});
       }
     }
   }
-  out.computed = true;
+}
+
+void RoutedTopology::AppendTreeWalk(int32_t root, int32_t dest) const {
+  const std::vector<int32_t>& prev_edge = routes_[static_cast<size_t>(root)];
+  if (prev_edge.empty()) {
+    ComputeRoutesFrom(root);
+  }
+  // Walk from dest back up to the root, then reverse into path order.
+  const size_t off = route_scratch_.size();
+  for (int32_t walk = dest; walk != root;) {
+    const int32_t eid = prev_edge[static_cast<size_t>(walk)];
+    BULLET_CHECK(eid >= 0 && "router graph does not connect the routers");
+    route_scratch_.push_back(eid);
+    walk = edges_[static_cast<size_t>(eid)].from;
+  }
+  std::reverse(route_scratch_.begin() + static_cast<std::ptrdiff_t>(off), route_scratch_.end());
 }
 
 Topology::PathView RoutedTopology::InteriorPath(NodeId src, NodeId dst) const {
@@ -247,138 +265,66 @@ Topology::PathView RoutedTopology::InteriorPath(NodeId src, NodeId dst) const {
   if (r0 == r1) {
     return PathView{nullptr, 0};  // same stub router: access links only
   }
+  if (!adj_built_) {
+    BuildAdjacency();
+  }
+  route_scratch_.clear();
   if (transit_stub_info() != nullptr) {
-    return ComposedInteriorPath(r0, r1);
+    ComposeTransitStubRoute(r0, r1);
+  } else {
+    AppendTreeWalk(r0, r1);
   }
-  const int64_t key = static_cast<int64_t>(r0) * num_routers_ + r1;
-  auto it = path_cache_.find(key);
-  if (it == path_cache_.end()) {
-    if (!routes_[static_cast<size_t>(r0)].computed) {
-      ComputeRoutesFrom(r0);
-    }
-    const SourceRoutes& routes = routes_[static_cast<size_t>(r0)];
-    const uint32_t off = static_cast<uint32_t>(path_pool_.size());
-    int32_t walk = r1;
-    while (walk != r0) {
-      const int32_t eid = routes.prev_edge[static_cast<size_t>(walk)];
-      BULLET_CHECK(eid >= 0 && "router graph does not connect the attached routers");
-      path_pool_.push_back(eid);
-      walk = edges_[static_cast<size_t>(eid)].from;
-    }
-    std::reverse(path_pool_.begin() + off, path_pool_.end());
-    const uint32_t len = static_cast<uint32_t>(path_pool_.size()) - off;
-    it = path_cache_.emplace(key, std::make_pair(off, len)).first;
-  }
-  return PathView{path_pool_.data() + it->second.first, it->second.second};
+  return PathView{route_scratch_.data(), static_cast<uint32_t>(route_scratch_.size())};
 }
 
-std::pair<uint32_t, uint32_t> RoutedTopology::TransitSegment(int32_t tr0, int32_t tr1) const {
-  if (tr0 == tr1) {
-    return {0, 0};  // both stubs hang off the same transit router
-  }
-  const size_t slot =
-      static_cast<size_t>(tr0) * static_cast<size_t>(transit_stub_info_.num_transit_routers) +
-      static_cast<size_t>(tr1);
-  if (segment_off_[slot] == kSegmentUnset) {
-    if (!routes_[static_cast<size_t>(tr0)].computed) {
-      ComputeRoutesFrom(tr0);
-    }
-    const SourceRoutes& routes = routes_[static_cast<size_t>(tr0)];
-    const uint32_t off = static_cast<uint32_t>(segment_pool_.size());
-    int32_t walk = tr1;
-    while (walk != tr0) {
-      const int32_t eid = routes.prev_edge[static_cast<size_t>(walk)];
-      BULLET_CHECK(eid >= 0 && "router graph does not connect the transit routers");
-      segment_pool_.push_back(eid);
-      walk = edges_[static_cast<size_t>(eid)].from;
-    }
-    std::reverse(segment_pool_.begin() + off, segment_pool_.end());
-    segment_off_[slot] = off;
-    segment_len_[slot] = static_cast<uint32_t>(segment_pool_.size()) - off;
-  }
-  return {segment_off_[slot], segment_len_[slot]};
-}
-
-Topology::PathView RoutedTopology::ComposedInteriorPath(int32_t r0, int32_t r1) const {
+void RoutedTopology::ComposeTransitStubRoute(int32_t r0, int32_t r1) const {
   const TransitStubInfo& ts = transit_stub_info_;
   const int d0 = ts.stub_domain_of_router(r0);
   const int d1 = ts.stub_domain_of_router(r1);
   BULLET_CHECK(d0 >= 0 && d1 >= 0 && "transit-stub routes compose stub-attached nodes only");
-  compose_scratch_.clear();
-  const int32_t g0 = ts.gateway_router(d0);
-  const int32_t g1 = ts.gateway_router(d1);
-  if (d0 == d1) {
-    // Same stub star: the unique simple path runs member -> gateway -> member
-    // (the gateway's only other exit is its transit uplink, which cannot
-    // re-enter the star without revisiting the gateway).
-    if (r0 != g0) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r0)] + 1);
-    }
-    if (r1 != g1) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r1)]);
-    }
-  } else {
-    // Cross-stub: up the star (if not at the gateway), up the gateway's single
-    // transit uplink, across the shared transit segment, then mirror down.
-    if (r0 != g0) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r0)] + 1);
-    }
-    compose_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d0)] + 1);
-    const auto [off, len] = TransitSegment(ts.transit_router(d0), ts.transit_router(d1));
-    compose_scratch_.insert(compose_scratch_.end(), segment_pool_.begin() + off,
-                            segment_pool_.begin() + off + len);
-    compose_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d1)]);
-    if (r1 != g1) {
-      compose_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r1)]);
-    }
+  // A route climbs the source star to its gateway (unless it starts there)
+  // and descends the destination star from its gateway. Within one star that
+  // is the unique simple path: the gateway's only other exit is its transit
+  // uplink, which cannot re-enter the star without revisiting the gateway.
+  // Across stars it also crosses both gateways' transit uplinks and, between
+  // their transit routers, walks the source transit router's tree.
+  if (r0 != ts.gateway_router(d0)) {
+    route_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r0)] + 1);
   }
-  return PathView{compose_scratch_.data(), static_cast<uint32_t>(compose_scratch_.size())};
+  if (d0 != d1) {
+    route_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d0)] + 1);
+    const int32_t tr0 = ts.transit_router(d0);
+    const int32_t tr1 = ts.transit_router(d1);
+    if (tr0 != tr1) {  // else both stubs hang off the same transit router
+      AppendTreeWalk(tr0, tr1);
+    }
+    route_scratch_.push_back(ts.gateway_uplink_edge[static_cast<size_t>(d1)]);
+  }
+  if (r1 != ts.gateway_router(d1)) {
+    route_scratch_.push_back(ts.member_uplink_edge[static_cast<size_t>(r1)]);
+  }
 }
 
 void RoutedTopology::PrewarmRoutes() const {
   if (!adj_built_) {
     BuildAdjacency();
   }
-  if (transit_stub_info() != nullptr) {
-    // Only transit-router trees are needed (stub legs come straight from the
-    // recorded build edges); warm one tree per transit router serving an
-    // attached node's domain, then every segment between warmed routers so
-    // the segment cache is read-only afterwards.
-    const TransitStubInfo& ts = transit_stub_info_;
-    for (const int32_t router : attach_) {
-      if (router < 0) {
-        continue;
-      }
-      const int d = ts.stub_domain_of_router(router);
-      BULLET_CHECK(d >= 0 && "transit-stub routes compose stub-attached nodes only");
-      const int32_t tr = ts.transit_router(d);
-      if (!routes_[static_cast<size_t>(tr)].computed) {
-        ComputeRoutesFrom(tr);
-      }
-    }
-    for (int32_t a = 0; a < ts.num_transit_routers; ++a) {
-      if (!routes_[static_cast<size_t>(a)].computed) {
-        continue;
-      }
-      for (int32_t b = 0; b < ts.num_transit_routers; ++b) {
-        if (a != b && routes_[static_cast<size_t>(b)].computed) {
-          TransitSegment(a, b);
-        }
-      }
-    }
-    // Size the compose scratch for the longest possible route (two stub legs,
-    // two gateway uplinks, widest segment) so post-prewarm queries never
-    // allocate and route_cache_bytes stays flat.
-    uint32_t max_segment = 0;
-    for (const uint32_t len : segment_len_) {
-      max_segment = std::max(max_segment, len);
-    }
-    compose_scratch_.reserve(static_cast<size_t>(max_segment) + 4);
-    return;
-  }
+  // Stub legs come straight from the recorded build edges, so a transit-stub
+  // graph walks only the tree of the transit router serving each source's
+  // stub domain.
+  const TransitStubInfo* ts = transit_stub_info();
   for (const int32_t router : attach_) {
-    if (router >= 0 && !routes_[static_cast<size_t>(router)].computed) {
-      ComputeRoutesFrom(router);
+    if (router < 0) {
+      continue;
+    }
+    int32_t root = router;
+    if (ts != nullptr) {
+      const int d = ts->stub_domain_of_router(router);
+      BULLET_CHECK(d >= 0 && "transit-stub routes compose stub-attached nodes only");
+      root = ts->transit_router(d);
+    }
+    if (routes_[static_cast<size_t>(root)].empty()) {
+      ComputeRoutesFrom(root);
     }
   }
 }
@@ -389,24 +335,11 @@ size_t RoutedTopology::MemoryFootprintBytes() const {
 }
 
 size_t RoutedTopology::route_cache_bytes() const {
-  // Per-pair map accounting is honest about container overhead: each hash node
-  // carries the key/value pair plus a next pointer and an allocation header,
-  // and the bucket array itself is resident memory. (The old formula counted
-  // only key+value payload, so cache growth was under-reported by roughly the
-  // bucket array plus one pointer-pair per routed pair.)
-  constexpr size_t kMapNodeBytes =
-      sizeof(std::pair<const int64_t, std::pair<uint32_t, uint32_t>>) + 2 * sizeof(void*);
   size_t bytes = adj_off_.capacity() * sizeof(uint32_t) + adj_edge_.capacity() * sizeof(int32_t) +
-                 path_pool_.capacity() * sizeof(int32_t) +
-                 routes_.capacity() * sizeof(SourceRoutes) +
-                 path_cache_.size() * kMapNodeBytes +
-                 path_cache_.bucket_count() * sizeof(void*) +
-                 segment_off_.capacity() * sizeof(uint32_t) +
-                 segment_len_.capacity() * sizeof(uint32_t) +
-                 segment_pool_.capacity() * sizeof(int32_t) +
-                 compose_scratch_.capacity() * sizeof(int32_t);
-  for (const SourceRoutes& r : routes_) {
-    bytes += r.prev_edge.capacity() * sizeof(int32_t);
+                 routes_.capacity() * sizeof(std::vector<int32_t>) +
+                 route_scratch_.capacity() * sizeof(int32_t);
+  for (const std::vector<int32_t>& prev_edge : routes_) {
+    bytes += prev_edge.capacity() * sizeof(int32_t);
   }
   return bytes;
 }
@@ -465,9 +398,6 @@ RoutedTopology RoutedTopology::TransitStub(const TransitStubParams& p, Rng& rng)
   topo.transit_stub_info_.stub_domains_per_transit_router = p.stub_domains_per_transit_router;
   topo.transit_stub_info_.gateway_uplink_edge.reserve(static_cast<size_t>(num_stub_domains));
   topo.transit_stub_info_.member_uplink_edge.assign(static_cast<size_t>(num_routers), -1);
-  const size_t segments = static_cast<size_t>(num_transit) * static_cast<size_t>(num_transit);
-  topo.segment_off_.assign(segments, kSegmentUnset);
-  topo.segment_len_.assign(segments, 0);
   std::vector<int32_t> stub_routers;
   stub_routers.reserve(static_cast<size_t>(num_stub_domains) *
                        static_cast<size_t>(p.routers_per_stub));

@@ -16,11 +16,12 @@
 //    the delay-shortest route between the attachment routers, so flows from
 //    different pairs genuinely share links — the regime where max-min fair
 //    emulation produces the paper's "correlated and cumulative" bandwidth
-//    effects. Memory is O(N + routers + edges). A TransitStub-built graph
-//    composes each route from its two stub legs and a cached transit-to-
-//    transit segment; an explicit edge list runs one Dijkstra per used source
-//    router and caches per-pair link-id lists, so its footprint scales with
-//    the pairs actually connected, not with N^2.
+//    effects. Memory is O(N + routers + edges). Routes are read straight off
+//    lazily computed shortest-path trees, one per source router actually
+//    used: a TransitStub-built graph composes each route from its two stub
+//    legs and a walk of the source transit router's tree; an explicit edge
+//    list walks the source router's tree. No per-pair state is kept, so the
+//    footprint scales with the source routers in use, not with N^2.
 //
 // Interior link ids are topology-defined dense integers (mesh: src*N+dst; routed:
 // edge index). Propagation delay and loss are fixed once routes are first used;
@@ -33,7 +34,6 @@
 #define SRC_SIM_TOPOLOGY_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/logging.h"
@@ -80,7 +80,7 @@ class Topology {
 
   // A borrowed view of the interior link ids on the s->d path, in path order.
   // Valid only until the next InteriorPath call on this topology (implementations
-  // may back it with scratch or growable cache storage); copy it to keep it.
+  // back it with one reused scratch buffer); copy it to keep it.
   struct PathView {
     const int32_t* ids = nullptr;
     uint32_t size = 0;
@@ -244,9 +244,10 @@ class RoutedTopology final : public Topology {
   int32_t edge_to(int32_t link_id) const { return edges_[static_cast<size_t>(link_id)].to; }
 
   // Bytes held by the permanent structures (access links, attach map, edges) —
-  // what a scenario pays to *build* the topology. Routing state (including the
-  // lazily built adjacency CSR) is excluded: it grows with the node pairs
-  // actually connected, and route_cache_bytes() reports it separately.
+  // what a scenario pays to *build* the topology. Routing state (the lazily
+  // built adjacency CSR, the shortest-path trees and the route scratch) is
+  // excluded: it grows once per source router whose tree a route walks, and
+  // route_cache_bytes() reports it separately.
   size_t MemoryFootprintBytes() const;
   size_t route_cache_bytes() const;
 
@@ -313,32 +314,32 @@ class RoutedTopology final : public Topology {
     return transit_stub_info_.num_stub_domains > 0 ? &transit_stub_info_ : nullptr;
   }
 
-  // --- Route stores ---
-  // A TransitStub-built topology composes each route lazily as (src stub leg,
-  // cached transit->transit segment, dst stub leg) instead of materializing
-  // one pooled edge list per router pair, so route memory is O(T^2 segments +
-  // routers), not O(pairs x path length). Composed views are backed by
-  // scratch (valid until the next InteriorPath call, per the PathView
-  // contract) and are bitwise-equal to the per-pair Dijkstra walk: a stub
+  // --- Routes ---
+  // The shortest-path trees are the one route store. A query walks one tree
+  // into the route scratch that backs the returned PathView (valid until the
+  // next InteriorPath call, per the PathView contract); nothing is kept per
+  // pair. An explicit router graph (AddEdge/AttachNode) walks the source
+  // router's tree. A TransitStub-built graph composes (src stub leg, walk of
+  // the source transit router's tree to the destination transit router, dst
+  // stub leg), so only transit-router trees are ever computed. The composed
+  // list is bitwise-equal to the walk of the source router's own tree: a stub
   // star leaves through its gateway's single transit uplink, so the Dijkstra
   // tree beyond the transit router is shift-invariant in the source (same
-  // (dist, router) heap order, same strict-improvement relaxations), making
-  // the composed list exactly the tree walk the per-pair cache would store
-  // (scale_subsystem_test pins this on generated shapes). Explicit router
-  // graphs (AddEdge/AttachNode) take the per-pair cache.
+  // (dist, router) heap order, same strict-improvement relaxations);
+  // scale_subsystem_test pins this on generated shapes.
   //
   // Thread-safety: route state (adjacency CSR, per-source shortest-path trees,
-  // transit segments, per-pair path cache) fills lazily under const queries,
-  // so a topology must not be queried from two threads at once. Each
-  // simulation run owns its topology (sweep --jobs isolates whole runs), so
-  // this never arises in the simulator itself.
+  // route scratch) fills lazily under const queries, so a topology must not be
+  // queried from two threads at once. Each simulation run owns its topology
+  // (sweep --jobs isolates whole runs), so this never arises in the simulator
+  // itself.
   //
-  // PrewarmRoutes() fills that lazy state up front. On a TransitStub graph it
-  // warms the transit-router trees and all transit segments between them; on
-  // an explicit graph, the adjacency CSR plus the shortest-path tree from
-  // every router an overlay node attaches to, leaving only the per-pair path
-  // cache to fill on demand. Callers use it as a cold-cache warmer, so later
-  // route queries measure cached lookups rather than Dijkstra runs.
+  // PrewarmRoutes() computes up front every tree later queries can walk: on a
+  // TransitStub graph, the transit-router tree serving each attached node's
+  // stub domain; on an explicit graph, the tree of every router an overlay
+  // node attaches to. Together with the scratch, which the first route query
+  // (or PrewarmRoutes) reserves for the longest possible route, that leaves
+  // later queries allocation-free, so route_cache_bytes() stays flat.
   void PrewarmRoutes() const;
 
  private:
@@ -348,44 +349,33 @@ class RoutedTopology final : public Topology {
     LinkParams params;
   };
 
+  // Builds the CSR adjacency and reserves the route scratch for the longest
+  // possible route.
   void BuildAdjacency() const;
   // Dijkstra (delay-weighted, deterministic (dist, router) tie-break) from
-  // `src_router`, filling routes_[src_router].
+  // `src_router`, filling routes_[src_router]. Requires the adjacency.
   void ComputeRoutesFrom(int32_t src_router) const;
-  // TransitStub route assembly: stub legs from the recorded build edges,
-  // interior from the cached transit segment. Returns a scratch-backed view.
-  PathView ComposedInteriorPath(int32_t r0, int32_t r1) const;
-  // (offset, length) into segment_pool_ of the tr0->tr1 transit segment,
-  // computing and caching it on first use.
-  std::pair<uint32_t, uint32_t> TransitSegment(int32_t tr0, int32_t tr1) const;
+  // Appends the root -> dest path of routes_[root]'s tree to the route
+  // scratch, computing the tree on first use.
+  void AppendTreeWalk(int32_t root, int32_t dest) const;
+  // TransitStub route assembly into the route scratch: stub legs from the
+  // recorded build edges, the transit part from a transit-router tree walk.
+  void ComposeTransitStubRoute(int32_t r0, int32_t r1) const;
 
   int num_routers_;
   std::vector<int32_t> attach_;  // per overlay node; -1 until AttachNode
   std::vector<Edge> edges_;
   TransitStubInfo transit_stub_info_;  // empty unless TransitStub-built
 
-  // Lazy routing state (const-queried, cached): CSR adjacency over routers,
-  // per-source shortest-path trees, and (explicit graphs) pooled
-  // per-router-pair edge lists.
+  // Lazy routing state (filled under const queries): CSR adjacency over
+  // routers; per source router, the edge arriving at each router in its
+  // shortest-path tree (-1 at the root and at unreachable routers; empty
+  // until computed); and the scratch that backs every returned PathView.
   mutable bool adj_built_ = false;
   mutable std::vector<uint32_t> adj_off_;
   mutable std::vector<int32_t> adj_edge_;
-  struct SourceRoutes {
-    bool computed = false;
-    std::vector<int32_t> prev_edge;  // edge arriving at each router; -1 at src/unreachable
-  };
-  mutable std::vector<SourceRoutes> routes_;
-  mutable std::unordered_map<int64_t, std::pair<uint32_t, uint32_t>> path_cache_;
-  mutable std::vector<int32_t> path_pool_;
-
-  // TransitStub route state: dense T x T transit-segment cache (offset into
-  // segment_pool_; kSegmentUnset until computed) plus the scratch buffer that
-  // backs composed PathViews.
-  static constexpr uint32_t kSegmentUnset = 0xffffffffu;
-  mutable std::vector<uint32_t> segment_off_;
-  mutable std::vector<uint32_t> segment_len_;
-  mutable std::vector<int32_t> segment_pool_;
-  mutable std::vector<int32_t> compose_scratch_;
+  mutable std::vector<std::vector<int32_t>> routes_;
+  mutable std::vector<int32_t> route_scratch_;
 };
 
 }  // namespace bullet

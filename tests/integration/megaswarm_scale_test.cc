@@ -1,7 +1,7 @@
 // End-to-end contract of the mega-swarm scale subsystem (ctest label
 // `routed`): the memory telemetry must flow through ScenarioResult so the
 // megaswarm ceilings gate has real numbers to check. (Composed transit-stub
-// routes are held to the per-pair Dijkstra walk in scale_subsystem_test.)
+// routes are held to the source-router Dijkstra walk in scale_subsystem_test.)
 
 #include <gtest/gtest.h>
 
@@ -23,8 +23,9 @@ ScenarioConfig SmallMegaswarmConfig() {
 TEST(MegaswarmScale, MemoryTelemetryFlowsThroughScenarioResult) {
   ScenarioConfig cfg = SmallMegaswarmConfig();
   const ScenarioResult r = RunScenario("bullet-prime", cfg);
-  // Transit-stub routing populates the segment cache and the PathCache
-  // pool; Bullet' peer tables are charged to the network's ArenaCounter.
+  // Transit-stub routing computes transit-router trees and fills the
+  // network's route pool; Bullet' peer tables are charged to the network's
+  // ArenaCounter.
   EXPECT_GT(r.route_cache_bytes, 0u);
   EXPECT_GT(r.path_pool_bytes, 0u);
   EXPECT_GT(r.arena_peak_bytes, 0u);
@@ -38,7 +39,7 @@ TEST(MegaswarmScale, MeshTopologyReportsNoRouteCache) {
   ScenarioConfig cfg = SmallMegaswarmConfig();
   cfg.topo = ScenarioConfig::Topo::kMesh;
   const ScenarioResult r = RunScenario("bullet-prime", cfg);
-  // Dense mesh paths are computed from the matrix, not a route cache.
+  // Dense mesh paths are computed from the matrix, not from route state.
   EXPECT_EQ(r.route_cache_bytes, 0u);
   EXPECT_GT(r.arena_peak_bytes, 0u);
 }

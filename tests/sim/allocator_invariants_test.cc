@@ -1,5 +1,5 @@
 // Property-style invariant layer over the max-min allocator pair (reference
-// AllocateMaxMin vs hot-path IncrementalMaxMin), randomized over ~200 seeded
+// AllocateMaxMinPaths vs hot-path IncrementalMaxMin), randomized over ~200 seeded
 // instances. Locks down the contracts the network's incremental tick relies on:
 //
 //  1. feasibility      — no link oversubscribed, no flow above its cap;
@@ -8,7 +8,7 @@
 //  3. monotonicity     — removing a flow never decreases a survivor's rate;
 //  4. bit-exactness    — IncrementalMaxMin (with its scratch reused across many
 //                        epochs, including tie-heavy uniform instances) produces
-//                        rates bit-identical to a fresh AllocateMaxMin.
+//                        rates bit-identical to a fresh AllocateMaxMinPaths.
 //
 // Run standalone with `ctest -L invariants`.
 
@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -28,7 +29,7 @@ constexpr double kUnlimited = 1e12;
 
 struct Instance {
   std::vector<double> capacity;
-  std::vector<FlowSpec> flows;
+  std::vector<PathFlowSpec> flows;
 };
 
 // Uniform instances produce exact FP ties (equal capacities, equal shares) —
@@ -43,10 +44,10 @@ Instance MakeInstance(Rng& rng, bool uniform) {
     inst.capacity.push_back(uniform ? uniform_cap : rng.UniformDouble(0.5e6, 20e6));
   }
   for (int i = 0; i < num_flows; ++i) {
-    FlowSpec f;
+    PathFlowSpec f;
     const int nlinks = static_cast<int>(rng.UniformInt(1, 3));
     for (int l = 0; l < nlinks; ++l) {
-      f.links[l] = static_cast<int32_t>(rng.UniformInt(0, num_links - 1));
+      f.links.push_back(static_cast<int32_t>(rng.UniformInt(0, num_links - 1)));
     }
     if (rng.Bernoulli(0.3)) {
       // Duplicate cap values (uniform case) stress equal-cap tie handling.
@@ -54,17 +55,17 @@ Instance MakeInstance(Rng& rng, bool uniform) {
     } else {
       f.cap_bps = kUnlimited;
     }
-    inst.flows.push_back(f);
+    inst.flows.push_back(std::move(f));
   }
   return inst;
 }
 
 std::vector<double> ReferenceRates(const Instance& inst) {
-  std::vector<FlowSpec> flows = inst.flows;
-  AllocateMaxMin(flows, inst.capacity);
+  std::vector<PathFlowSpec> flows = inst.flows;
+  AllocateMaxMinPaths(flows, inst.capacity);
   std::vector<double> rates;
   rates.reserve(flows.size());
-  for (const FlowSpec& f : flows) {
+  for (const PathFlowSpec& f : flows) {
     rates.push_back(f.rate_bps);
   }
   return rates;
@@ -75,8 +76,8 @@ std::vector<double> IncrementalRates(IncrementalMaxMin& alloc, const Instance& i
   for (const double c : inst.capacity) {
     alloc.AddLink(c);
   }
-  for (const FlowSpec& f : inst.flows) {
-    alloc.AddFlow(f.links[0], f.links[1], f.links[2], f.cap_bps);
+  for (const PathFlowSpec& f : inst.flows) {
+    alloc.AddFlowPath(f.links.data(), f.links.size(), f.cap_bps);
   }
   alloc.Allocate();
   return alloc.rates();
@@ -89,9 +90,7 @@ void CheckFeasibilityAndJustice(const Instance& inst, const std::vector<double>&
     EXPECT_GE(rates[i], 0.0);
     EXPECT_LE(rates[i], inst.flows[i].cap_bps * (1.0 + 1e-9));
     for (const int32_t l : inst.flows[i].links) {
-      if (l >= 0) {
-        used[static_cast<size_t>(l)] += rates[i];
-      }
+      used[static_cast<size_t>(l)] += rates[i];
     }
   }
   for (size_t l = 0; l < num_links; ++l) {
@@ -107,7 +106,7 @@ void CheckFeasibilityAndJustice(const Instance& inst, const std::vector<double>&
     }
     bool justified = false;
     for (const int32_t l : inst.flows[i].links) {
-      if (l < 0 || justified) {
+      if (justified) {
         continue;
       }
       const size_t li = static_cast<size_t>(l);
@@ -166,11 +165,11 @@ TEST_P(AllocatorInvariants, RandomizedEpochs) {
         }
         break;
       case 1: {
-        FlowSpec f;
-        f.links[0] =
-            static_cast<int32_t>(rng.UniformInt(0, static_cast<int64_t>(inst.capacity.size()) - 1));
+        PathFlowSpec f;
+        f.links.push_back(
+            static_cast<int32_t>(rng.UniformInt(0, static_cast<int64_t>(inst.capacity.size()) - 1)));
         f.cap_bps = rng.Bernoulli(0.5) ? rng.UniformDouble(0.1e6, 5e6) : kUnlimited;
-        inst.flows.push_back(f);
+        inst.flows.push_back(std::move(f));
         break;
       }
       default: {

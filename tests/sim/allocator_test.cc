@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <queue>
+#include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -13,24 +15,22 @@ namespace {
 
 constexpr double kUnlimited = 1e12;
 
-FlowSpec MakeFlow(int32_t a, int32_t b, int32_t c, double cap = kUnlimited) {
-  FlowSpec f;
-  f.links[0] = a;
-  f.links[1] = b;
-  f.links[2] = c;
+PathFlowSpec MakeFlow(std::vector<int32_t> links, double cap = kUnlimited) {
+  PathFlowSpec f;
+  f.links = std::move(links);
   f.cap_bps = cap;
   return f;
 }
 
 TEST(Allocator, SingleFlowGetsLinkCapacity) {
-  std::vector<FlowSpec> flows = {MakeFlow(0, -1, -1)};
-  AllocateMaxMin(flows, {10e6});
+  std::vector<PathFlowSpec> flows = {MakeFlow({0})};
+  AllocateMaxMinPaths(flows, {10e6});
   EXPECT_DOUBLE_EQ(flows[0].rate_bps, 10e6);
 }
 
 TEST(Allocator, FairShareOnSharedLink) {
-  std::vector<FlowSpec> flows = {MakeFlow(0, -1, -1), MakeFlow(0, -1, -1), MakeFlow(0, -1, -1)};
-  AllocateMaxMin(flows, {9e6});
+  std::vector<PathFlowSpec> flows = {MakeFlow({0}), MakeFlow({0}), MakeFlow({0})};
+  AllocateMaxMinPaths(flows, {9e6});
   for (const auto& f : flows) {
     EXPECT_NEAR(f.rate_bps, 3e6, 1.0);
   }
@@ -38,16 +38,16 @@ TEST(Allocator, FairShareOnSharedLink) {
 
 TEST(Allocator, CapLimitedFlowReleasesShare) {
   // Flow 0 capped at 1 Mbps; flow 1 takes the remaining 9.
-  std::vector<FlowSpec> flows = {MakeFlow(0, -1, -1, 1e6), MakeFlow(0, -1, -1)};
-  AllocateMaxMin(flows, {10e6});
+  std::vector<PathFlowSpec> flows = {MakeFlow({0}, 1e6), MakeFlow({0})};
+  AllocateMaxMinPaths(flows, {10e6});
   EXPECT_NEAR(flows[0].rate_bps, 1e6, 1.0);
   EXPECT_NEAR(flows[1].rate_bps, 9e6, 1.0);
 }
 
 TEST(Allocator, BottleneckElsewhereReleasesShare) {
   // Flow 0 is bottlenecked by its narrow second link; flow 1 takes the rest.
-  std::vector<FlowSpec> flows = {MakeFlow(0, 1, -1), MakeFlow(0, -1, -1)};
-  AllocateMaxMin(flows, {10e6, 2e6});
+  std::vector<PathFlowSpec> flows = {MakeFlow({0, 1}), MakeFlow({0})};
+  AllocateMaxMinPaths(flows, {10e6, 2e6});
   EXPECT_NEAR(flows[0].rate_bps, 2e6, 1.0);
   EXPECT_NEAR(flows[1].rate_bps, 8e6, 1.0);
 }
@@ -55,28 +55,28 @@ TEST(Allocator, BottleneckElsewhereReleasesShare) {
 TEST(Allocator, ClassicMaxMinExample) {
   // Three links A=10, B=4, C=6. Flow0 crosses A,B; flow1 crosses B; flow2 crosses
   // A,C. Max-min: B splits 2/2; flow2 gets min(10-2, 6) = 6.
-  std::vector<FlowSpec> flows = {MakeFlow(0, 1, -1), MakeFlow(1, -1, -1), MakeFlow(0, 2, -1)};
-  AllocateMaxMin(flows, {10e6, 4e6, 6e6});
+  std::vector<PathFlowSpec> flows = {MakeFlow({0, 1}), MakeFlow({1}), MakeFlow({0, 2})};
+  AllocateMaxMinPaths(flows, {10e6, 4e6, 6e6});
   EXPECT_NEAR(flows[0].rate_bps, 2e6, 1.0);
   EXPECT_NEAR(flows[1].rate_bps, 2e6, 1.0);
   EXPECT_NEAR(flows[2].rate_bps, 6e6, 1.0);
 }
 
 TEST(Allocator, NoLinksMeansCapRate) {
-  std::vector<FlowSpec> flows = {MakeFlow(-1, -1, -1, 5e6)};
-  AllocateMaxMin(flows, {});
+  std::vector<PathFlowSpec> flows = {MakeFlow({}, 5e6)};
+  AllocateMaxMinPaths(flows, {});
   EXPECT_DOUBLE_EQ(flows[0].rate_bps, 5e6);
 }
 
 TEST(Allocator, ZeroCapacityLink) {
-  std::vector<FlowSpec> flows = {MakeFlow(0, -1, -1)};
-  AllocateMaxMin(flows, {0.0});
+  std::vector<PathFlowSpec> flows = {MakeFlow({0})};
+  AllocateMaxMinPaths(flows, {0.0});
   EXPECT_DOUBLE_EQ(flows[0].rate_bps, 0.0);
 }
 
 TEST(Allocator, EmptyFlows) {
-  std::vector<FlowSpec> flows;
-  AllocateMaxMin(flows, {10e6});  // must not crash
+  std::vector<PathFlowSpec> flows;
+  AllocateMaxMinPaths(flows, {10e6});  // must not crash
 }
 
 // Property-based sweep: on random instances the allocation must be (a) feasible on
@@ -94,28 +94,26 @@ TEST_P(AllocatorPropertyTest, RandomInstanceInvariants) {
   for (auto& c : capacity) {
     c = rng.UniformDouble(0.5e6, 20e6);
   }
-  std::vector<FlowSpec> flows;
+  std::vector<PathFlowSpec> flows;
   for (int i = 0; i < num_flows; ++i) {
-    FlowSpec f;
+    PathFlowSpec f;
     const int nlinks = static_cast<int>(rng.UniformInt(1, 3));
     for (int l = 0; l < nlinks; ++l) {
-      f.links[l] = static_cast<int32_t>(rng.UniformInt(0, num_links - 1));
+      f.links.push_back(static_cast<int32_t>(rng.UniformInt(0, num_links - 1)));
     }
     f.cap_bps = rng.Bernoulli(0.3) ? rng.UniformDouble(0.1e6, 5e6) : kUnlimited;
-    flows.push_back(f);
+    flows.push_back(std::move(f));
   }
 
-  AllocateMaxMin(flows, capacity);
+  AllocateMaxMinPaths(flows, capacity);
 
   // (a) feasibility and (b) caps.
   std::vector<double> used(static_cast<size_t>(num_links), 0.0);
   for (const auto& f : flows) {
     EXPECT_GE(f.rate_bps, 0.0);
     EXPECT_LE(f.rate_bps, f.cap_bps * (1.0 + 1e-9));
-    for (int l = 0; l < 3; ++l) {
-      if (f.links[l] >= 0) {
-        used[static_cast<size_t>(f.links[l])] += f.rate_bps;
-      }
+    for (const int32_t l : f.links) {
+      used[static_cast<size_t>(l)] += f.rate_bps;
     }
   }
   for (int l = 0; l < num_links; ++l) {
@@ -130,10 +128,7 @@ TEST_P(AllocatorPropertyTest, RandomInstanceInvariants) {
       continue;  // cap-limited
     }
     bool justified = false;
-    for (int l = 0; l < 3 && !justified; ++l) {
-      if (f.links[l] < 0) {
-        continue;
-      }
+    for (size_t l = 0; l < f.links.size() && !justified; ++l) {
       const size_t li = static_cast<size_t>(f.links[l]);
       if (used[li] < capacity[li] - kTol) {
         continue;  // link not saturated
@@ -141,12 +136,8 @@ TEST_P(AllocatorPropertyTest, RandomInstanceInvariants) {
       // Saturated link: check that f has a maximal rate among its flows.
       bool is_max = true;
       for (const auto& g : flows) {
-        bool on_link = false;
-        for (int gl = 0; gl < 3; ++gl) {
-          if (g.links[gl] == f.links[l]) {
-            on_link = true;
-          }
-        }
+        const bool on_link =
+            std::find(g.links.begin(), g.links.end(), f.links[l]) != g.links.end();
         if (on_link && g.rate_bps > f.rate_bps + kTol) {
           is_max = false;
           break;

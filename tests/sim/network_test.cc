@@ -63,23 +63,40 @@ Network MakeTwoNodeNet(double bps = 8e6, SimTime delay = MsToSim(10)) {
   return Network(std::move(topo), config, 77);
 }
 
+// Gives MakeTwoNodeNet's two directions different one-way delays before any
+// Connect snapshots them: 0->1 crosses 1 + 10 + 2 ms, 1->0 crosses 0 + 30 + 0 ms.
+void MakeDelaysAsymmetric(Network& net) {
+  MeshTopology& topo = *net.topology().AsMesh();
+  topo.uplink(0).delay = MsToSim(1);
+  topo.downlink(1).delay = MsToSim(2);
+  topo.core(1, 0).delay = MsToSim(30);
+}
+
 TEST(Network, ConnectionEstablishesAfterHandshake) {
-  Network net = MakeTwoNodeNet();
-  Recorder h0(&net);
-  Recorder h1(&net);
-  net.SetHandler(0, &h0);
-  net.SetHandler(1, &h1);
+  for (const bool asymmetric : {false, true}) {
+    SCOPED_TRACE(asymmetric ? "asymmetric delays" : "symmetric delays");
+    Network net = MakeTwoNodeNet();
+    if (asymmetric) {
+      MakeDelaysAsymmetric(net);
+    }
+    Recorder h0(&net);
+    Recorder h1(&net);
+    net.SetHandler(0, &h0);
+    net.SetHandler(1, &h1);
 
-  net.Connect(0, 1);
-  net.Run(SecToSim(1.0));
+    net.Connect(0, 1);
+    net.Run(SecToSim(1.0));
 
-  ASSERT_EQ(h0.events.size(), 1u);
-  ASSERT_EQ(h1.events.size(), 1u);
-  EXPECT_EQ(h0.events[0].kind, Recorder::Event::Kind::kUp);
-  EXPECT_TRUE(h0.events[0].initiator);
-  EXPECT_FALSE(h1.events[0].initiator);
-  // Handshake = 1.5 RTT = 1.5 * 2 * 10 ms one-way.
-  EXPECT_EQ(h0.events[0].at, MsToSim(30));
+    ASSERT_EQ(h0.events.size(), 1u);
+    ASSERT_EQ(h1.events.size(), 1u);
+    EXPECT_EQ(h0.events[0].kind, Recorder::Event::Kind::kUp);
+    EXPECT_TRUE(h0.events[0].initiator);
+    EXPECT_FALSE(h1.events[0].initiator);
+    // Handshake = 1.5 RTT: 1.5 * 2 * 10 ms one-way, or 1.5 * (13 + 30) ms.
+    const Topology& topo = net.topology();
+    EXPECT_EQ(h0.events[0].at, (topo.PathDelay(0, 1) + topo.PathDelay(1, 0)) * 3 / 2);
+    EXPECT_EQ(h0.events[0].at, asymmetric ? MsToSim(43) * 3 / 2 : MsToSim(30));
+  }
 }
 
 TEST(Network, SelfConnectionRejected) {
@@ -183,30 +200,45 @@ TEST(Network, LossyPathStillDeliversInOrder) {
 }
 
 TEST(Network, CloseDropsQueuedAndNotifiesPeer) {
-  Network net = MakeTwoNodeNet();
-  Recorder h0(&net);
-  Recorder h1(&net);
-  net.SetHandler(0, &h0);
-  net.SetHandler(1, &h1);
-  const ConnId conn = net.Connect(0, 1);
-  net.Run(SecToSim(0.5));
-  net.Send(conn, 0, std::make_unique<TestMsg>(1, 10 * 1000 * 1000));
-  net.Close(conn);
-  net.Run(SecToSim(5.0));
-  EXPECT_FALSE(net.IsOpen(conn));
-  bool down0 = false;
-  bool down1 = false;
-  bool msg1 = false;
-  for (const auto& e : h0.events) {
-    down0 |= e.kind == Recorder::Event::Kind::kDown;
+  for (const bool asymmetric : {false, true}) {
+    SCOPED_TRACE(asymmetric ? "asymmetric delays" : "symmetric delays");
+    Network net = MakeTwoNodeNet();
+    if (asymmetric) {
+      MakeDelaysAsymmetric(net);
+    }
+    Recorder h0(&net);
+    Recorder h1(&net);
+    net.SetHandler(0, &h0);
+    net.SetHandler(1, &h1);
+    const ConnId conn = net.Connect(0, 1);
+    net.Run(SecToSim(0.5));
+    net.Send(conn, 0, std::make_unique<TestMsg>(1, 10 * 1000 * 1000));
+    const SimTime closed_at = net.now();
+    net.Close(conn);
+    net.Run(SecToSim(5.0));
+    EXPECT_FALSE(net.IsOpen(conn));
+    bool down0 = false;
+    bool down1 = false;
+    bool msg1 = false;
+    for (const auto& e : h0.events) {
+      if (e.kind == Recorder::Event::Kind::kDown) {
+        down0 = true;
+        EXPECT_EQ(e.at, closed_at);
+      }
+    }
+    for (const auto& e : h1.events) {
+      if (e.kind == Recorder::Event::Kind::kDown) {
+        down1 = true;
+        // The remote end hears after the closer's one-way path delay.
+        EXPECT_EQ(e.at, closed_at + net.topology().PathDelay(0, 1));
+        EXPECT_EQ(e.at, closed_at + (asymmetric ? MsToSim(13) : MsToSim(10)));
+      }
+      msg1 |= e.kind == Recorder::Event::Kind::kMsg;
+    }
+    EXPECT_TRUE(down0);
+    EXPECT_TRUE(down1);
+    EXPECT_FALSE(msg1);
   }
-  for (const auto& e : h1.events) {
-    down1 |= e.kind == Recorder::Event::Kind::kDown;
-    msg1 |= e.kind == Recorder::Event::Kind::kMsg;
-  }
-  EXPECT_TRUE(down0);
-  EXPECT_TRUE(down1);
-  EXPECT_FALSE(msg1);
 }
 
 TEST(Network, SendOnClosedConnectionFails) {

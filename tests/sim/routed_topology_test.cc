@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -64,7 +65,7 @@ TEST(RoutedTopology, RepeatedQueriesReturnTheCachedRoute) {
   RoutedTopology topo = RoutedTopology::TransitStub(SmallTransitStub(12), rng);
   const Topology::PathView first = topo.InteriorPath(1, 9);
   const std::vector<int32_t> ids(first.begin(), first.end());
-  // Warm unrelated pairs in between (growing the route pool).
+  // Walk unrelated pairs in between (each rewrites the route scratch).
   for (NodeId d = 2; d < 12; ++d) {
     topo.InteriorPath(0, d);
   }
@@ -365,38 +366,6 @@ TEST(AllocatorPaths, HandComputedChainSharedByTwoFlows) {
   EXPECT_NEAR(flows[2].rate_bps, 4e6, 1.0);
 }
 
-TEST(AllocatorPaths, ThreeLinkPathsMatchLegacyEntryPointBitwise) {
-  Rng rng(909);
-  for (int instance = 0; instance < 20; ++instance) {
-    const int num_links = static_cast<int>(rng.UniformInt(1, 20));
-    const int num_flows = static_cast<int>(rng.UniformInt(1, 60));
-    std::vector<double> capacity(static_cast<size_t>(num_links));
-    for (auto& c : capacity) {
-      c = rng.UniformDouble(0.5e6, 20e6);
-    }
-    std::vector<FlowSpec> fixed;
-    std::vector<PathFlowSpec> paths;
-    for (int i = 0; i < num_flows; ++i) {
-      FlowSpec f;
-      PathFlowSpec p;
-      const int nlinks = static_cast<int>(rng.UniformInt(1, 3));
-      for (int l = 0; l < nlinks; ++l) {
-        f.links[l] = static_cast<int32_t>(rng.UniformInt(0, num_links - 1));
-      }
-      p.links.assign(f.links, f.links + 3);
-      f.cap_bps = p.cap_bps = rng.Bernoulli(0.3) ? rng.UniformDouble(0.1e6, 5e6) : kUnlimited;
-      fixed.push_back(f);
-      paths.push_back(std::move(p));
-    }
-    AllocateMaxMin(fixed, capacity);
-    AllocateMaxMinPaths(paths, capacity);
-    for (int i = 0; i < num_flows; ++i) {
-      EXPECT_EQ(fixed[static_cast<size_t>(i)].rate_bps, paths[static_cast<size_t>(i)].rate_bps)
-          << "instance " << instance << " flow " << i;
-    }
-  }
-}
-
 TEST(AllocatorPaths, IncrementalPathEngineMatchesReferenceBitwise) {
   Rng rng(911);
   IncrementalMaxMin inc;
@@ -450,17 +419,51 @@ TEST(RoutedTopology, BuildFootprintScalesLinearlyNotQuadratically) {
   EXPECT_LT(static_cast<double>(at2000), 0.01 * (2000.0 * 2000.0 * sizeof(LinkParams)));
 }
 
+// The transit router whose tree the s->d route walks on a transit-stub graph,
+// or -1 when the stub legs alone make the route.
+int32_t WalkedTree(const RoutedTopology& topo, NodeId s, NodeId d) {
+  const RoutedTopology::TransitStubInfo& ts = *topo.transit_stub_info();
+  const int32_t r0 = topo.attach(s);
+  const int32_t r1 = topo.attach(d);
+  if (r0 == r1) {
+    return -1;
+  }
+  const int32_t tr0 = ts.transit_router(ts.stub_domain_of_router(r0));
+  const int32_t tr1 = ts.transit_router(ts.stub_domain_of_router(r1));
+  return tr0 != tr1 ? tr0 : -1;
+}
+
 TEST(RoutedTopology, RouteCacheGrowsOnlyWithQueriedPairs) {
+  // Route state is the adjacency and route scratch, built by the first query,
+  // plus one tree per walked source router: it grows when a query walks a
+  // tree no earlier query walked, and never per pair.
   Rng rng(4321);
   RoutedTopology topo = RoutedTopology::TransitStub(SmallTransitStub(64), rng);
   const size_t before = topo.route_cache_bytes();
   topo.InteriorPath(0, 1);
-  const size_t one_pair = topo.route_cache_bytes();
-  EXPECT_GT(one_pair, before);
-  for (NodeId d = 2; d < 32; ++d) {
-    topo.InteriorPath(0, d);
+  size_t last = topo.route_cache_bytes();
+  EXPECT_GT(last, before);
+  std::set<int32_t> walked;
+  if (const int32_t tree = WalkedTree(topo, 0, 1); tree >= 0) {
+    walked.insert(tree);
   }
-  EXPECT_GT(topo.route_cache_bytes(), one_pair);
+  for (NodeId s = 0; s < 8; ++s) {
+    for (NodeId d = 0; d < 32; ++d) {
+      if (s == d) {
+        continue;
+      }
+      topo.InteriorPath(s, d);
+      const size_t now = topo.route_cache_bytes();
+      const int32_t tree = WalkedTree(topo, s, d);
+      if (tree >= 0 && walked.insert(tree).second) {
+        EXPECT_GT(now, last) << s << "->" << d;
+      } else {
+        EXPECT_EQ(now, last) << s << "->" << d;
+      }
+      last = now;
+    }
+  }
+  EXPECT_GE(walked.size(), 2u);
 }
 
 // --- bounds / overflow regression checks (BULLET_CHECK) ---

@@ -1,9 +1,9 @@
 // Conformance layer for the mega-swarm scale subsystem (ctest label `routed`):
 // the composed routes every TransitStub-built topology serves must be
-// *bitwise* identical to the per-pair Dijkstra routes of the same graph built
-// as an explicit edge list, on generated shapes; the composed route cache
-// must stay flat in the number of queried pairs while the per-pair cache
-// grows; and composing through transit-attached nodes must die loudly.
+// *bitwise* identical to the source-router tree walks of the same graph built
+// as an explicit edge list, on generated shapes; route state must grow once
+// per newly walked source tree, never per pair, and stay flat after
+// PrewarmRoutes; and composing through transit-attached nodes must die loudly.
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,8 @@ RoutedTopology::TransitStubParams MultiDomainShape(int nodes) {
 }
 
 // The same graph as an explicit edge list (same access links, edges in id
-// order, same attachments): a plain RoutedTopology, which routes by per-pair
-// Dijkstra walks instead of composition.
+// order, same attachments): a plain RoutedTopology, which walks each source
+// router's own Dijkstra tree instead of composing.
 RoutedTopology PerPairCopy(const RoutedTopology& composed) {
   RoutedTopology plain(composed.num_nodes(), composed.num_routers());
   for (int32_t e = 0; e < static_cast<int32_t>(composed.num_edges()); ++e) {
@@ -112,7 +112,7 @@ TEST(SegmentCompression, ComposedRoutesAreBitwiseIdenticalToDirectDijkstra) {
 }
 
 TEST(SegmentCompression, PrewarmedComposedRoutesStayBitwiseIdentical) {
-  // PrewarmRoutes warms transit trees + segments up front; answers must not
+  // PrewarmRoutes computes the transit trees up front; answers must not
   // change.
   CheckGeneratedShapes(929, 200, /*prewarm=*/true);
 }
@@ -147,39 +147,65 @@ TEST(SegmentCompression, CompressedCacheStaysFlatWhilePerPairCacheGrows) {
 
   size_t plain_last = plain.route_cache_bytes();
   for (NodeId s = 0; s < 16; ++s) {
+    // Nodes 0-35 sit on distinct routers in this shape, so every source's
+    // first pair (to node 16) walks a tree no earlier source walked. The
+    // explicit graph computes it then and adds nothing for the rest; the
+    // composed graph's transit trees are already warm and must not grow.
     for (NodeId d = 16; d < 64; ++d) {
       plain.InteriorPath(s, d);
       compressed.InteriorPath(s, d);
+      const size_t plain_now = plain.route_cache_bytes();
+      if (d == 16) {
+        EXPECT_GT(plain_now, plain_last) << "source " << s;
+      } else {
+        EXPECT_EQ(plain_now, plain_last) << s << "->" << d;
+      }
+      plain_last = plain_now;
+      EXPECT_EQ(compressed.route_cache_bytes(), compressed_warm) << s << "->" << d;
     }
-    // The per-pair cache grows with every fresh source; the segment store is
-    // already fully warmed and must not grow at all.
-    const size_t plain_now = plain.route_cache_bytes();
-    EXPECT_GT(plain_now, plain_last) << "source " << s;
-    plain_last = plain_now;
-    EXPECT_EQ(compressed.route_cache_bytes(), compressed_warm) << "source " << s;
   }
   EXPECT_LT(compressed_warm, plain_last);
 }
 
-// route_cache_bytes must account the per-pair map entries (node + bucket
-// overhead), so routing a brand-new pair on an explicit graph strictly grows it.
-TEST(SegmentCompression, RouteCacheBytesGrowWithEveryNewPair) {
+// route_cache_bytes counts the adjacency, the route scratch and every
+// computed tree, so on an explicit graph it grows when a route first walks a
+// source router's tree, never per pair, and not at all after PrewarmRoutes.
+TEST(SegmentCompression, RouteCacheBytesGrowOncePerSourceTree) {
   Rng rng(888);
-  const RoutedTopology topo = PerPairCopy(RoutedTopology::TransitStub(MultiDomainShape(48), rng));
-  size_t last = topo.route_cache_bytes();
-  // Nodes land on distinct routers round-robin in this shape, so successive
-  // destinations are genuinely new (router-pair) routes.
-  for (NodeId d = 12; d < 24; ++d) {
+  const RoutedTopology shape = RoutedTopology::TransitStub(MultiDomainShape(48), rng);
+  const RoutedTopology topo = PerPairCopy(shape);
+  const size_t cold = topo.route_cache_bytes();
+  topo.InteriorPath(0, 12);
+  const size_t one_tree = topo.route_cache_bytes();
+  EXPECT_GT(one_tree, cold);
+  // Nodes 0-35 land on distinct routers round-robin in this shape, so these
+  // are genuinely new router pairs, all walking router attach(0)'s tree.
+  for (NodeId d = 13; d < 24; ++d) {
     topo.InteriorPath(0, d);
+    EXPECT_EQ(topo.route_cache_bytes(), one_tree) << "pair 0->" << d;
+  }
+  // Every fresh source router adds its tree once.
+  size_t last = one_tree;
+  for (NodeId s = 1; s < 12; ++s) {
+    topo.InteriorPath(s, 12);
     const size_t now = topo.route_cache_bytes();
-    EXPECT_GT(now, last) << "pair 0->" << d;
+    EXPECT_GT(now, last) << "source " << s;
     last = now;
+    topo.InteriorPath(s, 23);
+    EXPECT_EQ(topo.route_cache_bytes(), last) << "pair " << s << "->23";
   }
-  // Re-querying cached pairs allocates nothing.
-  for (NodeId d = 12; d < 24; ++d) {
-    topo.InteriorPath(0, d);
+
+  const RoutedTopology warm = PerPairCopy(shape);
+  warm.PrewarmRoutes();
+  const size_t warmed = warm.route_cache_bytes();
+  for (NodeId s = 0; s < 48; ++s) {
+    for (NodeId d = 0; d < 48; ++d) {
+      if (s != d) {
+        warm.InteriorPath(s, d);
+      }
+    }
   }
-  EXPECT_EQ(topo.route_cache_bytes(), last);
+  EXPECT_EQ(warm.route_cache_bytes(), warmed);
 }
 
 // --- misuse dies loudly ---

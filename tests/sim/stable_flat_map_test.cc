@@ -2,9 +2,8 @@
 // it replaced in the protocols: same ascending-key iteration order, same
 // find/erase/emplace results, iterators that survive the protocols' usage
 // patterns (held-iterator erase, conns snapshots), plus stable entry addresses
-// and exact live/peak byte telemetry (live entries plus index and table
-// capacity) that balances to zero at teardown and does not ratchet under
-// churn.
+// and exact live/peak byte telemetry (live entries plus index capacity) that
+// balances to zero at teardown and does not ratchet under churn.
 
 #include <gtest/gtest.h>
 
@@ -46,8 +45,8 @@ TEST(StableFlatMap, RandomizedOpsMatchStdMap) {
   StableFlatMap<uint64_t, int> map(&counter);
   std::map<uint64_t, int> reference;
   for (int op = 0; op < 20000; ++op) {
-    // Structured keys on purpose: high bits carry a tag, stressing the hash
-    // mix rather than identity-friendly keys.
+    // Structured keys on purpose: high bits carry a tag, so the binary
+    // search must order keys that differ far above their low bits.
     const uint64_t key = (static_cast<uint64_t>(rng.UniformInt(0, 7)) << 56) |
                          static_cast<uint64_t>(rng.UniformInt(0, 400));
     const int kind = static_cast<int>(rng.UniformInt(0, 9));
@@ -115,8 +114,8 @@ TEST(StableFlatMap, EntryAddressesAreStableAcrossGrowth) {
   for (uint64_t key = 2; key < 600; ++key) {
     map.emplace(key, static_cast<int>(key));
   }
-  // Hundreds of inserts later (several index and hash-table growths), the
-  // original entry has not moved.
+  // Hundreds of inserts later (several index growths), the original entry
+  // has not moved.
   EXPECT_EQ(&map.at(1), first);
   EXPECT_EQ(*first, 100);
 }
@@ -146,8 +145,8 @@ TEST(StableFlatMap, CounterTracksGrowthAndBalancesToZero) {
 }
 
 TEST(StableFlatMap, CounterChargesLiveEntriesPlusSideBytes) {
-  // The counter holds exactly sizeof(Entry) per live entry plus the index and
-  // table capacity, after every insert and every erase.
+  // The counter holds exactly sizeof(Entry) per live entry plus the index
+  // capacity, after every insert and every erase.
   const int64_t entry = static_cast<int64_t>(sizeof(IntMap::Entry));
   ArenaCounter counter;
   Rng rng(7);
@@ -179,8 +178,8 @@ TEST(StableFlatMap, CounterChargesLiveEntriesPlusSideBytes) {
 
 TEST(StableFlatMap, ChurnDoesNotRatchetMemory) {
   // Steady-state churn (the mega-swarm peer tables' life story): repeatedly
-  // filling and draining the same working set must converge — tombstone
-  // pressure triggers same-size rehashes, not doubling.
+  // filling and draining the same working set must converge — the index
+  // keeps its capacity, so every cycle reuses it instead of growing.
   ArenaCounter counter;
   StableFlatMap<uint64_t, int> map(&counter);
   Rng rng(99);
