@@ -7,8 +7,13 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
 #include <sstream>
 #include <thread>
+
+#ifdef __linux__
+#include <sched.h>
+#endif
 
 #include "src/common/rng.h"
 #include "src/common/stats.h"
@@ -480,6 +485,40 @@ void WriteSweepJson(std::ostream& os, const SweepRunOutcome& outcome) {
   os << "\n";
 }
 
+namespace {
+
+// What `nproc` prints: the CPUs this process may run on.
+int64_t UsableCpuCount() {
+#ifdef __linux__
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return CPU_COUNT(&set);
+  }
+#endif
+  return static_cast<int64_t>(std::thread::hardware_concurrency());
+}
+
+// The first `model name` in /proc/cpuinfo, or "unknown".
+std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) {
+      continue;
+    }
+    const size_t colon = line.find(':');
+    const size_t begin =
+        colon == std::string::npos ? colon : line.find_first_not_of(" \t", colon + 1);
+    if (begin != std::string::npos) {
+      return line.substr(begin, line.find_last_not_of(" \t\r") + 1 - begin);
+    }
+  }
+  return "unknown";
+}
+
+}  // namespace
+
 void WriteSweepFloorsJson(std::ostream& os, const SweepRunOutcome& outcome) {
   const SweepSpec& spec = outcome.spec;
   JsonWriter json(os);
@@ -490,6 +529,9 @@ void WriteSweepFloorsJson(std::ostream& os, const SweepRunOutcome& outcome) {
   json.Field("base_seed", spec.base_seed);
   json.Field("repeats", static_cast<int64_t>(spec.repeats));
   json.Field("repro_scale", GetReproScale().file_scale);
+  // The hardware behind the wall times (bench_check ignores both fields).
+  json.Field("nproc", UsableCpuCount());
+  json.Field("cpu_model", CpuModel());
 
   const auto median_of = [](std::vector<double> v) {
     std::sort(v.begin(), v.end());

@@ -112,6 +112,7 @@ ConnId Network::Connect(NodeId from, NodeId to) {
       conn->path[i].interior_off = static_cast<uint32_t>(path_pool_.size());
       conn->path[i].interior_len = route.size;
       path_pool_.insert(path_pool_.end(), route.begin(), route.end());
+      path_pool_open_ += route.size;
     }
   }
   // Topology::Rtt is exactly this sum: delays are integers fixed for the run.
@@ -365,12 +366,17 @@ void Network::ScheduleNextTick() {
 // bit along (a closed connection's bit is already clear). A removed connection's
 // Conn is freed: every entry point treats a missing Conn like a closed one, and
 // cached_flows_ cannot dangle because the Close() that led here set
-// alloc_dirty_, so the flow list is rebuilt before it is next read.
+// alloc_dirty_, so the flow list is rebuilt before it is next read. Once the
+// removed connections' route slices hold more than half of path_pool_, the
+// open connections' slices are packed to its front (CompactPathPool).
 void Network::CompactOpenConns() {
   for (size_t i = 0; i < open_conns_.size();) {
     const ConnId id = open_conns_[i];
     const Conn* c = GetConn(id);
     if (c == nullptr || c->closed) {
+      if (c != nullptr) {
+        path_pool_open_ -= c->path[0].interior_len + c->path[1].interior_len;
+      }
       conns_[static_cast<size_t>(id)].reset();
       const size_t last = open_conns_.size() - 1;
       open_conns_[i] = open_conns_[last];
@@ -386,6 +392,29 @@ void Network::CompactOpenConns() {
     }
   }
   pending_close_ = 0;
+  if (path_pool_.size() > 2 * path_pool_open_) {
+    CompactPathPool();
+  }
+}
+
+// Copies every open connection's route slices, in open_conns_ order, to the
+// front of path_pool_ and rewrites their offsets; the pool keeps its capacity,
+// so path_pool_bytes() stays the pool's peak. Routes are only ever read through
+// a connection's (offset, length), so results cannot change.
+void Network::CompactPathPool() {
+  std::vector<int32_t> packed;
+  packed.reserve(path_pool_open_);
+  for (const ConnId id : open_conns_) {
+    Conn& c = *conns_[static_cast<size_t>(id)];
+    for (PathCache& path : c.path) {
+      const uint32_t off = static_cast<uint32_t>(packed.size());
+      packed.insert(packed.end(), PathInteriorBegin(path), PathInteriorEnd(path));
+      path.interior_off = off;
+    }
+  }
+  BULLET_CHECK(packed.size() == path_pool_open_);
+  std::copy(packed.begin(), packed.end(), path_pool_.begin());
+  path_pool_.resize(packed.size());
 }
 
 void Network::Tick() {

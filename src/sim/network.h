@@ -212,7 +212,8 @@ class Network {
   // ceiling baseline (bytes <= baseline; bench_check bullet-ceilings-v1).
   // Routing state held by the topology (0 on mesh topologies).
   size_t route_cache_bytes() const;
-  // Pooled per-connection interior-route slices.
+  // Pooled per-connection interior-route slices (capacity, which packing
+  // keeps, so this is the pool's peak).
   size_t path_pool_bytes() const;
   // Protocol node state registered via arena_counter(): live bytes now and the
   // run's peak — every live StableFlatMap entry plus each map's index
@@ -276,9 +277,10 @@ class Network {
   // than a per-direction vector: the allocator rebuild walks every busy
   // direction's route each epoch, and one contiguous pool turns those walks
   // into sequential reads instead of a heap-pointer chase per direction (and
-  // drops two vector allocations per Connect). The pool is append-only, so a
-  // slice stays valid for its connection's lifetime (a freed connection's
-  // slice is simply never read again).
+  // drops two vector allocations per Connect). Connect appends; a freed
+  // connection's slice is never read again, and once such slices hold more
+  // than half of the pool, CompactPathPool packs the open ones to its front,
+  // so the pool stays bounded by the open connections' routes.
   struct PathCache {
     SimTime path_delay = 0;
     SimTime rtt = 0;
@@ -325,6 +327,7 @@ class Network {
   void ScheduleNextTick();
   void Tick();
   void CompactOpenConns();
+  void CompactPathPool();
   bool CapacitiesUnchanged() const;
   void RebuildAndAllocate();
   void AdvanceTransmissions(double dt_sec);
@@ -353,8 +356,10 @@ class Network {
   // Indexed by ConnId; ids are never reused. A closed connection's Conn is freed
   // (the slot left null) when CompactOpenConns drops it from open_conns_.
   std::vector<std::unique_ptr<Conn>> conns_;
-  // Pooled PathCache interior routes (see PathCache); append-only.
+  // Pooled PathCache interior routes (see PathCache), and how many of its
+  // entries belong to connections still listed in open_conns_.
   std::vector<int32_t> path_pool_;
+  size_t path_pool_open_ = 0;
   std::vector<ConnId> open_conns_;            // compacted on quantum boundaries
   // Bit i set when conn->dir[i] is established with queued bytes.
   std::vector<uint8_t> conn_busy_mask_;  // indexed by ConnId

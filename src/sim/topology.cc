@@ -157,8 +157,7 @@ MeshTopology MeshTopology::WideArea(int num_nodes, Rng& rng) {
 RoutedTopology::RoutedTopology(int num_nodes, int num_routers)
     : Topology(num_nodes),
       num_routers_(num_routers),
-      attach_(static_cast<size_t>(num_nodes), -1),
-      routes_(static_cast<size_t>(num_routers)) {
+      attach_(static_cast<size_t>(num_nodes), -1) {
   BULLET_CHECK(num_routers >= 1);
 }
 
@@ -199,17 +198,25 @@ void RoutedTopology::BuildAdjacency() const {
   for (size_t e = 0; e < edges_.size(); ++e) {
     adj_edge_[cursor[static_cast<size_t>(edges_[e].from)]++] = static_cast<int32_t>(e);
   }
-  // The longest route: on a transit-stub graph at most T-1 transit hops (a
-  // shortest path between transit routers never enters a stub star, which it
-  // could only leave through the gateway it came in by) plus two stub legs of
-  // two edges each; on an explicit graph a tree path visits each router once.
+  // Trees are rooted only at the T transit routers (ids 0..T-1) of a
+  // transit-stub graph, and at any router of an explicit graph. The longest
+  // route: on a transit-stub graph at most T-1 transit hops (a shortest path
+  // between transit routers never enters a stub star, which it could only
+  // leave through the gateway it came in by) plus two stub legs of two edges
+  // each; on an explicit graph a tree path visits each router once.
   const TransitStubInfo* ts = transit_stub_info();
+  routes_.resize(ts != nullptr ? static_cast<size_t>(ts->num_transit_routers) : r);
   route_scratch_.reserve(ts != nullptr ? static_cast<size_t>(ts->num_transit_routers) + 3 : r - 1);
   adj_built_ = true;
 }
 
+std::vector<int32_t>& RoutedTopology::TreeOf(int32_t root) const {
+  BULLET_CHECK(static_cast<uint32_t>(root) < routes_.size() && "no tree is rooted at this router");
+  return routes_[static_cast<size_t>(root)];
+}
+
 void RoutedTopology::ComputeRoutesFrom(int32_t src_router) const {
-  std::vector<int32_t>& prev_edge = routes_[static_cast<size_t>(src_router)];
+  std::vector<int32_t>& prev_edge = TreeOf(src_router);
   prev_edge.assign(static_cast<size_t>(num_routers_), -1);
   std::vector<SimTime> dist(static_cast<size_t>(num_routers_), -1);  // -1 = unreached
 
@@ -242,7 +249,7 @@ void RoutedTopology::ComputeRoutesFrom(int32_t src_router) const {
 }
 
 void RoutedTopology::AppendTreeWalk(int32_t root, int32_t dest) const {
-  const std::vector<int32_t>& prev_edge = routes_[static_cast<size_t>(root)];
+  const std::vector<int32_t>& prev_edge = TreeOf(root);
   if (prev_edge.empty()) {
     ComputeRoutesFrom(root);
   }
@@ -323,7 +330,7 @@ void RoutedTopology::PrewarmRoutes() const {
       BULLET_CHECK(d >= 0 && "transit-stub routes compose stub-attached nodes only");
       root = ts->transit_router(d);
     }
-    if (routes_[static_cast<size_t>(root)].empty()) {
+    if (TreeOf(root).empty()) {
       ComputeRoutesFrom(root);
     }
   }

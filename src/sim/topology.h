@@ -349,9 +349,12 @@ class RoutedTopology final : public Topology {
     LinkParams params;
   };
 
-  // Builds the CSR adjacency and reserves the route scratch for the longest
-  // possible route.
+  // Builds the CSR adjacency, sizes routes_ to the routers that can root a
+  // tree, and reserves the route scratch for the longest possible route.
   void BuildAdjacency() const;
+  // routes_[root], checked: on a transit-stub graph only transit routers root
+  // trees.
+  std::vector<int32_t>& TreeOf(int32_t root) const;
   // Dijkstra (delay-weighted, deterministic (dist, router) tie-break) from
   // `src_router`, filling routes_[src_router]. Requires the adjacency.
   void ComputeRoutesFrom(int32_t src_router) const;
@@ -368,7 +371,8 @@ class RoutedTopology final : public Topology {
   TransitStubInfo transit_stub_info_;  // empty unless TransitStub-built
 
   // Lazy routing state (filled under const queries): CSR adjacency over
-  // routers; per source router, the edge arriving at each router in its
+  // routers; per tree root (every router of an explicit graph, the T transit
+  // routers of a transit-stub graph), the edge arriving at each router in its
   // shortest-path tree (-1 at the root and at unreachable routers; empty
   // until computed); and the scratch that backs every returned PathView.
   mutable bool adj_built_ = false;

@@ -181,6 +181,23 @@ TEST(BenchCheckFloorsTest, OneSidedGate) {
   EXPECT_NE(log.find("below floor"), std::string::npos);
 }
 
+TEST(BenchCheckFloorsTest, HardwareFieldsAreIgnored) {
+  BenchCheckOptions opts;
+  // Floors documents record the hardware that produced them; the gate reads
+  // only the points, so documents with and without the fields still compare.
+  const auto with_hardware = [](const std::string& doc) {
+    return R"({"nproc":4,"cpu_model":"Example CPU @ 2.0GHz",)" + doc.substr(1);
+  };
+  EXPECT_EQ(Compare(with_hardware(FloorsDoc(1000, 2000)), with_hardware(FloorsDoc(1000, 2000)),
+                    opts),
+            kBenchCheckOk);
+  EXPECT_EQ(Compare(with_hardware(FloorsDoc(1000, 2000)), FloorsDoc(1000, 2000), opts),
+            kBenchCheckOk);
+  EXPECT_EQ(Compare(with_hardware(FloorsDoc(1000, 2000)), with_hardware(FloorsDoc(900, 2000)),
+                    opts),
+            kBenchCheckRegression);
+}
+
 TEST(BenchCheckFloorsTest, TolerancesDoNotApply) {
   BenchCheckOptions opts;
   opts.rel_tol = 10.0;  // huge band in the two-sided mode...

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 #include <sstream>
 #include <string>
@@ -334,6 +335,11 @@ TEST(WriteSweepFloorsJsonTest, EmitsMedianWallAndNormalizedThroughput) {
   EXPECT_NE(json.find("\"events_executed_median\":600,"), std::string::npos);
   EXPECT_NE(json.find("\"floors\":{\"events_per_wall_sec\":200,\"sim_bytes_per_wall_sec\":400}"),
             std::string::npos);
+  // The document says what hardware produced it.
+  const size_t nproc = json.find("\"nproc\":");
+  ASSERT_NE(nproc, std::string::npos);
+  EXPECT_GE(std::atoi(json.c_str() + nproc + 8), 1);
+  EXPECT_NE(json.find("\"cpu_model\":\""), std::string::npos);
 }
 
 }  // namespace

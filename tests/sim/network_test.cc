@@ -360,6 +360,76 @@ TEST(Network, CloseCompactsWithinOneQuantum) {
   EXPECT_EQ(net.open_conn_entries(), 0u);
 }
 
+// The route slices of closed connections are reclaimed: over many
+// Connect/Close rounds the pool stays bounded by the open connections' routes,
+// and a connection whose slice was packed to the front still routes by it.
+TEST(Network, PathPoolStaysBoundedByOpenRoutes) {
+  // Routers 0-1-2-3 in a line; even nodes on router 0, odd nodes on router 3,
+  // so every even-odd connection routes over three interior links each way.
+  RoutedTopology topo(8, 4);
+  for (NodeId n = 0; n < 8; ++n) {
+    topo.uplink(n) = LinkParams{8e6, 0, 0.0};
+    topo.downlink(n) = LinkParams{8e6, 0, 0.0};
+    topo.AttachNode(n, n % 2 == 0 ? 0 : 3);
+  }
+  const int32_t hops[3] = {topo.AddDuplexEdge(0, 1, LinkParams{8e6, MsToSim(1), 0.0}),
+                           topo.AddDuplexEdge(1, 2, LinkParams{8e6, MsToSim(1), 0.0}),
+                           topo.AddDuplexEdge(2, 3, LinkParams{8e6, MsToSim(1), 0.0})};
+  NetworkConfig config;
+  config.quantum = MsToSim(10);
+  Network net(std::move(topo), config, 21);
+  Recorder h0(&net);
+  Recorder h1(&net);
+  net.SetHandler(0, &h0);
+  net.SetHandler(1, &h1);
+
+  const auto round = [&net] {
+    std::vector<ConnId> conns;
+    for (NodeId a = 2; a < 8; a += 2) {
+      for (NodeId b = 3; b < 8; b += 2) {
+        conns.push_back(net.Connect(a, b));
+      }
+    }
+    net.Run(net.now() + MsToSim(10));
+    for (const ConnId c : conns) {
+      net.Close(c);
+    }
+    net.Run(net.now() + MsToSim(10));
+  };
+  // `kept` is connected behind a round's worth of routes that then close, so
+  // the first packing moves its slices.
+  std::vector<ConnId> early;
+  for (NodeId b = 3; b < 8; b += 2) {
+    early.push_back(net.Connect(2, b));
+  }
+  const ConnId kept = net.Connect(0, 1);
+  for (const ConnId c : early) {
+    net.Close(c);
+  }
+  // Open at any time: `kept` plus one round of 9 connections, 6 entries each.
+  constexpr size_t kPeakOpenEntries = 10 * 6;
+  size_t bytes_after_warmup = 0;
+  for (int r = 0; r < 200; ++r) {
+    round();
+    EXPECT_LE(net.path_pool_bytes(), 2 * kPeakOpenEntries * sizeof(int32_t)) << "round " << r;
+    if (r == 9) {
+      bytes_after_warmup = net.path_pool_bytes();
+    }
+  }
+  EXPECT_EQ(net.path_pool_bytes(), bytes_after_warmup);
+  ASSERT_EQ(net.open_conn_entries(), 1u);
+
+  net.Send(kept, 0, std::make_unique<TestMsg>(1, 2 * 1000 * 1000));
+  net.Run(net.now() + MsToSim(100));
+  for (const int32_t hop : hops) {
+    EXPECT_EQ(net.CountFlowsOnInteriorLink(hop), 1) << "link " << hop;      // router 0 -> 3
+    EXPECT_EQ(net.CountFlowsOnInteriorLink(hop + 1), 0) << "link " << hop;  // 3 -> 0: idle
+  }
+  net.Run(net.now() + SecToSim(5.0));
+  ASSERT_EQ(h1.events.size(), 2u);  // up, then the message
+  EXPECT_EQ(h1.events[1].kind, Recorder::Event::Kind::kMsg);
+}
+
 TEST(Network, ActiveDirectionAccountingAcrossLifecycle) {
   Network net = MakeTwoNodeNet();
   Recorder h0(&net);
