@@ -92,15 +92,19 @@ void RanSubAgent::OnDistribute(const RanSubDistributeMsg& msg) {
   }
 }
 
-void RanSubAgent::OnCollect(NodeId from, RanSubCollectMsg& msg) {
+void RanSubAgent::OnCollect(NodeId from, const RanSubCollectMsg& msg) {
   const auto& kids = tree_->children[static_cast<size_t>(self_)];
   for (size_t i = 0; i < kids.size(); ++i) {
     if (kids[i] == from) {
-      auto copy = std::make_unique<RanSubCollectMsg>();
-      copy->epoch = msg.epoch;
-      copy->pool = msg.pool;
-      copy->weights = msg.weights;
-      child_pools_[i] = std::move(copy);
+      // Each child's entry is allocated once; later collects are assigned into
+      // it, reusing its storage.
+      if (child_pools_[i] == nullptr) {
+        child_pools_[i] = std::make_unique<RanSubCollectMsg>();
+      }
+      RanSubCollectMsg& entry = *child_pools_[i];
+      entry.epoch = msg.epoch;
+      entry.pool = msg.pool;
+      entry.weights = msg.weights;
       return;
     }
   }
@@ -228,20 +232,20 @@ void RanSubAgent::SendSubsetsToChildren(const std::vector<PeerSummary>& parent_s
     parent_weight = std::max(
         1.0f, static_cast<float>(total_nodes - my_subtree) / static_cast<float>(parent_subset.size()));
   }
-  const PeerSummary mine = summarize_();
+  // The sample inputs do not depend on the child: each child's subset differs
+  // only by whom it excludes and by its RNG draws.
+  std::vector<const RanSubCollectMsg*> pools;
+  for (const auto& p : child_pools_) {
+    if (p != nullptr) {
+      pools.push_back(p.get());
+    }
+  }
+  std::vector<PeerSummary> extra = parent_subset;
+  std::vector<float> extra_weights(parent_subset.size(), parent_weight);
+  extra.push_back(summarize_());
+  extra_weights.push_back(1.0f);
 
   for (size_t ci = 0; ci < kids.size(); ++ci) {
-    std::vector<const RanSubCollectMsg*> pools;
-    for (size_t cj = 0; cj < child_pools_.size(); ++cj) {
-      if (child_pools_[cj] != nullptr) {
-        pools.push_back(child_pools_[cj].get());
-      }
-    }
-    std::vector<PeerSummary> extra = parent_subset;
-    std::vector<float> extra_weights(parent_subset.size(), parent_weight);
-    extra.push_back(mine);
-    extra_weights.push_back(1.0f);
-
     auto msg = std::make_unique<RanSubDistributeMsg>();
     msg->type = RanSubDistributeMsg::kType;
     msg->epoch = epoch;

@@ -80,7 +80,7 @@ class RanSubAgent {
  private:
   void RootEpoch();
   void OnDistribute(const RanSubDistributeMsg& msg);
-  void OnCollect(NodeId from, RanSubCollectMsg& msg);
+  void OnCollect(NodeId from, const RanSubCollectMsg& msg);
   // Weighted sample (without replacement) of k summaries from the given pools.
   std::vector<PeerSummary> SampleFrom(const std::vector<const RanSubCollectMsg*>& pools,
                                       const std::vector<PeerSummary>& extra,

@@ -2,18 +2,36 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
+#include <queue>
 
+#include "src/common/logging.h"
 #include "src/common/profiler.h"
 
 namespace bullet {
 
 namespace {
 
+// One reference-heap entry: a link's fair share when it was pushed, and the
+// link's stamp at that time (a later freeze on the link makes the entry stale).
+// Ordered by (share, link id), the tie rule both water-fills follow.
+struct StampedShare {
+  double share;
+  int32_t link;
+  uint32_t stamp;
+  bool operator>(const StampedShare& o) const {
+    return share > o.share || (share == o.share && link > o.link);
+  }
+};
+
 // The stateless reference body behind AllocateMaxMinPaths. Flows arrive
 // CSR-style: flow i crosses flow_links[flow_off[i] .. flow_off[i+1]). Every
-// auxiliary structure is built fresh per call; IncrementalMaxMin::Allocate()
-// mirrors this body line for line over persistent storage, and the invariants
-// tests compare the two bitwise.
+// auxiliary structure is built fresh per call, and the saturation heap is a
+// lazy std::priority_queue: a freeze pushes a fresh entry for each of the
+// flow's links and stale ones are skipped when they reach the top.
+// IncrementalMaxMin::Allocate() performs the same freezes in the same order
+// with the same arithmetic over an indexed heap, and the invariants tests
+// compare the two bitwise.
 void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<uint32_t>& flow_off,
                      const std::vector<double>& cap, const std::vector<double>& link_capacity_bps,
                      std::vector<double>& rate) {
@@ -51,11 +69,11 @@ void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<u
   std::vector<char> frozen(num_flows, 0);
   size_t frozen_count = 0;
 
-  SaturationHeap heap;
+  std::priority_queue<StampedShare, std::vector<StampedShare>, std::greater<>> heap;
   auto push_link = [&](int32_t l) {
     const size_t li = static_cast<size_t>(l);
     if (nflows[li] > 0) {
-      heap.push(HeapEntry{remaining[li] / nflows[li], l, stamp[li]});
+      heap.push(StampedShare{remaining[li] / nflows[li], l, stamp[li]});
     }
   };
   for (size_t l = 0; l < num_links; ++l) {
@@ -91,7 +109,7 @@ void ReferenceMaxMin(const std::vector<int32_t>& flow_links, const std::vector<u
     double min_share = -1.0;
     int32_t min_link = -1;
     while (!heap.empty()) {
-      const HeapEntry top = heap.top();
+      const StampedShare top = heap.top();
       const size_t li = static_cast<size_t>(top.link);
       if (top.stamp != stamp[li] || nflows[li] <= 0) {
         heap.pop();
@@ -176,8 +194,11 @@ void IncrementalMaxMin::BeginEpoch() {
 }
 
 int32_t IncrementalMaxMin::AddLink(double capacity_bps) {
+  // LinkHeap orders shares by their bits, which is double order only for
+  // non-negative, non-NaN values with a single zero, so -0.0 becomes +0.0.
+  BULLET_CHECK(capacity_bps >= 0.0 && "link capacity must be non-negative and not NaN");
   const int32_t id = static_cast<int32_t>(capacity_.size());
-  capacity_.push_back(capacity_bps);
+  capacity_.push_back(capacity_bps == 0.0 ? 0.0 : capacity_bps);
   return id;
 }
 
@@ -193,7 +214,6 @@ void IncrementalMaxMin::BuildEpochScratch() {
 
   remaining_.assign(capacity_.begin(), capacity_.end());
   nflows_.assign(num_links, 0);
-  stamp_.assign(num_links, 0);
   rate_.assign(num_flows, 0.0);
 
   // CSR build: count per-link flows, prefix-sum, then fill in flow order so each
@@ -232,13 +252,19 @@ void IncrementalMaxMin::BuildEpochScratch() {
   frozen_.assign(num_flows, 0);
 }
 
-// The reference algorithm (ReferenceMaxMin above) with every auxiliary structure
-// replaced by a persistent, allocation-free equivalent:
-//   link_flows (vector of vectors)  ->  CSR arrays rebuilt with two linear passes
-//   SaturationHeap                  ->  the same heap over retained storage
-//   remaining/nflows/stamp/frozen   ->  assign() into retained capacity
-// Every comparison and arithmetic update mirrors the reference line for line, in
-// the same order, so the produced rates are bit-identical (see header contract).
+// The reference algorithm (ReferenceMaxMin above) over persistent,
+// allocation-free storage:
+//   link_flows (vector of vectors)   ->  CSR arrays rebuilt with two linear passes
+//   lazy priority_queue with stamps  ->  LinkHeap: one entry per link with
+//                                        unfrozen flows, re-keyed in place
+//   remaining/nflows/frozen          ->  assign() into retained capacity
+// Whenever the reference reads its heap, its valid entries are exactly
+// LinkHeap's entries, so both pick the same link by the same (share, link id)
+// rule, and every freeze performs the same arithmetic in the same order: the
+// rates are bit-identical (see header contract). The saturating link leaves
+// the heap before its flows freeze, so their freezes re-key only the other
+// links they cross; the heap empties exactly when every flow that crosses a
+// link is frozen.
 void IncrementalMaxMin::Allocate() {
   BULLET_PROFILE_SCOPE(ProfilePhase::kWaterFill);
   const size_t num_links = capacity_.size();
@@ -246,68 +272,45 @@ void IncrementalMaxMin::Allocate() {
 
   BuildEpochScratch();
   size_t cap_cursor = 0;
-  size_t frozen_count = 0;
 
-  heap_.clear();
-  // Inlining is pinned: the heap push inlines into freeze, and freeze stays a
-  // call. GCC otherwise decides both from the size of the whole translation
-  // unit, and the flipped choice costs the water-fill about 15%.
-  auto push_link = [&](int32_t l) __attribute__((always_inline)) {
-    const size_t li = static_cast<size_t>(l);
-    if (nflows_[li] > 0) {
-      heap_.push(HeapEntry{remaining_[li] / nflows_[li], l, stamp_[li]});
-    }
-  };
+  heap_.Reset(num_links);
   for (size_t l = 0; l < num_links; ++l) {
-    push_link(static_cast<int32_t>(l));
+    if (nflows_[l] > 0) {
+      heap_.Append(static_cast<int32_t>(l), remaining_[l] / nflows_[l]);
+    }
   }
+  heap_.Heapify();
 
+  // freeze stays a call, whatever GCC would decide from the size of the
+  // translation unit; the heap updates inline into it.
   auto freeze = [&](size_t fi, double rate) __attribute__((noinline)) {
     rate_[fi] = std::max(rate, 0.0);
     frozen_[fi] = 1;
-    ++frozen_count;
     for (uint32_t off = flow_off_[fi]; off < flow_off_[fi + 1]; ++off) {
       const int32_t l = flow_links_[off];
       const size_t li = static_cast<size_t>(l);
       remaining_[li] = std::max(0.0, remaining_[li] - rate_[fi]);
       --nflows_[li];
-      ++stamp_[li];
-      push_link(l);
+      if (!heap_.contains(l)) {
+        continue;  // the link being saturated
+      }
+      if (nflows_[li] > 0) {
+        heap_.Update(l, remaining_[li] / nflows_[li]);
+      } else {
+        heap_.Remove(l);
+      }
     }
   };
 
   for (size_t i = 0; i < num_flows; ++i) {
     if (flow_off_[i] == flow_off_[i + 1]) {
       frozen_[i] = 1;
-      ++frozen_count;
       rate_[i] = cap_[i];
     }
   }
 
-  while (frozen_count < num_flows) {
-    double min_share = -1.0;
-    int32_t min_link = -1;
-    while (!heap_.empty()) {
-      const HeapEntry top = heap_.top();
-      const size_t li = static_cast<size_t>(top.link);
-      if (top.stamp != stamp_[li] || nflows_[li] <= 0) {
-        heap_.pop();
-        continue;
-      }
-      min_share = top.share;
-      min_link = top.link;
-      break;
-    }
-    if (min_link < 0) {
-      for (size_t i = 0; i < num_flows; ++i) {
-        if (!frozen_[i]) {
-          frozen_[i] = 1;
-          ++frozen_count;
-          rate_[i] = cap_[i];
-        }
-      }
-      break;
-    }
+  while (!heap_.empty()) {
+    const double min_share = heap_.top_share();
 
     bool froze_capped = false;
     while (cap_cursor < by_cap_.size()) {
@@ -328,6 +331,8 @@ void IncrementalMaxMin::Allocate() {
       continue;
     }
 
+    const int32_t min_link = heap_.top_link();
+    heap_.Remove(min_link);
     const size_t li = static_cast<size_t>(min_link);
     for (uint32_t off = link_off_[li]; off < link_off_[li + 1]; ++off) {
       const uint32_t fi = link_flow_[off];
@@ -335,7 +340,6 @@ void IncrementalMaxMin::Allocate() {
         freeze(fi, min_share);
       }
     }
-    ++stamp_[li];
   }
 }
 

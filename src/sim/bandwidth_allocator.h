@@ -17,7 +17,7 @@
 //    quantum (network.h).
 //
 //  * IncrementalMaxMin — the hot-path engine. All scratch (per-link flow lists as
-//    a CSR array, the saturation heap, the cap-sorted index, freeze flags)
+//    a CSR array, an indexed link heap, the cap-sorted index, freeze flags)
 //    persists across allocation epochs, so a recompute performs zero heap
 //    allocations after warm-up. Callers dirty-track their flow set and simply
 //    skip Allocate() when nothing changed: the previous rates are, by
@@ -27,20 +27,23 @@
 // ids, same per-flow link order), IncrementalMaxMin::Allocate() produces rates
 // bit-identical to the reference. This is load-bearing — the max-min water level
 // is a chain of FP subtractions whose low-order bits depend on freeze order, and
-// freeze order depends on flow and link numbering (sort and heap tie-breaks).
-// Both implementations therefore perform the identical operation sequence (same
-// sort call, same heap algorithm, same update arithmetic), and the network feeds
-// them flows in the identical order. Link ids themselves are labels: only their
-// order matters, through the heap's initial push of every link that carries a
-// flow, in id order. Leaving out links no flow crosses, or renumbering links in
-// a way that keeps that order, leaves every rate unchanged (the network
-// registers only the links its flows cross). Equal-cap flows may be permuted by
-// the sort: they freeze at equal rates, and subtracting equal values commutes
-// bitwise, so such permutations are harmless. Partial recomputation of
-// "affected bottleneck groups" cannot meet this contract (restricting the heap
-// to a subgraph changes tie resolution), which is why incrementality here means
-// exact result reuse plus allocation-free rebuild rather than subgraph
-// water-filling.
+// freeze order depends on flow and link numbering. Both implementations
+// therefore follow one rule: links saturate in (share, link id) order, so of
+// two links with equal fair shares the lower id saturates first; cap-limited
+// flows freeze in the order of the same std::sort by cap; and every update
+// performs the same arithmetic. The network feeds them flows in the identical
+// order. Link ids themselves are labels: only their order matters, through
+// the tie rule. Leaving out links no flow crosses, or renumbering links in a
+// way that keeps that order, leaves every rate unchanged (the network
+// registers only the links its flows cross). Equal-cap flows may be permuted
+// by the sort: they freeze at equal rates, and each link they cross sees the
+// same subtractions whatever their order, so after a run of equal-cap freezes
+// every link's remaining capacity and flow count, and with them the heap's
+// content, do not depend on that order. Partial recomputation of "affected
+// bottleneck groups" cannot meet this contract (restricting the water level to
+// a subgraph changes when cap-limited flows freeze relative to saturations),
+// which is why incrementality here means exact result reuse plus
+// allocation-free rebuild rather than subgraph water-filling.
 //
 // Thread-safety: the free functions are safe to call concurrently on disjoint
 // arguments (they touch only their parameters); an IncrementalMaxMin instance
@@ -56,6 +59,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 namespace bullet {
@@ -69,79 +73,148 @@ struct PathFlowSpec {
   double rate_bps = 0.0;  // output: allocated rate in bits/second
 };
 
-// One saturation-heap entry: a link's fair share when it was pushed, and the
-// link's stamp at that time (a later freeze on the link makes the entry stale).
-// Ordered by share alone; `>` is what std::greater compares.
-struct HeapEntry {
-  double share;
-  int32_t link;
-  uint32_t stamp;
-  bool operator>(const HeapEntry& o) const { return share > o.share; }
-};
-
-// The min-share heap both water-fills use. It replays libstdc++'s
-// std::push_heap / std::pop_heap over std::greater<HeapEntry> step for step --
-// the hole moves, the pop's sift to a leaf and the sift back up -- so equal
-// shares come out in exactly the order std::priority_queue gives them, and the
-// rates, whose low bits depend on that order, stay those of the historical
-// priority_queue. Only the child choice of the sift-down is branch-free (on
-// equal shares it keeps the right child, as libstdc++ does), which matters
-// because most pops discard stale entries. Storage survives clear(), so an
-// epoch allocates nothing once warm. push and pop are forced inline: called
-// out of line they cost the water-fill about 10%.
-class SaturationHeap {
+// The hot path's saturation heap: a 4-ary min-heap holding at most one entry
+// per link, keyed by (share, link id), plus each link's position in it, so a
+// link's share can be re-keyed or the link removed in place and the heap never
+// holds a stale entry. A key is the share's bits above the link id, compared
+// as one 128-bit integer: for shares that are non-negative and not NaN (the
+// only ones the water-fill produces, see IncrementalMaxMin::AddLink) that
+// order is exactly (share, link) under double `<`, and the compare is
+// branch-free. Storage survives Reset(), so an epoch allocates nothing once
+// warm.
+class LinkHeap {
  public:
-  bool empty() const { return v_.empty(); }
-  size_t size() const { return v_.size(); }
-  const HeapEntry& top() const { return v_.front(); }
-  void clear() { v_.clear(); }
-
-  __attribute__((always_inline)) void push(const HeapEntry& e) {
-    v_.push_back(e);
-    SiftUp(v_.size() - 1, e);
+  // Empties the heap for links [0, num_links), none of which is in it.
+  void Reset(size_t num_links) {
+    heap_.clear();
+    pos_.assign(num_links, kAbsent);
   }
 
-  // libstdc++'s pop_heap + pop_back: the last entry leaves the array, the hole
-  // left at the root sinks to a leaf along the smaller child (the right one on
-  // equal shares), and the last entry is sifted up from there (__adjust_heap).
-  __attribute__((always_inline)) void pop() {
-    const size_t len = v_.size() - 1;  // entries left after the pop
-    if (len > 0) {
-      const HeapEntry last = v_[len];
-      size_t hole = 0;
-      size_t child = 0;
-      while (child < (len - 1) / 2) {
-        child = 2 * (child + 1);
-        child -= static_cast<size_t>(v_[child].share > v_[child - 1].share);
-        v_[hole] = v_[child];
-        hole = child;
-      }
-      if ((len & 1) == 0 && child == (len - 2) / 2) {
-        child = 2 * (child + 1);
-        v_[hole] = v_[child - 1];
-        hole = child - 1;
-      }
-      SiftUp(hole, last);
+  // Adds `link`, which must be absent, at the end of the array without
+  // restoring heap order; call Heapify() after the last Append().
+  void Append(int32_t link, double share) {
+    pos_[static_cast<size_t>(link)] = static_cast<uint32_t>(heap_.size());
+    heap_.push_back(MakeKey(share, link));
+  }
+
+  // Restores heap order over everything appended (Floyd's bottom-up build).
+  void Heapify() {
+    const size_t n = heap_.size();
+    if (n < 2) {
+      return;
     }
-    v_.pop_back();
+    for (size_t i = (n - 2) / kArity + 1; i-- > 0;) {
+      SiftDown(i, heap_[i]);
+    }
+  }
+
+  bool empty() const { return heap_.empty(); }
+  size_t size() const { return heap_.size(); }
+  bool contains(int32_t link) const { return pos_[static_cast<size_t>(link)] != kAbsent; }
+
+  // The link with the smallest (share, link id) and its share.
+  int32_t top_link() const { return LinkOf(heap_.front()); }
+  double top_share() const { return ShareOf(heap_.front()); }
+
+  // Gives `link`, which must be present, a new share; the share may go up or
+  // down.
+  void Update(int32_t link, double share) {
+    const size_t i = pos_[static_cast<size_t>(link)];
+    const Key k = MakeKey(share, link);
+    if (k < heap_[i]) {
+      SiftUp(i, k);
+    } else {
+      SiftDown(i, k);
+    }
+  }
+
+  // Takes `link`, which must be present, out of the heap; the last entry
+  // fills its place.
+  void Remove(int32_t link) {
+    const size_t i = pos_[static_cast<size_t>(link)];
+    pos_[static_cast<size_t>(link)] = kAbsent;
+    const Key gone = heap_[i];
+    const Key last = heap_.back();
+    heap_.pop_back();
+    if (i == heap_.size()) {
+      return;  // `link` was the last entry
+    }
+    if (last < gone) {
+      SiftUp(i, last);
+    } else {
+      SiftDown(i, last);
+    }
   }
 
  private:
-  // libstdc++'s __push_heap: moves the hole at `hole` up while its parent's
-  // share is strictly greater than `e`'s, then stores `e` there.
-  void SiftUp(size_t hole, const HeapEntry& e) {
-    while (hole > 0) {
-      const size_t parent = (hole - 1) / 2;
-      if (!(v_[parent].share > e.share)) {
-        break;
-      }
-      v_[hole] = v_[parent];
-      hole = parent;
-    }
-    v_[hole] = e;
+  using Key = unsigned __int128;
+  static constexpr size_t kArity = 4;  // children of i are 4i+1 .. 4i+4
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
+  // memcpy rather than std::bit_cast: the header also builds as C++17.
+  static Key MakeKey(double share, int32_t link) {
+    uint64_t bits = 0;
+    std::memcpy(&bits, &share, sizeof bits);
+    return (Key{bits} << 32) | static_cast<uint32_t>(link);
+  }
+  static int32_t LinkOf(Key k) { return static_cast<int32_t>(static_cast<uint32_t>(k)); }
+  static double ShareOf(Key k) {
+    const uint64_t bits = static_cast<uint64_t>(k >> 32);
+    double share = 0.0;
+    std::memcpy(&share, &bits, sizeof share);
+    return share;
   }
 
-  std::vector<HeapEntry> v_;
+  void Place(size_t i, Key k) {
+    heap_[i] = k;
+    pos_[static_cast<size_t>(LinkOf(k))] = static_cast<uint32_t>(i);
+  }
+
+  // Moves the hole at `i` up while its parent is greater than `k`, then
+  // stores `k` there.
+  void SiftUp(size_t i, Key k) {
+    while (i > 0) {
+      const size_t parent = (i - 1) / kArity;
+      if (!(k < heap_[parent])) {
+        break;
+      }
+      Place(i, heap_[parent]);
+      i = parent;
+    }
+    Place(i, k);
+  }
+
+  // Moves the hole at `i` down while its smallest child is less than `k`,
+  // then stores `k` there. A full group's child choice is branch-free.
+  void SiftDown(size_t i, Key k) {
+    const size_t n = heap_.size();
+    const Key* h = heap_.data();
+    for (;;) {
+      const size_t first = kArity * i + 1;
+      if (first >= n) {
+        break;
+      }
+      size_t best = first;
+      if (first + kArity <= n) {
+        const size_t a = first + (h[first + 1] < h[first] ? 1 : 0);
+        const size_t b = first + 2 + (h[first + 3] < h[first + 2] ? 1 : 0);
+        best = h[b] < h[a] ? b : a;
+      } else {
+        for (size_t c = first + 1; c < n; ++c) {
+          best = h[c] < h[best] ? c : best;
+        }
+      }
+      if (!(h[best] < k)) {
+        break;
+      }
+      Place(i, h[best]);
+      i = best;
+    }
+    Place(i, k);
+  }
+
+  std::vector<Key> heap_;
+  std::vector<uint32_t> pos_;  // per link: index into heap_, or kAbsent
 };
 
 // Computes the allocation in place. `link_capacity_bps[i]` is the capacity of link i.
@@ -166,7 +239,9 @@ class IncrementalMaxMin {
   // are invalidated. Scratch capacity is retained.
   void BeginEpoch();
 
-  // Registers the next link; ids are assigned densely in call order.
+  // Registers the next link; ids are assigned densely in call order. The
+  // capacity must be non-negative and not NaN (checked); -0.0 is stored as
+  // +0.0.
   int32_t AddLink(double capacity_bps);
 
   // Registers the next flow (index = number of AddFlowPath calls so far this
@@ -206,14 +281,13 @@ class IncrementalMaxMin {
   // Scratch reused across epochs.
   std::vector<double> remaining_;
   std::vector<int32_t> nflows_;
-  std::vector<uint32_t> stamp_;
   std::vector<uint32_t> link_off_;    // CSR offsets, size L+1
   std::vector<uint32_t> link_flow_;   // CSR payload: flow indices per link, flow order
   std::vector<uint32_t> fill_cursor_;
   std::vector<std::pair<double, uint32_t>> sort_buf_;  // (cap, flow) pairs
   std::vector<size_t> by_cap_;
   std::vector<char> frozen_;
-  SaturationHeap heap_;
+  LinkHeap heap_;
 };
 
 }  // namespace bullet

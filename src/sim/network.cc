@@ -480,9 +480,10 @@ int32_t Network::InteriorLinkIdForEpoch(int32_t interior_id) {
 // flows and their paths. Flow order and link numbering replicate the pre-routed
 // tick up to renaming: flows in open_conns_ scan order; links numbered touched
 // access links first, in legacy id order (uplink(i) = i before downlink(i) =
-// n + i), then interior links in first-use order. Links no flow crosses were
-// never pushed onto the allocator's heap, so leaving them out keeps its push
-// sequence, and with it every FP result (see bandwidth_allocator.h).
+// n + i), then interior links in first-use order. Links no flow crosses never
+// enter the allocator's heap, and leaving them out keeps the id order of the
+// rest, which is all its (share, link id) tie rule reads, so every FP result
+// stays the same (see bandwidth_allocator.h).
 void Network::RebuildAndAllocate() {
   BULLET_PROFILE_SCOPE(ProfilePhase::kAllocatorEpoch);
   ++allocator_epochs_;

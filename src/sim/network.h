@@ -39,8 +39,9 @@
 //     busy index (one bit per open_conns_ position, moved with its connection
 //     by the compaction) lists the connections with a busy direction in scan
 //     order, and only the access links those flows cross are registered —
-//     uplinks, then downlinks, each in node order, so the allocator's heap sees
-//     the same push sequence as with all 2n access links registered. Both
+//     uplinks, then downlinks, each in node order, so the links keep the id
+//     order they would have with all 2n access links registered, and the
+//     allocator breaks every tie the same way. Both
 //     indexes change only where a direction goes busy or idle;
 //   * on clean quanta the cached rates are reused — by determinism they are
 //     exactly what a recompute would produce — and only transmission advancement

@@ -6,8 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
+#include <vector>
 
 #include "src/harness/workload.h"
 #include "src/overlay/tree_overlay.h"
@@ -122,6 +124,58 @@ TEST_F(RanSubFixture, MembershipApproximatelyUniform) {
   EXPECT_LT(chi2 / samples, 0.5);
   // Every node must appear somewhere.
   EXPECT_EQ(total.size(), 25u);
+}
+
+// A collect replaces the child's previous pool: after a 32-node collect and
+// then a 3-node one from the same child, the root's next subset holds exactly
+// the 3 nodes of the short collect (the root never samples itself).
+TEST(RanSubAgentTest, LaterCollectReplacesTheChildsPool) {
+  ControlTree tree;
+  tree.parent = {-1, 0};
+  tree.children = {{1}, {}};
+  tree.subtree_size = {2, 1};
+  EventQueue queue;
+  const RanSubAgent::Config config;
+  std::vector<PeerSummary> subset;
+  int epochs = 0;
+  RanSubAgent root(
+      &tree, /*self=*/0, config, Rng(5),
+      [] {
+        PeerSummary s;
+        s.node = 0;
+        return s;
+      },
+      [&](const std::vector<PeerSummary>& s) {
+        subset = s;
+        ++epochs;
+      },
+      [](NodeId, std::unique_ptr<Message>) {}, &queue);
+
+  auto collect = [](NodeId first, int count) {
+    RanSubCollectMsg msg;
+    msg.type = RanSubCollectMsg::kType;
+    for (int i = 0; i < count; ++i) {
+      PeerSummary s;
+      s.node = first + i;
+      msg.pool.push_back(s);
+      msg.weights.push_back(1.0f);
+    }
+    return msg;
+  };
+  RanSubCollectMsg long_collect = collect(100, 32);
+  ASSERT_TRUE(root.HandleMessage(/*from=*/1, long_collect));
+  RanSubCollectMsg short_collect = collect(7, 3);
+  ASSERT_TRUE(root.HandleMessage(/*from=*/1, short_collect));
+
+  root.Start();
+  queue.RunUntil(config.epoch_period);
+  ASSERT_EQ(epochs, 1);
+  std::vector<NodeId> nodes;
+  for (const PeerSummary& s : subset) {
+    nodes.push_back(s.node);
+  }
+  std::sort(nodes.begin(), nodes.end());
+  EXPECT_EQ(nodes, (std::vector<NodeId>{7, 8, 9}));
 }
 
 }  // namespace

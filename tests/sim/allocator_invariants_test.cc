@@ -8,14 +8,17 @@
 //  3. monotonicity     — removing a flow never decreases a survivor's rate;
 //  4. bit-exactness    — IncrementalMaxMin (with its scratch reused across many
 //                        epochs, including tie-heavy uniform instances) produces
-//                        rates bit-identical to a fresh AllocateMaxMinPaths.
+//                        rates bit-identical to a fresh AllocateMaxMinPaths;
+//  5. the tie rule     — links with equal shares saturate in link id order.
 //
 // Run standalone with `ctest -L invariants`.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -225,6 +228,46 @@ TEST_P(AllocatorInvariants, RemovingAFlowNeverHurtsSurvivorsLexicographically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomizedInstances, AllocatorInvariants, ::testing::Range(0, 100));
+
+// The tie rule: of two links with equal fair shares, the lower id saturates
+// first. Links `a` and `b` (10 Mb/s) both carry three uncapped flows, and link
+// 2 (1 Gb/s) is the wide one. Flows: {a,b}, {a,2} x2, {b,2} x2. Whichever of
+// a and b saturates first freezes its three flows at 10e6/3; the other then
+// splits 10e6 - 10e6/3 between its two remaining flows, which rounds one bit
+// lower. Both engines must give `expected` bit for bit.
+void ExpectTieRates(int32_t a, int32_t b, const std::vector<double>& expected) {
+  Instance inst;
+  inst.capacity = {10e6, 10e6, 1e9};
+  for (const auto& links : std::vector<std::vector<int32_t>>{
+           {a, b}, {a, 2}, {a, 2}, {b, 2}, {b, 2}}) {
+    PathFlowSpec f;
+    f.links = links;
+    f.cap_bps = kUnlimited;
+    inst.flows.push_back(std::move(f));
+  }
+  IncrementalMaxMin alloc;
+  const std::vector<double> reference = ReferenceRates(inst);
+  const std::vector<double> incremental = IncrementalRates(alloc, inst);
+  ASSERT_EQ(reference.size(), expected.size());
+  ASSERT_EQ(incremental.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const uint64_t want = std::bit_cast<uint64_t>(expected[i]);
+    EXPECT_EQ(std::bit_cast<uint64_t>(reference[i]), want) << "reference, flow " << i;
+    EXPECT_EQ(std::bit_cast<uint64_t>(incremental[i]), want) << "incremental, flow " << i;
+  }
+}
+
+constexpr double kFirst = 0x1.96e6aaaaaaaabp+21;   // 10e6 / 3
+constexpr double kSecond = 0x1.96e6aaaaaaaaap+21;  // (10e6 - 10e6 / 3) / 2
+
+TEST(AllocatorTieRule, LowerLinkIdSaturatesFirst) {
+  ExpectTieRates(0, 1, {kFirst, kFirst, kFirst, kSecond, kSecond});
+}
+
+TEST(AllocatorTieRule, SwappingTheTiedLinkIdsMirrorsTheRates) {
+  // Link 0 now carries the {b,2} flows, so they get the larger share.
+  ExpectTieRates(1, 0, {kFirst, kSecond, kSecond, kFirst, kFirst});
+}
 
 }  // namespace
 }  // namespace bullet

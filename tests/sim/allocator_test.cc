@@ -3,8 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <functional>
-#include <queue>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -152,59 +152,81 @@ TEST_P(AllocatorPropertyTest, RandomInstanceInvariants) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, AllocatorPropertyTest, ::testing::Range(0, 25));
 
-#ifdef __GLIBCXX__
-// The water-fills' SaturationHeap replays libstdc++'s push_heap/pop_heap, so
-// entries with equal shares must leave it in exactly the order
-// std::priority_queue gives them: the allocator's rates depend on that order.
-// Seeded push/pop sequences over four distinct shares make ties the common
-// case; both heaps must show the same (share, link, stamp) on top after every
-// operation and drain in the same order.
-class SaturationHeapConformanceTest : public ::testing::TestWithParam<int> {};
+// LinkHeap against an ordered set of (share, link) pairs, the order both
+// water-fills saturate links in. Seeded scripts over four distinct shares make
+// ties the common case, so a heap that ignored the link id would surface a
+// different link. Each round heapifies a random subset of links, then re-keys
+// links up and down and removes the top, a middle entry and the last entry
+// (in (share, link) order); the top must match after every operation, and the
+// heap must drain in the set's order.
+class LinkHeapDifferentialTest : public ::testing::TestWithParam<int> {};
 
-TEST_P(SaturationHeapConformanceTest, MatchesStdPriorityQueueOnTies) {
+TEST_P(LinkHeapDifferentialTest, MatchesOrderedSetOnTies) {
   Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 17);
-  const double shares[] = {0.5e6, 1e6, 2.5e6, 4e6};
-  SaturationHeap heap;
-  std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> reference;
-  auto expect_same_top = [&](int op) {
-    ASSERT_EQ(heap.size(), reference.size()) << "op " << op;
-    if (reference.empty()) {
-      return;
+  const double shares[] = {0.0, 0.5e6, 2.5e6, 4e6};
+  auto draw_share = [&] { return shares[rng.UniformInt(0, 3)]; };
+  LinkHeap heap;
+  for (int round = 0; round < 6; ++round) {
+    const int32_t num_links = static_cast<int32_t>(rng.UniformInt(1, 300));
+    std::set<std::pair<double, int32_t>> reference;
+    std::vector<double> share_of(static_cast<size_t>(num_links), -1.0);  // -1: absent
+    heap.Reset(static_cast<size_t>(num_links));
+    for (int32_t l = 0; l < num_links; ++l) {
+      if (rng.Bernoulli(0.8)) {
+        share_of[static_cast<size_t>(l)] = draw_share();
+        heap.Append(l, share_of[static_cast<size_t>(l)]);
+        reference.emplace(share_of[static_cast<size_t>(l)], l);
+      }
     }
-    EXPECT_EQ(heap.top().share, reference.top().share) << "op " << op;
-    EXPECT_EQ(heap.top().link, reference.top().link) << "op " << op;
-    EXPECT_EQ(heap.top().stamp, reference.top().stamp) << "op " << op;
-  };
-  // Pushes outweigh pops early on and pops outweigh pushes later, so the heap
-  // grows to a few hundred entries and shrinks again through every size.
-  int32_t next_link = 0;
-  for (int op = 0; op < 3000; ++op) {
-    const double push_p = op < 1500 ? 0.7 : 0.35;
-    if (reference.empty() || rng.Bernoulli(push_p)) {
-      const HeapEntry e{shares[rng.UniformInt(0, 3)], next_link++,
-                        static_cast<uint32_t>(rng.UniformInt(0, 7))};
-      heap.push(e);
-      reference.push(e);
-    } else {
-      heap.pop();
-      reference.pop();
+    heap.Heapify();
+    auto expect_same_top = [&](int op) {
+      ASSERT_EQ(heap.size(), reference.size()) << "round " << round << " op " << op;
+      if (reference.empty()) {
+        return;
+      }
+      EXPECT_EQ(heap.top_share(), reference.begin()->first) << "round " << round << " op " << op;
+      ASSERT_EQ(heap.top_link(), reference.begin()->second) << "round " << round << " op " << op;
+    };
+    auto remove = [&](int32_t link) {
+      heap.Remove(link);
+      reference.erase({share_of[static_cast<size_t>(link)], link});
+      share_of[static_cast<size_t>(link)] = -1.0;
+      EXPECT_FALSE(heap.contains(link));
+    };
+    expect_same_top(-1);
+    for (int op = 0; op < 400 && !reference.empty() && !HasFatalFailure(); ++op) {
+      const int kind = static_cast<int>(rng.UniformInt(0, 5));
+      if (kind <= 2) {
+        // Re-key a random present link; the new share may be higher, lower or
+        // equal.
+        auto it = std::next(reference.begin(),
+                            static_cast<long>(rng.UniformInt(
+                                0, static_cast<int64_t>(reference.size()) - 1)));
+        const int32_t link = it->second;
+        reference.erase(it);
+        share_of[static_cast<size_t>(link)] = draw_share();
+        heap.Update(link, share_of[static_cast<size_t>(link)]);
+        reference.emplace(share_of[static_cast<size_t>(link)], link);
+        EXPECT_TRUE(heap.contains(link));
+      } else if (kind == 3) {
+        remove(reference.begin()->second);
+      } else if (kind == 4) {
+        remove(std::next(reference.begin(),
+                         static_cast<long>(reference.size() / 2))->second);
+      } else {
+        remove(std::prev(reference.end())->second);
+      }
+      expect_same_top(op);
     }
-    expect_same_top(op);
-    if (::testing::Test::HasFatalFailure()) {
-      return;
+    while (!reference.empty() && !HasFatalFailure()) {
+      expect_same_top(-2);
+      remove(reference.begin()->second);
     }
+    EXPECT_TRUE(heap.empty());
   }
-  while (!reference.empty()) {
-    ASSERT_FALSE(heap.empty());
-    EXPECT_EQ(heap.top().link, reference.top().link);
-    heap.pop();
-    reference.pop();
-  }
-  EXPECT_TRUE(heap.empty());
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, SaturationHeapConformanceTest, ::testing::Range(0, 12));
-#endif  // __GLIBCXX__
+INSTANTIATE_TEST_SUITE_P(Seeds, LinkHeapDifferentialTest, ::testing::Range(0, 12));
 
 }  // namespace
 }  // namespace bullet
