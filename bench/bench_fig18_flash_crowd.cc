@@ -29,7 +29,7 @@ BULLET_SCENARIO(fig18_flash_crowd, "Extension — flash crowd: 80% of nodes join
   cfg.seed = 1801;
   ApplyScenarioOptions(opts, &cfg);
 
-  const double late_fraction = cfg.join_fraction >= 0.0 ? cfg.join_fraction : 0.8;
+  const double late_fraction = opts.join_fraction.value_or(0.8);
   const int receivers = cfg.num_nodes - 1;
   const int late_count =
       std::min(receivers, static_cast<int>(std::lround(late_fraction * receivers)));
@@ -41,7 +41,7 @@ BULLET_SCENARIO(fig18_flash_crowd, "Extension — flash crowd: 80% of nodes join
 
   WorkloadSpec workload;
   SessionSpec session;
-  session.protocol = ScenarioSystemOr(cfg, "bullet-prime");
+  session.protocol = opts.system.value_or("bullet-prime");
   session.seed = cfg.seed;
   for (NodeId node = 0; node < cfg.num_nodes; ++node) {
     session.members.push_back(node);

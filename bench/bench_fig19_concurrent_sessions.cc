@@ -31,7 +31,7 @@ BULLET_SCENARIO(fig19_concurrent_sessions,
 
   // Subset sessions: a --system that cannot run over half the nodes
   // (splitstream) is ignored like any other inapplicable override.
-  const std::string protocol = ScenarioSubsetSystemOr(cfg, "bullet-prime");
+  const std::string protocol = ScenarioSubsetSystemOr(opts.system, "bullet-prime");
   WorkloadSpec workload;
   {
     SessionSpec a;

@@ -27,7 +27,7 @@ BULLET_SCENARIO(fig21_churn_lifetimes,
   cfg.seed = 2101;
   ApplyScenarioOptions(opts, &cfg);
 
-  const double alpha = cfg.lifetime_pareto_alpha > 0 ? cfg.lifetime_pareto_alpha : 1.5;
+  const double alpha = opts.lifetime_pareto_alpha.value_or(1.5);
   const double feasible = TcpFeasibleSeconds(cfg.file_mb, 6e6, /*startup_sec=*/12.0);
   // Everyone stays at least ~2x the feasible transfer time — long enough for a
   // near-optimal system to finish inside the minimum stay, short enough that a

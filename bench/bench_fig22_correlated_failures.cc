@@ -39,7 +39,7 @@ BULLET_SCENARIO(fig22_correlated_failures,
   cfg.topo = ScenarioConfig::Topo::kTransitStub;
   cfg.transit_stub = ScaledTransitStub(cfg.num_nodes);
 
-  const std::string churn_name = cfg.churn_model.empty() ? "stub" : cfg.churn_model;
+  const std::string churn_name = opts.churn_model.value_or("stub");
   const double feasible = TcpFeasibleSeconds(cfg.file_mb, 6e6, /*startup_sec=*/12.0);
   const SimTime outage_at = SecToSim(0.8 * feasible);
 
@@ -70,7 +70,7 @@ BULLET_SCENARIO(fig22_correlated_failures,
                             &sample_bps);
 
   SessionSpec session;
-  session.protocol = ScenarioSystemOr(cfg, "bullet-prime");
+  session.protocol = opts.system.value_or("bullet-prime");
   session.source = 0;
   session.seed = cfg.seed;
   session.file.block_bytes = cfg.block_bytes;

@@ -29,13 +29,7 @@ BULLET_SCENARIO(fig23_streaming_deadlines,
   cfg.seed = 2301;
   ApplyScenarioOptions(opts, &cfg);
 
-  StreamingSpec stream;
-  if (cfg.stream_bitrate_mbps > 0) {
-    stream.bitrate_mbps = cfg.stream_bitrate_mbps;
-  }
-  if (cfg.stream_window_blocks > 0) {
-    stream.window_blocks = cfg.stream_window_blocks;
-  }
+  const StreamingSpec stream = cfg.streaming.value_or(StreamingSpec{});
 
   // Receivers tune in over the first ~30 seconds of the stream under the
   // diurnal rate curve, so the late ones exercise the live-edge catch-up path.

@@ -56,14 +56,14 @@ BULLET_SCENARIO(fig24_megaswarm,
   cfg.topo = ScenarioConfig::Topo::kTransitStub;
   cfg.transit_stub = ScaledTransitStub(cfg.num_nodes);
 
-  const double late_fraction = cfg.join_fraction >= 0.0 ? cfg.join_fraction : 0.75;
+  const double late_fraction = opts.join_fraction.value_or(0.75);
   // Mid-transfer of the early cohort (see fig18's reasoning); the crowd lands
   // while the seeders are still downloading, so the mesh must absorb it.
   const double join_sec = 0.5 * TcpFeasibleSeconds(cfg.file_mb, 6e6, /*startup_sec=*/12.0);
 
   WorkloadSpec workload;
   SessionSpec session;
-  session.protocol = ScenarioSystemOr(cfg, "bullet-prime");
+  session.protocol = opts.system.value_or("bullet-prime");
   session.seed = cfg.seed;
   for (NodeId node = 0; node < cfg.num_nodes; ++node) {
     session.members.push_back(node);

@@ -89,125 +89,91 @@ bool CheckComparable(const JsonValue& baseline, const JsonValue& current, std::o
   return true;
 }
 
+// A one-sided gate: the floors gate (current must meet or beat each floor)
+// or the ceilings gate (current must stay at or below each ceiling).
+struct OneSidedGate {
+  const char* schema;
+  const char* bounds;  // the per-point object, e.g. "floors"
+  const char* bound;   // one of its values, e.g. "floor"
+  const char* what;    // summary noun, e.g. "throughput floors"
+  bool upper;          // true: values above the bound fail; false: below
+};
+
+constexpr OneSidedGate kFloorsGate = {kFloorsSchema, "floors", "floor", "throughput floors",
+                                      false};
+constexpr OneSidedGate kCeilingsGate = {kCeilingsSchema, "ceilings", "ceiling",
+                                        "memory ceilings", true};
+
+// Tolerance-free by design: the committed bound itself embeds any margin.
+int CompareOneSidedDocs(const OneSidedGate& gate, const JsonValue& baseline,
+                        const JsonValue& current, std::ostream& log) {
+  if (!CheckSchema(baseline, "baseline", gate.schema, log) ||
+      !CheckSchema(current, "current", gate.schema, log)) {
+    return kBenchCheckBadInput;
+  }
+  if (!CheckComparable(baseline, current, log)) {
+    return kBenchCheckBadInput;
+  }
+
+  std::map<std::string, const JsonValue*> current_points;
+  for (const JsonValue& point : current.Find("points")->array()) {
+    current_points[PointKey(point)] = &point;
+  }
+
+  const char* direction = gate.upper ? "above" : "below";
+  int checked = 0;
+  int failed = 0;
+  for (const JsonValue& base_point : baseline.Find("points")->array()) {
+    const std::string key = PointKey(base_point);
+    const auto cur_it = current_points.find(key);
+    if (cur_it == current_points.end()) {
+      log << "FAIL point {" << key << "}: missing from current " << gate.bounds << "\n";
+      ++failed;
+      continue;
+    }
+    const JsonValue* base_bounds = base_point.Find(gate.bounds);
+    if (base_bounds == nullptr || !base_bounds->is_object()) {
+      log << "bench_check: baseline point {" << key << "} has no " << gate.bounds
+          << " object\n";
+      return kBenchCheckBadInput;
+    }
+    const JsonValue* cur_bounds = cur_it->second->Find(gate.bounds);
+    for (const auto& [name, bound] : base_bounds->object()) {
+      if (!bound.is_number()) {
+        continue;
+      }
+      ++checked;
+      const JsonValue* cur_v = cur_bounds != nullptr ? cur_bounds->Find(name) : nullptr;
+      if (cur_v == nullptr || !cur_v->is_number()) {
+        log << "FAIL point {" << key << "} " << name << ": metric missing from current "
+            << gate.bounds << "\n";
+        ++failed;
+        continue;
+      }
+      if (gate.upper ? cur_v->number() > bound.number() : cur_v->number() < bound.number()) {
+        log << "FAIL point {" << key << "} " << name << ": current " << cur_v->number() << " "
+            << direction << " " << gate.bound << " " << bound.number() << "\n";
+        ++failed;
+      }
+    }
+  }
+
+  log << "bench_check: " << checked << " " << gate.what << " checked, " << failed << " "
+      << direction << " " << gate.bound << "\n";
+  return failed == 0 ? kBenchCheckOk : kBenchCheckRegression;
+}
+
 }  // namespace
-
-int CompareFloorDocs(const JsonValue& baseline, const JsonValue& current, std::ostream& log) {
-  if (!CheckSchema(baseline, "baseline", kFloorsSchema, log) ||
-      !CheckSchema(current, "current", kFloorsSchema, log)) {
-    return kBenchCheckBadInput;
-  }
-  if (!CheckComparable(baseline, current, log)) {
-    return kBenchCheckBadInput;
-  }
-
-  std::map<std::string, const JsonValue*> current_points;
-  for (const JsonValue& point : current.Find("points")->array()) {
-    current_points[PointKey(point)] = &point;
-  }
-
-  int checked = 0;
-  int failed = 0;
-  for (const JsonValue& base_point : baseline.Find("points")->array()) {
-    const std::string key = PointKey(base_point);
-    const auto cur_it = current_points.find(key);
-    if (cur_it == current_points.end()) {
-      log << "FAIL point {" << key << "}: missing from current floors\n";
-      ++failed;
-      continue;
-    }
-    const JsonValue* base_floors = base_point.Find("floors");
-    if (base_floors == nullptr || !base_floors->is_object()) {
-      log << "bench_check: baseline point {" << key << "} has no floors object\n";
-      return kBenchCheckBadInput;
-    }
-    const JsonValue* cur_floors = cur_it->second->Find("floors");
-    for (const auto& [name, floor] : base_floors->object()) {
-      if (!floor.is_number()) {
-        continue;
-      }
-      ++checked;
-      const JsonValue* cur_v = cur_floors != nullptr ? cur_floors->Find(name) : nullptr;
-      if (cur_v == nullptr || !cur_v->is_number()) {
-        log << "FAIL point {" << key << "} " << name << ": metric missing from current floors\n";
-        ++failed;
-        continue;
-      }
-      if (cur_v->number() < floor.number()) {
-        log << "FAIL point {" << key << "} " << name << ": current " << cur_v->number()
-            << " below floor " << floor.number() << "\n";
-        ++failed;
-      }
-    }
-  }
-
-  log << "bench_check: " << checked << " throughput floors checked, " << failed << " below floor\n";
-  return failed == 0 ? kBenchCheckOk : kBenchCheckRegression;
-}
-
-int CompareCeilingDocs(const JsonValue& baseline, const JsonValue& current, std::ostream& log) {
-  if (!CheckSchema(baseline, "baseline", kCeilingsSchema, log) ||
-      !CheckSchema(current, "current", kCeilingsSchema, log)) {
-    return kBenchCheckBadInput;
-  }
-  if (!CheckComparable(baseline, current, log)) {
-    return kBenchCheckBadInput;
-  }
-
-  std::map<std::string, const JsonValue*> current_points;
-  for (const JsonValue& point : current.Find("points")->array()) {
-    current_points[PointKey(point)] = &point;
-  }
-
-  int checked = 0;
-  int failed = 0;
-  for (const JsonValue& base_point : baseline.Find("points")->array()) {
-    const std::string key = PointKey(base_point);
-    const auto cur_it = current_points.find(key);
-    if (cur_it == current_points.end()) {
-      log << "FAIL point {" << key << "}: missing from current ceilings\n";
-      ++failed;
-      continue;
-    }
-    const JsonValue* base_ceilings = base_point.Find("ceilings");
-    if (base_ceilings == nullptr || !base_ceilings->is_object()) {
-      log << "bench_check: baseline point {" << key << "} has no ceilings object\n";
-      return kBenchCheckBadInput;
-    }
-    const JsonValue* cur_ceilings = cur_it->second->Find("ceilings");
-    for (const auto& [name, ceiling] : base_ceilings->object()) {
-      if (!ceiling.is_number()) {
-        continue;
-      }
-      ++checked;
-      const JsonValue* cur_v = cur_ceilings != nullptr ? cur_ceilings->Find(name) : nullptr;
-      if (cur_v == nullptr || !cur_v->is_number()) {
-        log << "FAIL point {" << key << "} " << name
-            << ": metric missing from current ceilings\n";
-        ++failed;
-        continue;
-      }
-      if (cur_v->number() > ceiling.number()) {
-        log << "FAIL point {" << key << "} " << name << ": current " << cur_v->number()
-            << " above ceiling " << ceiling.number() << "\n";
-        ++failed;
-      }
-    }
-  }
-
-  log << "bench_check: " << checked << " memory ceilings checked, " << failed
-      << " above ceiling\n";
-  return failed == 0 ? kBenchCheckOk : kBenchCheckRegression;
-}
 
 int CompareSweepDocs(const JsonValue& baseline, const JsonValue& current,
                      const BenchCheckOptions& opts, std::ostream& log) {
   // A floors baseline selects the one-sided throughput gate; a ceilings
   // baseline the one-sided memory gate.
   if (baseline.is_object() && baseline.StringOr("schema", "") == kFloorsSchema) {
-    return CompareFloorDocs(baseline, current, log);
+    return CompareOneSidedDocs(kFloorsGate, baseline, current, log);
   }
   if (baseline.is_object() && baseline.StringOr("schema", "") == kCeilingsSchema) {
-    return CompareCeilingDocs(baseline, current, log);
+    return CompareOneSidedDocs(kCeilingsGate, baseline, current, log);
   }
   if (!CheckSchema(baseline, "baseline", kAggregateSchema, log) ||
       !CheckSchema(current, "current", kAggregateSchema, log)) {

@@ -38,27 +38,24 @@ struct BenchCheckOptions {
 // `current` are ignored so new instrumentation never breaks the gate. Verdict
 // lines (PASS/FAIL per comparison plus a summary) go to `log`.
 //
-// Both documents must carry the bullet-bench-v3 aggregate schema (or, on both
-// sides, the floors or ceilings schema below); anything else is bad input.
+// Both documents must carry the bullet-bench-v3 aggregate schema, or on both
+// sides one of the two one-sided schemas, which the baseline's schema selects:
+//
+//  * Throughput floors (bullet-floors-v1): for every baseline point, each
+//    metric under its `floors` object must satisfy current >= floor — faster
+//    is never a failure.
+//  * Memory ceilings (bullet-ceilings-v1): the floors gate inverted; each
+//    metric under `ceilings` must satisfy current <= ceiling — using *less*
+//    memory is never a failure. Ceilings gate deterministic byte counters
+//    (route cache, path pools, arena peak), never RSS, so the comparison is
+//    machine-independent.
+//
+// Both one-sided gates are tolerance-free: the committed floor or ceiling
+// itself embeds any safety margin (see docs/PERFORMANCE.md for how floors are
+// derived and updated), and the tolerances in `opts` are ignored. Anything
+// else is bad input.
 int CompareSweepDocs(const JsonValue& baseline, const JsonValue& current,
                      const BenchCheckOptions& opts, std::ostream& log);
-
-// Throughput-floor mode (schema bullet-floors-v1 on both sides): for every
-// baseline point, each metric under its `floors` object must satisfy
-// current >= floor. One-sided on purpose — faster is never a failure — and
-// tolerance-free: the committed floor itself embeds the safety margin (see
-// docs/PERFORMANCE.md for how floors are derived and updated). Tolerances in
-// `opts` are ignored here. CompareSweepDocs dispatches to this automatically
-// when the baseline carries the floors schema.
-int CompareFloorDocs(const JsonValue& baseline, const JsonValue& current, std::ostream& log);
-
-// Memory-ceiling mode (schema bullet-ceilings-v1 on both sides): the floors
-// mechanism inverted. For every baseline point, each metric under its
-// `ceilings` object must satisfy current <= ceiling — using *less* memory is
-// never a failure. Ceilings gate deterministic byte counters (route cache,
-// path pools, arena peak), never RSS, so the comparison is machine-independent.
-// CompareSweepDocs dispatches here automatically on a ceilings baseline.
-int CompareCeilingDocs(const JsonValue& baseline, const JsonValue& current, std::ostream& log);
 
 // File-based wrapper: parses both paths then delegates to CompareSweepDocs.
 int CompareSweepFiles(const std::string& baseline_path, const std::string& current_path,

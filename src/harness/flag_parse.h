@@ -1,8 +1,9 @@
-// Strict full-string numeric parsing shared by the CLI flag parser
-// (scenario_runner.cc) and the sweep axis/spec-file grammar (sweep.cc), so both
-// surfaces accept exactly the same value syntax: no leading whitespace (strto*
-// would skip it and accept e.g. " -1" for unsigned), no trailing garbage, no
-// fractional integers, no out-of-range values, no nan/inf.
+// Strict full-string numeric parsing behind the scenario option rows' parse
+// (scenario_registry.cc), which the CLI flags (scenario_runner.cc) and the sweep
+// axis/spec-file grammar (sweep.cc) both call, so both surfaces accept exactly
+// the same value syntax: no leading whitespace (strto* would skip it and accept
+// e.g. " -1" for unsigned), no trailing garbage, no fractional integers, no
+// out-of-range values, no nan/inf.
 
 #ifndef SRC_HARNESS_FLAG_PARSE_H_
 #define SRC_HARNESS_FLAG_PARSE_H_

@@ -1,6 +1,5 @@
 #include "src/harness/scenario_registry.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <utility>
@@ -12,8 +11,6 @@
 
 namespace bullet {
 namespace {
-
-bool IsIntegral(double v) { return v == std::floor(v); }
 
 // Simulated time is int64 microseconds (SecToSim); 1e9 s (~32 years) keeps
 // the conversion far inside its range.
@@ -32,7 +29,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
   static const std::vector<ScenarioOptionDef>* table = new std::vector<ScenarioOptionDef>{
       {"--nodes", "nodes", "nodes", ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
        "--nodes requires an integer in [2, 1000000]",
-       "nodes values must be integers in [2, 1000000]",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          int64_t v = 0;
          if (!ParseStrictInt64(text, &v) || v < 2 || v > 1000000) {
@@ -41,20 +37,13 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->nodes = static_cast<int>(v);
          return true;
        },
-       [](double v) { return IsIntegral(v) && v >= 2 && v <= 1000000; },
-       [](double v, ScenarioOptions* opts) { opts->nodes = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.nodes) {
-           cfg->num_nodes = *opts.nodes;
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.nodes) {
            json->Field("nodes", *opts.nodes);
          }
        }},
       {"--file-mb", "file-mb", "file_mb", ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--file-mb requires a positive number", "file-mb values must be positive",
+       "--file-mb requires a positive number",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          double v = 0.0;
          if (!ParseStrictDouble(text, &v) || v <= 0.0) {
@@ -63,20 +52,13 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->file_mb = v;
          return true;
        },
-       [](double v) { return v > 0.0; },
-       [](double v, ScenarioOptions* opts) { opts->file_mb = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.file_mb) {
-           cfg->file_mb = *opts.file_mb;
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.file_mb) {
            json->Field("file_mb", *opts.file_mb);
          }
        }},
       {"--seed", "seed", "seed", ScenarioOptionDef::Kind::kNumber, /*sweepable=*/false,
-       "--seed requires a non-negative integer", nullptr,
+       "--seed requires a non-negative integer",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          uint64_t v = 0;
          if (!ParseStrictUint64(text, &v)) {
@@ -85,12 +67,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->seed = v;
          return true;
        },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.seed) {
-           cfg->seed = *opts.seed;
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.seed) {
            json->Field("seed", *opts.seed);
@@ -98,7 +74,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
        }},
       {"--block-bytes", "block-bytes", "block_bytes", ScenarioOptionDef::Kind::kNumber,
        /*sweepable=*/true, "--block-bytes requires an integer >= 512",
-       "block-bytes values must be integers >= 512",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          int64_t v = 0;
          if (!ParseStrictInt64(text, &v) || v < 512) {
@@ -107,13 +82,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->block_bytes = v;
          return true;
        },
-       [](double v) { return IsIntegral(v) && v >= 512; },
-       [](double v, ScenarioOptions* opts) { opts->block_bytes = static_cast<int64_t>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.block_bytes) {
-           cfg->block_bytes = *opts.block_bytes;
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.block_bytes) {
            json->Field("block_bytes", *opts.block_bytes);
@@ -121,7 +89,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
        }},
       {"--deadline-sec", "deadline-sec", "deadline_sec", ScenarioOptionDef::Kind::kNumber,
        /*sweepable=*/true, "--deadline-sec requires a number in (0, 1e9]",
-       "deadline-sec values must be in (0, 1e9]",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          double v = 0.0;
          if (!ParseStrictDouble(text, &v) || !IsDeadlineSec(v)) {
@@ -130,20 +97,13 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->deadline_sec = v;
          return true;
        },
-       IsDeadlineSec,
-       [](double v, ScenarioOptions* opts) { opts->deadline_sec = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.deadline_sec) {
-           cfg->deadline = SecToSim(*opts.deadline_sec);
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.deadline_sec) {
            json->Field("deadline_sec", *opts.deadline_sec);
          }
        }},
       {"--topology", "topology", "topology", ScenarioOptionDef::Kind::kString,
-       /*sweepable=*/false, "--topology requires 'mesh' or 'transit-stub'", nullptr,
+       /*sweepable=*/false, "--topology requires 'mesh' or 'transit-stub'",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          ScenarioConfig::Topo topo;
          if (!ParseTopologyName(text, &topo)) {
@@ -152,22 +112,13 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->topology = text;
          return true;
        },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.topology) {
-           // Unknown names were already rejected by the CLI parser; a stale
-           // string reaching this point keeps the scenario's registered
-           // topology.
-           ParseTopologyName(*opts.topology, &cfg->topo);
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.topology) {
            json->Field("topology", *opts.topology);
          }
        }},
       {"--system", "system", "system", ScenarioOptionDef::Kind::kString, /*sweepable=*/false,
-       "--system requires a registered protocol", nullptr,
+       "--system requires a registered protocol",
        [](const std::string& text, ScenarioOptions* opts, std::string* error) {
          EnsureBuiltinProtocolsRegistered();
          if (ProtocolRegistry::Global().Find(text) == nullptr) {
@@ -181,13 +132,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->system = text;
          return true;
        },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.system) {
-           // CLI-validated (against ProtocolRegistry::Global()).
-           cfg->system = *opts.system;
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.system) {
            json->Field("system", *opts.system);
@@ -195,7 +139,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
        }},
       {"--join-fraction", "join-fraction", "join_fraction", ScenarioOptionDef::Kind::kNumber,
        /*sweepable=*/true, "--join-fraction requires a number in [0, 1]",
-       "join-fraction values must be in [0, 1]",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          double v = 0.0;
          if (!ParseStrictDouble(text, &v) || v < 0.0 || v > 1.0) {
@@ -204,20 +147,13 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->join_fraction = v;
          return true;
        },
-       [](double v) { return v >= 0.0 && v <= 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->join_fraction = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.join_fraction) {
-           cfg->join_fraction = *opts.join_fraction;
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.join_fraction) {
            json->Field("join_fraction", *opts.join_fraction);
          }
        }},
       {"--loss", "loss", nullptr, ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
-       "--loss requires a number in [0, 1]", "loss values must be in [0, 1]",
+       "--loss requires a number in [0, 1]",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          double v = 0.0;
          if (!ParseStrictDouble(text, &v) || v < 0.0 || v > 1.0) {
@@ -226,19 +162,10 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->loss = v;
          return true;
        },
-       [](double v) { return v >= 0.0 && v <= 1.0; },
-       [](double v, ScenarioOptions* opts) { opts->loss = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.loss) {
-           cfg->loss_min = 0.0;
-           cfg->loss_max = *opts.loss;
-         }
-       },
        nullptr},
       {"--lifetime-pareto-alpha", "lifetime-pareto-alpha", "lifetime_pareto_alpha",
        ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
        "--lifetime-pareto-alpha requires a positive number",
-       "lifetime-pareto-alpha values must be positive",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          double v = 0.0;
          if (!ParseStrictDouble(text, &v) || v <= 0.0) {
@@ -247,13 +174,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          opts->lifetime_pareto_alpha = v;
          return true;
        },
-       [](double v) { return v > 0.0; },
-       [](double v, ScenarioOptions* opts) { opts->lifetime_pareto_alpha = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.lifetime_pareto_alpha) {
-           cfg->lifetime_pareto_alpha = *opts.lifetime_pareto_alpha;
-         }
-       },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.lifetime_pareto_alpha) {
            json->Field("lifetime_pareto_alpha", *opts.lifetime_pareto_alpha);
@@ -261,19 +181,12 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
        }},
       {"--churn-model", "churn-model", "churn_model", ScenarioOptionDef::Kind::kString,
        /*sweepable=*/true, "--churn-model requires one of none, leaf, stub, gateway",
-       "churn-model values must be one of none, leaf, stub, gateway",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          if (!IsChurnModelName(text)) {
            return false;
          }
          opts->churn_model = text;
          return true;
-       },
-       nullptr, nullptr,
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.churn_model) {
-           cfg->churn_model = *opts.churn_model;
-         }
        },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.churn_model) {
@@ -283,7 +196,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
       {"--stream-bitrate-mbps", "stream-bitrate-mbps", "stream_bitrate_mbps",
        ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
        "--stream-bitrate-mbps requires a positive number",
-       "stream-bitrate-mbps values must be positive",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          double v = 0.0;
          if (!ParseStrictDouble(text, &v) || v <= 0.0) {
@@ -291,13 +203,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          }
          opts->stream_bitrate_mbps = v;
          return true;
-       },
-       [](double v) { return v > 0.0; },
-       [](double v, ScenarioOptions* opts) { opts->stream_bitrate_mbps = v; },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.stream_bitrate_mbps) {
-           cfg->stream_bitrate_mbps = *opts.stream_bitrate_mbps;
-         }
        },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.stream_bitrate_mbps) {
@@ -307,7 +212,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
       {"--stream-window-blocks", "stream-window-blocks", "stream_window_blocks",
        ScenarioOptionDef::Kind::kNumber, /*sweepable=*/true,
        "--stream-window-blocks requires a positive integer",
-       "stream-window-blocks values must be positive integers",
        [](const std::string& text, ScenarioOptions* opts, std::string*) {
          int64_t v = 0;
          if (!ParseStrictInt64(text, &v) || v < 1 || v > 1000000) {
@@ -315,13 +219,6 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
          }
          opts->stream_window_blocks = static_cast<int>(v);
          return true;
-       },
-       [](double v) { return IsIntegral(v) && v >= 1 && v <= 1000000; },
-       [](double v, ScenarioOptions* opts) { opts->stream_window_blocks = static_cast<int>(v); },
-       [](const ScenarioOptions& opts, ScenarioConfig* cfg) {
-         if (opts.stream_window_blocks) {
-           cfg->stream_window_blocks = *opts.stream_window_blocks;
-         }
        },
        [](const ScenarioOptions& opts, JsonWriter* json) {
          if (opts.stream_window_blocks) {
@@ -352,8 +249,26 @@ std::string SweepableOptionKeys() {
 }
 
 void ApplyScenarioOptions(const ScenarioOptions& opts, ScenarioConfig* cfg) {
-  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
-    def.apply_config(opts, cfg);
+  cfg->num_nodes = opts.nodes.value_or(cfg->num_nodes);
+  cfg->file_mb = opts.file_mb.value_or(cfg->file_mb);
+  cfg->seed = opts.seed.value_or(cfg->seed);
+  cfg->block_bytes = opts.block_bytes.value_or(cfg->block_bytes);
+  if (opts.deadline_sec) {
+    cfg->deadline = SecToSim(*opts.deadline_sec);
+  }
+  if (opts.topology) {
+    ParseTopologyName(*opts.topology, &cfg->topo);  // the row's parse accepted it
+  }
+  if (opts.loss) {
+    cfg->loss_min = 0.0;
+    cfg->loss_max = *opts.loss;
+  }
+  // Either stream flag makes a StreamingSpec; the other keeps its default.
+  if (opts.stream_bitrate_mbps || opts.stream_window_blocks) {
+    StreamingSpec stream;
+    stream.bitrate_mbps = opts.stream_bitrate_mbps.value_or(stream.bitrate_mbps);
+    stream.window_blocks = opts.stream_window_blocks.value_or(stream.window_blocks);
+    cfg->streaming = stream;
   }
 }
 

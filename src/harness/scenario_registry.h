@@ -39,7 +39,8 @@ struct ScenarioOptions {
   // figures) ignore it like any other override that does not apply.
   std::optional<std::string> system;
   // Fraction of receivers that join late in staggered-join scenarios
-  // (fig18_flash_crowd); ignored by everyone-at-t0 scenarios.
+  // (fig18_flash_crowd, default 0.8; fig24_megaswarm, default 0.75); ignored
+  // by everyone-at-t0 scenarios.
   std::optional<double> join_fraction;
   // Pareto tail index for lifetime-churn scenarios (fig21_churn_lifetimes);
   // ignored by scenarios without lifetime generators.
@@ -47,8 +48,10 @@ struct ScenarioOptions {
   // Churn model selector ("none", "leaf", "stub", "gateway") for scenarios
   // that honor it (fig22_correlated_failures); others ignore it.
   std::optional<std::string> churn_model;
-  // Streaming (playback-deadline) overrides for scenarios that honor them
-  // (fig23_streaming_deadlines); bulk scenarios ignore them.
+  // Streaming (playback-deadline) overrides. fig23_streaming_deadlines
+  // streams at them; on every other scenario that runs through
+  // RunScenarioWorkload, setting either one turns each bulk session into a
+  // streaming session (ApplyScenarioOptions fills ScenarioConfig::streaming).
   std::optional<double> stream_bitrate_mbps;
   std::optional<int> stream_window_blocks;
 };
@@ -56,9 +59,10 @@ struct ScenarioOptions {
 class JsonWriter;
 
 // One row per generic scenario option. The bullet_run flag parser, the sweep
-// engine's axis validation/application and the requested_options JSON echo all
-// walk this table, so registering an option here is the single step that makes
-// it a CLI flag, a sweep axis (when sweepable) and a serialized override.
+// engine (axis values, `set` lines, grid points) and the requested_options
+// JSON echo all walk this table, so registering an option here is the single
+// step that makes it a CLI flag, a sweep axis (when sweepable) and a
+// serialized override.
 struct ScenarioOptionDef {
   enum class Kind { kNumber, kString };
 
@@ -67,24 +71,18 @@ struct ScenarioOptionDef {
   // requested_options field name; nullptr = parsed but never echoed (--loss
   // has always been omitted from the echo and committed baselines pin that).
   const char* json_key;
+  // kNumber values print as JSON numbers in sweep documents, kString as text.
   Kind kind = Kind::kNumber;
   bool sweepable = false;
-  // CLI parse/validation failure message ("--nodes requires an integer ...").
+  // The message when `parse` rejects a value ("--nodes requires an integer
+  // ..."), for the CLI flag and every sweep value alike.
   const char* flag_error;
-  // Sweep-axis validation failure message ("nodes values must be ...");
-  // nullptr for non-sweepable options.
-  const char* axis_error;
-  // Parses raw flag text, validates, stores into *opts. May write a dynamic
-  // message to *error (e.g. --system listing the live protocol registry);
-  // callers fall back to flag_error when *error stays empty.
+  // The one check of the option's value: parses the raw text (a flag value,
+  // a sweep value or a `set` value), validates it and stores it into *opts.
+  // May write a dynamic message to *error (e.g. --system listing the live
+  // protocol registry); callers fall back to flag_error when *error stays
+  // empty.
   bool (*parse)(const std::string& text, ScenarioOptions* opts, std::string* error);
-  // Numeric sweep axes: range check and application. Null for string/non-
-  // sweepable options.
-  bool (*validate_number)(double value);
-  void (*apply_number)(double value, ScenarioOptions* opts);
-  // Applies the stored option onto a scenario config (the ApplyScenarioOptions
-  // step); no-ops when the option is unset.
-  void (*apply_config)(const ScenarioOptions& opts, ScenarioConfig* cfg);
   // Emits the option into the requested_options object when set; null for
   // never-echoed options (json_key == nullptr).
   void (*echo)(const ScenarioOptions& opts, JsonWriter* json);
@@ -97,8 +95,10 @@ const ScenarioOptionDef* FindScenarioOptionByKey(const std::string& key);
 // Comma-joined canonical keys of the sweepable rows (for error messages).
 std::string SweepableOptionKeys();
 
-// Applies the generic overrides onto a scenario's default config (walks the
-// option table's apply_config hooks).
+// Applies the overrides that shape a run (nodes, file size, seed, block size,
+// deadline, topology, loss, streaming) onto a scenario's default config. The
+// scenario-specific ones (system, join fraction, lifetime alpha, churn model)
+// stay in `opts`, and the scenarios that honor them read them there.
 void ApplyScenarioOptions(const ScenarioOptions& opts, ScenarioConfig* cfg);
 
 // Paper file size scaled by REPRO_SCALE (ci: 20%, full: 100%).

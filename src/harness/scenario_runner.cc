@@ -1,7 +1,5 @@
 #include "src/harness/scenario_runner.h"
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
@@ -41,11 +39,6 @@ bool ConsumeString(int argc, const char* const* argv, int* i, const std::string&
   }
   return false;
 }
-
-// Strict parses shared with the sweep grammar; see flag_parse.h.
-using bullet::ParseStrictDouble;
-using bullet::ParseStrictInt64;
-using bullet::ParseStrictUint64;
 
 }  // namespace
 
@@ -93,11 +86,11 @@ RunnerArgs ParseRunnerArgs(int argc, const char* const* argv) {
     } else if (MatchesFlag(arg, "--sweep")) {
       std::string text;
       SweepAxis axis;
-      std::string axis_error;
+      std::string sweep_error;
       if (!ConsumeString(argc, argv, &i, arg, "--sweep", &text) ||
-          !ParseSweepAxisSpec(text, &axis, &axis_error)) {
+          !ParseSweepAxisSpec(text, &axis, &sweep_error)) {
         args.ok = false;
-        args.error = axis_error.empty() ? "--sweep requires key=v1,v2,..." : axis_error;
+        args.error = sweep_error.empty() ? "--sweep requires key=v1,v2,..." : sweep_error;
         return args;
       }
       args.sweep_axes.push_back(std::move(axis));
@@ -304,18 +297,24 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --system S         protocol registry key (bullet-prime, bullet, bittorrent,\n"
         "                     splitstream); fixed-roster comparison scenarios ignore it\n"
         "  --join-fraction F  fraction of receivers joining late in staggered-join\n"
-        "                     scenarios (fig18_flash_crowd); others ignore it\n"
+        "                     scenarios (fig18_flash_crowd, default 0.8;\n"
+        "                     fig24_megaswarm, default 0.75); others ignore it\n"
         "  --lifetime-pareto-alpha A\n"
         "                     Pareto tail index for lifetime-churn scenarios\n"
         "                     (fig21_churn_lifetimes); others ignore it\n"
         "  --churn-model M    none | leaf | stub | gateway — churn model for\n"
         "                     scenarios that honor it (fig22_correlated_failures)\n"
         "  --stream-bitrate-mbps R\n"
-        "                     playback bitrate for streaming-deadline scenarios\n"
-        "                     (fig23_streaming_deadlines); others ignore it\n"
+        "                     playback bitrate in Mb/s (default 2). Streaming\n"
+        "                     scenarios (fig23_streaming_deadlines) stream at it;\n"
+        "                     on the others either stream flag turns every bulk\n"
+        "                     session into a streaming one, except that\n"
+        "                     churn_resilience, fig12, fig13, fig15, fig16 and\n"
+        "                     fig22 ignore both\n"
         "  --stream-window-blocks W\n"
-        "                     sliding request-window size (blocks ahead of the\n"
-        "                     playhead) for streaming-deadline scenarios\n"
+        "                     sliding request-window size in blocks ahead of the\n"
+        "                     playhead (default 64); applies like\n"
+        "                     --stream-bitrate-mbps\n"
         "  --out PATH         metrics JSON path (default BENCH_<scenario>.json; sweeps:\n"
         "                     aggregate path, default BENCH_sweep_<name>.json)\n"
         "  --quiet            suppress the summary table / CDF dump on stdout\n"
@@ -330,8 +329,9 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --sweep key=v1,..  one grid axis (nodes, file-mb, block-bytes,\n"
         "                     deadline-sec, loss, join-fraction,\n"
         "                     lifetime-pareto-alpha, churn-model,\n"
-        "                     stream-bitrate-mbps, stream-window-blocks);\n"
-        "                     repeat the flag for more axes\n"
+        "                     stream-bitrate-mbps, stream-window-blocks); each\n"
+        "                     value takes the syntax and range of the key's\n"
+        "                     flag; repeat the flag for more axes\n"
         "  --sweep-file PATH  spec file (scenario/name/repeats/seed/set/sweep lines);\n"
         "                     command-line flags override file directives\n"
         "  --repeats R        runs per grid point (default 1)\n"

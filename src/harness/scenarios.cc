@@ -8,20 +8,17 @@
 
 namespace bullet {
 
-std::string ScenarioSystemOr(const ScenarioConfig& cfg, const std::string& fallback) {
-  return cfg.system.empty() ? fallback : cfg.system;
-}
-
-std::string ScenarioSubsetSystemOr(const ScenarioConfig& cfg, const std::string& fallback) {
-  if (cfg.system.empty()) {
+std::string ScenarioSubsetSystemOr(const std::optional<std::string>& system,
+                                   const std::string& fallback) {
+  if (!system) {
     return fallback;
   }
   EnsureBuiltinProtocolsRegistered();
-  const ProtocolRegistry::Entry* entry = ProtocolRegistry::Global().Find(cfg.system);
+  const ProtocolRegistry::Entry* entry = ProtocolRegistry::Global().Find(*system);
   if (entry == nullptr || entry->requires_full_span) {
     return fallback;
   }
-  return cfg.system;
+  return *system;
 }
 
 std::unique_ptr<Topology> BuildScenarioTopology(const ScenarioConfig& cfg) {
@@ -107,16 +104,8 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
     if (cfg.force_encoded) {
       session.file.encoded = true;
     }
-    if (!session.streaming.has_value() &&
-        (cfg.stream_bitrate_mbps > 0 || cfg.stream_window_blocks > 0)) {
-      StreamingSpec stream;
-      if (cfg.stream_bitrate_mbps > 0) {
-        stream.bitrate_mbps = cfg.stream_bitrate_mbps;
-      }
-      if (cfg.stream_window_blocks > 0) {
-        stream.window_blocks = cfg.stream_window_blocks;
-      }
-      session.streaming = stream;
+    if (!session.streaming.has_value()) {
+      session.streaming = cfg.streaming;
     }
     exp.AddSession(session);
   }

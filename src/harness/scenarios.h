@@ -6,6 +6,7 @@
 #define SRC_HARNESS_SCENARIOS_H_
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -45,26 +46,12 @@ struct ScenarioConfig {
   // Force encoded-stream methodology regardless of system (Bullet and SplitStream are
   // always treated as encoded with 4% overhead, per Section 4.2).
   bool force_encoded = false;
-  // Protocol-registry key requested via --system. Empty keeps the scenario's
-  // own choice; like --topology, scenarios with a fixed system roster (the
-  // multi-system comparison figures) ignore it.
-  std::string system;
-  // Fraction of receivers joining late in staggered-join scenarios; < 0 keeps
-  // the scenario's default.
-  double join_fraction = -1.0;
-  // Pareto tail index for lifetime-churn scenarios (fig21); < 0 keeps the
-  // scenario's default. Smaller alpha = heavier tail.
-  double lifetime_pareto_alpha = -1.0;
-  // Churn model requested via --churn-model for scenarios that honor it
-  // ("none", "leaf", "stub", "gateway"); empty keeps the scenario's default.
-  std::string churn_model;
-  // Streaming (playback-deadline) overrides via --stream-bitrate-mbps /
-  // --stream-window-blocks. When > 0, RunScenarioWorkload turns every session
-  // that does not already carry a StreamingSpec into a streaming session with
-  // these values (each filling the other's default when only one is set);
-  // both < 0 keeps sessions in bulk mode.
-  double stream_bitrate_mbps = -1.0;
-  int stream_window_blocks = -1;
+  // Streaming (playback-deadline) sessions requested via --stream-bitrate-mbps
+  // / --stream-window-blocks (ApplyScenarioOptions fills it). When set,
+  // RunScenarioWorkload turns every session that does not already carry a
+  // StreamingSpec into a streaming session with this one; empty keeps
+  // sessions in bulk mode.
+  std::optional<StreamingSpec> streaming;
 };
 
 struct ScenarioResult {
@@ -119,14 +106,13 @@ bool ParseTopologyName(const std::string& name, ScenarioConfig::Topo* topo);
 ScenarioResult RunScenario(const std::string& protocol, const ScenarioConfig& cfg,
                            const BulletPrimeConfig& bp = BulletPrimeConfig{});
 
-// The scenario-level knob for --system: the requested registry key when set,
-// otherwise `fallback` (the scenario's default).
-std::string ScenarioSystemOr(const ScenarioConfig& cfg, const std::string& fallback);
-// As above, for scenarios whose sessions cover member *subsets*: a requested
-// protocol that requires spanning every node (Entry::requires_full_span, e.g.
-// splitstream) cannot apply, so it is ignored like any other inapplicable
-// override and `fallback` runs instead.
-std::string ScenarioSubsetSystemOr(const ScenarioConfig& cfg, const std::string& fallback);
+// The protocol for scenarios whose sessions cover member *subsets*: the
+// requested --system key when set, except that a protocol which requires
+// spanning every node (Entry::requires_full_span, e.g. splitstream) cannot
+// apply, so it is ignored like any other inapplicable override and `fallback`
+// runs instead.
+std::string ScenarioSubsetSystemOr(const std::optional<std::string>& system,
+                                   const std::string& fallback);
 
 // Runs an arbitrary workload (N sessions with join schedules) over the
 // scenario's topology, dynamics and network knobs. Sessions whose FileParams

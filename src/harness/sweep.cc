@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
-#include <cerrno>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <thread>
 
@@ -34,17 +31,55 @@ const ScenarioOptionDef* FindSweepableOption(const std::string& key, std::string
   return def;
 }
 
-// Validates one numeric axis value against the same ranges the CLI enforces,
-// so a sweep cannot construct configurations a single run would reject.
-bool ValidateParam(const ScenarioOptionDef& def, double value, std::string* error) {
-  if (def.kind != ScenarioOptionDef::Kind::kNumber || !def.validate_number(value)) {
-    *error = def.axis_error;
+// The number an accepted value of a numeric row denotes (nodes=020 is 20);
+// empty for string rows. Sweep documents print it, and duplicates compare it.
+std::optional<double> AxisNumber(const ScenarioOptionDef& def, const std::string& text) {
+  double v = 0.0;
+  if (def.kind == ScenarioOptionDef::Kind::kNumber && ParseStrictDouble(text, &v)) {
+    return v;
+  }
+  return std::nullopt;
+}
+
+// Checks an axis as its option row checks the flag: the key names a sweepable
+// row and every value passes that row's parse (a failure names the value and
+// carries the flag's message). A value that denotes an earlier one is an error
+// too: it would silently run the same grid point twice under two point indices
+// (distinct derived seeds) — almost always a typo.
+bool CheckSweepAxis(const SweepAxis& axis, std::string* error) {
+  const ScenarioOptionDef* def = FindSweepableOption(axis.key, error);
+  if (def == nullptr) {
     return false;
+  }
+  if (axis.values.empty()) {
+    *error = "sweep axis '" + axis.key + "' has no values";
+    return false;
+  }
+  for (size_t i = 0; i < axis.values.size(); ++i) {
+    const std::string& text = axis.values[i];
+    ScenarioOptions parsed;
+    std::string parse_error;
+    if (!def->parse(text, &parsed, &parse_error)) {
+      *error = "bad value '" + text + "' for sweep axis '" + axis.key +
+               "': " + (parse_error.empty() ? def->flag_error : parse_error);
+      return false;
+    }
+    const std::optional<double> number = AxisNumber(*def, text);
+    for (size_t j = 0; j < i; ++j) {
+      if (number ? *number == *AxisNumber(*def, axis.values[j]) : text == axis.values[j]) {
+        *error = "duplicate value '" + text + "' in sweep axis '" + axis.key + "'";
+        return false;
+      }
+    }
   }
   return true;
 }
 
-bool IsIntegral(double v) { return v == std::floor(v); }
+// Applies one accepted axis value onto *options with its row's parse.
+void ApplyAxisValue(const std::string& key, const std::string& text, ScenarioOptions* options) {
+  std::string unused;
+  FindScenarioOptionByKey(key)->parse(text, options, &unused);
+}
 
 }  // namespace
 
@@ -67,58 +102,18 @@ bool ParseSweepAxisSpec(const std::string& text, SweepAxis* axis, std::string* e
   }
   SweepAxis parsed;
   parsed.key = text.substr(0, eq);
-  const ScenarioOptionDef* def = FindSweepableOption(parsed.key, error);
-  if (def == nullptr) {
-    return false;
-  }
-  const bool is_string = def->kind == ScenarioOptionDef::Kind::kString;
-
-  std::string values = text.substr(eq + 1);
+  const std::string values = text.substr(eq + 1);
   size_t start = 0;
-  while (start <= values.size()) {
+  while (true) {
     const size_t comma = values.find(',', start);
-    const std::string item =
-        values.substr(start, comma == std::string::npos ? std::string::npos : comma - start);
-    if (is_string) {
-      ScenarioOptions dummy;
-      std::string parse_error;
-      if (item.empty() || !def->parse(item, &dummy, &parse_error)) {
-        *error = def->axis_error;
-        return false;
-      }
-      // A repeated value would silently run the same grid point twice under
-      // two point indices (distinct derived seeds) — almost always a typo.
-      for (const std::string& prev : parsed.text_values) {
-        if (prev == item) {
-          *error = "duplicate value '" + item + "' in sweep axis '" + parsed.key + "'";
-          return false;
-        }
-      }
-      parsed.text_values.push_back(item);
-    } else {
-      double v = 0.0;
-      if (!ParseStrictDouble(item, &v)) {
-        *error = "bad value '" + item + "' for sweep axis '" + parsed.key + "'";
-        return false;
-      }
-      if (!ValidateParam(*def, v, error)) {
-        return false;
-      }
-      for (const double prev : parsed.values) {
-        if (prev == v) {
-          *error = "duplicate value '" + item + "' in sweep axis '" + parsed.key + "'";
-          return false;
-        }
-      }
-      parsed.values.push_back(v);
-    }
+    const size_t len = comma == std::string::npos ? comma : comma - start;
+    parsed.values.push_back(values.substr(start, len));
     if (comma == std::string::npos) {
       break;
     }
     start = comma + 1;
   }
-  if (parsed.size() == 0) {
-    *error = "sweep axis '" + parsed.key + "' has no values";
+  if (!CheckSweepAxis(parsed, error)) {
     return false;
   }
   *axis = std::move(parsed);
@@ -161,8 +156,9 @@ bool ParseSweepFile(std::istream& in, SweepSpec* spec, std::string* error) {
       }
       spec->name = rest;
     } else if (directive == "repeats") {
-      double v = 0.0;
-      if (!ParseStrictDouble(rest, &v) || !IsIntegral(v) || v < 1 || v > 10000) {
+      // The file form of --repeats, parsed as the flag parses it.
+      int64_t v = 0;
+      if (!ParseStrictInt64(rest, &v) || v < 1 || v > 10000) {
         return fail("repeats needs an integer in [1, 10000]");
       }
       spec->repeats = static_cast<int>(v);
@@ -176,20 +172,16 @@ bool ParseSweepFile(std::istream& in, SweepSpec* spec, std::string* error) {
       spec->base_seed = v;
     } else if (directive == "set") {
       SweepAxis axis;
-      std::string axis_error;
-      if (!ParseSweepAxisSpec(rest, &axis, &axis_error) || axis.size() != 1) {
-        return fail(axis_error.empty() ? "set needs exactly one key=value" : axis_error);
+      std::string sweep_error;
+      if (!ParseSweepAxisSpec(rest, &axis, &sweep_error) || axis.values.size() != 1) {
+        return fail(sweep_error.empty() ? "set needs exactly one key=value" : sweep_error);
       }
-      if (axis.is_string()) {
-        ApplySweepParamText(axis.key, axis.text_values[0], &spec->base);
-      } else {
-        ApplySweepParam(axis.key, axis.values[0], &spec->base);
-      }
+      ApplyAxisValue(axis.key, axis.values[0], &spec->base);
     } else if (directive == "sweep") {
       SweepAxis axis;
-      std::string axis_error;
-      if (!ParseSweepAxisSpec(rest, &axis, &axis_error)) {
-        return fail(axis_error);
+      std::string sweep_error;
+      if (!ParseSweepAxisSpec(rest, &axis, &sweep_error)) {
+        return fail(sweep_error);
       }
       for (const SweepAxis& existing : spec->axes) {
         if (existing.key == axis.key) {
@@ -202,25 +194,6 @@ bool ParseSweepFile(std::istream& in, SweepSpec* spec, std::string* error) {
     }
   }
   return true;
-}
-
-bool ApplySweepParam(const std::string& key, double value, ScenarioOptions* options) {
-  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
-  if (def == nullptr || !def->sweepable || def->apply_number == nullptr) {
-    return false;
-  }
-  def->apply_number(value, options);
-  return true;
-}
-
-bool ApplySweepParamText(const std::string& key, const std::string& value,
-                         ScenarioOptions* options) {
-  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
-  if (def == nullptr || !def->sweepable || def->kind != ScenarioOptionDef::Kind::kString) {
-    return false;
-  }
-  std::string error;
-  return def->parse(value, options, &error);
 }
 
 bool FindDuplicateAxisKey(const std::vector<SweepAxis>& axes, std::string* key) {
@@ -238,7 +211,7 @@ bool FindDuplicateAxisKey(const std::vector<SweepAxis>& axes, std::string* key) 
 std::vector<SweepPoint> ExpandSweepGrid(const SweepSpec& spec) {
   size_t grid = 1;
   for (const SweepAxis& axis : spec.axes) {
-    grid *= axis.size();
+    grid *= axis.values.size();
   }
   std::vector<SweepPoint> points;
   points.reserve(grid * static_cast<size_t>(spec.repeats));
@@ -247,8 +220,8 @@ std::vector<SweepPoint> ExpandSweepGrid(const SweepSpec& spec) {
     // Decode `cell` into per-axis indices, axis 0 slowest (row-major).
     size_t rem = cell;
     for (size_t a = spec.axes.size(); a-- > 0;) {
-      idx[a] = rem % spec.axes[a].size();
-      rem /= spec.axes[a].size();
+      idx[a] = rem % spec.axes[a].values.size();
+      rem /= spec.axes[a].values.size();
     }
     for (int r = 0; r < spec.repeats; ++r) {
       SweepPoint p;
@@ -258,16 +231,8 @@ std::vector<SweepPoint> ExpandSweepGrid(const SweepSpec& spec) {
       p.options = spec.base;
       for (size_t a = 0; a < spec.axes.size(); ++a) {
         const SweepAxis& axis = spec.axes[a];
-        SweepParamValue value;
-        if (axis.is_string()) {
-          value.is_string = true;
-          value.text = axis.text_values[idx[a]];
-          ApplySweepParamText(axis.key, value.text, &p.options);
-        } else {
-          value.number = axis.values[idx[a]];
-          ApplySweepParam(axis.key, value.number, &p.options);
-        }
-        p.params.emplace_back(axis.key, std::move(value));
+        ApplyAxisValue(axis.key, axis.values[idx[a]], &p.options);
+        p.params.emplace_back(axis.key, axis.values[idx[a]]);
       }
       p.options.seed = p.seed;
       points.push_back(std::move(p));
@@ -296,6 +261,11 @@ SweepRunOutcome RunSweep(const SweepSpec& spec, const ScenarioRegistry& registry
   if (FindDuplicateAxisKey(spec.axes, &duplicate)) {
     outcome.error = "duplicate sweep axis '" + duplicate + "'";
     return outcome;
+  }
+  for (const SweepAxis& axis : spec.axes) {
+    if (!CheckSweepAxis(axis, &outcome.error)) {
+      return outcome;
+    }
   }
 
   std::vector<SweepPoint> points = ExpandSweepGrid(spec);
@@ -387,30 +357,59 @@ std::map<std::string, double> FlattenReportMetrics(const ScenarioReport& report)
   return flat;
 }
 
+namespace {
+
+// An axis value as the sweep documents print it: the number a numeric row's
+// value denotes (so nodes=020 prints 20), a string row's text as is.
+void WriteAxisValue(const std::string& key, const std::string& text, JsonWriter* json) {
+  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
+  const std::optional<double> number =
+      def != nullptr ? AxisNumber(*def, text) : std::optional<double>();
+  if (number) {
+    json->Number(*number);
+  } else {
+    json->String(text);
+  }
+}
+
+// Opens a sweep document: the members the aggregate, floors and ceilings
+// documents all start with.
+void BeginSweepDocument(const char* schema, const SweepSpec& spec, JsonWriter* json) {
+  json->BeginObject();
+  json->Field("schema", schema);
+  json->Field("sweep", spec.OutputName());
+  json->Field("scenario", spec.scenario);
+  json->Field("base_seed", spec.base_seed);
+  json->Field("repeats", static_cast<int64_t>(spec.repeats));
+  json->Field("repro_scale", GetReproScale().file_scale);
+}
+
+// Opens one point of a sweep document with its point_index and params.
+void BeginSweepPoint(const SweepPoint& point, JsonWriter* json) {
+  json->BeginObject();
+  json->Field("point_index", static_cast<int64_t>(point.point_index));
+  json->Key("params").BeginObject();
+  for (const auto& [key, text] : point.params) {
+    json->Key(key);
+    WriteAxisValue(key, text, json);
+  }
+  json->EndObject();
+}
+
+}  // namespace
+
 void WriteSweepJson(std::ostream& os, const SweepRunOutcome& outcome) {
   const SweepSpec& spec = outcome.spec;
   JsonWriter json(os);
-  json.BeginObject();
-  json.Field("schema", "bullet-bench-v3");
-  json.Field("sweep", spec.OutputName());
-  json.Field("scenario", spec.scenario);
-  json.Field("base_seed", spec.base_seed);
-  json.Field("repeats", static_cast<int64_t>(spec.repeats));
-  json.Field("repro_scale", GetReproScale().file_scale);
+  BeginSweepDocument("bullet-bench-v3", spec, &json);
 
   json.Key("axes").BeginArray();
   for (const SweepAxis& axis : spec.axes) {
     json.BeginObject();
     json.Field("key", axis.key);
     json.Key("values").BeginArray();
-    if (axis.is_string()) {
-      for (const std::string& v : axis.text_values) {
-        json.String(v);
-      }
-    } else {
-      for (const double v : axis.values) {
-        json.Number(v);
-      }
+    for (const std::string& text : axis.values) {
+      WriteAxisValue(axis.key, text, &json);
     }
     json.EndArray();
     json.EndObject();
@@ -420,18 +419,7 @@ void WriteSweepJson(std::ostream& os, const SweepRunOutcome& outcome) {
   json.Key("points").BeginArray();
   // Runs are grid-major / repeat-minor, so each point's repeats are contiguous.
   for (size_t i = 0; i < outcome.runs.size(); i += static_cast<size_t>(spec.repeats)) {
-    const ScenarioContext& first = outcome.runs[i];
-    json.BeginObject();
-    json.Field("point_index", static_cast<int64_t>(first.point.point_index));
-    json.Key("params").BeginObject();
-    for (const auto& [key, value] : first.point.params) {
-      if (value.is_string) {
-        json.Field(key, value.text);
-      } else {
-        json.Field(key, value.number);
-      }
-    }
-    json.EndObject();
+    BeginSweepPoint(outcome.runs[i].point, &json);
     json.Key("seeds").BeginArray();
     for (int r = 0; r < spec.repeats; ++r) {
       json.Uint(outcome.runs[i + static_cast<size_t>(r)].point.seed);
@@ -522,13 +510,7 @@ std::string CpuModel() {
 void WriteSweepFloorsJson(std::ostream& os, const SweepRunOutcome& outcome) {
   const SweepSpec& spec = outcome.spec;
   JsonWriter json(os);
-  json.BeginObject();
-  json.Field("schema", "bullet-floors-v1");
-  json.Field("sweep", spec.OutputName());
-  json.Field("scenario", spec.scenario);
-  json.Field("base_seed", spec.base_seed);
-  json.Field("repeats", static_cast<int64_t>(spec.repeats));
-  json.Field("repro_scale", GetReproScale().file_scale);
+  BeginSweepDocument("bullet-floors-v1", spec, &json);
   // The hardware behind the wall times (bench_check ignores both fields).
   json.Field("nproc", UsableCpuCount());
   json.Field("cpu_model", CpuModel());
@@ -540,18 +522,7 @@ void WriteSweepFloorsJson(std::ostream& os, const SweepRunOutcome& outcome) {
 
   json.Key("points").BeginArray();
   for (size_t i = 0; i < outcome.runs.size(); i += static_cast<size_t>(spec.repeats)) {
-    const ScenarioContext& first = outcome.runs[i];
-    json.BeginObject();
-    json.Field("point_index", static_cast<int64_t>(first.point.point_index));
-    json.Key("params").BeginObject();
-    for (const auto& [key, value] : first.point.params) {
-      if (value.is_string) {
-        json.Field(key, value.text);
-      } else {
-        json.Field(key, value.number);
-      }
-    }
-    json.EndObject();
+    BeginSweepPoint(outcome.runs[i].point, &json);
 
     std::vector<double> wall;
     std::vector<double> events;
@@ -609,28 +580,11 @@ bool SweepHasCeilingMetrics(const SweepRunOutcome& outcome) {
 void WriteSweepCeilingsJson(std::ostream& os, const SweepRunOutcome& outcome) {
   const SweepSpec& spec = outcome.spec;
   JsonWriter json(os);
-  json.BeginObject();
-  json.Field("schema", "bullet-ceilings-v1");
-  json.Field("sweep", spec.OutputName());
-  json.Field("scenario", spec.scenario);
-  json.Field("base_seed", spec.base_seed);
-  json.Field("repeats", static_cast<int64_t>(spec.repeats));
-  json.Field("repro_scale", GetReproScale().file_scale);
+  BeginSweepDocument("bullet-ceilings-v1", spec, &json);
 
   json.Key("points").BeginArray();
   for (size_t i = 0; i < outcome.runs.size(); i += static_cast<size_t>(spec.repeats)) {
-    const ScenarioContext& first = outcome.runs[i];
-    json.BeginObject();
-    json.Field("point_index", static_cast<int64_t>(first.point.point_index));
-    json.Key("params").BeginObject();
-    for (const auto& [key, value] : first.point.params) {
-      if (value.is_string) {
-        json.Field(key, value.text);
-      } else {
-        json.Field(key, value.number);
-      }
-    }
-    json.EndObject();
+    BeginSweepPoint(outcome.runs[i].point, &json);
 
     json.Key("ceilings").BeginObject();
     for (const char* name : kCeilingMetrics) {

@@ -25,19 +25,13 @@
 
 namespace bullet {
 
-// One grid dimension: a canonical parameter key and its value list. Supported
-// keys are the sweepable rows of the scenario option table (scenario_registry);
-// numeric axes fill `values`, string axes (e.g. churn-model) fill
-// `text_values` — exactly one of the two is non-empty. The default member
-// initializer lets a numeric axis be written SweepAxis{"nodes", {20, 50}}
-// without tripping -Wmissing-field-initializers.
+// One grid dimension: a canonical parameter key and its value texts. Supported
+// keys are the sweepable rows of the scenario option table (scenario_registry),
+// and each value is text that row's parse accepts, exactly as for its flag
+// (e.g. SweepAxis{"nodes", {"20", "50"}}).
 struct SweepAxis {
   std::string key;
-  std::vector<double> values;
-  std::vector<std::string> text_values = {};
-
-  bool is_string() const { return !text_values.empty(); }
-  size_t size() const { return is_string() ? text_values.size() : values.size(); }
+  std::vector<std::string> values;
 };
 
 // Scenario × parameter grid × repeats. `base` carries fixed overrides that apply
@@ -53,20 +47,14 @@ struct SweepSpec {
   std::string OutputName() const { return name.empty() ? scenario : name; }
 };
 
-// One axis assignment at a grid point: numeric or string, mirroring SweepAxis.
-struct SweepParamValue {
-  double number = 0.0;
-  std::string text;  // set for string axes
-  bool is_string = false;
-};
-
 // One cell of the expanded grid × repeat plan.
 struct SweepPoint {
   int point_index = 0;  // grid cell, repeats excluded
   int repeat = 0;
   uint64_t seed = 0;    // DeriveSweepSeed(base_seed, point_index, repeat)
-  // Axis assignments in axis-declaration order (stable for JSON output).
-  std::vector<std::pair<std::string, SweepParamValue>> params;
+  // Axis assignments (key, value text) in axis-declaration order (stable for
+  // JSON output).
+  std::vector<std::pair<std::string, std::string>> params;
   ScenarioOptions options;  // base + params + seed, ready to hand to a scenario
 };
 
@@ -102,9 +90,11 @@ struct SweepRunOutcome {
 uint64_t DeriveSweepSeed(uint64_t base_seed, int point_index, int repeat);
 
 // Parses "key=v1,v2,..." (the --sweep argument form). On failure returns false and
-// sets *error; *axis is only written on success. Values are validated against the
-// same ranges as the corresponding single-run flags; empty and repeated values in
-// one axis are errors (a duplicate would silently run one grid point twice).
+// sets *error; *axis is only written on success. Each value goes through its
+// option row's parse, so a sweep accepts exactly the values the flag accepts,
+// and a rejected value's error carries the flag's message. Two values that
+// denote the same value in one axis (loss=0,0.0) are an error (a duplicate
+// would silently run one grid point twice).
 bool ParseSweepAxisSpec(const std::string& text, SweepAxis* axis, std::string* error);
 
 // Parses a sweep spec file: one directive per line, '#' comments and blank lines
@@ -124,16 +114,10 @@ bool ParseSweepFile(std::istream& in, SweepSpec* spec, std::string* error);
 bool FindDuplicateAxisKey(const std::vector<SweepAxis>& axes, std::string* key);
 
 // Expands the cartesian product of the axes × repeats, in grid-major order with
-// axis 0 slowest. An axis-free spec yields `repeats` runs of the single base point.
-// Axis keys must be unique (see FindDuplicateAxisKey).
+// axis 0 slowest, applying each assignment with its option row's parse. An
+// axis-free spec yields `repeats` runs of the single base point. Axis keys must
+// be unique (see FindDuplicateAxisKey) and values valid (RunSweep checks both).
 std::vector<SweepPoint> ExpandSweepGrid(const SweepSpec& spec);
-
-// Applies one canonical-key numeric parameter (a SweepAxis value) onto
-// options. Returns false on an unknown or non-numeric key.
-bool ApplySweepParam(const std::string& key, double value, ScenarioOptions* options);
-// String-axis counterpart (e.g. churn-model=stub).
-bool ApplySweepParamText(const std::string& key, const std::string& value,
-                         ScenarioOptions* options);
 
 // Runs every grid point through the registry's scenario on `jobs` worker threads
 // (jobs <= 0 picks hardware concurrency). Blocks until all runs finish.

@@ -10,8 +10,8 @@
 //   * per-session completion. Every session owns a RunMetrics whose completion
 //     policy targets the session's *own* receiver count; a session finishing
 //     never stops the network unless it was the last live session. (The old
-//     AcceptBlock rule — stop at num_nodes()-1 completions — is kept only as
-//     the fallback for bare protocols without an installed policy.)
+//     AcceptBlock rule — stop at num_nodes()-1 completions — is gone: every
+//     protocol runs here, and every session gets a policy.)
 //   * join-time instantiation off the event queue. Members with join time 0
 //     are created and started before the event loop, in the historical
 //     create-all-then-start-all order (this keeps all-at-t0 runs

@@ -79,10 +79,9 @@ class DisseminationProtocol : public Protocol {
   // Records an arriving block. Returns true if the block was new. Handles metrics
   // and completion recording. Completion is *session-scoped*: the metrics object
   // carries the session's receiver target and a harness-installed callback (see
-  // RunMetrics::SetCompletionPolicy) — this node finishing only ends the run if
-  // the workload layer decides every session is done. Without an installed
-  // policy (a bare protocol wired to a raw RunMetrics) the historical
-  // one-session rule applies: stop the network once every receiver is done.
+  // RunMetrics::SetCompletionPolicy; WorkloadExperiment installs it on every
+  // session) — this node finishing only ends the run if the workload layer
+  // decides every session is done.
   bool AcceptBlock(uint32_t id, int64_t wire_bytes) {
     NodeMetrics& m = metrics().node(self());
     // Snapshot before mutating: the completing block must see was_complete=false.
@@ -104,11 +103,7 @@ class DisseminationProtocol : public Protocol {
     if (!is_source() && !was_complete && complete()) {
       metrics().RecordCompletion(self(), now());
       OnFileComplete();
-      if (metrics().has_completion_policy()) {
-        metrics().NotifyIfAllComplete();
-      } else if (metrics().completed() >= metrics().num_nodes() - 1) {
-        net().Stop();
-      }
+      metrics().NotifyIfAllComplete();
     }
     return true;
   }

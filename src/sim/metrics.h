@@ -121,7 +121,6 @@ class RunMetrics {
     completion_target_ = receivers_target;
     on_all_complete_ = std::move(on_all_complete);
   }
-  bool has_completion_policy() const { return completion_target_ >= 0; }
   bool all_complete() const {
     return completion_target_ >= 0 && completed_ + departed_incomplete_ >= completion_target_;
   }
@@ -150,7 +149,7 @@ class RunMetrics {
   int completed_ = 0;
   int departed_incomplete_ = 0;  // departed members that never completed
   uint32_t num_positions_ = 0;  // > 0: streaming session (position arrivals recorded)
-  int completion_target_ = -1;  // < 0: no policy installed (legacy fallback applies)
+  int completion_target_ = -1;  // < 0: no policy installed (never all complete)
   std::function<void()> on_all_complete_;
   std::function<void(NodeId, SimTime)> completion_observer_;
   std::vector<NodeId> members_;  // empty: all nodes

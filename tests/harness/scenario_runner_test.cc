@@ -58,7 +58,7 @@ TEST(ParseRunnerArgsTest, SweepFlags) {
   EXPECT_TRUE(args.sweep_mode());
   ASSERT_EQ(args.sweep_axes.size(), 2u);
   EXPECT_EQ(args.sweep_axes[0].key, "nodes");
-  EXPECT_EQ(args.sweep_axes[0].values, (std::vector<double>{20, 50, 100}));
+  EXPECT_EQ(args.sweep_axes[0].values, (std::vector<std::string>{"20", "50", "100"}));
   EXPECT_EQ(args.sweep_axes[1].key, "loss");
   ASSERT_TRUE(args.repeats.has_value());
   EXPECT_EQ(*args.repeats, 2);
@@ -206,10 +206,38 @@ TEST_F(RunnerMainTest, BadFlagFailsWithUsage) {
   EXPECT_EQ(Run({"--scenario", "tiny", "--deadline-sec", "1e13"}), 2);
   EXPECT_NE(err_.str().find("--deadline-sec requires a number in (0, 1e9]"), std::string::npos)
       << err_.str();
+  // A sweep value fails with the flag's own message.
+  err_.str("");
   EXPECT_EQ(Run({"--scenario", "tiny", "--sweep", "deadline-sec=30,1e13"}), 2);
-  EXPECT_NE(err_.str().find("deadline-sec values must be in (0, 1e9]"), std::string::npos)
+  EXPECT_NE(err_.str().find("--deadline-sec requires a number in (0, 1e9]"), std::string::npos)
       << err_.str();
   EXPECT_TRUE(out_.str().empty());
+}
+
+TEST_F(RunnerMainTest, SweepValuesFailLikeTheirFlags) {
+  // A --sweep value and a sweep file's `set` value exit 2 with the message of
+  // the flag's own row, as the flag does.
+  const std::string path = ::testing::TempDir() + "/bullet_runner_set_value.sweep";
+  {
+    std::ofstream spec(path);
+    spec << "scenario tiny\nset block-bytes=1e30\n";
+  }
+  const std::string block_bytes = "--block-bytes requires an integer >= 512";
+  const std::string bad_block_bytes = "bad value '1e30' for sweep axis 'block-bytes': ";
+  const std::vector<std::pair<std::vector<const char*>, std::string>> cases = {
+      {{"--scenario", "tiny", "--block-bytes", "1e30"}, block_bytes},
+      {{"--scenario", "tiny", "--sweep", "block-bytes=1e30"}, bad_block_bytes + block_bytes},
+      {{"--scenario", "tiny", "--sweep", "nodes=2e1"},
+       "bad value '2e1' for sweep axis 'nodes': --nodes requires an integer in [2, 1000000]"},
+      {{"--sweep-file", path.c_str()}, path + ": line 2: " + bad_block_bytes + block_bytes},
+  };
+  for (const auto& [argv, message] : cases) {
+    err_.str("");
+    EXPECT_EQ(Run(argv), 2) << message;
+    EXPECT_EQ(err_.str().rfind("bullet_run: " + message + "\n", 0), 0u) << err_.str();
+  }
+  EXPECT_TRUE(out_.str().empty());
+  std::remove(path.c_str());
 }
 
 TEST_F(RunnerMainTest, UnknownSystemIsUsageError) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
+
+#include "src/harness/scenario_runner.h"
 
 namespace bullet {
 namespace {
@@ -15,11 +19,11 @@ TEST(ParseSweepAxisSpecTest, ParsesKeyAndValues) {
   std::string error;
   ASSERT_TRUE(ParseSweepAxisSpec("nodes=20,50,100", &axis, &error)) << error;
   EXPECT_EQ(axis.key, "nodes");
-  EXPECT_EQ(axis.values, (std::vector<double>{20, 50, 100}));
+  EXPECT_EQ(axis.values, (std::vector<std::string>{"20", "50", "100"}));
 
   ASSERT_TRUE(ParseSweepAxisSpec("loss=0,0.01", &axis, &error)) << error;
   EXPECT_EQ(axis.key, "loss");
-  EXPECT_EQ(axis.values, (std::vector<double>{0.0, 0.01}));
+  EXPECT_EQ(axis.values, (std::vector<std::string>{"0", "0.01"}));
 }
 
 TEST(ParseSweepAxisSpecTest, RejectsBadInput) {
@@ -41,13 +45,73 @@ TEST(ParseSweepAxisSpecTest, RejectsBadInput) {
   EXPECT_NE(error.find("warp"), std::string::npos);
 }
 
+// A sweep value, a `set` value and a flag value all go through the option
+// row's parse, so the three accept exactly the same values and fail with the
+// same message (the sweep's names the value first). The table mixes accepted
+// values with near misses, among them the exponent and fractional spellings of
+// integers (2e1, 512.0, 4e0) that a floating-point check would accept.
+TEST(SweepFlagParityTest, SweepAcceptsExactlyWhatTheFlagAccepts) {
+  const std::map<std::string, std::vector<std::string>> values = {
+      {"nodes", {"20", "2", "1000000", "020", "1", "1000001", "2e1", "20.0", "-5", "abc", "0x14"}},
+      {"file-mb", {"0.5", "2", ".5", "1e-3", "0", "-1", "inf", "nan", "1e400", "2MB"}},
+      {"block-bytes", {"512", "8192", "511", "1e30", "512.0", "99999999999999999999", "-512"}},
+      {"deadline-sec", {"30", "1e9", "1e-6", "1e13", "0", "-1"}},
+      {"join-fraction", {"0", "1", "0.5", "5e-1", "1.5", "-0.1"}},
+      {"loss", {"0", "0.0", "0.03", "1", "1.5", "-0.01"}},
+      {"lifetime-pareto-alpha", {"1.2", "1e2", "0", "-1"}},
+      {"churn-model", {"none", "leaf", "stub", "gateway", "ring", "Stub"}},
+      {"stream-bitrate-mbps", {"2", "0.5", "1e1", "0", "-1"}},
+      {"stream-window-blocks", {"4", "1", "1000000", "0", "1000001", "4e0", "4.0", "-4"}},
+  };
+  for (const ScenarioOptionDef& def : ScenarioOptionTable()) {
+    if (!def.sweepable) {
+      continue;
+    }
+    const auto row = values.find(def.key);
+    ASSERT_NE(row, values.end()) << "no parity values for " << def.key;
+    for (const std::string& value : row->second) {
+      const std::string assignment = std::string(def.key) + "=" + value;
+      SCOPED_TRACE(assignment);
+      const char* argv[] = {"bullet_run", "--scenario", "x", def.flag, value.c_str()};
+      const RunnerArgs flag = ParseRunnerArgs(5, argv);
+
+      SweepAxis axis;
+      std::string sweep_error;
+      EXPECT_EQ(ParseSweepAxisSpec(assignment, &axis, &sweep_error), flag.ok) << sweep_error;
+      SweepSpec spec;
+      std::string file_error;
+      std::istringstream file("set " + assignment + "\n");
+      EXPECT_EQ(ParseSweepFile(file, &spec, &file_error), flag.ok) << file_error;
+      if (!flag.ok) {
+        const std::string expected =
+            "bad value '" + value + "' for sweep axis '" + def.key + "': " + flag.error;
+        EXPECT_EQ(sweep_error, expected);
+        EXPECT_EQ(file_error, "line 1: " + expected);
+      }
+    }
+  }
+}
+
+TEST(SweepFlagParityTest, DuplicatesCompareByValue) {
+  SweepAxis axis;
+  std::string error;
+  EXPECT_FALSE(ParseSweepAxisSpec("loss=0,0.0", &axis, &error));
+  EXPECT_NE(error.find("duplicate value '0.0' in sweep axis 'loss'"), std::string::npos) << error;
+  EXPECT_FALSE(ParseSweepAxisSpec("nodes=20,020", &axis, &error));
+  EXPECT_NE(error.find("duplicate value '020' in sweep axis 'nodes'"), std::string::npos)
+      << error;
+  EXPECT_FALSE(ParseSweepAxisSpec("churn-model=stub,leaf,stub", &axis, &error));
+  EXPECT_NE(error.find("duplicate value 'stub'"), std::string::npos) << error;
+  EXPECT_TRUE(ParseSweepAxisSpec("nodes=20,021", &axis, &error)) << error;
+}
+
 TEST(ExpandSweepGridTest, CartesianProductWithRepeats) {
   SweepSpec spec;
   spec.scenario = "s";
   spec.repeats = 2;
   spec.base_seed = 7;
-  SweepAxis nodes{"nodes", {20, 50}};
-  SweepAxis loss{"loss", {0.0, 0.01, 0.03}};
+  SweepAxis nodes{"nodes", {"20", "50"}};
+  SweepAxis loss{"loss", {"0", "0.01", "0.03"}};
   spec.axes = {nodes, loss};
 
   const std::vector<SweepPoint> points = ExpandSweepGrid(spec);
@@ -62,12 +126,12 @@ TEST(ExpandSweepGridTest, CartesianProductWithRepeats) {
 
   // Cell 0: (nodes=20, loss=0); cell 3: (nodes=50, loss=0); cell 5: (50, 0.03).
   EXPECT_EQ(points[0].params[0].first, "nodes");
-  EXPECT_EQ(points[0].params[0].second.number, 20.0);
+  EXPECT_EQ(points[0].params[0].second, "20");
   EXPECT_EQ(points[0].params[1].first, "loss");
-  EXPECT_EQ(points[0].params[1].second.number, 0.0);
-  EXPECT_EQ(points[6].params[0].second.number, 50.0);
-  EXPECT_EQ(points[6].params[1].second.number, 0.0);
-  EXPECT_EQ(points[10].params[1].second.number, 0.03);
+  EXPECT_EQ(points[0].params[1].second, "0");
+  EXPECT_EQ(points[6].params[0].second, "50");
+  EXPECT_EQ(points[6].params[1].second, "0");
+  EXPECT_EQ(points[10].params[1].second, "0.03");
 
   // Options carry the per-point assignment and the derived seed.
   ASSERT_TRUE(points[6].options.nodes.has_value());
@@ -150,9 +214,10 @@ TEST(ParseSweepFileTest, RejectsDuplicateAxis) {
 
 TEST(FindDuplicateAxisKeyTest, DetectsRepeatedKeys) {
   std::string key;
-  EXPECT_FALSE(FindDuplicateAxisKey({SweepAxis{"nodes", {2}}, SweepAxis{"loss", {0}}}, &key));
+  EXPECT_FALSE(
+      FindDuplicateAxisKey({SweepAxis{"nodes", {"2"}}, SweepAxis{"loss", {"0"}}}, &key));
   EXPECT_TRUE(FindDuplicateAxisKey(
-      {SweepAxis{"nodes", {2}}, SweepAxis{"loss", {0}}, SweepAxis{"nodes", {4}}}, &key));
+      {SweepAxis{"nodes", {"2"}}, SweepAxis{"loss", {"0"}}, SweepAxis{"nodes", {"4"}}}, &key));
   EXPECT_EQ(key, "nodes");
 }
 
@@ -166,6 +231,11 @@ TEST(ParseSweepFileTest, RejectsBadDirectives) {
   }
   {
     std::istringstream in("repeats zero\n");
+    EXPECT_FALSE(ParseSweepFile(in, &spec, &error));
+  }
+  {
+    // `repeats` takes the --repeats flag's syntax: a plain integer.
+    std::istringstream in("repeats 2.0\n");
     EXPECT_FALSE(ParseSweepFile(in, &spec, &error));
   }
   {
@@ -208,7 +278,7 @@ std::string SweepJsonFor(const ScenarioRegistry& registry, int jobs, uint64_t ba
   spec.name = "t";
   spec.repeats = 3;
   spec.base_seed = base_seed;
-  spec.axes = {SweepAxis{"nodes", {10, 20, 30}}, SweepAxis{"loss", {0.0, 0.01}}};
+  spec.axes = {SweepAxis{"nodes", {"10", "20", "30"}}, SweepAxis{"loss", {"0", "0.01"}}};
   const SweepRunOutcome outcome = RunSweep(spec, registry, jobs);
   EXPECT_TRUE(outcome.ok) << outcome.error;
   EXPECT_EQ(outcome.runs.size(), 3u * 2u * 3u);
@@ -241,7 +311,7 @@ TEST(RunSweepTest, RejectsDuplicateAxisKeys) {
   const ScenarioRegistry registry = MakeFakeRegistry();
   SweepSpec spec;
   spec.scenario = "fake";
-  spec.axes = {SweepAxis{"nodes", {10, 20}}, SweepAxis{"nodes", {30}}};
+  spec.axes = {SweepAxis{"nodes", {"10", "20"}}, SweepAxis{"nodes", {"30"}}};
   const SweepRunOutcome outcome = RunSweep(spec, registry, 1);
   EXPECT_FALSE(outcome.ok);
   EXPECT_NE(outcome.error.find("duplicate sweep axis"), std::string::npos);
@@ -305,6 +375,44 @@ TEST(WriteSweepJsonTest, AggregatesMedianAcrossRepeats) {
   // Profile counts appear in the aggregate only for profiled builds (counts
   // are deterministic, so either way the document stays --jobs-invariant).
   EXPECT_EQ(json.find("\"profile\"") != std::string::npos, PhaseProfiler::kCompiledIn);
+}
+
+TEST(WriteSweepJsonTest, PrintsTheNumberAValueDenotes) {
+  // Numeric axes print the parsed number, not the text (020 prints as 20);
+  // string axes print their text.
+  ScenarioRegistry registry;
+  registry.Register("probe", "empty report", [](const ScenarioOptions&) {
+    return ScenarioReport("probe");
+  });
+  SweepSpec spec;
+  spec.scenario = "probe";
+  spec.axes = {SweepAxis{"nodes", {"020"}}, SweepAxis{"file-mb", {"2.50"}},
+               SweepAxis{"churn-model", {"stub"}}};
+  const SweepRunOutcome outcome = RunSweep(spec, registry, 1);
+  ASSERT_TRUE(outcome.ok) << outcome.error;
+  ASSERT_EQ(outcome.runs.size(), 1u);
+  EXPECT_EQ(outcome.runs[0].point.options.nodes, 20);
+  std::ostringstream os;
+  WriteSweepJson(os, outcome);
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"values\":[20]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"values\":[2.5]"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"params\":{\"nodes\":20,\"file-mb\":2.5,\"churn-model\":\"stub\"}"),
+            std::string::npos)
+      << json;
+}
+
+TEST(RunSweepTest, RejectsValuesTheFlagRejects) {
+  const ScenarioRegistry registry = MakeFakeRegistry();
+  SweepSpec spec;
+  spec.scenario = "fake";
+  spec.axes = {SweepAxis{"block-bytes", {"1e30"}}};
+  const SweepRunOutcome outcome = RunSweep(spec, registry, 1);
+  EXPECT_FALSE(outcome.ok);
+  EXPECT_EQ(outcome.error,
+            "bad value '1e30' for sweep axis 'block-bytes': --block-bytes requires an integer "
+            ">= 512");
+  EXPECT_TRUE(outcome.runs.empty());
 }
 
 TEST(WriteSweepFloorsJsonTest, EmitsMedianWallAndNormalizedThroughput) {
