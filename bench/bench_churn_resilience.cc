@@ -4,6 +4,7 @@
 // completion times; the dual sweep runs legacy Bullet, whose receivers depend partly
 // on tree forwarding, for contrast.
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,26 +15,26 @@ namespace bullet {
 namespace {
 
 std::vector<double> RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) {
-  WorkloadExperiment exp(BuildScenarioTopology(cfg), ScenarioWorkloadParams(cfg));
+  WorkloadSpec workload;
   SessionSpec session;
   session.protocol = legacy ? "bullet" : "bullet-prime";
   session.seed = cfg.seed;
-  session.file.block_bytes = cfg.block_bytes;
-  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
-  exp.AddSession(session);
+  workload.sessions.push_back(session);
+  const std::unique_ptr<WorkloadExperiment> exp = BuildScenarioExperiment(cfg, workload);
 
   std::vector<char> is_victim(static_cast<size_t>(cfg.num_nodes), 0);
   if (kills > 0) {
     Rng churn_rng(cfg.seed ^ 0xc0ffee);
-    const ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), session.source, kills, churn_rng);
+    const ChurnPlan plan =
+        PlanLeafFailures(exp->session_tree(0), session.source, kills, churn_rng);
     for (const NodeId v : plan.victims) {
       is_victim[static_cast<size_t>(v)] = 1;
     }
-    ScheduleChurn(exp.net(), plan);
+    ScheduleChurn(exp->net(), plan);
   }
-  exp.Run();
+  exp->Run();
 
-  const RunMetrics& metrics = exp.session_metrics(0);
+  const RunMetrics& metrics = exp->session_metrics(0);
   std::vector<double> survivor_times;
   for (NodeId n = 1; n < cfg.num_nodes; ++n) {
     if (is_victim[static_cast<size_t>(n)]) {

@@ -38,8 +38,8 @@ BULLET_SCENARIO(fig06_request_strategy, "Fig. 6 — request strategy under rando
         RequestStrategy::kFirstEncountered}) {
     BulletPrimeConfig bp;
     bp.request_strategy = strategy;
-    const ScenarioResult r = RunScenario("bullet-prime", cfg, bp);
-    report.AddCompletion(std::string("BulletPrime ") + StrategyName(strategy), r);
+    report.AddCompletion(std::string("BulletPrime ") + StrategyName(strategy),
+                         RunScenario("bullet-prime", cfg, bp));
   }
   return report;
 }

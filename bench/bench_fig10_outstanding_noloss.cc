@@ -18,8 +18,6 @@ BULLET_SCENARIO(fig10_outstanding_noloss, "Fig. 10 — outstanding windows, no l
   cfg.num_nodes = 25;
   cfg.file_mb = ScaledFileMb(100.0);
   cfg.block_bytes = 8 * 1024;
-  cfg.uniform_bps = 10e6;
-  cfg.uniform_delay = MsToSim(100);
   cfg.loss_max = 0.0;
   cfg.seed = 1001;
   ApplyScenarioOptions(opts, &cfg);

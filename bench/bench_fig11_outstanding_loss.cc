@@ -16,8 +16,6 @@ BULLET_SCENARIO(fig11_outstanding_loss, "Fig. 11 — outstanding windows under r
   cfg.num_nodes = 25;
   cfg.file_mb = ScaledFileMb(100.0);
   cfg.block_bytes = 8 * 1024;
-  cfg.uniform_bps = 10e6;
-  cfg.uniform_delay = MsToSim(100);
   cfg.loss_min = 0.0;
   cfg.loss_max = 0.015;
   cfg.seed = 1101;

@@ -10,6 +10,7 @@
 // benefit in this setting.
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -27,18 +28,17 @@ BULLET_SCENARIO(fig13_interarrival_encoding, "Fig. 13 — inter-arrival vs encod
   cfg.record_arrivals = true;
   ApplyScenarioOptions(opts, &cfg);
 
-  // Run the workload directly so we can reach per-node arrival times.
+  // Keep the experiment so we can reach per-node arrival times.
+  WorkloadSpec workload;
   SessionSpec session;
   session.seed = cfg.seed;
-  session.file.block_bytes = cfg.block_bytes;
-  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
-  WorkloadExperiment exp(BuildScenarioTopology(cfg), ScenarioWorkloadParams(cfg));
-  exp.AddSession(session);
-  exp.Run();
-  const RunMetrics& metrics = exp.session_metrics(0);
+  workload.sessions.push_back(session);
+  const std::unique_ptr<WorkloadExperiment> exp = BuildScenarioExperiment(cfg, workload);
+  exp->Run();
+  const RunMetrics& metrics = exp->session_metrics(0);
 
   // Average inter-arrival time across receivers, by arrival index.
-  const uint32_t n = session.file.num_blocks;
+  const uint32_t n = exp->session_spec(0).file.num_blocks;
   std::vector<double> sum(n, 0.0);
   std::vector<int> count(n, 0);
   for (NodeId node = 1; node < cfg.num_nodes; ++node) {

@@ -23,8 +23,8 @@ BULLET_SCENARIO(fig14_widearea, "Fig. 14 — wide-area (PlanetLab stand-in) comp
 
   ScenarioReport report(kScenarioName);
   for (const char* system : {"bullet-prime", "bullet", "bittorrent", "splitstream"}) {
-    const ScenarioResult r = RunScenario(system, cfg);
-    report.AddCompletion(r.name + " (wide-area)", r);
+    const WorkloadResult r = RunScenario(system, cfg);
+    report.AddCompletion(r.sessions.front().name + " (wide-area)", r);
   }
   return report;
 }

@@ -93,7 +93,7 @@ BULLET_SCENARIO(fig15_shotgun, "Fig. 15 — Shotgun vs staggered parallel rsync"
     cfg.num_nodes = nodes;
     cfg.file_mb = static_cast<double>(u.bundle.WireBytes()) / (1024.0 * 1024.0);
     cfg.seed = seed;
-    const ScenarioResult r = RunScenario("bullet-prime", cfg);
+    const SessionResult r = RunScenario("bullet-prime", cfg).sessions.front();
 
     const double apply_sec = static_cast<double>(u.bundle.ReplayBytes()) / kDiskBps;
     std::vector<double> with_update;

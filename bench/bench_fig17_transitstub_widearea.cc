@@ -41,8 +41,8 @@ BULLET_SCENARIO(fig17_transitstub_widearea,
   ScenarioReport report(kScenarioName);
   int32_t shared_flows = 0;
   for (const char* system : {"bullet-prime", "bittorrent"}) {
-    const ScenarioResult r = RunScenario(system, cfg);
-    report.AddCompletion(r.name + " (transit-stub)", r);
+    const WorkloadResult r = RunScenario(system, cfg);
+    report.AddCompletion(r.sessions.front().name + " (transit-stub)", r);
     shared_flows = std::max(shared_flows, r.max_shared_link_flows);
   }
   report.AddScalar("max_flows_on_shared_link", shared_flows);

@@ -52,11 +52,11 @@ BULLET_SCENARIO(fig18_flash_crowd, "Extension — flash crowd: 80% of nodes join
   }
   workload.sessions.push_back(session);
 
-  const WorkloadResult wl = RunScenarioWorkload(cfg, workload);
-  const ScenarioResult result = ToScenarioResult(wl.sessions.front(), wl);
+  const WorkloadResult wl = BuildScenarioExperiment(cfg, workload)->Run();
+  const SessionResult& result = wl.sessions.front();
 
   ScenarioReport report(kScenarioName);
-  report.AddCompletion(result.name, result);
+  report.AddCompletion(wl);
   // download_sec is in member order with the source excluded: receivers
   // 1..n-1, so the late cohort is exactly the trailing late_count entries.
   std::vector<double> early(result.download_sec.begin(),

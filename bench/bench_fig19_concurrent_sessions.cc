@@ -52,12 +52,10 @@ BULLET_SCENARIO(fig19_concurrent_sessions,
   // Session seeds are left unset: each derives its own stream from the
   // workload seed and its index, so A and B build different trees and meshes.
 
-  const WorkloadResult wl = RunScenarioWorkload(cfg, workload);
+  const WorkloadResult wl = BuildScenarioExperiment(cfg, workload)->Run();
 
   ScenarioReport report(kScenarioName);
-  for (const SessionResult& session : wl.sessions) {
-    report.AddCompletion(session.name, ToScenarioResult(session, wl));
-  }
+  report.AddCompletion(wl);
   report.AddScalar("max_flows_on_shared_link", wl.max_shared_link_flows);
   report.AddScalar("sessions_completed", wl.sessions_completed);
   return report;

@@ -44,12 +44,10 @@ BULLET_SCENARIO(fig20_mixed_systems,
     workload.sessions.push_back(std::move(b));
   }
 
-  const WorkloadResult wl = RunScenarioWorkload(cfg, workload);
+  const WorkloadResult wl = BuildScenarioExperiment(cfg, workload)->Run();
 
   ScenarioReport report(kScenarioName);
-  for (const SessionResult& session : wl.sessions) {
-    report.AddCompletion(session.name, ToScenarioResult(session, wl));
-  }
+  report.AddCompletion(wl);
   report.AddScalar("max_flows_on_shared_link", wl.max_shared_link_flows);
   report.AddScalar("sessions_completed", wl.sessions_completed);
   return report;

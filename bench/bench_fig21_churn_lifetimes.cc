@@ -56,9 +56,9 @@ BULLET_SCENARIO(fig21_churn_lifetimes,
     session.lifetimes = lifetimes;
     workload.sessions.push_back(std::move(session));
 
-    const WorkloadResult wl = RunScenarioWorkload(cfg, workload);
+    const WorkloadResult wl = BuildScenarioExperiment(cfg, workload)->Run();
     const SessionResult& r = wl.sessions.front();
-    report.AddCompletion(ToScenarioResult(r, wl));
+    report.AddCompletion(wl);
     // Underscored keys: metric names are dotted with the series name downstream.
     const std::string key = std::string(system) == "bullet-prime" ? "bullet_prime"
                                                                   : std::string(system);

@@ -16,7 +16,6 @@
 #include <memory>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "bench/session_common.h"
@@ -43,41 +42,35 @@ BULLET_SCENARIO(fig22_correlated_failures,
   const double feasible = TcpFeasibleSeconds(cfg.file_mb, 6e6, /*startup_sec=*/12.0);
   const SimTime outage_at = SecToSim(0.8 * feasible);
 
-  std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);
-  const RoutedTopology* routed = topology->AsRouted();
-  const RoutedTopology::TransitStubInfo* info = routed->transit_stub_info();
-  // One sampled link per stub domain: the transit->gateway direction of its
-  // shared uplink carries the stub's download traffic — the dominant direction
-  // for dissemination. (Pointers into the topology stay valid after the move;
-  // the experiment owns it for the rest of the scope.)
-  const std::vector<int32_t> links = info->gateway_uplink_edge;
-
-  WorkloadExperiment exp(std::move(topology), ScenarioWorkloadParams(cfg));
+  WorkloadSpec workload;
   if (churn_name == "leaf") {
-    exp.SetChurnModel(std::make_shared<LeafFailureChurn>(std::max(1, cfg.num_nodes / 10),
-                                                         outage_at));
+    workload.churn =
+        std::make_shared<LeafFailureChurn>(std::max(1, cfg.num_nodes / 10), outage_at);
   } else if (churn_name == "gateway") {
-    exp.SetChurnModel(std::make_shared<CorrelatedFailureChurn>(
-        CorrelatedFailureChurn::Scope::kGatewayRouter, outage_at));
+    workload.churn = std::make_shared<CorrelatedFailureChurn>(
+        CorrelatedFailureChurn::Scope::kGatewayRouter, outage_at);
   } else if (churn_name != "none") {
-    exp.SetChurnModel(std::make_shared<CorrelatedFailureChurn>(
-        CorrelatedFailureChurn::Scope::kStubDomain, outage_at));
+    workload.churn = std::make_shared<CorrelatedFailureChurn>(
+        CorrelatedFailureChurn::Scope::kStubDomain, outage_at);
   }
-
-  std::vector<double> sample_sec;
-  std::vector<std::vector<double>> sample_bps;
-  StartInteriorLinkSampling(exp.net(), links, SecToSim(1.0), SecToSim(1.0), &sample_sec,
-                            &sample_bps);
-
   SessionSpec session;
   session.protocol = opts.system.value_or("bullet-prime");
   session.source = 0;
   session.seed = cfg.seed;
-  session.file.block_bytes = cfg.block_bytes;
-  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
-  session.file.encoded = cfg.force_encoded;
-  exp.AddSession(session);
-  const WorkloadResult wl = exp.Run();
+  workload.sessions.push_back(session);
+  const std::unique_ptr<WorkloadExperiment> exp = BuildScenarioExperiment(cfg, workload);
+
+  const RoutedTopology* routed = exp->net().topology().AsRouted();
+  const RoutedTopology::TransitStubInfo* info = routed->transit_stub_info();
+  // One sampled link per stub domain: the transit->gateway direction of its
+  // shared uplink carries the stub's download traffic — the dominant direction
+  // for dissemination.
+  const std::vector<int32_t> links = info->gateway_uplink_edge;
+  std::vector<double> sample_sec;
+  std::vector<std::vector<double>> sample_bps;
+  StartInteriorLinkSampling(exp->net(), links, SecToSim(1.0), SecToSim(1.0), &sample_sec,
+                            &sample_bps);
+  const WorkloadResult wl = exp->Run();
 
   // Aggregate utilization over *surviving* stubs' uplinks, so the dead
   // region's zeroed link doesn't masquerade as a protocol-level dip.
@@ -116,7 +109,7 @@ BULLET_SCENARIO(fig22_correlated_failures,
   }
 
   ScenarioReport report(kScenarioName);
-  report.AddCompletion(ToScenarioResult(wl.sessions.front(), wl));
+  report.AddCompletion(wl);
   report.AddSeries("SurvivorGatewayMbps", survivor_mbps);
   report.AddScalar("outage_at_s", outage_sec);
   report.AddScalar("failed_nodes", static_cast<double>(wl.churn_events.size()));

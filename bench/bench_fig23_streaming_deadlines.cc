@@ -48,9 +48,9 @@ BULLET_SCENARIO(fig23_streaming_deadlines,
     session.streaming = stream;
     workload.sessions.push_back(std::move(session));
 
-    const WorkloadResult wl = RunScenarioWorkload(cfg, workload);
+    const WorkloadResult wl = BuildScenarioExperiment(cfg, workload)->Run();
     const SessionResult& r = wl.sessions.front();
-    report.AddCompletion(ToScenarioResult(r, wl));
+    report.AddCompletion(wl);
     report.AddSeries(r.name + " stall", r.stall_sec);
     std::vector<double> missed(r.missed_deadline.begin(), r.missed_deadline.end());
     report.AddSeries(r.name + " missed", std::move(missed));

@@ -71,11 +71,10 @@ BULLET_SCENARIO(fig24_megaswarm,
   session.arrivals = std::make_shared<FlashCrowdArrivals>(late_fraction, SecToSim(join_sec));
   workload.sessions.push_back(session);
 
-  const WorkloadResult wl = RunScenarioWorkload(cfg, workload);
-  const ScenarioResult result = ToScenarioResult(wl.sessions.front(), wl);
+  const WorkloadResult wl = BuildScenarioExperiment(cfg, workload)->Run();
 
   ScenarioReport report(kScenarioName);
-  report.AddCompletion(result.name, result);
+  report.AddCompletion(wl);
   report.AddScalar("members", static_cast<double>(cfg.num_nodes));
   report.AddScalar("late_fraction", late_fraction);
   report.AddScalar("late_join_s", join_sec);

@@ -2,25 +2,19 @@
 //
 // Runs a Bullet' workload over the Fig. 14 wide-area topology at a 2 ms
 // quantum (dirty-tracked allocation, cached TCP caps, O(1) idle quanta) and
-// reports its wall clock next to the run's completion metrics. Correctness of
-// the cached rates is not measured here: checked builds hold every quantum of
-// every run to a full recompute (network.h).
+// reports the run's completion metrics and deterministic run counters.
+// Correctness of the cached rates is not measured here: checked builds hold
+// every quantum of every run to a full recompute (network.h).
 //
 // The committed baseline (bench/baselines/perf_core_baseline.json) pins the
-// completion metrics; bench_check enforces it in CI with a wide band for the
-// machine-dependent wall clock and the default band for the behavioural
-// metrics.
-
-#include <chrono>
+// completion metrics at the default band; the sweep's floors document
+// carries each point's wall time, and CI gates its events/sec and
+// sim-bytes/sec against bench/baselines/perf_core_floors.json.
 
 #include "src/harness/scenario_registry.h"
 
 namespace bullet {
 namespace {
-
-double WallSeconds(const std::chrono::steady_clock::time_point& t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
 
 BULLET_SCENARIO(perf_core_scale,
                 "Perf — simulator core at a 2 ms quantum, wide-area topology") {
@@ -37,13 +31,8 @@ BULLET_SCENARIO(perf_core_scale,
   cfg.net.quantum = MsToSim(2);
   ApplyScenarioOptions(opts, &cfg);
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const ScenarioResult result = RunScenario("bullet-prime", cfg);
-  const double wall = WallSeconds(t0);
-
   ScenarioReport report(kScenarioName);
-  report.AddCompletion("BulletPrime (incremental core)", result);
-  report.AddScalar("wall_sec_incremental", wall);
+  report.AddCompletion("BulletPrime (incremental core)", RunScenario("bullet-prime", cfg));
   return report;
 }
 

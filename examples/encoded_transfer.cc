@@ -33,9 +33,14 @@ int main(int argc, char** argv) {
   bullet::ScenarioConfig cfg;
   cfg.num_nodes = num_nodes;
   cfg.file_mb = file_mb;
-  cfg.force_encoded = true;
   cfg.seed = 31;
-  const bullet::ScenarioResult r = bullet::RunScenario("bullet-prime", cfg);
+  bullet::WorkloadSpec workload;
+  bullet::SessionSpec session;
+  session.seed = cfg.seed;
+  session.file.encoded = true;
+  workload.sessions.push_back(session);
+  const bullet::WorkloadResult run = bullet::BuildScenarioExperiment(cfg, workload)->Run();
+  const bullet::SessionResult& r = run.sessions.front();
   std::printf("encoded dissemination: %d/%d nodes complete, median %.1f s (4%% overhead rule)\n",
               r.completed, r.receivers, bullet::Percentile(r.completion_sec, 0.5));
 

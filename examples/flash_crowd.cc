@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
       cfg.file_mb = file_mb;
       cfg.dynamic_bw = dynamic;
       cfg.seed = 21;
-      bullet::ScenarioResult r = bullet::RunScenario(system, cfg);
+      const bullet::SessionResult r = bullet::RunScenario(system, cfg).sessions.front();
       std::printf("%-12s completed %d/%d, dup %.1f%%, ctrl %.1f%%\n", r.name.c_str(), r.completed,
                   r.receivers, r.duplicate_fraction * 100.0, r.control_overhead * 100.0);
       series.push_back(bullet::CdfSeries{r.name, r.completion_sec});

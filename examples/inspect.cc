@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 
 #include "src/core/bullet_prime.h"
 #include "src/harness/scenarios.h"
@@ -26,37 +27,36 @@ int main(int argc, char** argv) {
   cfg.seed = 21;
   cfg.deadline = bullet::SecToSim(3600.0);
 
+  bullet::WorkloadSpec workload;
   bullet::SessionSpec session;
   session.protocol = "bullet-prime";
   session.seed = cfg.seed;
-  session.file.block_bytes = cfg.block_bytes;
-  session.file.num_blocks = bullet::FileBlocks(cfg.file_mb, cfg.block_bytes);
-
-  bullet::WorkloadExperiment exp(bullet::BuildScenarioTopology(cfg),
-                                 bullet::ScenarioWorkloadParams(cfg));
-  exp.AddSession(session);
+  workload.sessions.push_back(session);
+  const std::unique_ptr<bullet::WorkloadExperiment> exp =
+      bullet::BuildScenarioExperiment(cfg, workload);
+  const uint32_t num_blocks = exp->session_spec(0).file.num_blocks;
 
   // Periodic probe of the protocol state (every member joins at t=0, so the
   // probe's protocol exists from the first sample on).
   std::function<void()> sample = [&] {
     const auto* probe_proto =
-        static_cast<const bullet::BulletPrime*>(exp.session_protocol(0, probe));
-    const double t = bullet::SimToSec(exp.net().now());
+        static_cast<const bullet::BulletPrime*>(exp->session_protocol(0, probe));
+    const double t = bullet::SimToSec(exp->net().now());
     int64_t total_rx = 0;
     for (int n = 0; n < num_nodes; ++n) {
-      total_rx += exp.net().node_bytes_received(n);
+      total_rx += exp->net().node_bytes_received(n);
     }
     static int64_t prev_total = 0;
     const double agg_mbps = static_cast<double>(total_rx - prev_total) * 8.0 / 5.0 / 1e6;
     prev_total = total_rx;
     std::printf("t=%6.1fs probe: senders=%d max_senders=%d blocks=%zu/%u agg_rx=%.1f Mbps\n", t,
                 probe_proto->num_senders(), probe_proto->max_senders(),
-                probe_proto->have().count(), session.file.num_blocks, agg_mbps);
-    exp.net().queue().ScheduleAfter(bullet::SecToSim(5.0), sample);
+                probe_proto->have().count(), num_blocks, agg_mbps);
+    exp->net().queue().ScheduleAfter(bullet::SecToSim(5.0), sample);
   };
-  exp.net().queue().ScheduleAfter(bullet::SecToSim(5.0), sample);
+  exp->net().queue().ScheduleAfter(bullet::SecToSim(5.0), sample);
 
-  exp.Run();
-  std::printf("completed %d/%d\n", exp.session_metrics(0).completed(), num_nodes - 1);
+  exp->Run();
+  std::printf("completed %d/%d\n", exp->session_metrics(0).completed(), num_nodes - 1);
   return 0;
 }

@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   cfg.num_nodes = num_nodes;
   cfg.file_mb = static_cast<double>(wire.size()) / 1048576.0;
   cfg.seed = 7;
-  const bullet::ScenarioResult r = bullet::RunScenario("bullet-prime", cfg);
+  const bullet::SessionResult r = bullet::RunScenario("bullet-prime", cfg).sessions.front();
   std::printf("disseminated to %d/%d nodes: median %.1f s, slowest %.1f s\n", r.completed,
               r.receivers, bullet::Percentile(r.completion_sec, 0.5),
               bullet::Percentile(r.completion_sec, 1.0));

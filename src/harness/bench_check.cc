@@ -4,6 +4,7 @@
 #include <fstream>
 #include <iomanip>
 #include <limits>
+#include <map>
 #include <sstream>
 #include <vector>
 
@@ -217,11 +218,9 @@ int CompareSweepDocs(const JsonValue& baseline, const JsonValue& current,
         ++failed;
         continue;
       }
-      const auto tol_it = opts.metric_rel_tol.find(name);
-      const double rel = tol_it != opts.metric_rel_tol.end() ? tol_it->second : opts.rel_tol;
       const double base_v = base_median->number();
       const double cur_v = cur_median->number();
-      const double band_width = std::max(opts.abs_tol, rel * std::fabs(base_v));
+      const double band_width = std::max(opts.abs_tol, opts.rel_tol * std::fabs(base_v));
       const double diff = std::fabs(cur_v - base_v);
       if (diff > band_width) {
         log << "FAIL point {" << key << "} " << name << ": baseline " << base_v << " current "

@@ -1,14 +1,13 @@
 // Bench-regression gate: diffs a freshly produced sweep aggregate
-// (bullet-bench-v3) against a committed baseline, with per-metric
-// tolerance bands. When both documents carry the bullet-floors-v1 schema the
-// comparison switches to the one-sided throughput-floor mode instead (current
-// must meet or beat every committed floor). CI runs this via tools/bench_check
-// and fails the build on any out-of-band metric.
+// (bullet-bench-v3) against a committed baseline, with one tolerance band
+// around every metric median. When both documents carry the bullet-floors-v1
+// schema the comparison switches to the one-sided throughput-floor mode
+// instead (current must meet or beat every committed floor). CI runs this via
+// tools/bench_check and fails the build on any out-of-band metric.
 
 #ifndef SRC_HARNESS_BENCH_CHECK_H_
 #define SRC_HARNESS_BENCH_CHECK_H_
 
-#include <map>
 #include <ostream>
 #include <string>
 
@@ -24,12 +23,10 @@ enum BenchCheckStatus {
 };
 
 struct BenchCheckOptions {
-  // Default relative band. A metric passes when
-  //   |current - baseline| <= max(abs_tol, tol * |baseline|)
-  // where tol is the per-metric override when present, else rel_tol.
+  // Relative band. A metric passes when
+  //   |current - baseline| <= max(abs_tol, rel_tol * |baseline|)
   double rel_tol = 0.25;
   double abs_tol = 1e-9;
-  std::map<std::string, double> metric_rel_tol;  // exact metric name -> rel tol
 };
 
 // Compares only point medians: they are what the repeats exist to stabilize, and

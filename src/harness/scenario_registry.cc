@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <utility>
 
+#include "src/common/logging.h"
 #include "src/harness/flag_parse.h"
 #include "src/harness/json_writer.h"
 #include "src/harness/workload.h"
@@ -272,22 +273,27 @@ void ApplyScenarioOptions(const ScenarioOptions& opts, ScenarioConfig* cfg) {
   }
 }
 
-void ScenarioReport::AddCompletion(const ScenarioResult& result) {
-  AddCompletion(result.name, result);
+void ScenarioReport::AddCompletion(const WorkloadResult& run) {
+  for (const SessionResult& session : run.sessions) {
+    SeriesReport& s = AddSeries(session.name, session.completion_sec);
+    s.metrics.emplace_back("dup_pct", session.duplicate_fraction * 100.0);
+    s.metrics.emplace_back("ctrl_pct", session.control_overhead * 100.0);
+    s.metrics.emplace_back("completed", static_cast<double>(session.completed));
+    s.metrics.emplace_back("receivers", static_cast<double>(session.receivers));
+    // Deterministic run counters (whole-network totals for the run that
+    // produced this series; multi-session runs repeat them on each session's
+    // series). bench_check normalizes these by wall time for the
+    // throughput-floor gate.
+    s.metrics.emplace_back("net_events_executed", static_cast<double>(run.events_executed));
+    s.metrics.emplace_back("net_allocator_epochs", static_cast<double>(run.allocator_epochs));
+    s.metrics.emplace_back("net_sim_bytes_sent", static_cast<double>(run.sim_bytes_sent));
+  }
 }
 
-void ScenarioReport::AddCompletion(const std::string& name, const ScenarioResult& result) {
-  SeriesReport& s = AddSeries(name, result.completion_sec);
-  s.metrics.emplace_back("dup_pct", result.duplicate_fraction * 100.0);
-  s.metrics.emplace_back("ctrl_pct", result.control_overhead * 100.0);
-  s.metrics.emplace_back("completed", static_cast<double>(result.completed));
-  s.metrics.emplace_back("receivers", static_cast<double>(result.receivers));
-  // Deterministic run counters (whole-network totals for the run that produced
-  // this series; multi-session scenarios repeat them on each session's series).
-  // bench_check normalizes these by wall time for the throughput-floor gate.
-  s.metrics.emplace_back("net_events_executed", static_cast<double>(result.events_executed));
-  s.metrics.emplace_back("net_allocator_epochs", static_cast<double>(result.allocator_epochs));
-  s.metrics.emplace_back("net_sim_bytes_sent", static_cast<double>(result.sim_bytes_sent));
+void ScenarioReport::AddCompletion(const std::string& name, const WorkloadResult& run) {
+  BULLET_CHECK(run.sessions.size() == 1 && "a named completion series needs a one-session run");
+  AddCompletion(run);
+  series_.back().name = name;
 }
 
 SeriesReport& ScenarioReport::AddSeries(const std::string& name, std::vector<double> samples) {

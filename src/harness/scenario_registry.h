@@ -49,9 +49,10 @@ struct ScenarioOptions {
   // that honor it (fig22_correlated_failures); others ignore it.
   std::optional<std::string> churn_model;
   // Streaming (playback-deadline) overrides. fig23_streaming_deadlines
-  // streams at them; on every other scenario that runs through
-  // RunScenarioWorkload, setting either one turns each bulk session into a
-  // streaming session (ApplyScenarioOptions fills ScenarioConfig::streaming).
+  // streams at them; on every other scenario that applies
+  // ApplyScenarioOptions (all but fig12, fig15 and fig16), setting either one
+  // turns each bulk session into a streaming session (ApplyScenarioOptions
+  // fills ScenarioConfig::streaming, BuildScenarioExperiment applies it).
   std::optional<double> stream_bitrate_mbps;
   std::optional<int> stream_window_blocks;
 };
@@ -116,9 +117,12 @@ class ScenarioReport {
  public:
   explicit ScenarioReport(std::string scenario) : scenario_(std::move(scenario)) {}
 
-  // Adds a completion-time series with the standard per-system metrics attached.
-  void AddCompletion(const ScenarioResult& result);
-  void AddCompletion(const std::string& name, const ScenarioResult& result);
+  // Adds one completion-time series per session of `run`, named after the
+  // session, with the standard per-system metrics attached: the session's own
+  // numbers and the run's network-wide counters.
+  void AddCompletion(const WorkloadResult& run);
+  // The same for a one-session run, with the series named `name`.
+  void AddCompletion(const std::string& name, const WorkloadResult& run);
   // Adds a bare sample series (e.g. inter-arrival gaps, survivor times). The
   // returned reference stays valid across later Add* calls (deque storage).
   SeriesReport& AddSeries(const std::string& name, std::vector<double> samples);

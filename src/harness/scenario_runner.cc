@@ -308,9 +308,8 @@ void PrintRunnerUsage(std::ostream& os) {
         "                     playback bitrate in Mb/s (default 2). Streaming\n"
         "                     scenarios (fig23_streaming_deadlines) stream at it;\n"
         "                     on the others either stream flag turns every bulk\n"
-        "                     session into a streaming one, except that\n"
-        "                     churn_resilience, fig12, fig13, fig15, fig16 and\n"
-        "                     fig22 ignore both\n"
+        "                     session into a streaming one, except that fig12,\n"
+        "                     fig15 and fig16 ignore both\n"
         "  --stream-window-blocks W\n"
         "                     sliding request-window size in blocks ahead of the\n"
         "                     playhead (default 64); applies like\n"

@@ -35,7 +35,7 @@ std::unique_ptr<Topology> BuildScenarioTopology(const ScenarioConfig& cfg) {
       return std::make_unique<MeshTopology>(MeshTopology::ConstrainedAccess(cfg.num_nodes, rng));
     case ScenarioConfig::Topo::kUniform:
       return std::make_unique<MeshTopology>(MeshTopology::Uniform(
-          cfg.num_nodes, cfg.uniform_bps, cfg.uniform_delay, cfg.loss_min, cfg.loss_max, rng));
+          cfg.num_nodes, 10e6, MsToSim(100), cfg.loss_min, cfg.loss_max, rng));
     case ScenarioConfig::Topo::kWideArea:
       return std::make_unique<MeshTopology>(MeshTopology::WideArea(cfg.num_nodes, rng));
     case ScenarioConfig::Topo::kTransitStub: {
@@ -63,22 +63,14 @@ bool ParseTopologyName(const std::string& name, ScenarioConfig::Topo* topo) {
   return false;
 }
 
-WorkloadParams ScenarioWorkloadParams(const ScenarioConfig& cfg) {
-  WorkloadParams params;
-  params.seed = cfg.seed;
-  params.deadline = cfg.deadline;
-  params.record_arrivals = cfg.record_arrivals;
-  params.net = cfg.net;
-  return params;
-}
-
 uint32_t FileBlocks(double file_mb, int64_t block_bytes) {
   const auto blocks =
       static_cast<uint32_t>(file_mb * 1024.0 * 1024.0 / static_cast<double>(block_bytes));
   return std::max<uint32_t>(blocks, 1);
 }
 
-WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec& workload) {
+std::unique_ptr<WorkloadExperiment> BuildScenarioExperiment(const ScenarioConfig& cfg,
+                                                            const WorkloadSpec& workload) {
   EnsureBuiltinProtocolsRegistered();
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);
   if (workload.access_links != nullptr) {
@@ -88,12 +80,17 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
     Rng access_rng(cfg.seed ^ 0xa0761d6478bd642fULL);
     workload.access_links->Apply(*topology, access_rng);
   }
-  WorkloadExperiment exp(std::move(topology), ScenarioWorkloadParams(cfg));
+  WorkloadParams params;
+  params.seed = cfg.seed;
+  params.deadline = cfg.deadline;
+  params.record_arrivals = cfg.record_arrivals;
+  params.net = cfg.net;
+  auto exp = std::make_unique<WorkloadExperiment>(std::move(topology), params);
   if (workload.churn != nullptr) {
-    exp.SetChurnModel(workload.churn);
+    exp->SetChurnModel(workload.churn);
   }
   if (cfg.dynamic_bw) {
-    StartPeriodicBandwidthChanges(exp.net(), BandwidthDynamicsParams{});
+    StartPeriodicBandwidthChanges(exp->net(), BandwidthDynamicsParams{});
   }
   for (SessionSpec session : workload.sessions) {
     if (session.file.num_blocks == 0) {
@@ -101,37 +98,15 @@ WorkloadResult RunScenarioWorkload(const ScenarioConfig& cfg, const WorkloadSpec
       session.file.block_bytes = cfg.block_bytes;
       session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
     }
-    if (cfg.force_encoded) {
-      session.file.encoded = true;
-    }
     if (!session.streaming.has_value()) {
       session.streaming = cfg.streaming;
     }
-    exp.AddSession(session);
+    exp->AddSession(session);
   }
-  return exp.Run();
+  return exp;
 }
 
-ScenarioResult ToScenarioResult(const SessionResult& session, const WorkloadResult& run) {
-  ScenarioResult result;
-  result.name = session.name;
-  result.completion_sec = session.completion_sec;
-  result.download_sec = session.download_sec;
-  result.duplicate_fraction = session.duplicate_fraction;
-  result.control_overhead = session.control_overhead;
-  result.completed = session.completed;
-  result.receivers = session.receivers;
-  result.max_shared_link_flows = run.max_shared_link_flows;
-  result.events_executed = run.events_executed;
-  result.allocator_epochs = run.allocator_epochs;
-  result.sim_bytes_sent = run.sim_bytes_sent;
-  result.route_cache_bytes = run.route_cache_bytes;
-  result.path_pool_bytes = run.path_pool_bytes;
-  result.arena_peak_bytes = run.arena_peak_bytes;
-  return result;
-}
-
-ScenarioResult RunScenario(const std::string& protocol, const ScenarioConfig& cfg,
+WorkloadResult RunScenario(const std::string& protocol, const ScenarioConfig& cfg,
                            const BulletPrimeConfig& bp) {
   EnsureBuiltinProtocolsRegistered();
   WorkloadSpec workload;
@@ -149,8 +124,7 @@ ScenarioResult RunScenario(const std::string& protocol, const ScenarioConfig& cf
     session.protocol_config = bp;
   }
   workload.sessions.push_back(std::move(session));
-  const WorkloadResult r = RunScenarioWorkload(cfg, workload);
-  return ToScenarioResult(r.sessions.front(), r);
+  return BuildScenarioExperiment(cfg, workload)->Run();
 }
 
 double OptimalAccessLinkSeconds(double file_mb, double access_bps) {

@@ -41,11 +41,34 @@ std::optional<double> AxisNumber(const ScenarioOptionDef& def, const std::string
   return std::nullopt;
 }
 
+// An axis value as the sweep documents print it: the number a numeric row's
+// value denotes (so nodes=020 prints 20), a string row's text as is.
+void WriteAxisValue(const std::string& key, const std::string& text, JsonWriter* json) {
+  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
+  const std::optional<double> number =
+      def != nullptr ? AxisNumber(*def, text) : std::optional<double>();
+  if (number) {
+    json->Number(*number);
+  } else {
+    json->String(text);
+  }
+}
+
+// The JSON text WriteAxisValue prints for an axis value.
+std::string PrintedAxisValue(const std::string& key, const std::string& text) {
+  std::ostringstream os;
+  JsonWriter json(os);
+  WriteAxisValue(key, text, &json);
+  return os.str();
+}
+
 // Checks an axis as its option row checks the flag: the key names a sweepable
 // row and every value passes that row's parse (a failure names the value and
-// carries the flag's message). A value that denotes an earlier one is an error
-// too: it would silently run the same grid point twice under two point indices
-// (distinct derived seeds) — almost always a typo.
+// carries the flag's message). A value that denotes an earlier one, or that
+// the sweep documents print alike (deadline-sec=100.00000001,100.00000002 both
+// print 100), is an error too: it would run the same grid point twice under
+// two point indices (distinct derived seeds), and two points with the same
+// params make the aggregate fail bench_check against itself.
 bool CheckSweepAxis(const SweepAxis& axis, std::string* error) {
   const ScenarioOptionDef* def = FindSweepableOption(axis.key, error);
   if (def == nullptr) {
@@ -55,6 +78,7 @@ bool CheckSweepAxis(const SweepAxis& axis, std::string* error) {
     *error = "sweep axis '" + axis.key + "' has no values";
     return false;
   }
+  std::vector<std::string> printed(axis.values.size());
   for (size_t i = 0; i < axis.values.size(); ++i) {
     const std::string& text = axis.values[i];
     ScenarioOptions parsed;
@@ -65,8 +89,9 @@ bool CheckSweepAxis(const SweepAxis& axis, std::string* error) {
       return false;
     }
     const std::optional<double> number = AxisNumber(*def, text);
+    printed[i] = PrintedAxisValue(axis.key, text);
     for (size_t j = 0; j < i; ++j) {
-      if (number ? *number == *AxisNumber(*def, axis.values[j]) : text == axis.values[j]) {
+      if (printed[i] == printed[j] || (number && *number == *AxisNumber(*def, axis.values[j]))) {
         *error = "duplicate value '" + text + "' in sweep axis '" + axis.key + "'";
         return false;
       }
@@ -358,19 +383,6 @@ std::map<std::string, double> FlattenReportMetrics(const ScenarioReport& report)
 }
 
 namespace {
-
-// An axis value as the sweep documents print it: the number a numeric row's
-// value denotes (so nodes=020 prints 20), a string row's text as is.
-void WriteAxisValue(const std::string& key, const std::string& text, JsonWriter* json) {
-  const ScenarioOptionDef* def = FindScenarioOptionByKey(key);
-  const std::optional<double> number =
-      def != nullptr ? AxisNumber(*def, text) : std::optional<double>();
-  if (number) {
-    json->Number(*number);
-  } else {
-    json->String(text);
-  }
-}
 
 // Opens a sweep document: the members the aggregate, floors and ceilings
 // documents all start with.

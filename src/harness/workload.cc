@@ -180,40 +180,24 @@ int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const ProtocolRegistry:
   }
 
   // --- control tree ---
-  // The legacy shape (every node, zero offsets, source 0) keeps the historical
-  // ControlTree::Random call so all single-session runs stay byte-identical.
-  // Everything else builds a join-staged tree rooted at the source: parents
-  // always join no later than their children, so a joiner can connect upward
-  // immediately.
+  // A join-staged tree rooted at the source: parents always join no later
+  // than their children, so a joiner can connect upward immediately. With one
+  // stage holding every other node this is exactly ControlTree::Random.
   Rng tree_rng(s.seed ^ 0x7f4a7c15ULL);
-  const bool legacy_shape = static_cast<int>(num_members) == n && sp.source == 0 &&
-                            s.buckets.size() == 1 && s.buckets.front().at == 0 &&
-                            [&] {
-                              for (size_t i = 0; i < num_members; ++i) {
-                                if (sp.members[i] != static_cast<NodeId>(i)) {
-                                  return false;
-                                }
-                              }
-                              return true;
-                            }();
-  if (legacy_shape) {
-    s.tree = ControlTree::Random(n, sp.tree_fanout, tree_rng);
-  } else {
-    std::vector<std::vector<NodeId>> stages;
-    for (const JoinBucket& bucket : s.buckets) {
-      std::vector<NodeId> stage;
-      stage.reserve(bucket.member_idx.size());
-      for (const size_t i : bucket.member_idx) {
-        if (sp.members[i] != sp.source) {
-          stage.push_back(sp.members[i]);
-        }
-      }
-      if (!stage.empty()) {
-        stages.push_back(std::move(stage));
+  std::vector<std::vector<NodeId>> stages;
+  for (const JoinBucket& bucket : s.buckets) {
+    std::vector<NodeId> stage;
+    stage.reserve(bucket.member_idx.size());
+    for (const size_t i : bucket.member_idx) {
+      if (sp.members[i] != sp.source) {
+        stage.push_back(sp.members[i]);
       }
     }
-    s.tree = ControlTree::RandomStaged(n, sp.source, stages, sp.tree_fanout, tree_rng);
+    if (!stage.empty()) {
+      stages.push_back(std::move(stage));
+    }
   }
+  s.tree = ControlTree::RandomStaged(n, sp.source, stages, sp.tree_fanout, tree_rng);
 
   // --- metrics, completion policy, factory ---
   s.metrics = std::make_unique<RunMetrics>(n);

@@ -142,7 +142,7 @@ class WorkloadExperiment {
   int AddSession(const SessionSpec& spec, ProtocolRegistry::NodeFactory factory);
 
   // Installs a churn model whose schedule is drawn at Run() over every session
-  // (WorkloadSpec::churn; RunScenarioWorkload forwards it automatically).
+  // (WorkloadSpec::churn; BuildScenarioExperiment forwards it automatically).
   void SetChurnModel(std::shared_ptr<const ChurnModel> churn);
 
   // Executes every session's join schedule and runs the simulation until all

@@ -15,7 +15,7 @@
 // WorkloadExperiment expands arrivals into join_offsets, schedules lifetime
 // departures on the event queue (routed through Network::FailNode and the
 // session's completion policy, so a session whose stragglers left still
-// terminates), and RunScenarioWorkload applies access-link cohorts to the
+// terminates), and BuildScenarioExperiment applies access-link cohorts to the
 // topology before the network is built.
 
 #ifndef SRC_HARNESS_WORKLOAD_GEN_H_

@@ -87,7 +87,7 @@ struct SessionSpec {
 struct WorkloadSpec {
   std::vector<SessionSpec> sessions;
   // Workload-level generators: an access-link cohort distribution applied to
-  // the topology before the network is built (RunScenarioWorkload), and a
+  // the topology before the network is built (BuildScenarioExperiment), and a
   // churn model whose failure schedule is drawn at Run() over every session.
   std::shared_ptr<const AccessLinkDistribution> access_links;
   std::shared_ptr<const ChurnModel> churn;

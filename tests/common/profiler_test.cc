@@ -81,22 +81,24 @@ ScenarioConfig TinyConfig() {
 // network totals the scenario reports.
 TEST(ProfilerDeterminismTest, InstrumentationDoesNotPerturbResults) {
   const ScenarioConfig cfg = TinyConfig();
-  const ScenarioResult bare = RunScenario("bullet-prime", cfg);
+  const WorkloadResult bare = RunScenario("bullet-prime", cfg);
 
   RunCounters counters;
   PhaseProfiler profiler;
-  ScenarioResult instrumented;
+  WorkloadResult instrumented;
   {
     ScopedRunCounters install_counters(&counters);
     ScopedProfilerInstall install_profiler(&profiler);
     instrumented = RunScenario("bullet-prime", cfg);
   }
 
-  EXPECT_EQ(bare.completion_sec, instrumented.completion_sec);
-  EXPECT_EQ(bare.download_sec, instrumented.download_sec);
-  EXPECT_EQ(bare.duplicate_fraction, instrumented.duplicate_fraction);
-  EXPECT_EQ(bare.control_overhead, instrumented.control_overhead);
-  EXPECT_EQ(bare.completed, instrumented.completed);
+  const SessionResult& bare_session = bare.sessions.front();
+  const SessionResult& instrumented_session = instrumented.sessions.front();
+  EXPECT_EQ(bare_session.completion_sec, instrumented_session.completion_sec);
+  EXPECT_EQ(bare_session.download_sec, instrumented_session.download_sec);
+  EXPECT_EQ(bare_session.duplicate_fraction, instrumented_session.duplicate_fraction);
+  EXPECT_EQ(bare_session.control_overhead, instrumented_session.control_overhead);
+  EXPECT_EQ(bare_session.completed, instrumented_session.completed);
   EXPECT_EQ(bare.events_executed, instrumented.events_executed);
   EXPECT_EQ(bare.allocator_epochs, instrumented.allocator_epochs);
   EXPECT_EQ(bare.sim_bytes_sent, instrumented.sim_bytes_sent);
@@ -145,7 +147,7 @@ TEST(RunCountersTest, NetworkPublishesDeltasNotTotals) {
   uint64_t first_events = 0;
   {
     ScopedRunCounters install(&counters);
-    const ScenarioResult r = RunScenario("bittorrent", TinyConfig());
+    const WorkloadResult r = RunScenario("bittorrent", TinyConfig());
     first_events = r.events_executed;
   }
   EXPECT_EQ(counters.events_executed, first_events);

@@ -59,14 +59,6 @@ TEST(BenchCheckTest, FailsOutsideTolerance) {
   EXPECT_EQ(Compare(Doc(10.0, 20.0), Doc(7.0, 20.0), opts), kBenchCheckRegression);
 }
 
-TEST(BenchCheckTest, PerMetricToleranceOverride) {
-  BenchCheckOptions opts;
-  opts.rel_tol = 0.05;
-  EXPECT_EQ(Compare(Doc(10.0, 20.0), Doc(12.0, 20.0), opts), kBenchCheckRegression);
-  opts.metric_rel_tol["Sys.p50_s"] = 0.5;
-  EXPECT_EQ(Compare(Doc(10.0, 20.0), Doc(12.0, 20.0), opts), kBenchCheckOk);
-}
-
 TEST(BenchCheckTest, AbsoluteFloorForTinyBaselines) {
   BenchCheckOptions opts;
   opts.rel_tol = 0.25;

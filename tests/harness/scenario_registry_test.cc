@@ -78,7 +78,8 @@ TEST(ScenarioRegistryTest, ApplyScenarioOptionsOverridesOnlySetFields) {
 }
 
 TEST(ScenarioReportTest, AddCompletionAttachesStandardMetrics) {
-  ScenarioResult result;
+  WorkloadResult run;
+  SessionResult& result = run.sessions.emplace_back();
   result.name = "SystemX";
   result.completion_sec = {1.0, 2.0, 4.0};
   result.duplicate_fraction = 0.125;
@@ -87,7 +88,7 @@ TEST(ScenarioReportTest, AddCompletionAttachesStandardMetrics) {
   result.receivers = 3;
 
   ScenarioReport report("t");
-  report.AddCompletion(result);
+  report.AddCompletion(run);
   ASSERT_EQ(report.series().size(), 1u);
   const SeriesReport& s = report.series()[0];
   EXPECT_EQ(s.name, "SystemX");

@@ -147,12 +147,13 @@ class RunnerMainTest : public ::testing::Test {
     registry_.Register("tiny", "a tiny test scenario", [](const ScenarioOptions& opts) {
       ScenarioReport report("tiny");
       report.AddScalar("nodes", opts.nodes.value_or(-1));
-      ScenarioResult result;
+      WorkloadResult run;
+      SessionResult& result = run.sessions.emplace_back();
       result.name = "SystemX";
       result.completion_sec = {1.0, 2.0};
       result.completed = 2;
       result.receivers = 2;
-      report.AddCompletion(result);
+      report.AddCompletion(run);
       return report;
     });
   }

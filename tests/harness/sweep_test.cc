@@ -97,12 +97,27 @@ TEST(SweepFlagParityTest, DuplicatesCompareByValue) {
   std::string error;
   EXPECT_FALSE(ParseSweepAxisSpec("loss=0,0.0", &axis, &error));
   EXPECT_NE(error.find("duplicate value '0.0' in sweep axis 'loss'"), std::string::npos) << error;
+  // Equal values that print differently ("0" and "-0") are duplicates too.
+  EXPECT_FALSE(ParseSweepAxisSpec("loss=0,-0", &axis, &error));
+  EXPECT_NE(error.find("duplicate value '-0' in sweep axis 'loss'"), std::string::npos) << error;
   EXPECT_FALSE(ParseSweepAxisSpec("nodes=20,020", &axis, &error));
   EXPECT_NE(error.find("duplicate value '020' in sweep axis 'nodes'"), std::string::npos)
       << error;
   EXPECT_FALSE(ParseSweepAxisSpec("churn-model=stub,leaf,stub", &axis, &error));
   EXPECT_NE(error.find("duplicate value 'stub'"), std::string::npos) << error;
   EXPECT_TRUE(ParseSweepAxisSpec("nodes=20,021", &axis, &error)) << error;
+  // Distinct values that the sweep documents print alike (JsonWriter::Number's
+  // ten significant digits) would give two points the same params.
+  EXPECT_FALSE(ParseSweepAxisSpec("deadline-sec=100.00000001,100.00000002", &axis, &error));
+  EXPECT_NE(error.find("duplicate value '100.00000002' in sweep axis 'deadline-sec'"),
+            std::string::npos)
+      << error;
+  EXPECT_FALSE(ParseSweepAxisSpec("block-bytes=10000000000,10000000001", &axis, &error));
+  EXPECT_NE(error.find("duplicate value '10000000001' in sweep axis 'block-bytes'"),
+            std::string::npos)
+      << error;
+  EXPECT_TRUE(ParseSweepAxisSpec("deadline-sec=100.0000001,100.0000002", &axis, &error))
+      << error;
 }
 
 TEST(ExpandSweepGridTest, CartesianProductWithRepeats) {
@@ -260,13 +275,14 @@ ScenarioRegistry MakeFakeRegistry() {
     ScenarioReport report("fake");
     report.AddScalar("nodes", static_cast<double>(opts.nodes.value_or(-1)));
     report.AddScalar("seed_lo", static_cast<double>(opts.seed.value_or(0) % 1000000));
-    ScenarioResult result;
+    WorkloadResult run;
+    SessionResult& result = run.sessions.emplace_back();
     result.name = "Sys";
     const double base = static_cast<double>(opts.nodes.value_or(0));
     result.completion_sec = {base + 1.0, base + 2.0, base + 3.0};
     result.completed = 3;
     result.receivers = 3;
-    report.AddCompletion(result);
+    report.AddCompletion(run);
     return report;
   });
   return registry;
@@ -332,12 +348,13 @@ TEST(RunSweepTest, PropagatesScenarioExceptions) {
 TEST(FlattenReportMetricsTest, NamespacesSeriesAndScalars) {
   ScenarioReport report("x");
   report.AddScalar("optimal_s", 4.5);
-  ScenarioResult result;
+  WorkloadResult run;
+  SessionResult& result = run.sessions.emplace_back();
   result.name = "Sys";
   result.completion_sec = {1.0, 2.0, 3.0, 4.0};
   result.completed = 4;
   result.receivers = 4;
-  report.AddCompletion(result);
+  report.AddCompletion(run);
 
   const std::map<std::string, double> flat = FlattenReportMetrics(report);
   EXPECT_DOUBLE_EQ(flat.at("optimal_s"), 4.5);

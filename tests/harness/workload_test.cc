@@ -340,8 +340,7 @@ TEST(WorkloadExperiment, ChurnModelDeparturesAreRecorded) {
             result.sessions[0].receivers);
 }
 
-// Encoded-stream methodology comes from the registry entry, exactly like the
-// old hard-coded system checks in RunScenario.
+// Encoded-stream methodology comes from the registry entry.
 TEST(RunScenarioByName, EncodedStreamFollowsRegistryEntry) {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kUniform;
@@ -350,7 +349,7 @@ TEST(RunScenarioByName, EncodedStreamFollowsRegistryEntry) {
   cfg.seed = 707;
   cfg.deadline = SecToSim(1200.0);
 
-  const ScenarioResult legacy_bullet = RunScenario("bullet", cfg);
+  const SessionResult legacy_bullet = RunScenario("bullet", cfg).sessions.front();
   EXPECT_EQ(legacy_bullet.name, "Bullet");
   EXPECT_EQ(legacy_bullet.completed, legacy_bullet.receivers);
 }
@@ -367,7 +366,7 @@ TEST(RunScenarioByName, SubBlockFileRunsOneBlock) {
   cfg.file_mb = 0.001;
   cfg.loss_max = 0.0;
   cfg.seed = 708;
-  const ScenarioResult r = RunScenario("bullet-prime", cfg);
+  const SessionResult r = RunScenario("bullet-prime", cfg).sessions.front();
   EXPECT_EQ(r.completed, r.receivers);
   ASSERT_FALSE(r.completion_sec.empty());
   EXPECT_LT(*std::max_element(r.completion_sec.begin(), r.completion_sec.end()), 60.0);

@@ -48,7 +48,7 @@ ScenarioConfig Fig04Config() {
   return cfg;
 }
 
-std::string Serialize(const ScenarioResult& result) {
+std::string Serialize(const WorkloadResult& result) {
   ScenarioReport report("determinism");
   report.AddCompletion(result);
   std::ostringstream os;
@@ -239,7 +239,7 @@ ScenarioConfig TransitStubConfig() {
 
 TEST(Determinism, TransitStubRepeatedRunsSerializeIdentically) {
   const ScenarioConfig cfg = TransitStubConfig();
-  const ScenarioResult first = RunScenario("bullet-prime", cfg);
+  const WorkloadResult first = RunScenario("bullet-prime", cfg);
   const std::string serialized = Serialize(first);
   EXPECT_FALSE(serialized.empty());
   EXPECT_EQ(SerializedRun(cfg), serialized);
@@ -296,8 +296,8 @@ WorkloadResult RunLateJoinChurnWorkload() {
 
 std::string SerializeWorkload(const WorkloadResult& result) {
   ScenarioReport report("workload_determinism");
+  report.AddCompletion(result);
   for (const SessionResult& session : result.sessions) {
-    report.AddCompletion(session.name, ToScenarioResult(session, result));
     report.AddSeries(session.name + " download", session.download_sec);
   }
   report.AddScalar("sessions_completed", result.sessions_completed);
@@ -342,7 +342,7 @@ TEST(Determinism, GeneratorDrivenChurnWorkloadSerializesIdentically) {
         std::make_shared<ParetoLifetime>(1.5, SecToSim(30.0), /*depart_after_completion=*/true,
                                          /*linger=*/SecToSim(5.0));
     workload.sessions.push_back(std::move(session));
-    const WorkloadResult wl = RunScenarioWorkload(cfg, workload);
+    const WorkloadResult wl = BuildScenarioExperiment(cfg, workload)->Run();
 
     std::ostringstream os;
     os << wl.sessions_completed << '|' << wl.total_departures << '|' << wl.max_shared_link_flows;

@@ -1,5 +1,5 @@
 // End-to-end contract of the mega-swarm scale subsystem (ctest label
-// `routed`): the memory telemetry must flow through ScenarioResult so the
+// `routed`): the memory telemetry must flow through WorkloadResult so the
 // megaswarm ceilings gate has real numbers to check. (Composed transit-stub
 // routes are held to the source-router Dijkstra walk in scale_subsystem_test.)
 
@@ -20,9 +20,9 @@ ScenarioConfig SmallMegaswarmConfig() {
   return cfg;
 }
 
-TEST(MegaswarmScale, MemoryTelemetryFlowsThroughScenarioResult) {
+TEST(MegaswarmScale, MemoryTelemetryFlowsThroughWorkloadResult) {
   ScenarioConfig cfg = SmallMegaswarmConfig();
-  const ScenarioResult r = RunScenario("bullet-prime", cfg);
+  const WorkloadResult r = RunScenario("bullet-prime", cfg);
   // Transit-stub routing computes transit-router trees and fills the
   // network's route pool; Bullet' peer tables are charged to the network's
   // ArenaCounter.
@@ -31,14 +31,14 @@ TEST(MegaswarmScale, MemoryTelemetryFlowsThroughScenarioResult) {
   EXPECT_GT(r.arena_peak_bytes, 0u);
 
   // BitTorrent's peer table is counted too.
-  const ScenarioResult bt = RunScenario("bittorrent", cfg);
+  const WorkloadResult bt = RunScenario("bittorrent", cfg);
   EXPECT_GT(bt.arena_peak_bytes, 0u);
 }
 
 TEST(MegaswarmScale, MeshTopologyReportsNoRouteCache) {
   ScenarioConfig cfg = SmallMegaswarmConfig();
   cfg.topo = ScenarioConfig::Topo::kMesh;
-  const ScenarioResult r = RunScenario("bullet-prime", cfg);
+  const WorkloadResult r = RunScenario("bullet-prime", cfg);
   // Dense mesh paths are computed from the matrix, not from route state.
   EXPECT_EQ(r.route_cache_bytes, 0u);
   EXPECT_GT(r.arena_peak_bytes, 0u);

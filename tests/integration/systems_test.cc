@@ -4,12 +4,20 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/common/stats.h"
 #include "src/core/bullet_prime.h"
 #include "src/harness/scenarios.h"
 
 namespace bullet {
 namespace {
+
+// The one session of a RunScenario run.
+SessionResult RunSession(const std::string& protocol, const ScenarioConfig& cfg,
+                         const BulletPrimeConfig& bp = BulletPrimeConfig{}) {
+  return RunScenario(protocol, cfg, bp).sessions.front();
+}
 
 ScenarioConfig MediumScenario(bool dynamic) {
   ScenarioConfig cfg;
@@ -26,7 +34,7 @@ ScenarioConfig MediumScenario(bool dynamic) {
 TEST(Systems, AllCompleteOnPaperTopology) {
   const ScenarioConfig cfg = MediumScenario(false);
   for (const char* system : {"bullet-prime", "bullet", "bittorrent", "splitstream"}) {
-    const ScenarioResult r = RunScenario(system, cfg);
+    const SessionResult r = RunSession(system, cfg);
     EXPECT_EQ(r.completed, r.receivers) << r.name;
     EXPECT_LT(r.duplicate_fraction, 0.05) << r.name;
     EXPECT_LT(r.control_overhead, 0.05) << r.name;
@@ -35,10 +43,10 @@ TEST(Systems, AllCompleteOnPaperTopology) {
 
 TEST(Systems, BulletPrimeBeatsBaselinesStatic) {
   const ScenarioConfig cfg = MediumScenario(false);
-  const double bp = Percentile(RunScenario("bullet-prime", cfg).completion_sec, 0.5);
-  const double bullet = Percentile(RunScenario("bullet", cfg).completion_sec, 0.5);
-  const double bt = Percentile(RunScenario("bittorrent", cfg).completion_sec, 0.5);
-  const double ss = Percentile(RunScenario("splitstream", cfg).completion_sec, 0.5);
+  const double bp = Percentile(RunSession("bullet-prime", cfg).completion_sec, 0.5);
+  const double bullet = Percentile(RunSession("bullet", cfg).completion_sec, 0.5);
+  const double bt = Percentile(RunSession("bittorrent", cfg).completion_sec, 0.5);
+  const double ss = Percentile(RunSession("splitstream", cfg).completion_sec, 0.5);
   // Fig. 4's ordering. CI scale shrinks margins; the BP-vs-SplitStream gap needs a
   // longer transfer to open up (SplitStreamSlowestAtScale covers it), so allow a
   // near-tie there.
@@ -56,8 +64,8 @@ TEST(Systems, SplitStreamSlowestAtScale) {
   cfg.file_mb = 40.0;
   cfg.seed = 401;
   cfg.deadline = SecToSim(3600.0);
-  const auto bp = RunScenario("bullet-prime", cfg).completion_sec;
-  const auto ss = RunScenario("splitstream", cfg).completion_sec;
+  const auto bp = RunSession("bullet-prime", cfg).completion_sec;
+  const auto ss = RunSession("splitstream", cfg).completion_sec;
   EXPECT_GT(Percentile(ss, 0.5), Percentile(bp, 0.5) * 1.2);
   EXPECT_GT(Percentile(ss, 1.0), Percentile(bp, 1.0) * 1.1);
 }
@@ -65,10 +73,10 @@ TEST(Systems, SplitStreamSlowestAtScale) {
 TEST(Systems, DynamicConditionsHurtBitTorrentMoreThanBulletPrime) {
   const ScenarioConfig stat = MediumScenario(false);
   const ScenarioConfig dyn = MediumScenario(true);
-  const double bp_static = Percentile(RunScenario("bullet-prime", stat).completion_sec, 0.9);
-  const double bp_dyn = Percentile(RunScenario("bullet-prime", dyn).completion_sec, 0.9);
-  const double bt_static = Percentile(RunScenario("bittorrent", stat).completion_sec, 0.9);
-  const double bt_dyn = Percentile(RunScenario("bittorrent", dyn).completion_sec, 0.9);
+  const double bp_static = Percentile(RunSession("bullet-prime", stat).completion_sec, 0.9);
+  const double bp_dyn = Percentile(RunSession("bullet-prime", dyn).completion_sec, 0.9);
+  const double bt_static = Percentile(RunSession("bittorrent", stat).completion_sec, 0.9);
+  const double bt_dyn = Percentile(RunSession("bittorrent", dyn).completion_sec, 0.9);
   const double bp_hit = bp_dyn / bp_static;
   const double bt_hit = bt_dyn / bt_static;
   EXPECT_LT(bp_hit, bt_hit + 0.10);  // Bullet' absorbs the changes at least as well
@@ -78,8 +86,12 @@ TEST(Systems, EncodedBulletPrimeCompletes) {
   ScenarioConfig cfg = MediumScenario(false);
   cfg.num_nodes = 20;
   cfg.file_mb = 4.0;
-  cfg.force_encoded = true;
-  const ScenarioResult r = RunScenario("bullet-prime", cfg);
+  WorkloadSpec workload;
+  SessionSpec session;
+  session.seed = cfg.seed;
+  session.file.encoded = true;
+  workload.sessions.push_back(session);
+  const SessionResult r = BuildScenarioExperiment(cfg, workload)->Run().sessions.front();
   EXPECT_EQ(r.completed, r.receivers);
 }
 
@@ -91,7 +103,7 @@ TEST(Systems, WideAreaScenarioRuns) {
   cfg.block_bytes = 100 * 1024;  // the PlanetLab experiment's block size
   cfg.seed = 92;
   cfg.deadline = SecToSim(1800.0);
-  const ScenarioResult r = RunScenario("bullet-prime", cfg);
+  const SessionResult r = RunSession("bullet-prime", cfg);
   EXPECT_EQ(r.completed, r.receivers);
 }
 
@@ -102,7 +114,7 @@ TEST(Systems, ConstrainedAccessScenarioRuns) {
   cfg.file_mb = 2.0;
   cfg.seed = 93;
   cfg.deadline = SecToSim(1800.0);
-  const ScenarioResult r = RunScenario("bullet-prime", cfg);
+  const SessionResult r = RunSession("bullet-prime", cfg);
   EXPECT_EQ(r.completed, r.receivers);
 }
 
@@ -114,7 +126,7 @@ TEST(BulletPrimeBehaviour, StaticPeerSetsStayFixed) {
   bp.dynamic_peer_sets = false;
   bp.initial_senders = 6;
   bp.initial_receivers = 6;
-  const ScenarioResult r = RunScenario("bullet-prime", cfg, bp);
+  const SessionResult r = RunSession("bullet-prime", cfg, bp);
   EXPECT_EQ(r.completed, r.receivers);
 }
 
@@ -125,8 +137,6 @@ TEST(BulletPrimeBehaviour, DynamicOutstandingBeatsTinyFixedWindowOnFatPipes) {
   cfg.topo = ScenarioConfig::Topo::kUniform;
   cfg.num_nodes = 15;
   cfg.file_mb = 48.0;  // long enough that the transfer dominates mesh formation
-  cfg.uniform_bps = 10e6;
-  cfg.uniform_delay = MsToSim(100);
   cfg.loss_max = 0.0;  // Fig. 10 runs without loss: windows, not Mathis, must bind
   cfg.seed = 94;
   cfg.deadline = SecToSim(1800.0);
@@ -137,9 +147,9 @@ TEST(BulletPrimeBehaviour, DynamicOutstandingBeatsTinyFixedWindowOnFatPipes) {
   BulletPrimeConfig dynamic;
 
   const double t_fixed =
-      Percentile(RunScenario("bullet-prime", cfg, fixed3).completion_sec, 0.5);
+      Percentile(RunSession("bullet-prime", cfg, fixed3).completion_sec, 0.5);
   const double t_dyn =
-      Percentile(RunScenario("bullet-prime", cfg, dynamic).completion_sec, 0.5);
+      Percentile(RunSession("bullet-prime", cfg, dynamic).completion_sec, 0.5);
   EXPECT_LT(t_dyn, t_fixed * 0.8);
 }
 

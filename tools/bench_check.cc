@@ -6,7 +6,7 @@
 // gating" and docs/PERFORMANCE.md.
 //
 //   bench_check --baseline bench/baselines/ci_baseline.json --current BENCH_sweep_ci.json
-//               [--rel-tol 0.25] [--abs-tol 1e-9] [--metric-tol NAME=REL]...
+//               [--rel-tol 0.25] [--abs-tol 1e-9]
 //   bench_check --baseline bench/baselines/ci_floors.json --current BENCH_sweep_ci_floors.json
 //
 // Exit codes: 0 all within tolerance, 1 regression, 2 usage/input error.
@@ -21,9 +21,8 @@ namespace {
 
 void PrintUsage(std::ostream& os) {
   os << "usage: bench_check --baseline PATH --current PATH\n"
-        "                   [--rel-tol FRACTION]   default relative band (0.25)\n"
+        "                   [--rel-tol FRACTION]   relative band (0.25)\n"
         "                   [--abs-tol VALUE]      absolute floor per band (1e-9)\n"
-        "                   [--metric-tol NAME=F]  per-metric relative band, repeatable\n"
         "floors mode: a bullet-floors-v1 baseline gates one-sided\n"
         "(current >= floor); the tolerance flags are ignored\n"
         "exit: 0 pass, 1 regression, 2 bad input\n";
@@ -73,14 +72,6 @@ int main(int argc, char** argv) {
         std::cerr << "bench_check: bad --abs-tol '" << value << "'\n";
         return bullet::kBenchCheckBadInput;
       }
-    } else if (arg == "--metric-tol" && next(&value)) {
-      const size_t eq = value.rfind('=');
-      double tol = 0.0;
-      if (eq == std::string::npos || eq == 0 || !ParseFraction(value.substr(eq + 1), &tol)) {
-        std::cerr << "bench_check: bad --metric-tol '" << value << "' (want NAME=FRACTION)\n";
-        return bullet::kBenchCheckBadInput;
-      }
-      opts.metric_rel_tol[value.substr(0, eq)] = tol;
     } else {
       std::cerr << "bench_check: unknown or incomplete argument '" << arg << "'\n";
       PrintUsage(std::cerr);
