@@ -6,6 +6,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/harness/churn.h"
@@ -14,7 +15,13 @@
 namespace bullet {
 namespace {
 
-std::vector<double> RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) {
+struct ChurnRun {
+  std::vector<double> survivor_times;
+  // Leaves that failed: at most `kills`, as the control tree may have fewer.
+  int failures = 0;
+};
+
+ChurnRun RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) {
   WorkloadSpec workload;
   SessionSpec session;
   session.protocol = legacy ? "bullet" : "bullet-prime";
@@ -22,6 +29,7 @@ std::vector<double> RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) 
   workload.sessions.push_back(session);
   const std::unique_ptr<WorkloadExperiment> exp = BuildScenarioExperiment(cfg, workload);
 
+  ChurnRun run;
   std::vector<char> is_victim(static_cast<size_t>(cfg.num_nodes), 0);
   if (kills > 0) {
     Rng churn_rng(cfg.seed ^ 0xc0ffee);
@@ -31,20 +39,20 @@ std::vector<double> RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) 
       is_victim[static_cast<size_t>(v)] = 1;
     }
     ScheduleChurn(exp->net(), plan);
+    run.failures = static_cast<int>(plan.victims.size());
   }
   exp->Run();
 
   const RunMetrics& metrics = exp->session_metrics(0);
-  std::vector<double> survivor_times;
   for (NodeId n = 1; n < cfg.num_nodes; ++n) {
     if (is_victim[static_cast<size_t>(n)]) {
       continue;
     }
-    survivor_times.push_back(metrics.node(n).completion >= 0
-                                 ? SimToSec(metrics.node(n).completion)
-                                 : SimToSec(cfg.deadline));
+    run.survivor_times.push_back(metrics.node(n).completion >= 0
+                                     ? SimToSec(metrics.node(n).completion)
+                                     : SimToSec(cfg.deadline));
   }
-  return survivor_times;
+  return run;
 }
 
 BULLET_SCENARIO(churn_resilience, "Extension — survivor completion under leaf failures") {
@@ -56,7 +64,7 @@ BULLET_SCENARIO(churn_resilience, "Extension — survivor completion under leaf 
   ApplyScenarioOptions(opts, &cfg);
 
   struct Sweep {
-    const char* name;  // display name, matching the registry's display_name
+    const char* name;  // display name, matching the system's kSystems row
     bool legacy;
     int kills;
   };
@@ -64,10 +72,15 @@ BULLET_SCENARIO(churn_resilience, "Extension — survivor completion under leaf 
   for (const Sweep sweep :
        {Sweep{"BulletPrime", false, 0}, Sweep{"BulletPrime", false, 10},
         Sweep{"BulletPrime", false, 25}, Sweep{"Bullet", true, 0}, Sweep{"Bullet", true, 25}}) {
-    const auto times = RunChurn(sweep.legacy, sweep.kills, cfg);
-    report.AddSeries(std::string(sweep.name) + " survivors, " +
-                         std::to_string(sweep.kills) + " failures",
-                     times);
+    ChurnRun run = RunChurn(sweep.legacy, sweep.kills, cfg);
+    // Name the failures that ran; a tree with fewer leaves than requested
+    // says so, which also keeps the names of the capped series apart.
+    std::string name = std::string(sweep.name) + " survivors, " +
+                       std::to_string(run.failures) + " failures";
+    if (run.failures < sweep.kills) {
+      name += " (" + std::to_string(sweep.kills) + " requested)";
+    }
+    report.AddSeries(name, std::move(run.survivor_times));
   }
   return report;
 }

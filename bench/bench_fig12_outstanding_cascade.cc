@@ -40,16 +40,24 @@ MeshTopology Fig12Topology() {
   return topo;
 }
 
-// The topology is fixed at 8 nodes, so only the file/seed/deadline overrides apply.
+// The topology is fixed at 8 loss-free nodes, so --nodes, --topology and --loss
+// do not apply; the file, seed, deadline and stream overrides do.
 BULLET_SCENARIO(fig12_outstanding_cascade, "Fig. 12 — cascading bandwidth collapses") {
+  ScenarioConfig cfg;
+  cfg.file_mb = ScaledFileMb(100.0);
+  cfg.block_bytes = 8 * 1024;
+  cfg.seed = 1201;
+  cfg.deadline = SecToSim(7200.0);
+  ApplyScenarioOptions(opts, &cfg);
+
   WorkloadParams params;
-  params.seed = opts.seed.value_or(1201);
-  params.deadline = SecToSim(opts.deadline_sec.value_or(7200.0));
+  params.seed = cfg.seed;
+  params.deadline = cfg.deadline;
   SessionSpec session;
-  session.seed = params.seed;
-  session.file.block_bytes = opts.block_bytes.value_or(8 * 1024);
-  session.file.num_blocks =
-      FileBlocks(opts.file_mb.value_or(ScaledFileMb(100.0)), session.file.block_bytes);
+  session.seed = cfg.seed;
+  session.file.block_bytes = cfg.block_bytes;
+  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
+  session.streaming = cfg.streaming;
 
   ScenarioReport report(kScenarioName);
   for (const int window : {0, 9, 15, 50, 6, 3}) {
@@ -65,7 +73,7 @@ BULLET_SCENARIO(fig12_outstanding_cascade, "Fig. 12 — cascading bandwidth coll
       bp.fixed_outstanding = window;
       name = "BulletPrime " + std::to_string(window) + " outstanding";
     }
-    session.protocol_config = bp;
+    session.bullet_prime = bp;
 
     WorkloadExperiment exp(Fig12Topology(), params);
     exp.AddSession(session);

@@ -49,17 +49,27 @@ MeshTopology PrivateCoreTopology(int nodes) {
   return topo;
 }
 
+// Both topologies are built here with loss-free links, so --topology and --loss
+// do not apply; the size, file, seed, deadline and stream overrides do.
 BULLET_SCENARIO(fig16_shared_bottleneck,
                 "Extension — routed dumbbell: flows share one bottleneck core link") {
-  const int nodes = opts.nodes.value_or(16);
+  ScenarioConfig cfg;
+  cfg.num_nodes = 16;
+  cfg.file_mb = ScaledFileMb(10.0);
+  cfg.block_bytes = 16 * 1024;
+  cfg.seed = 1601;
+  cfg.deadline = SecToSim(7200.0);
+  ApplyScenarioOptions(opts, &cfg);
+
+  const int nodes = cfg.num_nodes;
   WorkloadParams params;
-  params.seed = opts.seed.value_or(1601);
-  params.deadline = SecToSim(opts.deadline_sec.value_or(7200.0));
+  params.seed = cfg.seed;
+  params.deadline = cfg.deadline;
   SessionSpec session;
-  session.seed = params.seed;
-  session.file.block_bytes = opts.block_bytes.value_or(16 * 1024);
-  session.file.num_blocks =
-      FileBlocks(opts.file_mb.value_or(ScaledFileMb(10.0)), session.file.block_bytes);
+  session.seed = cfg.seed;
+  session.file.block_bytes = cfg.block_bytes;
+  session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
+  session.streaming = cfg.streaming;
 
   ScenarioReport report(kScenarioName);
   int32_t shared_flows = 0;

@@ -1,9 +1,9 @@
 // Fig. 20 (extension, no paper figure): mixed systems in one network. A
 // Bullet' session and a BitTorrent session — disjoint interleaved member sets,
 // separate sources and files — compete head-to-head over the same transit-stub
-// gateways. The string-keyed protocol registry is what makes this expressible:
-// each session resolves its own factory by name, and per-session completion
-// lets the faster system finish without cutting the slower one off.
+// gateways. Each session names its own system by key (kSystems), so one
+// network can mix them, and per-session completion lets the faster system
+// finish without cutting the slower one off.
 //
 // Fixed system roster (the comparison *is* the scenario), so --system is
 // ignored like any other override that does not apply.

@@ -3,15 +3,11 @@
 #include <algorithm>
 
 #include "src/common/profiler.h"
-#include "src/overlay/protocol_registry.h"
 
 namespace bullet {
 
-BitTorrent::BitTorrent(const Context& ctx, const FileParams& file, NodeId source,
-                       const BitTorrentConfig& config)
-    : DisseminationProtocol(ctx, file, source),
-      config_(config),
-      peers_(ctx.net->arena_counter()) {
+BitTorrent::BitTorrent(const Context& ctx, const FileParams& file, NodeId source)
+    : DisseminationProtocol(ctx, file, source), peers_(ctx.net->arena_counter()) {
   piece_rarity_.assign(NumPieces(), 0);
   piece_blocks_held_.assign(NumPieces(), 0);
   if (is_source()) {
@@ -22,13 +18,13 @@ BitTorrent::BitTorrent(const Context& ctx, const FileParams& file, NodeId source
 }
 
 uint32_t BitTorrent::NumPieces() const {
-  return (file_.num_blocks + static_cast<uint32_t>(config_.piece_blocks) - 1) /
-         static_cast<uint32_t>(config_.piece_blocks);
+  return (file_.num_blocks + static_cast<uint32_t>(kPieceBlocks) - 1) /
+         static_cast<uint32_t>(kPieceBlocks);
 }
 
 uint32_t BitTorrent::PieceEnd(uint32_t piece) const {
   return std::min(file_.num_blocks,
-                  PieceBegin(piece) + static_cast<uint32_t>(config_.piece_blocks));
+                  PieceBegin(piece) + static_cast<uint32_t>(kPieceBlocks));
 }
 
 bool BitTorrent::PieceComplete(uint32_t piece) const {
@@ -76,8 +72,8 @@ void BitTorrent::Start() {
     tracker_conn_ = net().Connect(self(), source_);
   }
   // Choking timers run at every node.
-  queue().ScheduleAfter(config_.rechoke_period, [this] { Rechoke(); });
-  queue().ScheduleAfter(config_.optimistic_period, [this] { RotateOptimistic(); });
+  queue().ScheduleAfter(kRechokePeriod, [this] { Rechoke(); });
+  queue().ScheduleAfter(kOptimisticPeriod, [this] { RotateOptimistic(); });
   if (stream() != nullptr && !is_source()) {
     // Streaming mode: the window also slides with the source's release clock,
     // which no peer message announces — poll at the block cadence.
@@ -155,7 +151,7 @@ void BitTorrent::OnMessage(ConnId conn, NodeId from, std::unique_ptr<Message> ms
       ConnectToPeers(static_cast<bt::TrackerResponseMsg&>(*msg).peers);
       // The tracker connection doubles as a peering with the seed.
       if (peers_.find(conn) == peers_.end() && peer_nodes_.count(from) == 0 &&
-          static_cast<int>(peers_.size()) < config_.max_connections) {
+          static_cast<int>(peers_.size()) < kMaxConnections) {
         Peer p;
         p.node = from;
         p.conn = conn;
@@ -180,7 +176,7 @@ void BitTorrent::OnMessage(ConnId conn, NodeId from, std::unique_ptr<Message> ms
       auto it = peers_.find(conn);
       if (it == peers_.end()) {
         // Inbound peering: create state and reply with our bitfield.
-        if (static_cast<int>(peers_.size()) >= config_.max_connections) {
+        if (static_cast<int>(peers_.size()) >= kMaxConnections) {
           net().Close(conn);
           return;
         }
@@ -302,7 +298,7 @@ void BitTorrent::HandleTrackerRequest(ConnId conn, NodeId from) {
       others.push_back(n);
     }
   }
-  resp->peers = rng().Sample(others, static_cast<size_t>(config_.peer_list_size));
+  resp->peers = rng().Sample(others, static_cast<size_t>(kPeerListSize));
   resp->Finalize();
   AccountControlOut(resp->wire_bytes);
   net().Send(conn, self(), std::move(resp));
@@ -311,7 +307,7 @@ void BitTorrent::HandleTrackerRequest(ConnId conn, NodeId from) {
 void BitTorrent::ConnectToPeers(const std::vector<NodeId>& list) {
   for (const NodeId n : list) {
     if (n == self() || peer_nodes_.count(n) > 0 ||
-        static_cast<int>(peers_.size()) >= config_.max_connections) {
+        static_cast<int>(peers_.size()) >= kMaxConnections) {
       continue;
     }
     const ConnId conn = net().Connect(self(), n);
@@ -388,7 +384,7 @@ void BitTorrent::IssueRequests(Peer& p) {
   if (p.peer_choking || !p.am_interested || complete()) {
     return;
   }
-  while (p.outstanding < config_.outstanding_per_peer) {
+  while (p.outstanding < kOutstandingPerPeer) {
     // Continue a partial piece if possible, otherwise pick a new one.
     int piece = SelectPiece(p);
     if (piece < 0) {
@@ -400,7 +396,7 @@ void BitTorrent::IssueRequests(Peer& p) {
       return;
     }
     for (const uint32_t block : missing) {
-      if (p.outstanding >= config_.outstanding_per_peer) {
+      if (p.outstanding >= kOutstandingPerPeer) {
         break;
       }
       auto req = std::make_unique<bt::RequestMsg>();
@@ -459,7 +455,7 @@ void BitTorrent::Rechoke() {
   });
 
   std::set<ConnId> unchoke;
-  for (size_t i = 0; i < ranked.size() && static_cast<int>(unchoke.size()) < config_.unchoke_slots;
+  for (size_t i = 0; i < ranked.size() && static_cast<int>(unchoke.size()) < kUnchokeSlots;
        ++i) {
     unchoke.insert(ranked[i].second);
   }
@@ -481,7 +477,7 @@ void BitTorrent::Rechoke() {
     p.bytes_in_window = 0;
     p.bytes_out_window = 0;
   }
-  queue().ScheduleAfter(config_.rechoke_period, [this] { Rechoke(); });
+  queue().ScheduleAfter(kRechokePeriod, [this] { Rechoke(); });
 }
 
 void BitTorrent::RotateOptimistic() {
@@ -504,7 +500,7 @@ void BitTorrent::RotateOptimistic() {
       net().Send(pick, self(), std::move(msg));
     }
   }
-  queue().ScheduleAfter(config_.optimistic_period, [this] { RotateOptimistic(); });
+  queue().ScheduleAfter(kOptimisticPeriod, [this] { RotateOptimistic(); });
 }
 
 int BitTorrent::num_unchoked() const {
@@ -515,38 +511,6 @@ int BitTorrent::num_unchoked() const {
     }
   }
   return n;
-}
-
-}  // namespace bullet
-
-namespace bullet {
-
-void RegisterBitTorrentProtocol() {
-  ProtocolRegistry::Entry entry;
-  entry.key = "bittorrent";
-  entry.display_name = "BitTorrent";
-  entry.description = "BitTorrent baseline: tracker peer lists, rarest-first pieces, "
-                      "tit-for-tat choking";
-  entry.encoded_stream = false;
-  entry.config_type = &typeid(BitTorrentConfig);
-  entry.make = [](const ProtocolRegistry::SessionEnv& env) -> ProtocolRegistry::NodeFactory {
-    BitTorrentConfig config;
-    if (const auto* c = std::any_cast<BitTorrentConfig>(&env.spec->protocol_config)) {
-      config = *c;
-    }
-    const FileParams file = env.spec->file;
-    const NodeId source = env.spec->source;
-    const std::optional<StreamingSpec> streaming = env.spec->streaming;
-    const SimTime session_start = env.spec->start;
-    return [config, file, source, streaming, session_start](const Protocol::Context& ctx) {
-      auto p = std::make_unique<BitTorrent>(ctx, file, source, config);
-      if (streaming.has_value()) {
-        p->ConfigureStreaming(*streaming, session_start);
-      }
-      return std::unique_ptr<Protocol>(std::move(p));
-    };
-  };
-  ProtocolRegistry::Global().Register(std::move(entry));
 }
 
 }  // namespace bullet

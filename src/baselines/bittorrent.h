@@ -24,16 +24,6 @@
 
 namespace bullet {
 
-struct BitTorrentConfig {
-  int piece_blocks = 16;        // 16 x 16 KB = 256 KB pieces
-  int peer_list_size = 40;      // peers returned by the tracker
-  int max_connections = 40;
-  int unchoke_slots = 4;
-  SimTime rechoke_period = SecToSim(10.0);
-  SimTime optimistic_period = SecToSim(30.0);
-  int outstanding_per_peer = 5;  // BitTorrent's fixed pipeline (Section 4.5)
-};
-
 namespace bt {
 
 constexpr int64_t kSmallHeader = 16;
@@ -113,8 +103,10 @@ struct PieceMsg : Message {
 
 class BitTorrent : public DisseminationProtocol {
  public:
-  BitTorrent(const Context& ctx, const FileParams& file, NodeId source,
-             const BitTorrentConfig& config);
+  // Regular (tit-for-tat) unchoke slots; the optimistic unchoke comes on top.
+  static constexpr int kUnchokeSlots = 4;
+
+  BitTorrent(const Context& ctx, const FileParams& file, NodeId source);
 
   void Start() override;
   void OnConnUp(ConnId conn, NodeId peer, bool initiator) override;
@@ -124,6 +116,13 @@ class BitTorrent : public DisseminationProtocol {
   int num_unchoked() const;
 
  private:
+  static constexpr int kPieceBlocks = 16;    // 16 x 16 KB = 256 KB pieces
+  static constexpr int kPeerListSize = 40;   // peers returned by the tracker
+  static constexpr int kMaxConnections = 40;
+  static constexpr SimTime kRechokePeriod = SecToSim(10.0);
+  static constexpr SimTime kOptimisticPeriod = SecToSim(30.0);
+  static constexpr int kOutstandingPerPeer = 5;  // BitTorrent's fixed pipeline (Section 4.5)
+
   struct Peer {
     NodeId node = -1;
     ConnId conn = -1;
@@ -140,11 +139,11 @@ class BitTorrent : public DisseminationProtocol {
 
   uint32_t NumPieces() const;
   uint32_t PieceOf(uint32_t block) const {
-    return block / static_cast<uint32_t>(config_.piece_blocks);
+    return block / static_cast<uint32_t>(kPieceBlocks);
   }
   // Blocks [PieceBegin, PieceEnd) make up `piece`.
   uint32_t PieceBegin(uint32_t piece) const {
-    return piece * static_cast<uint32_t>(config_.piece_blocks);
+    return piece * static_cast<uint32_t>(kPieceBlocks);
   }
   uint32_t PieceEnd(uint32_t piece) const;
   bool PieceComplete(uint32_t piece) const;
@@ -172,8 +171,6 @@ class BitTorrent : public DisseminationProtocol {
   void BroadcastHave(uint32_t piece);
   void OnPieceMsg(Peer& p, bt::PieceMsg& msg);
 
-  BitTorrentConfig config_;
-
   // Counted on the network's ArenaCounter (mega-swarm): same ascending-ConnId
   // iteration order as the std::map it replaced, so results stay byte-identical.
   StableFlatMap<ConnId, Peer> peers_;
@@ -189,9 +186,6 @@ class BitTorrent : public DisseminationProtocol {
   ConnId tracker_conn_ = -1;
   bool have_first_piece_ = false;
 };
-
-// Registers "bittorrent" in ProtocolRegistry::Global(). Idempotent.
-void RegisterBitTorrentProtocol();
 
 }  // namespace bullet
 

@@ -2,20 +2,18 @@
 
 #include <algorithm>
 
-#include "src/overlay/protocol_registry.h"
-
 namespace bullet {
 
 BulletLegacy::BulletLegacy(const Context& ctx, const FileParams& file, NodeId source,
-                           const ControlTree* tree, const BulletLegacyConfig& config)
-    : TreeOverlayProtocol(ctx, file, source, tree, RanSubAgent::Config{}), config_(config) {}
+                           const ControlTree* tree)
+    : TreeOverlayProtocol(ctx, file, source, tree, RanSubAgent::Config{}) {}
 
 void BulletLegacy::Start() {
   TreeOverlayProtocol::Start();
   if (is_source()) {
     queue().ScheduleAfter(SecToSim(1.0), [this] { SourcePushTick(); });
   }
-  queue().ScheduleAfter(config_.summary_period, [this] { PeriodicSummaries(); });
+  queue().ScheduleAfter(kSummaryPeriod, [this] { PeriodicSummaries(); });
 }
 
 PeerSummary BulletLegacy::MakeSummary() {
@@ -42,7 +40,7 @@ void BulletLegacy::SourcePushTick() {
         const size_t idx = (next_push_child_ + i) % kids.size();
         const ConnId conn = ChildConn(kids[idx]);
         if (conn < 0 ||
-            net().QueuedBytes(conn, self()) >= config_.forward_queue_blocks * file_.block_bytes) {
+            net().QueuedBytes(conn, self()) >= kForwardQueueBlocks * file_.block_bytes) {
           continue;
         }
         auto msg = std::make_unique<bp::BlockMsg>();
@@ -65,7 +63,7 @@ void BulletLegacy::SourcePushTick() {
     }
   }
   if (next_push_block_ < total && !net().queue().stopped()) {
-    queue().ScheduleAfter(config_.source_push_retry, [this] { SourcePushTick(); });
+    queue().ScheduleAfter(kSourcePushRetry, [this] { SourcePushTick(); });
   }
 }
 
@@ -81,7 +79,7 @@ void BulletLegacy::ForwardPushed(uint32_t id) {
     const size_t idx = (next_forward_child_ + i) % kids.size();
     const ConnId conn = ChildConn(kids[idx]);
     if (conn < 0 ||
-        net().QueuedBytes(conn, self()) >= config_.forward_queue_blocks * file_.block_bytes) {
+        net().QueuedBytes(conn, self()) >= kForwardQueueBlocks * file_.block_bytes) {
       continue;
     }
     auto msg = std::make_unique<bp::BlockMsg>();
@@ -129,7 +127,7 @@ void BulletLegacy::OnRanSubEpoch(const std::vector<PeerSummary>& subset) {
   }
 
   // Fill the fixed-size peer set, preferring peers with the most blocks.
-  const int want = config_.num_senders - static_cast<int>(sender_nodes_.size());
+  const int want = kNumSenders - static_cast<int>(sender_nodes_.size());
   if (want <= 0) {
     return;
   }
@@ -196,8 +194,8 @@ void BulletLegacy::IssueRequests(Sender& s) {
     return !have_.Test(id) && requested_.find(id) == requested_.end();
   };
   const auto rarity = [](uint32_t) { return 0; };  // legacy Bullet has no rarity data
-  while (s.outstanding < config_.outstanding) {
-    const auto pick = s.candidates.Pick(config_.request_strategy, valid, rarity, rng());
+  while (s.outstanding < kOutstanding) {
+    const auto pick = s.candidates.Pick(kRequestStrategy, valid, rarity, rng());
     if (!pick.has_value()) {
       break;
     }
@@ -233,7 +231,7 @@ void BulletLegacy::PeriodicSummaries() {
     SendDiff(r);
   }
   if (!net().queue().stopped()) {
-    queue().ScheduleAfter(config_.summary_period, [this] { PeriodicSummaries(); });
+    queue().ScheduleAfter(kSummaryPeriod, [this] { PeriodicSummaries(); });
   }
 }
 
@@ -245,7 +243,7 @@ void BulletLegacy::OnProtocolMessage(ConnId conn, NodeId from, std::unique_ptr<M
   switch (msg->type) {
     case bp::PeerRequestMsg::kType: {
       AccountControlIn(msg->wire_bytes);
-      if (static_cast<int>(receivers_.size()) < config_.max_receivers) {
+      if (static_cast<int>(receivers_.size()) < kMaxReceivers) {
         Receiver r;
         r.node = from;
         r.conn = conn;
@@ -342,33 +340,6 @@ void BulletLegacy::OnProtocolMessage(ConnId conn, NodeId from, std::unique_ptr<M
     default:
       return;
   }
-}
-
-}  // namespace bullet
-
-namespace bullet {
-
-void RegisterBulletLegacyProtocol() {
-  ProtocolRegistry::Entry entry;
-  entry.key = "bullet";
-  entry.display_name = "Bullet";
-  entry.description = "The released Bullet (INFOCOM'03 design): fixed peer sets and "
-                      "per-peer windows over a source-encoded stream";
-  entry.encoded_stream = true;
-  entry.config_type = &typeid(BulletLegacyConfig);
-  entry.make = [](const ProtocolRegistry::SessionEnv& env) -> ProtocolRegistry::NodeFactory {
-    BulletLegacyConfig config;
-    if (const auto* c = std::any_cast<BulletLegacyConfig>(&env.spec->protocol_config)) {
-      config = *c;
-    }
-    const FileParams file = env.spec->file;
-    const NodeId source = env.spec->source;
-    const ControlTree* tree = env.tree;
-    return [config, file, source, tree](const Protocol::Context& ctx) {
-      return std::unique_ptr<Protocol>(new BulletLegacy(ctx, file, source, tree, config));
-    };
-  };
-  ProtocolRegistry::Global().Register(std::move(entry));
 }
 
 }  // namespace bullet

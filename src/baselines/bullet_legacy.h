@@ -28,20 +28,9 @@
 
 namespace bullet {
 
-struct BulletLegacyConfig {
-  int num_senders = 10;       // fixed peer set (Section 3.3.1: "the released Bullet")
-  int max_receivers = 14;
-  int outstanding = 5;        // fixed per-peer window
-  RequestStrategy request_strategy = RequestStrategy::kFirstEncountered;
-  SimTime summary_period = SecToSim(5.0);  // periodic availability diffs
-  int forward_queue_blocks = 3;            // per-child push queue cap
-  SimTime source_push_retry = MsToSim(20);
-};
-
 class BulletLegacy : public TreeOverlayProtocol {
  public:
-  BulletLegacy(const Context& ctx, const FileParams& file, NodeId source, const ControlTree* tree,
-               const BulletLegacyConfig& config);
+  BulletLegacy(const Context& ctx, const FileParams& file, NodeId source, const ControlTree* tree);
 
   void Start() override;
   int num_senders() const { return static_cast<int>(senders_.size()); }
@@ -54,6 +43,14 @@ class BulletLegacy : public TreeOverlayProtocol {
   PeerSummary MakeSummary() override;
 
  private:
+  static constexpr int kNumSenders = 10;  // fixed peer set (Section 3.3.1: "the released Bullet")
+  static constexpr int kMaxReceivers = 14;
+  static constexpr int kOutstanding = 5;  // fixed per-peer window
+  static constexpr RequestStrategy kRequestStrategy = RequestStrategy::kFirstEncountered;
+  static constexpr SimTime kSummaryPeriod = SecToSim(5.0);  // periodic availability diffs
+  static constexpr int kForwardQueueBlocks = 3;             // per-child push queue cap
+  static constexpr SimTime kSourcePushRetry = MsToSim(20);
+
   struct Sender {
     NodeId node = -1;
     ConnId conn = -1;
@@ -77,7 +74,6 @@ class BulletLegacy : public TreeOverlayProtocol {
   void SendDiff(Receiver& r);
   void PeriodicSummaries();
 
-  BulletLegacyConfig config_;
   std::map<ConnId, Sender> senders_;
   std::set<NodeId> sender_nodes_;
   std::unordered_map<uint32_t, ConnId> requested_;
@@ -87,10 +83,6 @@ class BulletLegacy : public TreeOverlayProtocol {
   size_t next_push_child_ = 0;
   size_t next_forward_child_ = 0;
 };
-
-// Registers "bullet" (the released Bullet) in ProtocolRegistry::Global().
-// Idempotent.
-void RegisterBulletLegacyProtocol();
 
 }  // namespace bullet
 

@@ -2,24 +2,20 @@
 
 #include <algorithm>
 
-#include "src/common/logging.h"
-#include "src/overlay/protocol_registry.h"
-
 namespace bullet {
 
 SplitStream::SplitStream(const Context& ctx, const FileParams& file, NodeId source,
-                         const StripeForest* forest, const SplitStreamConfig& config)
+                         const StripeForest* forest)
     : DisseminationProtocol(ctx, file, source),
-      config_(config),
       forest_(forest),
-      stripe_children_(static_cast<size_t>(config.num_stripes)) {}
+      stripe_children_(static_cast<size_t>(kNumStripes)) {}
 
 void SplitStream::Start() {
   // Group our stripe parents: one connection per distinct parent node, announcing
   // every stripe it feeds us on.
-  stripe_parent_.assign(static_cast<size_t>(config_.num_stripes), -1);
+  stripe_parent_.assign(static_cast<size_t>(kNumStripes), -1);
   std::map<NodeId, std::vector<int>> by_parent;
-  for (int stripe = 0; stripe < config_.num_stripes; ++stripe) {
+  for (int stripe = 0; stripe < kNumStripes; ++stripe) {
     const NodeId p = forest_->trees[static_cast<size_t>(stripe)].parent[static_cast<size_t>(self())];
     if (p >= 0) {
       stripe_parent_[static_cast<size_t>(stripe)] = p;
@@ -48,7 +44,7 @@ void SplitStream::LinkParent(NodeId parent) {
     awaiting_join_.insert(parent);
     if (!join_retry_scheduled_) {
       join_retry_scheduled_ = true;
-      queue().ScheduleAfter(config_.join_retry, [this] { JoinRetryTick(); });
+      queue().ScheduleAfter(kJoinRetry, [this] { JoinRetryTick(); });
     }
     return;
   }
@@ -74,7 +70,7 @@ void SplitStream::JoinRetryTick() {
     // Only link parents that still feed us a stripe (repair may have moved
     // every orphaned stripe elsewhere while we waited).
     bool feeds_us = false;
-    for (int stripe = 0; stripe < config_.num_stripes; ++stripe) {
+    for (int stripe = 0; stripe < kNumStripes; ++stripe) {
       if (stripe_parent_[static_cast<size_t>(stripe)] == p) {
         feeds_us = true;
         break;
@@ -86,7 +82,7 @@ void SplitStream::JoinRetryTick() {
   }
   if (!awaiting_join_.empty() && !join_retry_scheduled_) {
     join_retry_scheduled_ = true;
-    queue().ScheduleAfter(config_.join_retry, [this] { JoinRetryTick(); });
+    queue().ScheduleAfter(kJoinRetry, [this] { JoinRetryTick(); });
   }
 }
 
@@ -103,7 +99,7 @@ void SplitStream::OnConnUp(ConnId conn, NodeId peer, bool initiator) {
   // parents at start, plus any stripes regrafted here while the handshake
   // was in flight.
   auto hello = std::make_unique<ss::StripeHelloMsg>();
-  for (int stripe = 0; stripe < config_.num_stripes; ++stripe) {
+  for (int stripe = 0; stripe < kNumStripes; ++stripe) {
     if (stripe_parent_[static_cast<size_t>(stripe)] == peer) {
       hello->stripes.push_back(stripe);
     }
@@ -141,7 +137,7 @@ void SplitStream::RepairStripes(NodeId failed) {
   // ancestor chain from the departed parent, skipping failed nodes. The source
   // roots every stripe tree and never departs, so the climb terminates.
   std::map<NodeId, std::vector<int>> regraft;
-  for (int stripe = 0; stripe < config_.num_stripes; ++stripe) {
+  for (int stripe = 0; stripe < kNumStripes; ++stripe) {
     if (stripe_parent_[static_cast<size_t>(stripe)] != failed) {
       continue;
     }
@@ -177,7 +173,7 @@ void SplitStream::OnMessage(ConnId conn, NodeId /*from*/, std::unique_ptr<Messag
     case ss::StripeHelloMsg::kType: {
       AccountControlIn(msg->wire_bytes);
       for (const int stripe : static_cast<ss::StripeHelloMsg&>(*msg).stripes) {
-        if (stripe >= 0 && stripe < config_.num_stripes) {
+        if (stripe >= 0 && stripe < kNumStripes) {
           stripe_children_[static_cast<size_t>(stripe)].push_back(conn);
         }
       }
@@ -186,7 +182,7 @@ void SplitStream::OnMessage(ConnId conn, NodeId /*from*/, std::unique_ptr<Messag
     case ss::StripeBlockMsg::kType: {
       const auto& block = static_cast<ss::StripeBlockMsg&>(*msg);
       AcceptBlock(block.block_id, block.wire_bytes);
-      Forward(static_cast<int>(block.block_id) % config_.num_stripes, block.block_id);
+      Forward(static_cast<int>(block.block_id) % kNumStripes, block.block_id);
       return;
     }
     default:
@@ -204,7 +200,7 @@ void SplitStream::SourcePushTick() {
           ? total
           : static_cast<uint32_t>(std::min<uint64_t>(total, stream()->BlocksReleasable(now())));
   while (next_push_block_ < released) {
-    const int stripe = static_cast<int>(next_push_block_) % config_.num_stripes;
+    const int stripe = static_cast<int>(next_push_block_) % kNumStripes;
     // Pace generation: only mint the next block when at least one child of this
     // stripe has a fully drained pipe; otherwise retry shortly. Slow children build
     // a backpressured pending queue instead of missing blocks.
@@ -213,7 +209,7 @@ void SplitStream::SourcePushTick() {
       const auto pit = pending_.find(conn);
       const bool backlog = pit != pending_.end() && !pit->second.empty();
       if (!backlog && net().QueuedBytes(conn, self()) <
-                          config_.forward_queue_blocks * file_.block_bytes) {
+                          kForwardQueueBlocks * file_.block_bytes) {
         any_room = true;
         break;
       }
@@ -229,7 +225,7 @@ void SplitStream::SourcePushTick() {
     ++next_push_block_;
   }
   if (next_push_block_ < total && !net().queue().stopped()) {
-    queue().ScheduleAfter(config_.source_push_retry, [this] { SourcePushTick(); });
+    queue().ScheduleAfter(kSourcePushRetry, [this] { SourcePushTick(); });
   }
 }
 
@@ -244,7 +240,7 @@ void SplitStream::DrainPending() {
   bool backlog = false;
   for (auto& [conn, q] : pending_) {
     while (!q.empty() &&
-           net().QueuedBytes(conn, self()) < config_.forward_queue_blocks * file_.block_bytes) {
+           net().QueuedBytes(conn, self()) < kForwardQueueBlocks * file_.block_bytes) {
       auto msg = std::make_unique<ss::StripeBlockMsg>();
       msg->block_id = q.front();
       q.pop_front();
@@ -255,53 +251,11 @@ void SplitStream::DrainPending() {
   }
   if (backlog && !drain_scheduled_ && !net().queue().stopped()) {
     drain_scheduled_ = true;
-    queue().ScheduleAfter(config_.drain_retry, [this] {
+    queue().ScheduleAfter(kDrainRetry, [this] {
       drain_scheduled_ = false;
       DrainPending();
     });
   }
-}
-
-}  // namespace bullet
-
-namespace bullet {
-
-void RegisterSplitStreamProtocol() {
-  ProtocolRegistry::Entry entry;
-  entry.key = "splitstream";
-  entry.display_name = "SplitStream";
-  entry.description = "SplitStream baseline: k interior-node-disjoint stripe trees over "
-                      "a source-encoded stream";
-  entry.encoded_stream = true;
-  entry.requires_full_span = true;
-  entry.config_type = &typeid(SplitStreamConfig);
-  entry.make = [](const ProtocolRegistry::SessionEnv& env) -> ProtocolRegistry::NodeFactory {
-    SplitStreamConfig config;
-    if (const auto* c = std::any_cast<SplitStreamConfig>(&env.spec->protocol_config)) {
-      config = *c;
-    }
-    // The stripe forest is interior-disjoint over the *whole* node-id space
-    // (node v is interior only in stripe v mod k); a session over a subset
-    // would route stripes through nodes that never instantiate a protocol.
-    BULLET_CHECK(static_cast<int>(env.spec->members.size()) == env.num_nodes &&
-                 "splitstream sessions must span every node in the network");
-    Rng forest_rng(env.seed ^ 0x517cc1b727220a95ULL);
-    auto forest = std::make_shared<StripeForest>(
-        StripeForest::Build(env.num_nodes, config.num_stripes, env.spec->source, forest_rng));
-    const FileParams file = env.spec->file;
-    const NodeId source = env.spec->source;
-    const std::optional<StreamingSpec> streaming = env.spec->streaming;
-    const SimTime session_start = env.spec->start;
-    return [config, file, source, forest, streaming,
-            session_start](const Protocol::Context& ctx) {
-      auto p = std::make_unique<SplitStream>(ctx, file, source, forest.get(), config);
-      if (streaming.has_value()) {
-        p->ConfigureStreaming(*streaming, session_start);
-      }
-      return std::unique_ptr<Protocol>(std::move(p));
-    };
-  };
-  ProtocolRegistry::Global().Register(std::move(entry));
 }
 
 }  // namespace bullet

@@ -20,19 +20,6 @@
 
 namespace bullet {
 
-struct SplitStreamConfig {
-  int num_stripes = 8;
-  // Per-child connection-queue cap. Blocks beyond it wait in an application-level
-  // pending queue (TCP backpressure): a slow link slows its whole subtree — the
-  // monotonic bandwidth decrease inherent to tree delivery — but loses nothing.
-  int forward_queue_blocks = 4;
-  SimTime drain_retry = MsToSim(20);
-  SimTime source_push_retry = MsToSim(20);
-  // Poll interval while a stripe parent has not joined its session yet (the
-  // forest is built over the full member set, but members join staggered).
-  SimTime join_retry = MsToSim(500);
-};
-
 namespace ss {
 
 struct StripeHelloMsg : Message {
@@ -57,9 +44,12 @@ struct StripeBlockMsg : Message {
 
 class SplitStream : public DisseminationProtocol {
  public:
+  // Stripes k; `forest` must hold this many trees.
+  static constexpr int kNumStripes = 8;
+
   // `forest` must be shared by all nodes of the run (built from the same seed).
   SplitStream(const Context& ctx, const FileParams& file, NodeId source,
-              const StripeForest* forest, const SplitStreamConfig& config);
+              const StripeForest* forest);
 
   void Start() override;
   void OnConnUp(ConnId conn, NodeId peer, bool initiator) override;
@@ -74,6 +64,16 @@ class SplitStream : public DisseminationProtocol {
   }
 
  private:
+  // Per-child connection-queue cap. Blocks beyond it wait in an application-level
+  // pending queue (TCP backpressure): a slow link slows its whole subtree — the
+  // monotonic bandwidth decrease inherent to tree delivery — but loses nothing.
+  static constexpr int kForwardQueueBlocks = 4;
+  static constexpr SimTime kDrainRetry = MsToSim(20);
+  static constexpr SimTime kSourcePushRetry = MsToSim(20);
+  // Poll interval while a stripe parent has not joined its session yet (the
+  // forest is built over the full member set, but members join staggered).
+  static constexpr SimTime kJoinRetry = MsToSim(500);
+
   void SourcePushTick();
   void Forward(int stripe, uint32_t id);
   void DrainPending();
@@ -85,7 +85,6 @@ class SplitStream : public DisseminationProtocol {
   void LinkParent(NodeId parent);
   void JoinRetryTick();
 
-  SplitStreamConfig config_;
   const StripeForest* forest_;
 
   // Child connections per stripe (filled from StripeHello messages).
@@ -105,10 +104,6 @@ class SplitStream : public DisseminationProtocol {
 
   uint32_t next_push_block_ = 0;
 };
-
-// Registers "splitstream" in ProtocolRegistry::Global(). Idempotent. The
-// stripe forest spans every node, so splitstream sessions must too.
-void RegisterSplitStreamProtocol();
 
 }  // namespace bullet
 

@@ -38,7 +38,7 @@ std::vector<size_t> TrimIndices(const std::vector<double>& metric, double stddev
                                 size_t min_keep);
 
 struct OutstandingParams {
-  double alpha = 0.4;
+  double alpha = 0.4;  // XCP efficiency-controller gains (Section 3.3.3)
   double beta = 0.226;
   double min_outstanding = 1.0;
   double max_outstanding = 64.0;

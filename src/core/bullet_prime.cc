@@ -5,7 +5,6 @@
 
 #include "src/common/logging.h"
 #include "src/common/profiler.h"
-#include "src/overlay/protocol_registry.h"
 
 namespace bullet {
 
@@ -142,7 +141,7 @@ void BulletPrime::SourcePushTick() {
         }
         // Never force a block on a busy child; try the next one round-robin.
         if (net().QueuedBytes(conn, self()) >=
-            config_.source_child_queue_blocks * file_.block_bytes) {
+            kSourceChildQueueBlocks * file_.block_bytes) {
           continue;
         }
         auto msg = std::make_unique<bp::BlockMsg>();
@@ -169,7 +168,7 @@ void BulletPrime::SourcePushTick() {
     }
   }
   if (next_push_block_ < total) {
-    queue().ScheduleAfter(config_.source_push_retry, [this] { SourcePushTick(); });
+    queue().ScheduleAfter(kSourcePushRetry, [this] { SourcePushTick(); });
   } else {
     push_done_ = true;
     push_scheduled_ = false;
@@ -214,7 +213,7 @@ void BulletPrime::ManageSenderSet(double epoch_sec, const std::vector<PeerSummar
 
   if (config_.dynamic_peer_sets) {
     max_senders_ =
-        ManageMaxPeers(sender_adapt_, num_senders(), in_bps, config_.min_peers, config_.max_peers);
+        ManageMaxPeers(sender_adapt_, num_senders(), in_bps, kMinPeers, kMaxPeers);
 
     // 1.5-sigma trim on bandwidth received per sender.
     std::vector<ConnId> trim_conns;
@@ -226,7 +225,7 @@ void BulletPrime::ManageSenderSet(double epoch_sec, const std::vector<PeerSummar
       }
     }
     for (const size_t i :
-         TrimIndices(metric, config_.trim_stddevs, static_cast<size_t>(config_.min_peers))) {
+         TrimIndices(metric, config_.trim_stddevs, static_cast<size_t>(kMinPeers))) {
       auto it = senders_.find(trim_conns[i]);
       if (it != senders_.end()) {
         DisconnectSender(it->first, it->second);
@@ -234,7 +233,7 @@ void BulletPrime::ManageSenderSet(double epoch_sec, const std::vector<PeerSummar
     }
 
     // If the hill-climber lowered MAX below the current set size, shed the slowest.
-    while (num_senders() > max_senders_ && num_senders() > config_.min_peers) {
+    while (num_senders() > max_senders_ && num_senders() > kMinPeers) {
       ConnId worst = -1;
       int64_t worst_bytes = INT64_MAX;
       for (const auto& [conn, s] : senders_) {
@@ -288,7 +287,7 @@ void BulletPrime::ManageReceiverSet(double epoch_sec) {
   }
   const double out_bps = static_cast<double>(out_bytes) * 8.0 / epoch_sec;
   max_receivers_ = ManageMaxPeers(receiver_adapt_, static_cast<int>(receivers_.size()), out_bps,
-                                  config_.min_peers, config_.max_peers);
+                                  kMinPeers, kMaxPeers);
 
   // Trim receivers by the fraction of their total inbound bandwidth that we provide:
   // closing a low-ratio receiver barely hurts it, while freeing our uplink.
@@ -302,7 +301,7 @@ void BulletPrime::ManageReceiverSet(double epoch_sec) {
     }
   }
   for (const size_t i :
-       TrimIndices(metric, config_.trim_stddevs, static_cast<size_t>(config_.min_peers))) {
+       TrimIndices(metric, config_.trim_stddevs, static_cast<size_t>(kMinPeers))) {
     auto it = receivers_.find(trim_conns[i]);
     if (it != receivers_.end()) {
       net().Close(it->first);
@@ -310,7 +309,7 @@ void BulletPrime::ManageReceiverSet(double epoch_sec) {
     }
   }
   while (static_cast<int>(receivers_.size()) > max_receivers_ &&
-         static_cast<int>(receivers_.size()) > config_.min_peers) {
+         static_cast<int>(receivers_.size()) > kMinPeers) {
     auto worst = receivers_.end();
     int64_t worst_bytes = INT64_MAX;
     for (auto it = receivers_.begin(); it != receivers_.end(); ++it) {
@@ -341,7 +340,7 @@ void BulletPrime::ConnectToSender(NodeId node) {
   s.node = node;
   s.conn = conn;
   s.has.Resize(file_.BlockSpace());
-  s.desired = config_.dynamic_outstanding ? config_.initial_outstanding
+  s.desired = config_.dynamic_outstanding ? kInitialOutstanding
                                           : static_cast<double>(config_.fixed_outstanding);
   s.connected_at = now();
   senders_.emplace(conn, std::move(s));
@@ -424,7 +423,7 @@ void BulletPrime::OnProtocolMessage(ConnId conn, NodeId from, std::unique_ptr<Me
   switch (msg->type) {
     case bp::PeerRequestMsg::kType: {
       AccountControlIn(msg->wire_bytes);
-      if (static_cast<int>(receivers_.size()) < std::min(max_receivers_, config_.max_peers)) {
+      if (static_cast<int>(receivers_.size()) < std::min(max_receivers_, kMaxPeers)) {
         Receiver r;
         r.node = from;
         r.conn = conn;
@@ -652,9 +651,6 @@ void BulletPrime::OnBlockMsg(ConnId conn, NodeId /*from*/, bp::BlockMsg& msg) {
       const double window_sec =
           std::max(SimToSec(now() - std::max(last_epoch_at_, s.connected_at)), 0.25);
       const double bw_Bps = static_cast<double>(s.epoch_bytes) / window_sec;
-      OutstandingParams params;
-      params.alpha = config_.xcp_alpha;
-      params.beta = config_.xcp_beta;
       // "requested" in the Fig. 3 pseudocode counts requests not yet queued for
       // service at the sender: blocks already sitting in front of the socket buffer
       // are subtracted, which is what makes `desired = requested + 1` converge on
@@ -662,7 +658,7 @@ void BulletPrime::OnBlockMsg(ConnId conn, NodeId /*from*/, bp::BlockMsg& msg) {
       const double requested =
           std::max(0.0, static_cast<double>(s.outstanding) + 1.0 - msg.in_front);
       s.desired = ManageOutstanding(requested, msg.in_front, msg.wasted_sec, bw_Bps,
-                                    static_cast<double>(file_.block_bytes), params);
+                                    static_cast<double>(file_.block_bytes), OutstandingParams{});
     }
   }
   if (!complete()) {
@@ -696,7 +692,7 @@ void BulletPrime::MarkReceiversDirtyOnNewBlock() {
   }
   if (any && !diff_flush_scheduled_) {
     diff_flush_scheduled_ = true;
-    queue().ScheduleAfter(config_.diff_flush_delay, [this] { FlushDirtyDiffs(); });
+    queue().ScheduleAfter(kDiffFlushDelay, [this] { FlushDirtyDiffs(); });
   }
 }
 
@@ -725,45 +721,5 @@ void BulletPrime::OnFileComplete() {
 }
 
 double BulletPrime::TotalIncomingBps() const { return incoming_total_Bps_.value() * 8.0; }
-
-namespace {
-
-// Pulls the session's BulletPrimeConfig out of the spec, defaulting when the
-// caller supplied none. The harness validated the type against the registry's
-// config_type at AddSession, so a non-empty any always holds this type.
-BulletPrimeConfig ResolveBulletPrimeConfig(const SessionSpec& spec) {
-  if (const auto* config = std::any_cast<BulletPrimeConfig>(&spec.protocol_config)) {
-    return *config;
-  }
-  return BulletPrimeConfig{};
-}
-
-}  // namespace
-
-void RegisterBulletPrimeProtocol() {
-  ProtocolRegistry::Entry entry;
-  entry.key = "bullet-prime";
-  entry.display_name = "BulletPrime";
-  entry.description = "Bullet' (Section 3): adaptive mesh over RanSub with the paper's "
-                      "peer-set and outstanding-request controllers";
-  entry.encoded_stream = false;
-  entry.config_type = &typeid(BulletPrimeConfig);
-  entry.make = [](const ProtocolRegistry::SessionEnv& env) -> ProtocolRegistry::NodeFactory {
-    const BulletPrimeConfig config = ResolveBulletPrimeConfig(*env.spec);
-    const FileParams file = env.spec->file;
-    const NodeId source = env.spec->source;
-    const ControlTree* tree = env.tree;
-    const std::optional<StreamingSpec> streaming = env.spec->streaming;
-    const SimTime session_start = env.spec->start;
-    return [config, file, source, tree, streaming, session_start](const Protocol::Context& ctx) {
-      auto p = std::make_unique<BulletPrime>(ctx, file, source, tree, config);
-      if (streaming.has_value()) {
-        p->ConfigureStreaming(*streaming, session_start);
-      }
-      return std::unique_ptr<Protocol>(std::move(p));
-    };
-  };
-  ProtocolRegistry::Global().Register(std::move(entry));
-}
 
 }  // namespace bullet

@@ -28,6 +28,10 @@ namespace bullet {
 
 class BulletPrime : public TreeOverlayProtocol {
  public:
+  // Hard bounds on the sender and receiver sets (Section 3.3.1).
+  static constexpr int kMinPeers = 6;   // hard minimum for senders and receivers
+  static constexpr int kMaxPeers = 25;  // hard maximum for senders and receivers
+
   BulletPrime(const Context& ctx, const FileParams& file, NodeId source, const ControlTree* tree,
               const BulletPrimeConfig& config);
 
@@ -63,6 +67,16 @@ class BulletPrime : public TreeOverlayProtocol {
   void OnFileComplete() override;
 
  private:
+  // --- Flow control (Section 3.3.3) ---
+  static constexpr double kInitialOutstanding = 3.0;  // the paper's starting pipeline of 3 blocks
+  // --- Availability diffs (Section 3.3.4) ---
+  static constexpr SimTime kDiffFlushDelay = MsToSim(100);  // coalescing window for idle receivers
+  // --- Source (Section 3.3.5) ---
+  // The source's per-child queue threshold: skip a child whose pipe already holds
+  // this many unsent blocks (so the source never forces a block on a busy child).
+  static constexpr int kSourceChildQueueBlocks = 2;
+  static constexpr SimTime kSourcePushRetry = MsToSim(20);
+
   // ---------- receiving role ----------
   struct Sender {
     NodeId node = -1;
@@ -154,10 +168,6 @@ class BulletPrime : public TreeOverlayProtocol {
   bool diff_flush_scheduled_ = false;
   Ewma incoming_total_Bps_{0.3};
 };
-
-// Registers "bullet-prime" in ProtocolRegistry::Global(). Idempotent; the
-// workload harness calls it once (EnsureBuiltinProtocolsRegistered).
-void RegisterBulletPrimeProtocol();
 
 }  // namespace bullet
 

@@ -5,8 +5,6 @@
 #ifndef SRC_CORE_CONFIG_H_
 #define SRC_CORE_CONFIG_H_
 
-#include "src/sim/time.h"
-
 namespace bullet {
 
 enum class RequestStrategy {
@@ -23,26 +21,16 @@ struct BulletPrimeConfig {
   bool dynamic_peer_sets = true;  // false: keep initial_* fixed (Figs. 7-9)
   int initial_senders = 10;
   int initial_receivers = 10;
-  int min_peers = 6;    // hard minimum for senders and receivers
-  int max_peers = 25;   // hard maximum for senders and receivers
   double trim_stddevs = 1.5;  // disconnect peers more than this many sigma below mean
 
   // --- Flow control (Section 3.3.3) ---
   bool dynamic_outstanding = true;  // false: keep fixed_outstanding (Figs. 10-12)
   int fixed_outstanding = 5;
-  double initial_outstanding = 3.0;  // the paper's starting pipeline of 3 blocks
-  double xcp_alpha = 0.4;            // XCP efficiency-controller gains
-  double xcp_beta = 0.226;
 
   // --- Availability diffs (Section 3.3.4) ---
-  int piggyback_limit = 32;          // new block-ids carried per data block
-  SimTime diff_flush_delay = MsToSim(100);  // coalescing window for idle receivers
+  int piggyback_limit = 32;  // new block-ids carried per data block
 
   // --- Source (Section 3.3.5) ---
-  // The source's per-child queue threshold: skip a child whose pipe already holds
-  // this many unsent blocks (so the source never forces a block on a busy child).
-  int source_child_queue_blocks = 2;
-  SimTime source_push_retry = MsToSim(20);
   // Ablation: pick a random non-busy child per block instead of round-robin. The
   // paper's source iterates round-robin so every block enters the overlay exactly
   // once before any repeats; random selection keeps that property but skews how

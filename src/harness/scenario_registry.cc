@@ -8,7 +8,6 @@
 #include "src/harness/flag_parse.h"
 #include "src/harness/json_writer.h"
 #include "src/harness/workload.h"
-#include "src/overlay/protocol_registry.h"
 
 namespace bullet {
 namespace {
@@ -121,11 +120,11 @@ const std::vector<ScenarioOptionDef>& ScenarioOptionTable() {
       {"--system", "system", "system", ScenarioOptionDef::Kind::kString, /*sweepable=*/false,
        "--system requires a registered protocol",
        [](const std::string& text, ScenarioOptions* opts, std::string* error) {
-         EnsureBuiltinProtocolsRegistered();
-         if (ProtocolRegistry::Global().Find(text) == nullptr) {
+         if (FindSystem(text) == nullptr) {
            std::string known;
-           for (const ProtocolRegistry::Entry* entry : ProtocolRegistry::Global().List()) {
-             known += known.empty() ? entry->key : ", " + entry->key;
+           for (const SystemInfo& system : kSystems) {
+             known += known.empty() ? "" : ", ";
+             known += system.key;
            }
            *error = "--system requires a registered protocol (" + known + ")";
            return false;

@@ -33,8 +33,8 @@ struct ScenarioOptions {
   // Fixed-topology scenarios (fig12, fig15, fig16, fig17) ignore it like any
   // other override that does not apply.
   std::optional<std::string> topology;
-  // Protocol selector — a ProtocolRegistry key ("bullet-prime", "bullet",
-  // "bittorrent", "splitstream"). The CLI validates it against the registry;
+  // Protocol selector — a kSystems key ("bullet-prime", "bullet",
+  // "bittorrent", "splitstream"). The CLI validates it against kSystems;
   // scenarios with a fixed system roster (the multi-system comparison
   // figures) ignore it like any other override that does not apply.
   std::optional<std::string> system;
@@ -50,9 +50,10 @@ struct ScenarioOptions {
   std::optional<std::string> churn_model;
   // Streaming (playback-deadline) overrides. fig23_streaming_deadlines
   // streams at them; on every other scenario that applies
-  // ApplyScenarioOptions (all but fig12, fig15 and fig16), setting either one
-  // turns each bulk session into a streaming session (ApplyScenarioOptions
-  // fills ScenarioConfig::streaming, BuildScenarioExperiment applies it).
+  // ApplyScenarioOptions (all but fig15), setting either one turns each bulk
+  // session of a system that streams into a streaming session
+  // (ApplyScenarioOptions fills ScenarioConfig::streaming, and
+  // BuildScenarioExperiment, fig12 and fig16 apply it).
   std::optional<double> stream_bitrate_mbps;
   std::optional<int> stream_window_blocks;
 };
@@ -80,9 +81,8 @@ struct ScenarioOptionDef {
   const char* flag_error;
   // The one check of the option's value: parses the raw text (a flag value,
   // a sweep value or a `set` value), validates it and stores it into *opts.
-  // May write a dynamic message to *error (e.g. --system listing the live
-  // protocol registry); callers fall back to flag_error when *error stays
-  // empty.
+  // May write a dynamic message to *error (e.g. --system listing the kSystems
+  // keys); callers fall back to flag_error when *error stays empty.
   bool (*parse)(const std::string& text, ScenarioOptions* opts, std::string* error);
   // Emits the option into the requested_options object when set; null for
   // never-echoed options (json_key == nullptr).

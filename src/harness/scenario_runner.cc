@@ -14,7 +14,6 @@
 #include "src/harness/json_writer.h"
 #include "src/harness/sweep.h"
 #include "src/harness/workload.h"
-#include "src/overlay/protocol_registry.h"
 
 namespace bullet {
 namespace {
@@ -291,11 +290,14 @@ void PrintRunnerUsage(std::ostream& os) {
         "  --seed S           simulation seed (sweeps: base seed for stream derivation)\n"
         "  --block-bytes B    block size in bytes\n"
         "  --deadline-sec D   simulated-time deadline in seconds, at most 1e9\n"
-        "  --loss L           per-link loss rates become uniform in [0, L]\n"
+        "  --loss L           per-link loss rates become uniform in [0, L];\n"
+        "                     fixed-topology scenarios (fig12, fig15, fig16) keep\n"
+        "                     their loss-free links and ignore it\n"
         "  --topology T       mesh | transit-stub (routed sparse graph with shared\n"
         "                     interior links; fixed-topology scenarios ignore it)\n"
-        "  --system S         protocol registry key (bullet-prime, bullet, bittorrent,\n"
-        "                     splitstream); fixed-roster comparison scenarios ignore it\n"
+        "  --system S         one of the four systems (bittorrent, bullet,\n"
+        "                     bullet-prime, splitstream); fixed-roster comparison\n"
+        "                     scenarios ignore it\n"
         "  --join-fraction F  fraction of receivers joining late in staggered-join\n"
         "                     scenarios (fig18_flash_crowd, default 0.8;\n"
         "                     fig24_megaswarm, default 0.75); others ignore it\n"
@@ -308,8 +310,9 @@ void PrintRunnerUsage(std::ostream& os) {
         "                     playback bitrate in Mb/s (default 2). Streaming\n"
         "                     scenarios (fig23_streaming_deadlines) stream at it;\n"
         "                     on the others either stream flag turns every bulk\n"
-        "                     session into a streaming one, except that fig12,\n"
-        "                     fig15 and fig16 ignore both\n"
+        "                     session into a streaming one, except that bullet\n"
+        "                     (which has no streaming mode) stays bulk and fig15\n"
+        "                     ignores both\n"
         "  --stream-window-blocks W\n"
         "                     sliding request-window size in blocks ahead of the\n"
         "                     playhead (default 64); applies like\n"

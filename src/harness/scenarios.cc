@@ -13,9 +13,8 @@ std::string ScenarioSubsetSystemOr(const std::optional<std::string>& system,
   if (!system) {
     return fallback;
   }
-  EnsureBuiltinProtocolsRegistered();
-  const ProtocolRegistry::Entry* entry = ProtocolRegistry::Global().Find(*system);
-  if (entry == nullptr || entry->requires_full_span) {
+  const SystemInfo* info = FindSystem(*system);
+  if (info == nullptr || info->requires_full_span) {
     return fallback;
   }
   return *system;
@@ -71,7 +70,6 @@ uint32_t FileBlocks(double file_mb, int64_t block_bytes) {
 
 std::unique_ptr<WorkloadExperiment> BuildScenarioExperiment(const ScenarioConfig& cfg,
                                                             const WorkloadSpec& workload) {
-  EnsureBuiltinProtocolsRegistered();
   std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);
   if (workload.access_links != nullptr) {
     // Access-link cohorts rewrite per-node link parameters before the network
@@ -98,7 +96,10 @@ std::unique_ptr<WorkloadExperiment> BuildScenarioExperiment(const ScenarioConfig
       session.file.block_bytes = cfg.block_bytes;
       session.file.num_blocks = FileBlocks(cfg.file_mb, cfg.block_bytes);
     }
-    if (!session.streaming.has_value()) {
+    // The stream flags reach only systems that stream; legacy Bullet stays
+    // a bulk session under them.
+    const SystemInfo* system = FindSystem(session.protocol);
+    if (!session.streaming.has_value() && system != nullptr && system->streams) {
       session.streaming = cfg.streaming;
     }
     exp->AddSession(session);
@@ -108,21 +109,12 @@ std::unique_ptr<WorkloadExperiment> BuildScenarioExperiment(const ScenarioConfig
 
 WorkloadResult RunScenario(const std::string& protocol, const ScenarioConfig& cfg,
                            const BulletPrimeConfig& bp) {
-  EnsureBuiltinProtocolsRegistered();
   WorkloadSpec workload;
   SessionSpec session;
   session.protocol = protocol;
   session.source = 0;
   session.seed = cfg.seed;
-  // `bp` applies only when the protocol actually takes a BulletPrimeConfig —
-  // the registry now declares each protocol's config type and the harness
-  // rejects mismatches, so attaching it unconditionally would abort for the
-  // baselines (the historical enum dispatch just let them ignore it).
-  const ProtocolRegistry::Entry* entry = ProtocolRegistry::Global().Find(protocol);
-  if (entry != nullptr && entry->config_type != nullptr &&
-      *entry->config_type == typeid(BulletPrimeConfig)) {
-    session.protocol_config = bp;
-  }
+  session.bullet_prime = bp;
   workload.sessions.push_back(std::move(session));
   return BuildScenarioExperiment(cfg, workload)->Run();
 }

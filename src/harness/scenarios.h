@@ -42,9 +42,9 @@ struct ScenarioConfig {
   NetworkConfig net;
   // Streaming (playback-deadline) sessions requested via --stream-bitrate-mbps
   // / --stream-window-blocks (ApplyScenarioOptions fills it). When set,
-  // BuildScenarioExperiment turns every session that does not already carry a
-  // StreamingSpec into a streaming session with this one; empty keeps
-  // sessions in bulk mode.
+  // BuildScenarioExperiment turns every session of a system that streams
+  // (SystemInfo::streams) and does not already carry a StreamingSpec into a
+  // streaming session with this one; empty keeps sessions in bulk mode.
   std::optional<StreamingSpec> streaming;
 };
 
@@ -63,27 +63,28 @@ bool ParseTopologyName(const std::string& name, ScenarioConfig::Topo* topo);
 // Builds a workload (N sessions with join schedules) over the scenario's
 // topology, dynamics and network knobs, ready to Run(). Sessions whose
 // FileParams have num_blocks == 0 inherit the scenario file sizing (FileBlocks
-// of cfg.file_mb and cfg.block_bytes), and sessions without a StreamingSpec
-// inherit cfg.streaming. Workload-level generators are honored here:
-// `access_links` mutates the freshly built topology (before the network
-// snapshots it) and `churn` is installed on the experiment. The experiment
-// lives on the heap because its sessions' callbacks point at it; callers
-// reach its network, trees and metrics before or after Run().
+// of cfg.file_mb and cfg.block_bytes), and sessions of a system that streams
+// inherit cfg.streaming unless they carry their own StreamingSpec.
+// Workload-level generators are honored here: `access_links` mutates the
+// freshly built topology (before the network snapshots it) and `churn` is
+// installed on the experiment. The experiment lives on the heap because its
+// sessions' callbacks point at it; callers reach its network, trees and
+// metrics before or after Run().
 std::unique_ptr<WorkloadExperiment> BuildScenarioExperiment(const ScenarioConfig& cfg,
                                                             const WorkloadSpec& workload);
 
 // Runs one system through the scenario as a single all-nodes zero-offset
-// session seeded with cfg.seed. `protocol` is a ProtocolRegistry key; `bp`
-// applies when it resolves to Bullet'. Unknown keys abort (callers reaching
-// this from the CLI validate against the registry first).
+// session seeded with cfg.seed. `protocol` is a kSystems key; `bp` becomes the
+// session's SessionSpec::bullet_prime, which only Bullet' reads. Unknown keys
+// abort (callers reaching this from the CLI validate against kSystems first).
 WorkloadResult RunScenario(const std::string& protocol, const ScenarioConfig& cfg,
                            const BulletPrimeConfig& bp = BulletPrimeConfig{});
 
 // The protocol for scenarios whose sessions cover member *subsets*: the
-// requested --system key when set, except that a protocol which requires
-// spanning every node (Entry::requires_full_span, e.g. splitstream) cannot
-// apply, so it is ignored like any other inapplicable override and `fallback`
-// runs instead.
+// requested --system key when set, except that a system which requires
+// spanning every node (SystemInfo::requires_full_span, e.g. splitstream)
+// cannot apply, so it is ignored like any other inapplicable override and
+// `fallback` runs instead.
 std::string ScenarioSubsetSystemOr(const std::optional<std::string>& system,
                                    const std::string& fallback);
 

@@ -4,20 +4,20 @@
 // set that participates, and a join schedule (per-member offsets from the
 // session start). A *workload* is a set of sessions sharing one emulated
 // network; sessions may start staggered (flash crowds, late joiners) and run
-// concurrently over shared links, each with its own protocol chosen by name
-// from the ProtocolRegistry. The legacy single-session shape — one file, one
-// source, every node joining at t=0 — is the degenerate workload with one
-// session spanning all nodes with zero offsets.
+// concurrently over shared links, each with its own system chosen by key from
+// kSystems (src/harness/workload.h). The legacy single-session shape — one
+// file, one source, every node joining at t=0 — is the degenerate workload
+// with one session spanning all nodes with zero offsets.
 
-#ifndef SRC_OVERLAY_SESSION_H_
-#define SRC_OVERLAY_SESSION_H_
+#ifndef SRC_HARNESS_SESSION_H_
+#define SRC_HARNESS_SESSION_H_
 
-#include <any>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/core/config.h"
 #include "src/overlay/dissemination.h"
 #include "src/overlay/streaming.h"
 #include "src/sim/time.h"
@@ -25,19 +25,18 @@
 namespace bullet {
 
 // Workload generators (src/harness/workload_gen.h, src/harness/churn.h). Specs
-// hold them as shared_ptr-to-const so a spec stays a cheap value type; the
-// harness is the only layer that constructs or invokes them.
+// hold them as shared_ptr-to-const so a spec stays a cheap value type.
 class ArrivalProcess;
 class LifetimeModel;
 class AccessLinkDistribution;
 class ChurnModel;
 
 struct SessionSpec {
-  // Reporting label; defaults to the protocol's display name when empty.
+  // Reporting label; defaults to the system's display name when empty.
   std::string name;
-  // ProtocolRegistry key ("bullet-prime", "bullet", "bittorrent",
-  // "splitstream", or any custom registration). Ignored when the session is
-  // added with an explicit caller-supplied factory.
+  // A kSystems key ("bullet-prime", "bullet", "bittorrent", "splitstream").
+  // Ignored when the session is added with an explicit caller-supplied
+  // factory.
   std::string protocol = "bullet-prime";
   FileParams file;
   NodeId source = 0;
@@ -58,15 +57,9 @@ struct SessionSpec {
   // any protocol-level structures (e.g. SplitStream's forest) all derive from
   // this value with the same constants the single-session harness always used.
   std::optional<uint64_t> seed;
-  // Control-tree fanout. The source pushes fresh blocks only to its tree
-  // children, so its fanout determines how many (randomly drawn, possibly
-  // lossy) core paths carry fresh data into the overlay; 8 keeps injection
-  // robust to bad draws.
-  int tree_fanout = 8;
-  // Optional protocol-specific configuration. Must be empty or hold exactly
-  // the registered Entry::config_type (e.g. BulletPrimeConfig); the harness
-  // validates the type at AddSession time.
-  std::any protocol_config;
+  // Bullet' settings (the design-space experiments, Sections 4.3-4.5). Only
+  // Bullet' sessions read it; the baselines run fixed configurations.
+  BulletPrimeConfig bullet_prime;
   // Generator-driven join schedule: synthesizes join_offsets from a
   // seed-derived stream (mutually exclusive with explicit join_offsets; the
   // source keeps offset zero). See workload_gen.h.
@@ -75,7 +68,8 @@ struct SessionSpec {
   // deadlines derived from the bitrate, completion means "held every required
   // position" instead of "holds the full file", and the harness reports
   // rebuffer/stall seconds and blocks-missed-deadline per receiver. Unset (the
-  // default) keeps the bulk-transfer semantics. See overlay/streaming.h.
+  // default) keeps the bulk-transfer semantics. Only systems whose kSystems
+  // row streams accept it. See overlay/streaming.h.
   std::optional<StreamingSpec> streaming;
   // Generator-driven member lifetimes: receivers drawing a finite lifetime
   // depart mid-run (network failure + completion-policy credit), and models
@@ -95,4 +89,4 @@ struct WorkloadSpec {
 
 }  // namespace bullet
 
-#endif  // SRC_OVERLAY_SESSION_H_
+#endif  // SRC_HARNESS_SESSION_H_

@@ -1,6 +1,7 @@
 #include "src/harness/workload.h"
 
 #include <algorithm>
+#include <string_view>
 
 #include "src/baselines/bittorrent.h"
 #include "src/baselines/bullet_legacy.h"
@@ -11,20 +12,13 @@
 
 namespace bullet {
 
-void EnsureBuiltinProtocolsRegistered() {
-  // Explicit calls (not static initializers in the libraries): a registration
-  // living only in a static-library object file would be dropped by the linker
-  // once nothing else references that object.
-  static std::once_flag once;
-  std::call_once(once, [] {
-    RegisterBulletPrimeProtocol();
-    RegisterBulletLegacyProtocol();
-    RegisterBitTorrentProtocol();
-    RegisterSplitStreamProtocol();
-  });
-}
-
 namespace {
+
+// Control-tree fanout. The source pushes fresh blocks only to its tree
+// children, so its fanout determines how many (randomly drawn, possibly lossy)
+// core paths carry fresh data into the overlay; 8 keeps injection robust to
+// bad draws.
+constexpr int kTreeFanout = 8;
 
 // Decorrelated per-session seed stream (SplitMix64 over base + index), used
 // when a SessionSpec does not pin its own seed.
@@ -35,7 +29,65 @@ uint64_t DeriveSessionSeed(uint64_t base, int index) {
   return z ^ (z >> 31);
 }
 
+// The per-node factory of a `system` session: `spec` is normalized (members
+// expanded), `tree` is the session's control tree, `seed` its resolved seed.
+// Runs once per session, so per-session structure (SplitStream's stripe
+// forest) is built here and shared by every member, and streaming sessions
+// switch each member into playback mode before it starts.
+NodeFactory MakeSystemFactory(const SystemInfo& system, const SessionSpec& spec,
+                              const ControlTree* tree, uint64_t seed, int num_nodes) {
+  using ProtocolMaker =
+      std::function<std::unique_ptr<DisseminationProtocol>(const Protocol::Context&)>;
+  const std::string_view key = system.key;
+  const FileParams file = spec.file;
+  const NodeId source = spec.source;
+  ProtocolMaker make;
+  if (key == "bullet-prime") {
+    make = [file, source, tree, config = spec.bullet_prime](const Protocol::Context& ctx) {
+      return std::make_unique<BulletPrime>(ctx, file, source, tree, config);
+    };
+  } else if (key == "bullet") {
+    make = [file, source, tree](const Protocol::Context& ctx) {
+      return std::make_unique<BulletLegacy>(ctx, file, source, tree);
+    };
+  } else if (key == "bittorrent") {
+    make = [file, source](const Protocol::Context& ctx) {
+      return std::make_unique<BitTorrent>(ctx, file, source);
+    };
+  } else {
+    BULLET_CHECK(key == "splitstream" && "a kSystems row without a protocol");
+    // The stripe forest is interior-disjoint over the *whole* node-id space
+    // (node v is interior only in stripe v mod k); a session over a subset
+    // would route stripes through nodes that never instantiate a protocol.
+    BULLET_CHECK(static_cast<int>(spec.members.size()) == num_nodes &&
+                 "splitstream sessions must span every node in the network");
+    Rng forest_rng(seed ^ 0x517cc1b727220a95ULL);
+    auto forest = std::make_shared<StripeForest>(
+        StripeForest::Build(num_nodes, SplitStream::kNumStripes, source, forest_rng));
+    make = [file, source, forest](const Protocol::Context& ctx) {
+      return std::make_unique<SplitStream>(ctx, file, source, forest.get());
+    };
+  }
+  if (!spec.streaming.has_value()) {
+    return make;
+  }
+  return [make, streaming = *spec.streaming, start = spec.start](const Protocol::Context& ctx) {
+    std::unique_ptr<DisseminationProtocol> p = make(ctx);
+    p->ConfigureStreaming(streaming, start);
+    return std::unique_ptr<Protocol>(std::move(p));
+  };
+}
+
 }  // namespace
+
+const SystemInfo* FindSystem(const std::string& key) {
+  for (const SystemInfo& system : kSystems) {
+    if (key == system.key) {
+      return &system;
+    }
+  }
+  return nullptr;
+}
 
 WorkloadExperiment::WorkloadExperiment(std::unique_ptr<Topology> topology,
                                        const WorkloadParams& params)
@@ -46,20 +98,20 @@ WorkloadExperiment::WorkloadExperiment(std::unique_ptr<Topology> topology,
 }
 
 int WorkloadExperiment::AddSession(const SessionSpec& spec) {
-  EnsureBuiltinProtocolsRegistered();
-  const ProtocolRegistry::Entry* entry = ProtocolRegistry::Global().Find(spec.protocol);
-  BULLET_CHECK(entry != nullptr && "unknown protocol name (see ProtocolRegistry)");
-  return AddSessionImpl(spec, entry, nullptr);
+  const SystemInfo* system = FindSystem(spec.protocol);
+  BULLET_CHECK(system != nullptr && "unknown protocol name (see kSystems)");
+  BULLET_CHECK((!spec.streaming.has_value() || system->streams) &&
+               "this system has no streaming mode (see SystemInfo::streams)");
+  return AddSessionImpl(spec, system, nullptr);
 }
 
-int WorkloadExperiment::AddSession(const SessionSpec& spec,
-                                   ProtocolRegistry::NodeFactory factory) {
+int WorkloadExperiment::AddSession(const SessionSpec& spec, NodeFactory factory) {
   BULLET_CHECK(factory != nullptr && "AddSession needs a protocol factory");
   return AddSessionImpl(spec, nullptr, std::move(factory));
 }
 
-int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const ProtocolRegistry::Entry* entry,
-                                       ProtocolRegistry::NodeFactory factory) {
+int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const SystemInfo* system,
+                                       NodeFactory factory) {
   BULLET_CHECK(!ran_ && "sessions must be added before Run()");
   const int n = net_->num_nodes();
   const int index = static_cast<int>(sessions_.size());
@@ -101,17 +153,9 @@ int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const ProtocolRegistry:
   BULLET_CHECK(spec.join_offsets.size() == num_members &&
                "join_offsets must parallel members (or be empty)");
   BULLET_CHECK(spec.start >= 0 && "session start must be non-negative");
-  if (entry != nullptr && entry->encoded_stream) {
+  if (system != nullptr && system->encoded_stream) {
     // Section 4.2 methodology: this system always runs over an encoded stream.
     spec.file.encoded = true;
-  }
-  if (entry != nullptr && spec.protocol_config.has_value()) {
-    // Catch config mismatches here with the registry's declared type instead
-    // of a bad_any_cast (or a silent default) deep inside the factory.
-    BULLET_CHECK(entry->config_type != nullptr &&
-                 "this protocol takes no config but protocol_config is set");
-    BULLET_CHECK(spec.protocol_config.type() == *entry->config_type &&
-                 "protocol_config holds the wrong type for this protocol");
   }
 
   sessions_.emplace_back();
@@ -197,7 +241,7 @@ int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const ProtocolRegistry:
       stages.push_back(std::move(stage));
     }
   }
-  s.tree = ControlTree::RandomStaged(n, sp.source, stages, sp.tree_fanout, tree_rng);
+  s.tree = ControlTree::RandomStaged(n, sp.source, stages, kTreeFanout, tree_rng);
 
   // --- metrics, completion policy, factory ---
   s.metrics = std::make_unique<RunMetrics>(n);
@@ -219,16 +263,10 @@ int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const ProtocolRegistry:
   }
   s.protocols.resize(num_members);
 
-  if (entry != nullptr) {
-    s.display_name = entry->display_name;
-    s.protocol_key = entry->key;
-    ProtocolRegistry::SessionEnv env;
-    env.spec = &s.spec;
-    env.tree = &s.tree;
-    env.seed = s.seed;
-    env.num_nodes = n;
-    s.factory = entry->make(env);
-    BULLET_CHECK(s.factory != nullptr && "protocol factory construction failed");
+  if (system != nullptr) {
+    s.display_name = system->display_name;
+    s.protocol_key = system->key;
+    s.factory = MakeSystemFactory(*system, s.spec, &s.tree, s.seed, n);
   } else {
     s.display_name = sp.name.empty() ? "session" + std::to_string(index) : sp.name;
     s.factory = std::move(factory);

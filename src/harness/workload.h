@@ -1,11 +1,11 @@
 // Workload harness: wires a topology, a network, and N *sessions* — each with its
-// own file, source, member set, join schedule, protocol (picked by name from the
-// ProtocolRegistry, or built by a caller-supplied factory) and metrics — and
-// runs them to completion or deadline. It is the one way a run reaches the
-// network: the single-session shape (one file, every node joining at t=0) is a
-// workload with one session. Sessions may start staggered (flash crowds, late
-// joiners), run concurrently over shared links, and mix protocols in one
-// network. The two pieces of machinery that make that correct:
+// own file, source, member set, join schedule, protocol (one of the four
+// systems in kSystems, picked by key, or built by a caller-supplied factory)
+// and metrics — and runs them to completion or deadline. It is the one way a
+// run reaches the network: the single-session shape (one file, every node
+// joining at t=0) is a workload with one session. Sessions may start staggered
+// (flash crowds, late joiners), run concurrently over shared links, and mix
+// protocols in one network. The two pieces of machinery that make that correct:
 //
 //   * per-session completion. Every session owns a RunMetrics whose completion
 //     policy targets the session's *own* receiver count; a session finishing
@@ -30,6 +30,7 @@
 #define SRC_HARNESS_WORKLOAD_H_
 
 #include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <type_traits>
@@ -37,13 +38,53 @@
 #include <vector>
 
 #include "src/harness/churn.h"
+#include "src/harness/session.h"
 #include "src/overlay/control_tree.h"
-#include "src/overlay/protocol_registry.h"
-#include "src/overlay/session.h"
+#include "src/overlay/protocol.h"
 #include "src/sim/metrics.h"
 #include "src/sim/network.h"
 
 namespace bullet {
+
+// One of the four systems the paper compares (Section 4): Bullet' and the
+// three baselines it measures against.
+struct SystemInfo {
+  const char* key;           // SessionSpec::protocol and --system, e.g. "bullet-prime"
+  const char* display_name;  // reporting label, e.g. "BulletPrime"
+  // Source-encoded-stream methodology (Section 4.2): Bullet and SplitStream
+  // complete at (1 + 4%) n distinct blocks, so their sessions always run with
+  // FileParams::encoded set.
+  bool encoded_stream;
+  // SplitStream's stripe forest is interior-disjoint over the whole node-id
+  // space, so its sessions must span every node. Scenarios with subset
+  // sessions treat a --system naming it as an override that does not apply
+  // (ScenarioSubsetSystemOr); AddSession still BULLET_CHECKs it.
+  bool requires_full_span;
+  // Implements playback-deadline mode (SessionSpec::streaming). The released
+  // Bullet does not: AddSession rejects a streaming session of it, and
+  // BuildScenarioExperiment keeps it in bulk mode under the stream flags.
+  bool streams;
+};
+
+// The whole roster, in key order (the order --system lists them in).
+inline constexpr SystemInfo kSystems[] = {
+    {"bittorrent", "BitTorrent", /*encoded_stream=*/false, /*requires_full_span=*/false,
+     /*streams=*/true},
+    {"bullet", "Bullet", /*encoded_stream=*/true, /*requires_full_span=*/false,
+     /*streams=*/false},
+    {"bullet-prime", "BulletPrime", /*encoded_stream=*/false, /*requires_full_span=*/false,
+     /*streams=*/true},
+    {"splitstream", "SplitStream", /*encoded_stream=*/true, /*requires_full_span=*/true,
+     /*streams=*/true},
+};
+
+// nullptr when no system has that key.
+const SystemInfo* FindSystem(const std::string& key);
+
+// Instantiates one protocol for a joining member. The Context carries the
+// member's node id, the shared network, the session's metrics object and the
+// per-node RNG seed.
+using NodeFactory = std::function<std::unique_ptr<Protocol>(const Protocol::Context&)>;
 
 // Run-level knobs shared by every session; sessions carry the per-transfer
 // state.
@@ -60,7 +101,7 @@ struct WorkloadParams {
 
 struct SessionResult {
   std::string name;      // spec.name, defaulting to the protocol's display name
-  std::string protocol;  // registry key; empty for caller-supplied factories
+  std::string protocol;  // kSystems key; empty for caller-supplied factories
   // Per receiver, in member order with the source excluded. Absolute sim time;
   // receivers that never completed report the deadline. Receivers that
   // *departed* mid-run without completing are excluded (they are counted in
@@ -118,12 +159,6 @@ struct WorkloadResult {
   uint64_t arena_peak_bytes = 0;
 };
 
-// Registers the four built-in systems (bullet-prime, bullet, bittorrent,
-// splitstream) into ProtocolRegistry::Global(). Idempotent and cheap; the
-// harness calls it before any registry lookup so the linker can never drop
-// the registrations with the translation units that define them.
-void EnsureBuiltinProtocolsRegistered();
-
 class WorkloadExperiment {
  public:
   WorkloadExperiment(std::unique_ptr<Topology> topology, const WorkloadParams& params);
@@ -134,12 +169,12 @@ class WorkloadExperiment {
       : WorkloadExperiment(std::make_unique<std::decay_t<TopologyType>>(std::move(topology)),
                            params) {}
 
-  // Adds a session whose protocol is resolved by name through
-  // ProtocolRegistry::Global(). Returns the session index.
+  // Adds a session of the kSystems row keyed spec.protocol. Returns the
+  // session index.
   int AddSession(const SessionSpec& spec);
   // Adds a session driven by a caller-supplied per-node factory (custom or
   // instrumented protocols); spec.protocol is ignored.
-  int AddSession(const SessionSpec& spec, ProtocolRegistry::NodeFactory factory);
+  int AddSession(const SessionSpec& spec, NodeFactory factory);
 
   // Installs a churn model whose schedule is drawn at Run() over every session
   // (WorkloadSpec::churn; BuildScenarioExperiment forwards it automatically).
@@ -177,7 +212,7 @@ class WorkloadExperiment {
     std::string protocol_key;
     ControlTree tree;
     std::unique_ptr<RunMetrics> metrics;
-    ProtocolRegistry::NodeFactory factory;       // declared before protocols_:
+    NodeFactory factory;                         // declared before protocols_:
     std::vector<std::unique_ptr<Protocol>> protocols;  // destroyed first
     std::vector<SimTime> join_at;                // absolute, parallel to members
     std::vector<int> member_slot;                // NodeId -> member index, -1 otherwise
@@ -189,8 +224,7 @@ class WorkloadExperiment {
   Session& at(int session) { return sessions_.at(static_cast<size_t>(session)); }
   const Session& at(int session) const { return sessions_.at(static_cast<size_t>(session)); }
 
-  int AddSessionImpl(SessionSpec spec, const ProtocolRegistry::Entry* entry,
-                     ProtocolRegistry::NodeFactory factory);
+  int AddSessionImpl(SessionSpec spec, const SystemInfo* system, NodeFactory factory);
   void ExecuteJoinBucket(int session, size_t bucket);
   void OnSessionComplete(int session);
   // Fails `node` on the network and credits its session's completion policy;

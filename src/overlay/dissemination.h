@@ -20,21 +20,21 @@ struct FileParams {
   // Source-encoded (rateless) mode: the source emits a stream of distinct encoded
   // blocks; a receiver completes once it holds (1 + overhead) * n distinct blocks.
   bool encoded = false;
-  double encoding_overhead = 0.04;  // the paper's measured reception overhead
+  static constexpr double kEncodingOverhead = 0.04;  // the paper's measured reception overhead
   // Encoded sources keep minting fresh blocks while receivers lag; this bounds the
   // id space (and thus bitmap sizes). Push-only systems (SplitStream) need headroom:
   // a subtree behind a slow interior link misses a share of every stripe and only
   // completes because the stream keeps going.
-  uint32_t encoded_space_factor = 8;
+  static constexpr uint32_t kEncodedSpaceFactor = 8;
 
   int64_t file_bytes() const { return block_bytes * num_blocks; }
   // Size of the block-id space (encoded sources may emit beyond n).
-  uint32_t BlockSpace() const { return encoded ? num_blocks * encoded_space_factor : num_blocks; }
+  uint32_t BlockSpace() const { return encoded ? num_blocks * kEncodedSpaceFactor : num_blocks; }
   uint32_t DistinctNeeded() const {
     if (!encoded) {
       return num_blocks;
     }
-    return static_cast<uint32_t>(std::ceil((1.0 + encoding_overhead) * num_blocks));
+    return static_cast<uint32_t>(std::ceil((1.0 + kEncodingOverhead) * num_blocks));
   }
 };
 

@@ -102,10 +102,9 @@ TEST(BitTorrentSystem, UnchokeSlotsBounded) {
   WorkloadExperiment exp(SmallMesh(20, 32), RunParams(32, 45.0));
   exp.AddSession(SmallSession("bittorrent", 32, false));
   exp.Run();
-  const BitTorrentConfig config;
   for (NodeId n = 0; n < 20; ++n) {
     const auto* p = static_cast<const BitTorrent*>(exp.session_protocol(0, n));
-    EXPECT_LE(p->num_unchoked(), config.unchoke_slots + 1);  // + optimistic
+    EXPECT_LE(p->num_unchoked(), BitTorrent::kUnchokeSlots + 1);  // + optimistic
   }
 }
 
@@ -117,12 +116,12 @@ TEST(BulletLegacySystem, SwarmCompletesEncoded) {
   EXPECT_EQ(exp.session_metrics(0).completed(), 15);
 }
 
-// SplitStream over an explicitly built stripe forest (the registry factory
+// SplitStream over an explicitly built stripe forest (a "splitstream" session
 // draws its own from the session seed).
 void AddSplitStreamSession(WorkloadExperiment* exp, uint64_t seed, const StripeForest* forest) {
   const SessionSpec session = SmallSession("splitstream", seed, true);
   exp->AddSession(session, [file = session.file, forest](const Protocol::Context& ctx) {
-    return std::make_unique<SplitStream>(ctx, file, /*source=*/0, forest, SplitStreamConfig{});
+    return std::make_unique<SplitStream>(ctx, file, /*source=*/0, forest);
   });
 }
 

@@ -33,7 +33,7 @@ Swarm RunSwarm(int nodes, const FileParams& file, const BulletPrimeConfig& confi
   session.protocol = "bullet-prime";
   session.seed = seed;
   session.file = file;
-  session.protocol_config = config;
+  session.bullet_prime = config;
   Swarm swarm;
   swarm.exp = std::make_unique<WorkloadExperiment>(MeshTopology::FullMesh(mesh, topo_rng), params);
   swarm.exp->AddSession(session);
@@ -102,10 +102,10 @@ TEST(BulletPrimeProtocol, PeerCountsRespectHardBounds) {
   BulletPrimeConfig config;
   Swarm swarm = RunSwarm(30, 1024, config, 12.0);  // stop mid-download
   for (auto* p : swarm.protos) {
-    EXPECT_LE(p->num_senders(), config.max_peers);
-    EXPECT_LE(p->num_receivers(), config.max_peers);
-    EXPECT_GE(p->max_senders(), config.min_peers);
-    EXPECT_LE(p->max_senders(), config.max_peers);
+    EXPECT_LE(p->num_senders(), BulletPrime::kMaxPeers);
+    EXPECT_LE(p->num_receivers(), BulletPrime::kMaxPeers);
+    EXPECT_GE(p->max_senders(), BulletPrime::kMinPeers);
+    EXPECT_LE(p->max_senders(), BulletPrime::kMaxPeers);
   }
 }
 

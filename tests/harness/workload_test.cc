@@ -1,5 +1,5 @@
-// Session/workload harness coverage: the protocol registry, spec validation,
-// factory-vs-registry session equivalence (bit for bit), staggered joins, and
+// Session/workload harness coverage: the table of systems, spec validation,
+// factory-vs-table session equivalence (bit for bit), staggered joins, and
 // the per-session completion contract — session A completing never stops
 // session B.
 
@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,7 +16,6 @@
 #include "src/core/bullet_prime.h"
 #include "src/harness/scenarios.h"
 #include "src/harness/workload_gen.h"
-#include "src/overlay/protocol_registry.h"
 
 namespace bullet {
 namespace {
@@ -35,42 +35,32 @@ FileParams SmallFile(uint32_t blocks) {
   return file;
 }
 
-TEST(ProtocolRegistry, BuiltinSystemsAreRegistered) {
-  EnsureBuiltinProtocolsRegistered();
-  const ProtocolRegistry& registry = ProtocolRegistry::Global();
-  ASSERT_GE(registry.size(), 4u);
-  const ProtocolRegistry::Entry* bp = registry.Find("bullet-prime");
-  ASSERT_NE(bp, nullptr);
-  EXPECT_EQ(bp->display_name, "BulletPrime");
+TEST(Systems, TableListsTheFourSystemsInKeyOrder) {
+  const std::vector<std::string> keys = {"bittorrent", "bullet", "bullet-prime", "splitstream"};
+  ASSERT_EQ(std::size(kSystems), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(kSystems[i].key, keys[i]);
+    EXPECT_EQ(FindSystem(keys[i]), &kSystems[i]);
+  }
+  const SystemInfo* bp = FindSystem("bullet-prime");
+  EXPECT_STREQ(bp->display_name, "BulletPrime");
   EXPECT_FALSE(bp->encoded_stream);
-  const ProtocolRegistry::Entry* legacy = registry.Find("bullet");
-  ASSERT_NE(legacy, nullptr);
-  EXPECT_EQ(legacy->display_name, "Bullet");
+  EXPECT_TRUE(bp->streams);
+  const SystemInfo* legacy = FindSystem("bullet");
+  EXPECT_STREQ(legacy->display_name, "Bullet");
   EXPECT_TRUE(legacy->encoded_stream);
-  ASSERT_NE(registry.Find("bittorrent"), nullptr);
-  const ProtocolRegistry::Entry* ss = registry.Find("splitstream");
-  ASSERT_NE(ss, nullptr);
+  EXPECT_FALSE(legacy->streams);
+  const SystemInfo* ss = FindSystem("splitstream");
   EXPECT_TRUE(ss->encoded_stream);
-  EXPECT_EQ(registry.Find("no-such-protocol"), nullptr);
+  EXPECT_TRUE(ss->requires_full_span);
+  EXPECT_EQ(FindSystem("no-such-protocol"), nullptr);
 }
 
-TEST(ProtocolRegistry, DuplicateKeyIsRejected) {
-  EnsureBuiltinProtocolsRegistered();
-  ProtocolRegistry::Entry dup;
-  dup.key = "bullet-prime";
-  dup.display_name = "X";
-  dup.make = [](const ProtocolRegistry::SessionEnv&) -> ProtocolRegistry::NodeFactory {
-    return nullptr;
-  };
-  EXPECT_FALSE(ProtocolRegistry::Global().Register(std::move(dup)));
-  EXPECT_EQ(ProtocolRegistry::Global().Find("bullet-prime")->display_name, "BulletPrime");
-}
-
-// A session built by a caller-supplied factory and the same session resolved
-// through the registry must produce bitwise-identical completions: the
-// registry adds no behaviour of its own. The registry session names its
-// members explicitly (dense 0..n-1), which must still be recognized as the
-// all-nodes shape and build the same control tree.
+// A session built by a caller-supplied factory and the same session named by
+// its kSystems key must produce bitwise-identical completions: the table adds
+// no behaviour of its own. The keyed session names its members explicitly
+// (dense 0..n-1), which must still be recognized as the all-nodes shape and
+// build the same control tree.
 TEST(WorkloadExperiment, FactorySessionMatchesRegistrySession) {
   WorkloadParams params;
   params.seed = 5151;
@@ -248,16 +238,6 @@ TEST(WorkloadExperiment, GeneratorSpecsDie) {
     s.arrivals = std::make_shared<FixedOffsetArrivals>(0);
     EXPECT_DEATH(wl.AddSession(s), "mutually exclusive");
   }
-  {
-    // protocol_config's std::any is validated against the registry entry's
-    // declared config type at resolution, not at first use deep in a factory.
-    WorkloadExperiment wl(SmallUniform(8, 3), params);
-    SessionSpec s;
-    s.protocol = "bullet-prime";
-    s.members = {0, 1, 2};
-    s.protocol_config = 42;  // an int is not a BulletPrimeConfig
-    EXPECT_DEATH(wl.AddSession(s), "wrong type");
-  }
 }
 
 TEST(WorkloadExperiment, LifetimeExpiryDepartsReceiversAndStillTerminates) {
@@ -340,7 +320,7 @@ TEST(WorkloadExperiment, ChurnModelDeparturesAreRecorded) {
             result.sessions[0].receivers);
 }
 
-// Encoded-stream methodology comes from the registry entry.
+// Encoded-stream methodology comes from the system's kSystems row.
 TEST(RunScenarioByName, EncodedStreamFollowsRegistryEntry) {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kUniform;
@@ -370,6 +350,31 @@ TEST(RunScenarioByName, SubBlockFileRunsOneBlock) {
   EXPECT_EQ(r.completed, r.receivers);
   ASSERT_FALSE(r.completion_sec.empty());
   EXPECT_LT(*std::max_element(r.completion_sec.begin(), r.completion_sec.end()), 60.0);
+}
+
+// The stream flags reach only systems that stream: under cfg.streaming a
+// legacy Bullet session is added in bulk mode, a Bullet' session streams.
+TEST(BuildScenarioExperiment, StreamingSkipsSystemsWithoutAStreamingMode) {
+  ScenarioConfig cfg;
+  cfg.topo = ScenarioConfig::Topo::kUniform;
+  cfg.num_nodes = 8;
+  cfg.file_mb = 0.25;
+  cfg.streaming = StreamingSpec{};
+  WorkloadSpec workload;
+  SessionSpec legacy;
+  legacy.protocol = "bullet";
+  legacy.members = {0, 2, 4, 6};
+  legacy.source = 0;
+  workload.sessions.push_back(legacy);
+  SessionSpec prime;
+  prime.protocol = "bullet-prime";
+  prime.members = {1, 3, 5, 7};
+  prime.source = 1;
+  workload.sessions.push_back(prime);
+
+  const std::unique_ptr<WorkloadExperiment> exp = BuildScenarioExperiment(cfg, workload);
+  EXPECT_FALSE(exp->session_spec(0).streaming.has_value());
+  EXPECT_TRUE(exp->session_spec(1).streaming.has_value());
 }
 
 }  // namespace

@@ -91,6 +91,13 @@ TEST(Streaming, SplitStreamPacedSourceCompletesPositions) {
   }
 }
 
+// The released Bullet has no streaming mode: a streaming session of it would
+// report every receiver stalled until the deadline, so AddSession refuses it.
+TEST(Streaming, BulletSessionWithStreamingDies) {
+  EXPECT_DEATH(RunStreamingSession("bullet", 10, 32, 907, TestStream(16), /*encoded=*/true),
+               "no streaming mode");
+}
+
 TEST(Streaming, LateJoinersCatchUpFromTheLiveEdge) {
   WorkloadParams params;
   params.seed = 904;
@@ -177,8 +184,7 @@ TEST(Streaming, SplitStreamRepairsOrphanedStripes) {
 
   std::map<NodeId, SplitStream*> instances;
   exp.AddSession(session, [&](const Protocol::Context& ctx) {
-    auto p = std::make_unique<SplitStream>(ctx, session.file, session.source, &forest,
-                                           SplitStreamConfig{});
+    auto p = std::make_unique<SplitStream>(ctx, session.file, session.source, &forest);
     instances[ctx.self] = p.get();
     return p;
   });
