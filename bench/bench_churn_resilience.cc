@@ -17,7 +17,8 @@ namespace {
 
 struct ChurnRun {
   std::vector<double> survivor_times;
-  // Leaves that failed: at most `kills`, as the control tree may have fewer.
+  // Leaves scheduled to fail: at most `kills`, as the control tree may have
+  // fewer.
   int failures = 0;
 };
 
@@ -27,22 +28,20 @@ ChurnRun RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) {
   session.protocol = legacy ? "bullet" : "bullet-prime";
   session.seed = cfg.seed;
   workload.sessions.push_back(session);
+  if (kills > 0) {
+    // Each victim is failed and credited by the session's departure path, so
+    // the run stops once the last survivor finishes.
+    workload.churn = std::make_shared<LeafFailureChurn>(kills);
+  }
   const std::unique_ptr<WorkloadExperiment> exp = BuildScenarioExperiment(cfg, workload);
+  const WorkloadResult result = exp->Run();
 
   ChurnRun run;
+  run.failures = static_cast<int>(result.churn_events.size());
   std::vector<char> is_victim(static_cast<size_t>(cfg.num_nodes), 0);
-  if (kills > 0) {
-    Rng churn_rng(cfg.seed ^ 0xc0ffee);
-    const ChurnPlan plan =
-        PlanLeafFailures(exp->session_tree(0), session.source, kills, churn_rng);
-    for (const NodeId v : plan.victims) {
-      is_victim[static_cast<size_t>(v)] = 1;
-    }
-    ScheduleChurn(exp->net(), plan);
-    run.failures = static_cast<int>(plan.victims.size());
+  for (const ChurnEvent& ev : result.churn_events) {
+    is_victim[static_cast<size_t>(ev.node)] = 1;
   }
-  exp->Run();
-
   const RunMetrics& metrics = exp->session_metrics(0);
   for (NodeId n = 1; n < cfg.num_nodes; ++n) {
     if (is_victim[static_cast<size_t>(n)]) {

@@ -6,7 +6,7 @@ namespace bullet {
 
 BulletLegacy::BulletLegacy(const Context& ctx, const FileParams& file, NodeId source,
                            const ControlTree* tree)
-    : TreeOverlayProtocol(ctx, file, source, tree, RanSubAgent::Config{}) {}
+    : TreeOverlayProtocol(ctx, file, source, tree) {}
 
 void BulletLegacy::Start() {
   TreeOverlayProtocol::Start();

@@ -68,7 +68,6 @@ LtDecoder::LtDecoder(uint32_t num_blocks, size_t block_bytes, uint64_t stream_se
       index_to_equations_(num_blocks) {}
 
 int LtDecoder::AddEncoded(uint32_t encoded_id, Block payload) {
-  ++received_count_;
   const uint32_t before = recovered_count_;
 
   auto eq = std::make_unique<Equation>();

@@ -65,7 +65,6 @@ class LtDecoder {
 
   bool complete() const { return recovered_count_ == num_blocks_; }
   uint32_t recovered_count() const { return recovered_count_; }
-  uint32_t received_count() const { return received_count_; }
 
   // Recovered file (unpadded up to `file_bytes` if given). Requires complete().
   std::vector<uint8_t> Reconstruct(int64_t file_bytes = -1) const;
@@ -90,7 +89,6 @@ class LtDecoder {
   std::vector<Block> recovered_;        // empty until recovered
   std::vector<char> is_recovered_;
   uint32_t recovered_count_ = 0;
-  uint32_t received_count_ = 0;
 
   std::vector<std::unique_ptr<Equation>> equations_;
   // source index -> equation slots referencing it

@@ -1,67 +1,9 @@
 #include "src/common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 namespace bullet {
-
-namespace {
-
-LogLevel ParseEnvLevel() {
-  const char* env = std::getenv("BULLET_LOG");
-  if (env == nullptr) {
-    return LogLevel::kOff;
-  }
-  if (std::strcmp(env, "debug") == 0) {
-    return LogLevel::kDebug;
-  }
-  if (std::strcmp(env, "info") == 0) {
-    return LogLevel::kInfo;
-  }
-  if (std::strcmp(env, "warn") == 0) {
-    return LogLevel::kWarn;
-  }
-  if (std::strcmp(env, "error") == 0) {
-    return LogLevel::kError;
-  }
-  return LogLevel::kOff;
-}
-
-// Atomic so concurrent sweep workers can consult the level while a test (or a
-// future admin surface) flips it; relaxed ordering is enough for a threshold.
-std::atomic<LogLevel> g_level{ParseEnvLevel()};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-    case LogLevel::kOff:
-      return "OFF";
-  }
-  return "?";
-}
-
-}  // namespace
-
-LogLevel GlobalLogLevel() { return g_level.load(std::memory_order_relaxed); }
-
-void SetGlobalLogLevel(LogLevel level) { g_level.store(level, std::memory_order_relaxed); }
-
-bool LogEnabled(LogLevel level) {
-  return static_cast<int>(level) >= static_cast<int>(GlobalLogLevel());
-}
-
-void LogLine(LogLevel level, const std::string& msg) {
-  std::fprintf(stderr, "[%s] %s\n", LevelName(level), msg.c_str());
-}
 
 namespace log_internal {
 

@@ -1,51 +1,15 @@
-// Minimal leveled logging. The emulator is single-threaded per simulation, but the
-// sweep engine runs many simulations concurrently, so the global level is atomic and
-// each LogLine is a single stderr write. Logging is off by default and enabled via
-// BULLET_LOG=debug|info|warn for debugging runs.
+// Always-on invariant checks.
 
 #ifndef SRC_COMMON_LOGGING_H_
 #define SRC_COMMON_LOGGING_H_
 
-#include <sstream>
-#include <string>
-
 namespace bullet {
-
-enum class LogLevel : int {
-  kDebug = 0,
-  kInfo = 1,
-  kWarn = 2,
-  kError = 3,
-  kOff = 4,
-};
-
-LogLevel GlobalLogLevel();
-void SetGlobalLogLevel(LogLevel level);
-
-bool LogEnabled(LogLevel level);
-void LogLine(LogLevel level, const std::string& msg);
 
 namespace log_internal {
 
 [[noreturn]] void CheckFail(const char* condition, const char* file, int line);
 
-class LogMessage {
- public:
-  explicit LogMessage(LogLevel level) : level_(level) {}
-  ~LogMessage() { LogLine(level_, stream_.str()); }
-  std::ostringstream& stream() { return stream_; }
-
- private:
-  LogLevel level_;
-  std::ostringstream stream_;
-};
-
 }  // namespace log_internal
-
-#define BULLET_LOG(level)                            \
-  if (!::bullet::LogEnabled(::bullet::LogLevel::level)) { \
-  } else                                             \
-    ::bullet::log_internal::LogMessage(::bullet::LogLevel::level).stream()
 
 // Always-on invariant check (release builds included): prints the failed
 // condition with its location to stderr and aborts. Used for cheap structural

@@ -16,7 +16,7 @@ bool FullEpoch(SimTime connected_at, SimTime epoch_start) { return connected_at 
 
 BulletPrime::BulletPrime(const Context& ctx, const FileParams& file, NodeId source,
                          const ControlTree* tree, const BulletPrimeConfig& config)
-    : TreeOverlayProtocol(ctx, file, source, tree, RanSubAgent::Config{}),
+    : TreeOverlayProtocol(ctx, file, source, tree),
       config_(config),
       senders_(ctx.net->arena_counter()),
       is_requested_(file.BlockSpace(), 0),
@@ -62,15 +62,6 @@ int BulletPrime::num_senders() const {
   return n;
 }
 
-int BulletPrime::outstanding_to(NodeId sender) const {
-  for (const auto& [conn, s] : senders_) {
-    if (s.node == sender) {
-      return s.outstanding;
-    }
-  }
-  return -1;
-}
-
 std::vector<BulletPrime::SenderDebug> BulletPrime::DebugSenders() const {
   std::vector<SenderDebug> out;
   for (const auto& [conn, s] : senders_) {
@@ -90,15 +81,6 @@ std::vector<BulletPrime::SenderDebug> BulletPrime::DebugSenders() const {
     out.push_back(d);
   }
   return out;
-}
-
-double BulletPrime::desired_outstanding(NodeId sender) const {
-  for (const auto& [conn, s] : senders_) {
-    if (s.node == sender) {
-      return s.desired;
-    }
-  }
-  return -1.0;
 }
 
 PeerSummary BulletPrime::MakeSummary() {

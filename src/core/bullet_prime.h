@@ -41,8 +41,6 @@ class BulletPrime : public TreeOverlayProtocol {
   int num_senders() const;
   int num_receivers() const { return static_cast<int>(receivers_.size()); }
   int max_senders() const { return max_senders_; }
-  double desired_outstanding(NodeId sender) const;
-  int outstanding_to(NodeId sender) const;
 
   // Diagnostic snapshot of one peering (tests and the inspect example).
   struct SenderDebug {

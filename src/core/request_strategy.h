@@ -46,7 +46,6 @@ class CandidateSet {
   void Readd(uint32_t id) { Add(id); }
 
   size_t RawSize() const { return vec_.size(); }
-  bool RawEmpty() const { return vec_.empty(); }
 
   // Picks the next block to request under `strategy`, or nullopt if no valid
   // candidate remains. Picked and stale entries are removed as encountered.

@@ -7,26 +7,6 @@
 
 namespace bullet {
 
-ChurnPlan PlanLeafFailures(const ControlTree& tree, NodeId source, int count, Rng& rng) {
-  ChurnPlan plan;
-  std::vector<NodeId> leaves;
-  for (NodeId n = 0; n < tree.num_nodes(); ++n) {
-    if (n != source && tree.children[static_cast<size_t>(n)].empty()) {
-      leaves.push_back(n);
-    }
-  }
-  plan.victims = rng.Sample(leaves, static_cast<size_t>(count));
-  return plan;
-}
-
-void ScheduleChurn(Network& net, const ChurnPlan& plan) {
-  SimTime at = plan.first_kill;
-  for (const NodeId victim : plan.victims) {
-    net.queue().Schedule(at, [&net, victim] { net.FailNode(victim); });
-    at += plan.interval;
-  }
-}
-
 LeafFailureChurn::LeafFailureChurn(int count, SimTime first_kill, SimTime interval)
     : count_(count), first_kill_(first_kill), interval_(interval) {
   BULLET_CHECK(count > 0 && "leaf churn needs a positive victim count");
@@ -40,8 +20,7 @@ std::vector<ChurnEvent> LeafFailureChurn::Schedule(const ChurnContext& ctx, Rng&
   for (const ChurnContext::SessionView& s : ctx.sessions) {
     BULLET_CHECK(s.tree != nullptr && "leaf churn needs session control trees");
     // Trees span global NodeIds; for subset sessions, non-members are also
-    // childless, so select leaves from the member list rather than reusing
-    // PlanLeafFailures's whole-tree scan.
+    // childless, so select leaves from the member list, not the whole tree.
     std::vector<NodeId> leaves;
     for (const NodeId m : *s.members) {
       if (m != s.source && s.tree->children[static_cast<size_t>(m)].empty()) {
@@ -59,10 +38,6 @@ std::vector<ChurnEvent> LeafFailureChurn::Schedule(const ChurnContext& ctx, Rng&
 CorrelatedFailureChurn::CorrelatedFailureChurn(Scope scope, SimTime at)
     : scope_(scope), at_(at) {
   BULLET_CHECK(at > 0 && "correlated failure time must be positive");
-}
-
-std::string CorrelatedFailureChurn::name() const {
-  return scope_ == Scope::kStubDomain ? "stub" : "gateway";
 }
 
 std::vector<ChurnEvent> CorrelatedFailureChurn::Schedule(const ChurnContext& ctx,

@@ -3,44 +3,34 @@
 // The paper's core argument for meshes (Section 1) is that losing one of n peers
 // costs roughly 1/n of a node's bandwidth and triggers no reconnection storm,
 // whereas losing an interior tree node cuts off a whole subtree. The paper's own
-// experiments run without churn; this driver is the reproduction's extension for
-// exercising that claim (tests/integration/churn_test.cc, bench_churn_resilience).
-//
-// Failures target leaves of the control tree: Bullet' repairs its *mesh* around
-// failures (RanSub stops advertising dead peers once their summaries age out, and
-// ManageSenders replaces them), but control-tree repair is out of scope here as it
-// was in the paper, so killing interior tree nodes would conflate the two effects.
-
-#ifndef SRC_HARNESS_CHURN_H_
-#define SRC_HARNESS_CHURN_H_
-
-#include <string>
-#include <vector>
-
-#include "src/overlay/control_tree.h"
-#include "src/sim/network.h"
-
-namespace bullet {
-
-struct ChurnPlan {
-  std::vector<NodeId> victims;  // in kill order
-  SimTime first_kill = SecToSim(15.0);
-  SimTime interval = SecToSim(10.0);
-};
-
-// Picks up to `count` control-tree leaves (never the source), uniformly at random.
-ChurnPlan PlanLeafFailures(const ControlTree& tree, NodeId source, int count, Rng& rng);
-
-// Schedules the failures on the network's event queue.
-void ScheduleChurn(Network& net, const ChurnPlan& plan);
-
-// --- generator interface (workload_gen.h family) ---
+// experiments run without churn; the models here are the reproduction's
+// extension for exercising that claim (bench_churn_resilience,
+// bench_fig22_correlated_failures, tests/integration/churn_test.cc).
 //
 // A ChurnModel turns the assembled workload (topology + per-session trees and
 // member sets) into a failure schedule, drawn deterministically from the rng
 // stream the harness derives from the workload seed. WorkloadExperiment routes
 // every event through its departure path: Network::FailNode plus the owning
-// session's completion-policy credit, so churned sessions still terminate.
+// session's completion-policy credit, so churned sessions still terminate once
+// their last survivor finishes.
+//
+// Leaf failures target leaves of the control tree: Bullet' repairs its *mesh*
+// around failures (RanSub stops advertising dead peers once their summaries age
+// out, and ManageSenders replaces them), but control-tree repair is out of scope
+// here as it was in the paper, so killing interior tree nodes would conflate the
+// two effects.
+
+#ifndef SRC_HARNESS_CHURN_H_
+#define SRC_HARNESS_CHURN_H_
+
+#include <vector>
+
+#include "src/common/rng.h"
+#include "src/overlay/control_tree.h"
+#include "src/sim/time.h"
+#include "src/sim/topology.h"
+
+namespace bullet {
 
 struct ChurnEvent {
   NodeId node = -1;
@@ -61,20 +51,18 @@ struct ChurnContext {
 class ChurnModel {
  public:
   virtual ~ChurnModel() = default;
-  // Reporting label ("leaf", "stub", "gateway").
-  virtual std::string name() const = 0;
   // The failure schedule. Implementations must never target a session source.
   virtual std::vector<ChurnEvent> Schedule(const ChurnContext& ctx, Rng& rng) const = 0;
 };
 
-// PlanLeafFailures/ScheduleChurn as a generator: per session (in order), up to
-// `count` control-tree leaves die, one every `interval` starting at
-// `first_kill` (the kill clock is shared across sessions).
+// Per session (in order), up to `count` of its member leaves of the control
+// tree (never the source) die, drawn uniformly at random, one every
+// `interval` starting at `first_kill` (the kill clock is shared across
+// sessions).
 class LeafFailureChurn final : public ChurnModel {
  public:
   explicit LeafFailureChurn(int count, SimTime first_kill = SecToSim(15.0),
                            SimTime interval = SecToSim(10.0));
-  std::string name() const override { return "leaf"; }
   std::vector<ChurnEvent> Schedule(const ChurnContext& ctx, Rng& rng) const override;
 
  private:
@@ -92,7 +80,6 @@ class CorrelatedFailureChurn final : public ChurnModel {
  public:
   enum class Scope { kStubDomain, kGatewayRouter };
   CorrelatedFailureChurn(Scope scope, SimTime at);
-  std::string name() const override;
   std::vector<ChurnEvent> Schedule(const ChurnContext& ctx, Rng& rng) const override;
 
  private:

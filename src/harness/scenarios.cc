@@ -4,8 +4,6 @@
 #include <memory>
 #include <utility>
 
-#include "src/harness/workload_gen.h"
-
 namespace bullet {
 
 std::string ScenarioSubsetSystemOr(const std::optional<std::string>& system,
@@ -70,20 +68,12 @@ uint32_t FileBlocks(double file_mb, int64_t block_bytes) {
 
 std::unique_ptr<WorkloadExperiment> BuildScenarioExperiment(const ScenarioConfig& cfg,
                                                             const WorkloadSpec& workload) {
-  std::unique_ptr<Topology> topology = BuildScenarioTopology(cfg);
-  if (workload.access_links != nullptr) {
-    // Access-link cohorts rewrite per-node link parameters before the network
-    // snapshots the topology; the stream is decorrelated from the topology
-    // builder's (same base seed, different salt).
-    Rng access_rng(cfg.seed ^ 0xa0761d6478bd642fULL);
-    workload.access_links->Apply(*topology, access_rng);
-  }
   WorkloadParams params;
   params.seed = cfg.seed;
   params.deadline = cfg.deadline;
   params.record_arrivals = cfg.record_arrivals;
   params.net = cfg.net;
-  auto exp = std::make_unique<WorkloadExperiment>(std::move(topology), params);
+  auto exp = std::make_unique<WorkloadExperiment>(BuildScenarioTopology(cfg), params);
   if (workload.churn != nullptr) {
     exp->SetChurnModel(workload.churn);
   }

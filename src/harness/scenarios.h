@@ -64,12 +64,10 @@ bool ParseTopologyName(const std::string& name, ScenarioConfig::Topo* topo);
 // topology, dynamics and network knobs, ready to Run(). Sessions whose
 // FileParams have num_blocks == 0 inherit the scenario file sizing (FileBlocks
 // of cfg.file_mb and cfg.block_bytes), and sessions of a system that streams
-// inherit cfg.streaming unless they carry their own StreamingSpec.
-// Workload-level generators are honored here: `access_links` mutates the
-// freshly built topology (before the network snapshots it) and `churn` is
-// installed on the experiment. The experiment lives on the heap because its
-// sessions' callbacks point at it; callers reach its network, trees and
-// metrics before or after Run().
+// inherit cfg.streaming unless they carry their own StreamingSpec, and the
+// workload's `churn` model is installed on the experiment. The experiment
+// lives on the heap because its sessions' callbacks point at it; callers reach
+// its network, trees and metrics before or after Run().
 std::unique_ptr<WorkloadExperiment> BuildScenarioExperiment(const ScenarioConfig& cfg,
                                                             const WorkloadSpec& workload);
 

@@ -27,8 +27,7 @@ namespace bullet {
 // Workload generators (src/harness/workload_gen.h, src/harness/churn.h). Specs
 // hold them as shared_ptr-to-const so a spec stays a cheap value type.
 class ArrivalProcess;
-class LifetimeModel;
-class AccessLinkDistribution;
+class ParetoLifetime;
 class ChurnModel;
 
 struct SessionSpec {
@@ -71,19 +70,17 @@ struct SessionSpec {
   // default) keeps the bulk-transfer semantics. Only systems whose kSystems
   // row streams accept it. See overlay/streaming.h.
   std::optional<StreamingSpec> streaming;
-  // Generator-driven member lifetimes: receivers drawing a finite lifetime
-  // depart mid-run (network failure + completion-policy credit), and models
-  // with departs_after_completion() also leave shortly after finishing — the
+  // Generator-driven member lifetimes: every receiver departs mid-run once
+  // its drawn lifetime expires (network failure + completion-policy credit),
+  // and with departs_after_completion() also shortly after finishing — the
   // "seeder departs" regime. See workload_gen.h.
-  std::shared_ptr<const LifetimeModel> lifetimes;
+  std::shared_ptr<const ParetoLifetime> lifetimes;
 };
 
 struct WorkloadSpec {
   std::vector<SessionSpec> sessions;
-  // Workload-level generators: an access-link cohort distribution applied to
-  // the topology before the network is built (BuildScenarioExperiment), and a
-  // churn model whose failure schedule is drawn at Run() over every session.
-  std::shared_ptr<const AccessLinkDistribution> access_links;
+  // A churn model whose failure schedule is drawn at Run() over every
+  // session (BuildScenarioExperiment installs it).
   std::shared_ptr<const ChurnModel> churn;
 };
 

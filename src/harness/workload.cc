@@ -201,11 +201,7 @@ int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const SystemInfo* syste
       if (sp.members[i] == sp.source) {
         continue;
       }
-      const SimTime life = sp.lifetimes->Draw(i, life_rng);
-      BULLET_CHECK(life != 0 && "lifetime draws must be positive or negative (infinite)");
-      if (life > 0) {
-        s.depart_at[i] = s.join_at[i] + life;
-      }
+      s.depart_at[i] = s.join_at[i] + sp.lifetimes->Draw(life_rng);
     }
   }
 

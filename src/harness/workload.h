@@ -187,7 +187,6 @@ class WorkloadExperiment {
   Network& net() { return *net_; }
   const WorkloadParams& params() const { return params_; }
 
-  int num_sessions() const { return static_cast<int>(sessions_.size()); }
   // The normalized spec (members/offsets expanded, seed resolved into seed).
   const SessionSpec& session_spec(int session) const { return at(session).spec; }
   uint64_t session_seed(int session) const { return at(session).seed; }
@@ -197,7 +196,6 @@ class WorkloadExperiment {
   Protocol* session_protocol(int session, NodeId node);
   // Absolute join time; -1 for non-members.
   SimTime session_join_time(int session, NodeId node) const;
-  bool session_complete(int session) const { return at(session).complete; }
 
  private:
   struct JoinBucket {

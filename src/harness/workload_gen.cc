@@ -6,14 +6,6 @@
 
 namespace bullet {
 
-FixedOffsetArrivals::FixedOffsetArrivals(SimTime offset) : offset_(offset) {
-  BULLET_CHECK(offset >= 0 && "arrival offsets must be non-negative");
-}
-
-std::vector<SimTime> FixedOffsetArrivals::Offsets(size_t receivers, Rng& /*rng*/) const {
-  return std::vector<SimTime>(receivers, offset_);
-}
-
 FlashCrowdArrivals::FlashCrowdArrivals(double late_fraction, SimTime late_offset)
     : late_fraction_(late_fraction), late_offset_(late_offset) {
   BULLET_CHECK(late_fraction >= 0.0 && late_fraction <= 1.0 &&
@@ -67,8 +59,6 @@ std::vector<SimTime> DiurnalArrivals::Offsets(size_t receivers, Rng& rng) const 
   return offsets;
 }
 
-SimTime InfiniteLifetime::Draw(size_t /*member_index*/, Rng& /*rng*/) const { return -1; }
-
 ParetoLifetime::ParetoLifetime(double alpha, SimTime xm, bool depart_after_completion,
                                SimTime linger)
     : alpha_(alpha), xm_(xm), depart_after_completion_(depart_after_completion), linger_(linger) {
@@ -77,49 +67,11 @@ ParetoLifetime::ParetoLifetime(double alpha, SimTime xm, bool depart_after_compl
   BULLET_CHECK(linger >= 0 && "post-completion linger must be non-negative");
 }
 
-SimTime ParetoLifetime::Draw(size_t /*member_index*/, Rng& rng) const {
+SimTime ParetoLifetime::Draw(Rng& rng) const {
   // Inverse CDF: L = xm * U^(-1/alpha) with U in (0, 1]. UniformDouble() is
   // [0, 1), so flip it — U = 0 would be an infinite draw.
   const double u = 1.0 - rng.UniformDouble();
   return static_cast<SimTime>(static_cast<double>(xm_) * std::pow(u, -1.0 / alpha_));
-}
-
-SeederDepartureLifetime::SeederDepartureLifetime(SimTime linger) : linger_(linger) {
-  BULLET_CHECK(linger >= 0 && "post-completion linger must be non-negative");
-}
-
-SimTime SeederDepartureLifetime::Draw(size_t /*member_index*/, Rng& /*rng*/) const { return -1; }
-
-UniformAccessLinks::UniformAccessLinks(double bps) : bps_(bps) {
-  BULLET_CHECK(bps > 0.0 && "access bandwidth must be positive");
-}
-
-void UniformAccessLinks::Apply(Topology& topology, Rng& /*rng*/) const {
-  for (NodeId n = 0; n < topology.num_nodes(); ++n) {
-    topology.uplink(n).bandwidth_bps = bps_;
-    topology.downlink(n).bandwidth_bps = bps_;
-  }
-}
-
-DslAccessLinks::DslAccessLinks(double fraction, double down_bps, double up_bps)
-    : fraction_(fraction), down_bps_(down_bps), up_bps_(up_bps) {
-  BULLET_CHECK(fraction >= 0.0 && fraction <= 1.0 && "DSL cohort fraction must be in [0, 1]");
-  BULLET_CHECK(down_bps > 0.0 && up_bps > 0.0 && "access bandwidth must be positive");
-  BULLET_CHECK(down_bps >= up_bps && "a DSL cohort is down >> up; use down_bps >= up_bps");
-}
-
-void DslAccessLinks::Apply(Topology& topology, Rng& rng) const {
-  std::vector<NodeId> candidates;
-  candidates.reserve(static_cast<size_t>(topology.num_nodes()));
-  for (NodeId n = 1; n < topology.num_nodes(); ++n) {
-    candidates.push_back(n);
-  }
-  const size_t count =
-      static_cast<size_t>(fraction_ * static_cast<double>(topology.num_nodes()) + 0.5);
-  for (const NodeId n : rng.Sample(candidates, count)) {
-    topology.downlink(n).bandwidth_bps = down_bps_;
-    topology.uplink(n).bandwidth_bps = up_bps_;
-  }
 }
 
 }  // namespace bullet

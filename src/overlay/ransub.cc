@@ -17,14 +17,13 @@ struct Candidate {
 
 }  // namespace
 
-RanSubAgent::RanSubAgent(const ControlTree* tree, NodeId self, Config config, Rng rng,
+RanSubAgent::RanSubAgent(const ControlTree* tree, NodeId self, Rng rng,
                          std::function<PeerSummary()> summarize,
                          std::function<void(const std::vector<PeerSummary>&)> on_distribute,
                          std::function<void(NodeId, std::unique_ptr<Message>)> send_to_peer,
                          EventQueue* queue)
     : tree_(tree),
       self_(self),
-      config_(config),
       rng_(std::move(rng)),
       summarize_(std::move(summarize)),
       on_distribute_(std::move(on_distribute)),
@@ -36,7 +35,7 @@ RanSubAgent::RanSubAgent(const ControlTree* tree, NodeId self, Config config, Rn
 void RanSubAgent::Start() {
   if (tree_->IsRoot(self_)) {
     // First epoch after one period, so nodes have joined and sent initial collects.
-    queue_->ScheduleAfter(config_.epoch_period, [this] { RootEpoch(); });
+    queue_->ScheduleAfter(kEpochPeriod, [this] { RootEpoch(); });
   } else {
     // Seed the pipeline: send an initial collect so ancestors learn about us before
     // the first distribute arrives.
@@ -71,17 +70,15 @@ void RanSubAgent::RootEpoch() {
 
   // The root's own subset.
   std::vector<PeerSummary> my_subset =
-      SampleFrom(pools, self_extra, self_weight, config_.subset_size, self_);
-  ++epochs_seen_;
+      SampleFrom(pools, self_extra, self_weight, kSubsetSize, self_);
   on_distribute_(my_subset);
 
   SendSubsetsToChildren({}, epoch_);
-  queue_->ScheduleAfter(config_.epoch_period, [this] { RootEpoch(); });
+  queue_->ScheduleAfter(kEpochPeriod, [this] { RootEpoch(); });
 }
 
 void RanSubAgent::OnDistribute(const RanSubDistributeMsg& msg) {
   epoch_ = msg.epoch;
-  ++epochs_seen_;
   on_distribute_(msg.subset);
   SendSubsetsToChildren(msg.subset, msg.epoch);
   // Pipelined collect: push our current pool up so the root has it for next epoch.
@@ -201,8 +198,8 @@ RanSubCollectMsg RanSubAgent::BuildCollect() {
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const Candidate& a, const Candidate& b) { return a.key > b.key; });
-  if (candidates.size() > config_.pool_size) {
-    candidates.resize(config_.pool_size);
+  if (candidates.size() > kPoolSize) {
+    candidates.resize(kPoolSize);
   }
   // Rescale weights so the pool still represents the whole subtree.
   double kept_weight = 0.0;
@@ -249,7 +246,7 @@ void RanSubAgent::SendSubsetsToChildren(const std::vector<PeerSummary>& parent_s
     auto msg = std::make_unique<RanSubDistributeMsg>();
     msg->type = RanSubDistributeMsg::kType;
     msg->epoch = epoch;
-    msg->subset = SampleFrom(pools, extra, extra_weights, config_.subset_size, kids[ci]);
+    msg->subset = SampleFrom(pools, extra, extra_weights, kSubsetSize, kids[ci]);
     msg->wire_bytes =
         kMsgHeaderBytes + static_cast<int64_t>(msg->subset.size()) * PeerSummary::kWireBytes;
     send_(kids[ci], std::move(msg));

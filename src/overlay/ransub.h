@@ -54,16 +54,17 @@ struct RanSubCollectMsg : Message {
 
 class RanSubAgent {
  public:
-  struct Config {
-    size_t subset_size = 10;
-    size_t pool_size = 32;
-    SimTime epoch_period = SecToSim(5.0);  // the paper's setting (Section 3.2.2)
-  };
+  // Summaries in each node's distributed random subset.
+  static constexpr size_t kSubsetSize = 10;
+  // Bound on the summaries a collect pool carries up the tree.
+  static constexpr size_t kPoolSize = 32;
+  // The paper's epoch period (Section 3.2.2).
+  static constexpr SimTime kEpochPeriod = SecToSim(5.0);
 
   // `summarize` produces this node's current summary. `on_distribute` fires once per
   // epoch with the node's random subset. `send_to_peer` must route a message to the
   // given tree neighbor (parent or child).
-  RanSubAgent(const ControlTree* tree, NodeId self, Config config, Rng rng,
+  RanSubAgent(const ControlTree* tree, NodeId self, Rng rng,
               std::function<PeerSummary()> summarize,
               std::function<void(const std::vector<PeerSummary>&)> on_distribute,
               std::function<void(NodeId, std::unique_ptr<Message>)> send_to_peer,
@@ -74,8 +75,6 @@ class RanSubAgent {
 
   // Returns true if the message type belongs to RanSub and was consumed.
   bool HandleMessage(NodeId from, Message& msg);
-
-  int epochs_seen() const { return epochs_seen_; }
 
  private:
   void RootEpoch();
@@ -92,7 +91,6 @@ class RanSubAgent {
 
   const ControlTree* tree_;
   NodeId self_;
-  Config config_;
   Rng rng_;
   std::function<PeerSummary()> summarize_;
   std::function<void(const std::vector<PeerSummary>&)> on_distribute_;
@@ -102,7 +100,6 @@ class RanSubAgent {
   // Most recent collect pool per child (index into tree children order).
   std::vector<std::unique_ptr<RanSubCollectMsg>> child_pools_;
   int epoch_ = 0;
-  int epochs_seen_ = 0;
 };
 
 }  // namespace bullet

@@ -3,11 +3,10 @@
 namespace bullet {
 
 TreeOverlayProtocol::TreeOverlayProtocol(const Context& ctx, const FileParams& file, NodeId source,
-                                         const ControlTree* tree,
-                                         RanSubAgent::Config ransub_config)
+                                         const ControlTree* tree)
     : DisseminationProtocol(ctx, file, source), tree_(tree) {
   ransub_ = std::make_unique<RanSubAgent>(
-      tree_, self(), ransub_config, rng().Fork(0x5a),
+      tree_, self(), rng().Fork(0x5a),
       [this] { return MakeSummary(); },
       [this](const std::vector<PeerSummary>& subset) { OnRanSubEpoch(subset); },
       [this](NodeId peer, std::unique_ptr<Message> msg) { SendOnTree(peer, std::move(msg)); },
@@ -34,21 +33,6 @@ void TreeOverlayProtocol::Start() {
 ConnId TreeOverlayProtocol::ChildConn(NodeId child) const {
   auto it = child_conns_.find(child);
   return it == child_conns_.end() ? -1 : it->second;
-}
-
-bool TreeOverlayProtocol::IsTreeConn(ConnId conn) const {
-  if (conn < 0) {
-    return false;
-  }
-  if (conn == parent_conn_) {
-    return true;
-  }
-  for (const auto& [child, c] : child_conns_) {
-    if (c == conn) {
-      return true;
-    }
-  }
-  return false;
 }
 
 void TreeOverlayProtocol::SendOnTree(NodeId peer, std::unique_ptr<Message> msg) {

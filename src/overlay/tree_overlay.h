@@ -27,7 +27,7 @@ struct TreeHelloMsg : Message {
 class TreeOverlayProtocol : public DisseminationProtocol {
  public:
   TreeOverlayProtocol(const Context& ctx, const FileParams& file, NodeId source,
-                      const ControlTree* tree, RanSubAgent::Config ransub_config);
+                      const ControlTree* tree);
 
   void Start() override;
   void OnConnUp(ConnId conn, NodeId peer, bool initiator) override;
@@ -51,8 +51,6 @@ class TreeOverlayProtocol : public DisseminationProtocol {
   const std::vector<NodeId>& tree_children() const {
     return tree_->children[static_cast<size_t>(self())];
   }
-  ConnId parent_conn() const { return parent_conn_; }
-  bool IsTreeConn(ConnId conn) const;
   void SendOnTree(NodeId peer, std::unique_ptr<Message> msg);
 
   std::unique_ptr<RanSubAgent> ransub_;

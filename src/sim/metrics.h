@@ -80,8 +80,6 @@ class RunMetrics {
   // protocol layer calls this from AcceptBlock; `num_positions` sizes the
   // per-node arrival vector on first use.
   void EnableStreaming(uint32_t num_positions) { num_positions_ = num_positions; }
-  bool streaming() const { return num_positions_ > 0; }
-  uint32_t num_positions() const { return num_positions_; }
   void RecordPositionArrival(NodeId n, uint32_t position, SimTime t) {
     NodeMetrics& m = node(n);
     if (m.position_arrivals.empty()) {
@@ -94,7 +92,7 @@ class RunMetrics {
 
   // Fired from inside RecordCompletion (once per node, at its completion
   // instant). The workload harness uses it to schedule post-completion
-  // departures (LifetimeModel::departs_after_completion).
+  // departures (ParetoLifetime::departs_after_completion).
   void SetCompletionObserver(std::function<void(NodeId, SimTime)> observer) {
     completion_observer_ = std::move(observer);
   }
@@ -111,7 +109,6 @@ class RunMetrics {
   // Restricts CompletionSeconds to `members` (in the given order). Empty means
   // every node, the historical behavior.
   void SetMembers(std::vector<NodeId> members) { members_ = std::move(members); }
-  const std::vector<NodeId>& members() const { return members_; }
 
   // Arms the completion policy: once `receivers_target` nodes have completed,
   // the next NotifyIfAllComplete() fires `on_all_complete` exactly once (the

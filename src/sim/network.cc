@@ -10,12 +10,6 @@
 #include "src/common/profiler.h"
 
 namespace bullet {
-namespace {
-
-// Every run uses the default TCP model (tcp_model.h).
-const TcpModelParams kTcp{};
-
-}  // namespace
 
 void Network::MsgRing::push_back(QueuedMsg qm) {
   if (size_ == buf_.size()) {
@@ -136,7 +130,7 @@ ConnId Network::Connect(NodeId from, NodeId to) {
     c->established = true;
     for (int i = 0; i < 2; ++i) {
       if (!c->dir[i].queue.empty()) {
-        c->dir[i].tcp.OnBecameActive(now(), kTcp);
+        c->dir[i].tcp.OnBecameActive(now());
         ActivateDirection(*c, i);
       } else {
         c->dir[i].idle_since = now();
@@ -202,7 +196,7 @@ bool Network::Send(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg) {
   }
   Direction& dir = c->dir[idx];
   if (dir.queue.empty() && c->established) {
-    dir.tcp.OnBecameActive(now(), kTcp);
+    dir.tcp.OnBecameActive(now());
     ActivateDirection(*c, idx);
   }
   dir.queued_bytes += msg->wire_bytes;
@@ -533,7 +527,7 @@ void Network::RebuildAndAllocate() {
         if (!dir.cap_steady) {
           bool steady = false;
           dir.cap_cache =
-              TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, kTcp, &steady);
+              TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, &steady);
           dir.cap_steady = steady;
           if (!steady) {
             ++ramping_flows_;
@@ -628,7 +622,7 @@ Network::FullFlowSet Network::AssembleFullFlowSet() const {
       }
       // The PathCache snapshot equals the live Rtt/PathLoss lookups the pre-PR
       // code performed here: delay and loss are static for a run's lifetime.
-      flow.cap_bps = TcpRateCapBps(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, kTcp);
+      flow.cap_bps = TcpRateCapBps(dir.tcp, now(), c->path[i].rtt, c->path[i].loss);
       set.flows.push_back(std::move(flow));
       set.dirs.emplace_back(id, i);
     }
@@ -663,7 +657,7 @@ void Network::EnqueueDelivery(ConnId conn_id, Conn& c, int sender_idx, std::uniq
   const double p = path.loss;
   if (p > 0.0) {
     const double packets =
-        std::max(1.0, std::ceil(static_cast<double>(msg->wire_bytes) / kTcp.mss_bytes));
+        std::max(1.0, std::ceil(static_cast<double>(msg->wire_bytes) / kTcpMssBytes));
     const double p_msg = 1.0 - std::pow(1.0 - p, packets);
     if (rng_.Bernoulli(p_msg)) {
       // Fast retransmit in the common case; occasionally a full RTO.

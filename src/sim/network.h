@@ -109,7 +109,7 @@ class NetHandler {
 
 // The network knobs a run can vary: the allocation quantum. The harness embeds
 // one of these in WorkloadParams and ScenarioConfig and hands it through
-// unchanged. TCP model parameters are the TcpModelParams defaults, and lossy
+// unchanged. TCP model parameters are the constants in tcp_model.h, and lossy
 // paths always add the retransmission delivery latency (see EnqueueDelivery).
 struct NetworkConfig {
   SimTime quantum = MsToSim(10);
@@ -216,10 +216,9 @@ class Network {
   // Pooled per-connection interior-route slices (capacity, which packing
   // keeps, so this is the pool's peak).
   size_t path_pool_bytes() const;
-  // Protocol node state registered via arena_counter(): live bytes now and the
-  // run's peak — every live StableFlatMap entry plus each map's index
-  // capacity (the name predates per-entry storage).
-  int64_t arena_current_bytes() const { return arena_counter_.current_bytes(); }
+  // Protocol node state registered via arena_counter(): the run's peak —
+  // every live StableFlatMap entry plus each map's index capacity (the name
+  // predates per-entry storage).
   int64_t arena_peak_bytes() const { return arena_counter_.peak_bytes(); }
   // The counter protocol node-state containers (StableFlatMap) charge.
   ArenaCounter* arena_counter() { return &arena_counter_; }

@@ -9,8 +9,8 @@ namespace {
 constexpr double kUnlimitedBps = 1e12;
 }
 
-void TcpFlowState::OnBecameActive(SimTime now, const TcpModelParams& params) {
-  if (!ever_active || now - last_busy > params.idle_restart) {
+void TcpFlowState::OnBecameActive(SimTime now) {
+  if (!ever_active || now - last_busy > kTcpIdleRestart) {
     active_since = now;  // Fresh slow start.
   }
   ever_active = true;
@@ -26,15 +26,15 @@ double MathisCapBps(SimTime rtt, double loss, double mss_bytes) {
 }
 
 double TcpRateCapDetail(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
-                        const TcpModelParams& params, bool* steady) {
+                        bool* steady) {
   const double rtt_sec = std::max(SimToSec(rtt), 1e-4);
   // Slow-start ramp: cwnd doubles every RTT starting from the initial window, so the
   // achievable rate after t seconds of activity is IW * 2^(t/RTT) segments per RTT.
   const double active_sec = std::max(0.0, SimToSec(now - state.active_since));
   const double doublings = std::min(active_sec / rtt_sec, 40.0);
   const double ramp_bps =
-      params.initial_window_segments * params.mss_bytes * 8.0 / rtt_sec * std::exp2(doublings);
-  const double mathis_bps = MathisCapBps(rtt, loss, params.mss_bytes);
+      kTcpInitialWindowSegments * kTcpMssBytes * 8.0 / rtt_sec * std::exp2(doublings);
+  const double mathis_bps = MathisCapBps(rtt, loss, kTcpMssBytes);
   if (steady != nullptr) {
     // The ramp is nondecreasing in `now` (active_since fixed while busy), so once
     // it reaches the constant ceiling — or its doubling count saturates — the cap
@@ -44,9 +44,8 @@ double TcpRateCapDetail(const TcpFlowState& state, SimTime now, SimTime rtt, dou
   return std::min(std::min(ramp_bps, mathis_bps), kUnlimitedBps);
 }
 
-double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
-                     const TcpModelParams& params) {
-  return TcpRateCapDetail(state, now, rtt, loss, params, nullptr);
+double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss) {
+  return TcpRateCapDetail(state, now, rtt, loss, nullptr);
 }
 
 }  // namespace bullet

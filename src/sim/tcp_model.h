@@ -22,13 +22,12 @@
 
 namespace bullet {
 
-struct TcpModelParams {
-  double mss_bytes = 1460.0;
-  // Idle period after which the congestion window collapses back to slow start.
-  SimTime idle_restart = MsToSim(1000);
-  // Initial window in segments (RFC 3390-era value; the paper predates IW10).
-  double initial_window_segments = 3.0;
-};
+// Maximum segment size.
+inline constexpr double kTcpMssBytes = 1460.0;
+// Idle period after which the congestion window collapses back to slow start.
+inline constexpr SimTime kTcpIdleRestart = MsToSim(1000);
+// Initial window in segments (RFC 3390-era value; the paper predates IW10).
+inline constexpr double kTcpInitialWindowSegments = 3.0;
 
 struct TcpFlowState {
   // When the current busy period began (for the slow-start ramp).
@@ -38,13 +37,12 @@ struct TcpFlowState {
   bool ever_active = false;
 
   // Called when a direction transitions idle -> busy.
-  void OnBecameActive(SimTime now, const TcpModelParams& params);
+  void OnBecameActive(SimTime now);
 };
 
 // Upper bound on this flow's rate (bits/second) given path RTT, path loss, and how
 // long it has been continuously active. Returns a very large number when unlimited.
-double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
-                     const TcpModelParams& params);
+double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss);
 
 // As TcpRateCapBps, but additionally reports whether the cap has reached its
 // steady state: once the slow-start ramp meets the loss/clamp ceiling (or the
@@ -53,7 +51,7 @@ double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double
 // returned value is bit-identical to TcpRateCapBps (same operation sequence);
 // the network's incremental tick relies on that for reproducibility.
 double TcpRateCapDetail(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
-                        const TcpModelParams& params, bool* steady);
+                        bool* steady);
 
 // Steady-state Mathis cap alone (bits/second); infinite when loss == 0.
 double MathisCapBps(SimTime rtt, double loss, double mss_bytes);

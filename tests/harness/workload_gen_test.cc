@@ -1,6 +1,6 @@
 // Generator coverage: statistical sanity for the stochastic generators (Pareto
 // tail index, diurnal arrival rate), seed determinism for every generator, and
-// the constructor validation death tests.
+// the constructor validation death tests (churn models included).
 
 #include "src/harness/workload_gen.h"
 
@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "src/harness/churn.h"
-#include "src/sim/topology.h"
 
 namespace bullet {
 namespace {
@@ -26,7 +25,7 @@ TEST(ParetoLifetimeTest, TailIndexMatchesAlpha) {
     const int n = 100000;
     double log_sum = 0.0;
     for (int i = 0; i < n; ++i) {
-      const SimTime draw = model.Draw(0, rng);
+      const SimTime draw = model.Draw(rng);
       ASSERT_GE(draw, xm);
       log_sum += std::log(static_cast<double>(draw) / static_cast<double>(xm));
     }
@@ -43,10 +42,10 @@ TEST(ParetoLifetimeTest, DrawsArePositiveAndSeedDeterministic) {
   Rng c(8);
   bool any_differs_across_seeds = false;
   for (int i = 0; i < 100; ++i) {
-    const SimTime first = model.Draw(i, a);
+    const SimTime first = model.Draw(a);
     EXPECT_GT(first, 0);
-    EXPECT_EQ(first, model.Draw(i, b));
-    any_differs_across_seeds |= first != model.Draw(i, c);
+    EXPECT_EQ(first, model.Draw(b));
+    any_differs_across_seeds |= first != model.Draw(c);
   }
   EXPECT_TRUE(any_differs_across_seeds);
 }
@@ -89,16 +88,6 @@ TEST(DiurnalArrivalsTest, RateModulationFollowsTheCurve) {
   EXPECT_GT(first_half, 2 * second_half);
 }
 
-TEST(FixedOffsetArrivalsTest, EveryReceiverGetsTheOffset) {
-  const FixedOffsetArrivals arrivals(SecToSim(3.0));
-  Rng rng(1);
-  const std::vector<SimTime> offsets = arrivals.Offsets(5, rng);
-  ASSERT_EQ(offsets.size(), 5u);
-  for (const SimTime t : offsets) {
-    EXPECT_EQ(t, SecToSim(3.0));
-  }
-}
-
 TEST(FlashCrowdArrivalsTest, LateFractionIsHonoredAndDeterministic) {
   const FlashCrowdArrivals arrivals(0.4, SecToSim(60.0));
   Rng a(11);
@@ -114,62 +103,9 @@ TEST(FlashCrowdArrivalsTest, LateFractionIsHonoredAndDeterministic) {
   EXPECT_EQ(late, 20);  // 0.4 * 50
 }
 
-TEST(LifetimeModelTest, InfiniteAndSeederPoliciesNeverExpire) {
-  Rng rng(3);
-  const InfiniteLifetime infinite;
-  EXPECT_LT(infinite.Draw(0, rng), 0);
-  EXPECT_FALSE(infinite.departs_after_completion());
-
-  const SeederDepartureLifetime seeder(SecToSim(5.0));
-  EXPECT_LT(seeder.Draw(0, rng), 0);
-  EXPECT_TRUE(seeder.departs_after_completion());
-  EXPECT_EQ(seeder.post_completion_linger(), SecToSim(5.0));
-}
-
-TEST(AccessLinkDistributionTest, DslCohortNeverThrottlesTheSourceAndIsDeterministic) {
-  const DslAccessLinks dsl(0.5, 3e6, 0.5e6);
-  const auto build = [] {
-    Rng rng(17);
-    MeshTopology::MeshParams mesh;
-    mesh.num_nodes = 20;
-    return MeshTopology::FullMesh(mesh, rng);
-  };
-  MeshTopology first = build();
-  MeshTopology second = build();
-  Rng a(23);
-  Rng b(23);
-  dsl.Apply(first, a);
-  dsl.Apply(second, b);
-  EXPECT_EQ(first.uplink(0).bandwidth_bps, second.uplink(0).bandwidth_bps);
-  int throttled = 0;
-  for (NodeId n = 0; n < first.num_nodes(); ++n) {
-    EXPECT_EQ(first.uplink(n).bandwidth_bps, second.uplink(n).bandwidth_bps);
-    EXPECT_EQ(first.downlink(n).bandwidth_bps, second.downlink(n).bandwidth_bps);
-    throttled += first.uplink(n).bandwidth_bps == 0.5e6;
-  }
-  EXPECT_EQ(throttled, 10);
-  // Node 0 hosts the source in every scenario; a throttled source would turn
-  // each run into a source-uplink benchmark.
-  EXPECT_NE(first.uplink(0).bandwidth_bps, 0.5e6);
-}
-
-TEST(AccessLinkDistributionTest, UniformRewritesEveryNode) {
-  Rng topo_rng(29);
-  MeshTopology::MeshParams mesh;
-  mesh.num_nodes = 8;
-  MeshTopology topo = MeshTopology::FullMesh(mesh, topo_rng);
-  Rng rng(1);
-  UniformAccessLinks(2.5e6).Apply(topo, rng);
-  for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-    EXPECT_EQ(topo.uplink(n).bandwidth_bps, 2.5e6);
-    EXPECT_EQ(topo.downlink(n).bandwidth_bps, 2.5e6);
-  }
-}
-
 using WorkloadGenDeathTest = ::testing::Test;
 
 TEST(WorkloadGenDeathTest, InvalidGeneratorSpecsAbort) {
-  EXPECT_DEATH(FixedOffsetArrivals(-1), "non-negative");
   EXPECT_DEATH(FlashCrowdArrivals(1.5, 0), "late_fraction");
   EXPECT_DEATH(FlashCrowdArrivals(0.5, -1), "non-negative");
   EXPECT_DEATH(DiurnalArrivals(0.0, 0.5, SecToSim(10.0)), "base rate");
@@ -178,19 +114,9 @@ TEST(WorkloadGenDeathTest, InvalidGeneratorSpecsAbort) {
   EXPECT_DEATH(ParetoLifetime(0.0, SecToSim(1.0)), "alpha");
   EXPECT_DEATH(ParetoLifetime(1.5, 0), "minimum lifetime");
   EXPECT_DEATH(ParetoLifetime(1.5, SecToSim(1.0), true, -1), "linger");
-  EXPECT_DEATH(SeederDepartureLifetime(-1), "linger");
-  EXPECT_DEATH(UniformAccessLinks(0.0), "bandwidth");
-  EXPECT_DEATH(DslAccessLinks(-0.1, 3e6, 1e6), "fraction");
-  EXPECT_DEATH(DslAccessLinks(0.5, 1e6, 3e6), "down_bps >= up_bps");
-}
-
-TEST(ChurnModelTest, NamesIdentifyTheModels) {
-  EXPECT_EQ(LeafFailureChurn(3).name(), "leaf");
-  EXPECT_EQ(CorrelatedFailureChurn(CorrelatedFailureChurn::Scope::kStubDomain, SecToSim(5.0)).name(),
-            "stub");
-  EXPECT_EQ(
-      CorrelatedFailureChurn(CorrelatedFailureChurn::Scope::kGatewayRouter, SecToSim(5.0)).name(),
-      "gateway");
+  EXPECT_DEATH(LeafFailureChurn(0), "positive victim count");
+  EXPECT_DEATH(LeafFailureChurn(3, 0), "first_kill");
+  EXPECT_DEATH(LeafFailureChurn(3, SecToSim(1.0), 0), "interval");
 }
 
 }  // namespace

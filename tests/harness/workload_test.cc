@@ -235,7 +235,7 @@ TEST(WorkloadExperiment, GeneratorSpecsDie) {
     SessionSpec s;
     s.members = {0, 1, 2};
     s.join_offsets = {0, 0, 0};
-    s.arrivals = std::make_shared<FixedOffsetArrivals>(0);
+    s.arrivals = std::make_shared<FlashCrowdArrivals>(0.5, SecToSim(10.0));
     EXPECT_DEATH(wl.AddSession(s), "mutually exclusive");
   }
 }
@@ -283,13 +283,17 @@ TEST(WorkloadExperiment, SeederDepartureDrainsCompletedReceivers) {
     spec.members.push_back(n);
     spec.join_offsets.push_back(n >= 4 ? SecToSim(30.0) : 0);
   }
-  spec.lifetimes = std::make_shared<SeederDepartureLifetime>(SecToSim(1.0));
+  // A minimum stay past the deadline: no lifetime expires during the run, so
+  // only completion departs a member.
+  spec.lifetimes = std::make_shared<ParetoLifetime>(1.5, 2 * params.deadline,
+                                                    /*depart_after_completion=*/true,
+                                                    /*linger=*/SecToSim(1.0));
   wl.AddSession(spec);
   const WorkloadResult result = wl.Run();
 
   const SessionResult& r = result.sessions[0];
-  // Everyone completes (lifetimes are infinite until completion); the early
-  // cohort additionally departs after its linger.
+  // Everyone completes (no lifetime expires first); the early cohort
+  // additionally departs after its linger.
   EXPECT_EQ(r.completed, r.receivers);
   EXPECT_GE(r.departed, 3);
   EXPECT_EQ(r.departed_incomplete, 0);

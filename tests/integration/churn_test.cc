@@ -3,7 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <set>
+#include <vector>
 
 #include "src/common/stats.h"
 #include "src/harness/churn.h"
@@ -33,15 +36,12 @@ ChurnRun RunWithChurn(int nodes, int kills, uint64_t seed) {
   session.file.num_blocks = 640;  // 10 MB
   WorkloadExperiment exp(std::move(topo), params);
   exp.AddSession(session);
+  if (kills > 0) {
+    exp.SetChurnModel(std::make_shared<LeafFailureChurn>(kills));
+  }
 
   ChurnRun run;
-  if (kills > 0) {
-    Rng churn_rng(seed ^ 0xdead);
-    ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), session.source, kills, churn_rng);
-    run.victims = static_cast<int>(plan.victims.size());
-    ScheduleChurn(exp.net(), plan);
-  }
-  exp.Run();
+  run.victims = static_cast<int>(exp.Run().churn_events.size());
   run.metrics = exp.session_metrics(0);
   return run;
 }
@@ -63,15 +63,54 @@ TEST(Churn, FailNodeCutsConnections) {
 }
 
 TEST(Churn, PlanTargetsOnlyLeaves) {
-  Rng rng(5);
-  ControlTree tree = ControlTree::Random(50, 4, rng);
-  Rng churn_rng(6);
-  const ChurnPlan plan = PlanLeafFailures(tree, 0, 10, churn_rng);
-  EXPECT_EQ(plan.victims.size(), 10u);
-  for (const NodeId v : plan.victims) {
-    EXPECT_NE(v, 0);
-    EXPECT_TRUE(tree.children[static_cast<size_t>(v)].empty());
+  // LeafFailureChurn's schedule: per session, up to `count` distinct member
+  // leaves of the session's control tree (never its source, capped at the
+  // leaf count), dying one interval apart on a clock shared across sessions.
+  // The two sessions split one 40-node id space, so every non-member is a
+  // childless node of each tree and must not be drawn.
+  constexpr int kNodes = 40;
+  std::vector<NodeId> evens;
+  for (NodeId n = 0; n < kNodes; n += 2) {
+    evens.push_back(n);
   }
+  const std::vector<NodeId> few = {1, 3, 5};
+  Rng tree_rng(5);
+  const ControlTree wide = ControlTree::RandomStaged(
+      kNodes, /*root=*/0, {std::vector<NodeId>(evens.begin() + 1, evens.end())}, 4, tree_rng);
+  const ControlTree narrow = ControlTree::RandomStaged(kNodes, /*root=*/1, {{3, 5}}, 4, tree_rng);
+  ChurnContext ctx;
+  ctx.sessions.push_back({&wide, /*source=*/0, &evens});
+  ctx.sessions.push_back({&narrow, /*source=*/1, &few});
+
+  constexpr int kCount = 5;
+  const SimTime first_kill = SecToSim(15.0);
+  const SimTime interval = SecToSim(10.0);
+  Rng churn_rng(6);
+  const std::vector<ChurnEvent> events =
+      LeafFailureChurn(kCount, first_kill, interval).Schedule(ctx, churn_rng);
+
+  size_t k = 0;
+  std::set<NodeId> victims;
+  for (const ChurnContext::SessionView& s : ctx.sessions) {
+    std::set<NodeId> leaves;
+    for (const NodeId m : *s.members) {
+      if (m != s.source && s.tree->children[static_cast<size_t>(m)].empty()) {
+        leaves.insert(m);
+      }
+    }
+    const size_t expected = std::min<size_t>(kCount, leaves.size());
+    for (size_t i = 0; i < expected; ++i, ++k) {
+      ASSERT_LT(k, events.size());
+      EXPECT_TRUE(leaves.count(events[k].node) == 1) << "victim " << events[k].node;
+      EXPECT_NE(events[k].node, s.source);
+      EXPECT_EQ(events[k].at, first_kill + static_cast<SimTime>(k) * interval);
+      EXPECT_TRUE(victims.insert(events[k].node).second) << "victim drawn twice";
+    }
+  }
+  EXPECT_EQ(events.size(), k);
+  // The wide session has a leaf for every kill; the narrow session's two
+  // leaves cap its draw.
+  EXPECT_EQ(k, static_cast<size_t>(kCount) + 2);
 }
 
 TEST(Churn, SurvivorsCompleteDespiteFailures) {
@@ -185,13 +224,9 @@ TEST(Churn, FailuresUnderBandwidthDynamicsStillComplete) {
   WorkloadExperiment exp(std::move(topo), params);
   exp.AddSession(session);
   StartPeriodicBandwidthChanges(exp.net(), BandwidthDynamicsParams{});
+  exp.SetChurnModel(std::make_shared<LeafFailureChurn>(3));
 
-  Rng churn_rng(21 ^ 0xdead);
-  ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), session.source, 3, churn_rng);
-  ASSERT_EQ(plan.victims.size(), 3u);
-  ScheduleChurn(exp.net(), plan);
-
-  exp.Run();
+  ASSERT_EQ(exp.Run().churn_events.size(), 3u);
   const RunMetrics& metrics = exp.session_metrics(0);
 
   int survivors_done = 0;

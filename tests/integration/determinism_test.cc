@@ -260,10 +260,11 @@ TEST(Determinism, TransitStubScriptRepeatedRunsIdentical) {
 // --- session-workload goldens (staggered joins + churn) ---
 
 // A flash-crowd-with-churn workload: half the receivers join at t=12 s, and
-// two control-tree leaves are killed mid-run, so the session can never fully
-// complete and the run ends at the deadline. Exercises event-queue-driven
-// joins, the staged tree, session-scoped completion accounting and FailNode
-// racing in-flight joins/deliveries — all of it must be exactly reproducible.
+// two control-tree leaves die through the session's departure path at 15 s
+// and 16 s, while the late cohort still downloads. Exercises
+// event-queue-driven joins, the staged tree, session-scoped completion
+// accounting (departed members credited) and FailNode racing in-flight
+// joins/deliveries — all of it must be exactly reproducible.
 WorkloadResult RunLateJoinChurnWorkload() {
   ScenarioConfig cfg;
   cfg.topo = ScenarioConfig::Topo::kMesh;
@@ -286,11 +287,8 @@ WorkloadResult RunLateJoinChurnWorkload() {
     spec.join_offsets.push_back(n >= 7 ? SecToSim(12.0) : 0);
   }
   exp.AddSession(spec);
-
-  Rng churn_rng(777);
-  ChurnPlan plan = PlanLeafFailures(exp.session_tree(0), /*source=*/0, /*count=*/2, churn_rng);
-  plan.first_kill = SecToSim(15.0);
-  ScheduleChurn(exp.net(), plan);
+  exp.SetChurnModel(
+      std::make_shared<LeafFailureChurn>(/*count=*/2, SecToSim(15.0), SecToSim(1.0)));
   return exp.Run();
 }
 
@@ -311,17 +309,19 @@ TEST(Determinism, LateJoinChurnWorkloadRepeatedRunsSerializeIdentically) {
   const std::string serialized = SerializeWorkload(first);
   EXPECT_FALSE(serialized.empty());
   EXPECT_EQ(SerializeWorkload(RunLateJoinChurnWorkload()), serialized);
-  // The killed leaves keep the session from completing: the deadline, not a
-  // session stop, ended the run.
+  // Both killed leaves departed through the session and were credited, so
+  // the session, not the deadline, ended the run.
   ASSERT_EQ(first.sessions.size(), 1u);
-  EXPECT_LT(first.sessions[0].completed, first.sessions[0].receivers);
-  EXPECT_EQ(first.sessions_completed, 0);
+  ASSERT_EQ(first.churn_events.size(), 2u);
+  EXPECT_EQ(first.total_departures, 2);
+  EXPECT_EQ(first.sessions[0].departed, 2);
+  EXPECT_EQ(first.sessions_completed, 1);
 }
 
 // The full generator stack — diurnal arrivals, Pareto lifetimes with seeder
-// departure, DSL access-link cohorts, and a correlated stub outage — must be
-// exactly reproducible: two in-process runs of the same spec serialize to the
-// same bytes, including the drawn churn schedule.
+// departure, and a correlated stub outage — must be exactly reproducible: two
+// in-process runs of the same spec serialize to the same bytes, including the
+// drawn churn schedule.
 TEST(Determinism, GeneratorDrivenChurnWorkloadSerializesIdentically) {
   const auto run = [] {
     ScenarioConfig cfg;
@@ -331,7 +331,6 @@ TEST(Determinism, GeneratorDrivenChurnWorkloadSerializesIdentically) {
     cfg.block_bytes = 16 * 1024;
     cfg.seed = 2203;
     WorkloadSpec workload;
-    workload.access_links = std::make_shared<DslAccessLinks>(0.25, 4e6, 1e6);
     workload.churn = std::make_shared<CorrelatedFailureChurn>(
         CorrelatedFailureChurn::Scope::kStubDomain, SecToSim(4.0));
     SessionSpec session;

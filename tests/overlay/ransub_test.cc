@@ -21,7 +21,7 @@ namespace {
 class RanSubOnly : public TreeOverlayProtocol {
  public:
   RanSubOnly(const Context& ctx, const FileParams& file, const ControlTree* tree)
-      : TreeOverlayProtocol(ctx, file, /*source=*/0, tree, RanSubAgent::Config{}) {}
+      : TreeOverlayProtocol(ctx, file, /*source=*/0, tree) {}
 
   void OnProtocolMessage(ConnId /*conn*/, NodeId /*from*/,
                          std::unique_ptr<Message> /*msg*/) override {}
@@ -83,7 +83,7 @@ TEST_F(RanSubFixture, EverianNodeSeesEpochs) {
 TEST_F(RanSubFixture, SubsetsHaveConfiguredSize) {
   Run(30, 21.0);
   for (const auto* p : protos_) {
-    EXPECT_EQ(p->last_subset.size(), RanSubAgent::Config{}.subset_size);
+    EXPECT_EQ(p->last_subset.size(), RanSubAgent::kSubsetSize);
   }
 }
 
@@ -135,11 +135,10 @@ TEST(RanSubAgentTest, LaterCollectReplacesTheChildsPool) {
   tree.children = {{1}, {}};
   tree.subtree_size = {2, 1};
   EventQueue queue;
-  const RanSubAgent::Config config;
   std::vector<PeerSummary> subset;
   int epochs = 0;
   RanSubAgent root(
-      &tree, /*self=*/0, config, Rng(5),
+      &tree, /*self=*/0, Rng(5),
       [] {
         PeerSummary s;
         s.node = 0;
@@ -168,7 +167,7 @@ TEST(RanSubAgentTest, LaterCollectReplacesTheChildsPool) {
   ASSERT_TRUE(root.HandleMessage(/*from=*/1, short_collect));
 
   root.Start();
-  queue.RunUntil(config.epoch_period);
+  queue.RunUntil(RanSubAgent::kEpochPeriod);
   ASSERT_EQ(epochs, 1);
   std::vector<NodeId> nodes;
   for (const PeerSummary& s : subset) {

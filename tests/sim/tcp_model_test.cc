@@ -24,47 +24,43 @@ TEST(TcpModel, MathisDecreasesWithLossAndRtt) {
 }
 
 TEST(TcpModel, SlowStartRampGrows) {
-  TcpModelParams params;
   TcpFlowState state;
-  state.OnBecameActive(0, params);
+  state.OnBecameActive(0);
   const SimTime rtt = MsToSim(100);
-  const double r0 = TcpRateCapBps(state, 0, rtt, 0.0, params);
-  const double r3 = TcpRateCapBps(state, 3 * rtt, rtt, 0.0, params);
-  const double r6 = TcpRateCapBps(state, 6 * rtt, rtt, 0.0, params);
+  const double r0 = TcpRateCapBps(state, 0, rtt, 0.0);
+  const double r3 = TcpRateCapBps(state, 3 * rtt, rtt, 0.0);
+  const double r6 = TcpRateCapBps(state, 6 * rtt, rtt, 0.0);
   EXPECT_GT(r3, r0 * 4);  // doubles per RTT
   EXPECT_GT(r6, r3 * 4);
 }
 
 TEST(TcpModel, RampStartsFromInitialWindow) {
-  TcpModelParams params;
   TcpFlowState state;
-  state.OnBecameActive(0, params);
+  state.OnBecameActive(0);
   const SimTime rtt = MsToSim(100);
   // At t=0: IW segments per RTT.
-  const double expected = params.initial_window_segments * params.mss_bytes * 8.0 / 0.1;
-  EXPECT_NEAR(TcpRateCapBps(state, 0, rtt, 0.0, params), expected, expected * 0.01);
+  const double expected = kTcpInitialWindowSegments * kTcpMssBytes * 8.0 / 0.1;
+  EXPECT_NEAR(TcpRateCapBps(state, 0, rtt, 0.0), expected, expected * 0.01);
 }
 
 TEST(TcpModel, IdleRestartResetsRamp) {
-  TcpModelParams params;
   TcpFlowState state;
-  state.OnBecameActive(0, params);
+  state.OnBecameActive(0);
   state.last_busy = SecToSim(10.0);
   // Re-activating shortly after staying busy keeps the ramp.
-  state.OnBecameActive(SecToSim(10.5), params);
+  state.OnBecameActive(SecToSim(10.5));
   EXPECT_EQ(state.active_since, 0);
   // Re-activating after a long idle restarts slow start.
-  state.OnBecameActive(SecToSim(30.0), params);
+  state.OnBecameActive(SecToSim(30.0));
   EXPECT_EQ(state.active_since, SecToSim(30.0));
 }
 
 TEST(TcpModel, LossCapsTheRamp) {
-  TcpModelParams params;
   TcpFlowState state;
-  state.OnBecameActive(0, params);
+  state.OnBecameActive(0);
   const SimTime rtt = MsToSim(100);
-  const double capped = TcpRateCapBps(state, SecToSim(60.0), rtt, 0.02, params);
-  EXPECT_NEAR(capped, MathisCapBps(rtt, 0.02, params.mss_bytes), 1.0);
+  const double capped = TcpRateCapBps(state, SecToSim(60.0), rtt, 0.02);
+  EXPECT_NEAR(capped, MathisCapBps(rtt, 0.02, kTcpMssBytes), 1.0);
 }
 
 }  // namespace
