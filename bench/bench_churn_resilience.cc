@@ -17,8 +17,8 @@ namespace {
 
 struct ChurnRun {
   std::vector<double> survivor_times;
-  // Leaves scheduled to fail: at most `kills`, as the control tree may have
-  // fewer.
+  // Victims that died: at most `kills`, as the control tree may have fewer
+  // leaves and the run stops once the last survivor finishes.
   int failures = 0;
 };
 
@@ -37,19 +37,16 @@ ChurnRun RunChurn(bool legacy, int kills, const ScenarioConfig& cfg) {
   const WorkloadResult result = exp->Run();
 
   ChurnRun run;
-  run.failures = static_cast<int>(result.churn_events.size());
-  std::vector<char> is_victim(static_cast<size_t>(cfg.num_nodes), 0);
-  for (const ChurnEvent& ev : result.churn_events) {
-    is_victim[static_cast<size_t>(ev.node)] = 1;
-  }
+  run.failures = result.total_departures;
   const RunMetrics& metrics = exp->session_metrics(0);
   for (NodeId n = 1; n < cfg.num_nodes; ++n) {
-    if (is_victim[static_cast<size_t>(n)]) {
+    const NodeMetrics& m = metrics.node(n);
+    // A victim whose kill never came before the run ended is a survivor.
+    if (m.departed >= 0) {
       continue;
     }
-    run.survivor_times.push_back(metrics.node(n).completion >= 0
-                                     ? SimToSec(metrics.node(n).completion)
-                                     : SimToSec(cfg.deadline));
+    run.survivor_times.push_back(m.completion >= 0 ? SimToSec(m.completion)
+                                                   : SimToSec(cfg.deadline));
   }
   return run;
 }
@@ -72,8 +69,9 @@ BULLET_SCENARIO(churn_resilience, "Extension — survivor completion under leaf 
        {Sweep{"BulletPrime", false, 0}, Sweep{"BulletPrime", false, 10},
         Sweep{"BulletPrime", false, 25}, Sweep{"Bullet", true, 0}, Sweep{"Bullet", true, 25}}) {
     ChurnRun run = RunChurn(sweep.legacy, sweep.kills, cfg);
-    // Name the failures that ran; a tree with fewer leaves than requested
-    // says so, which also keeps the names of the capped series apart.
+    // Name the failures that happened; fewer than requested (a small tree, or
+    // kills scheduled after the last survivor finished) says so, which also
+    // keeps the names of the capped series apart.
     std::string name = std::string(sweep.name) + " survivors, " +
                        std::to_string(run.failures) + " failures";
     if (run.failures < sweep.kills) {

@@ -4,32 +4,6 @@
 
 namespace bullet {
 
-int StripeForest::MaxDepth() const {
-  int max_depth = 0;
-  for (const auto& tree : trees) {
-    for (NodeId n = 0; n < tree.num_nodes(); ++n) {
-      max_depth = std::max(max_depth, tree.depth(n));
-    }
-  }
-  return max_depth;
-}
-
-bool StripeForest::InteriorDisjoint(NodeId root) const {
-  for (size_t stripe = 0; stripe < trees.size(); ++stripe) {
-    const auto& tree = trees[stripe];
-    for (NodeId n = 0; n < tree.num_nodes(); ++n) {
-      if (n == root) {
-        continue;
-      }
-      const bool interior = !tree.children[static_cast<size_t>(n)].empty();
-      if (interior && static_cast<size_t>(n % num_stripes) != stripe) {
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 StripeForest StripeForest::Build(int num_nodes, int num_stripes, NodeId root, Rng& rng) {
   StripeForest forest;
   forest.num_stripes = num_stripes;

@@ -23,11 +23,6 @@ struct StripeForest {
   int num_stripes = 8;
   std::vector<ControlTree> trees;  // one per stripe, all rooted at the source
 
-  // Max depth across stripes (diagnostics / tests).
-  int MaxDepth() const;
-  // Verifies the interior-disjointness invariant; returns false on violation.
-  bool InteriorDisjoint(NodeId root) const;
-
   static StripeForest Build(int num_nodes, int num_stripes, NodeId root, Rng& rng);
 };
 

@@ -1,8 +1,7 @@
 // Block availability bitmap.
 //
 // Bullet' peers exchange *incremental* diffs of their block maps (Section 3.3.4 of the
-// paper), so the bitmap supports extracting "set here but not there" differences and
-// accounting the wire size a diff would occupy.
+// paper), so the bitmap supports extracting "set here but not there" differences.
 
 #ifndef SRC_COMMON_BITMAP_H_
 #define SRC_COMMON_BITMAP_H_
@@ -31,11 +30,6 @@ class Bitmap {
   }
   // Returns true if the bit was newly set (i.e. it was previously clear).
   bool Set(size_t i);
-  void Clear(size_t i);
-  void ClearAll();
-
-  // Index of the first clear bit, or size() if all bits are set.
-  size_t FirstClear() const;
 
   // All indices that are set here. O(size).
   std::vector<uint32_t> SetBits() const;
@@ -43,13 +37,6 @@ class Bitmap {
   // All indices set in `this` but not in `other`. The bitmaps may have different
   // sizes; indices beyond other's size count as "not in other".
   std::vector<uint32_t> DiffFrom(const Bitmap& other) const;
-
-  // Number of indices set in both.
-  size_t IntersectCount(const Bitmap& other) const;
-
-  // Bytes a full bitmap transfer would occupy on the wire (1 bit per block, plus a
-  // small fixed header). Used for control-overhead accounting.
-  size_t WireBytes() const;
 
  private:
   static constexpr size_t kWordBits = 64;

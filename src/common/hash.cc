@@ -17,10 +17,6 @@ uint64_t Fnv1a64Seeded(const void* data, size_t len, uint64_t seed) {
 }
 }  // namespace
 
-uint64_t Fnv1a64(const void* data, size_t len) { return Fnv1a64Seeded(data, len, 0); }
-
-uint64_t Fnv1a64(const std::string& s) { return Fnv1a64(s.data(), s.size()); }
-
 uint64_t Mix64(uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;

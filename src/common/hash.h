@@ -6,13 +6,8 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace bullet {
-
-// FNV-1a over a byte range.
-uint64_t Fnv1a64(const void* data, size_t len);
-uint64_t Fnv1a64(const std::string& s);
 
 // Single-shot 64-bit mix (SplitMix64 finalizer). Good for deriving hash values from
 // integers (block ids, node ids).

@@ -24,14 +24,4 @@ ReproScale GetReproScale() {
   return scale;
 }
 
-int64_t ScaledFileBytes(int64_t paper_bytes, int64_t block_bytes) {
-  const ReproScale scale = GetReproScale();
-  int64_t bytes = static_cast<int64_t>(static_cast<double>(paper_bytes) * scale.file_scale);
-  int64_t blocks = bytes / block_bytes;
-  if (blocks < 16) {
-    blocks = 16;
-  }
-  return blocks * block_bytes;
-}
-
 }  // namespace bullet

@@ -24,10 +24,6 @@ struct ReproScale {
 // Reads REPRO_SCALE from the environment ("ci" or "full"; unknown values mean ci).
 ReproScale GetReproScale();
 
-// Convenience: paper file size in bytes scaled for this run, rounded to a whole number
-// of blocks.
-int64_t ScaledFileBytes(int64_t paper_bytes, int64_t block_bytes);
-
 }  // namespace bullet
 
 #endif  // SRC_COMMON_OPTIONS_H_

@@ -40,13 +40,6 @@ const char* ProfilePhaseName(ProfilePhase phase) {
   return "unknown";
 }
 
-void PhaseProfiler::Reset() {
-  for (Slot& s : slots_) {
-    s.count.store(0, std::memory_order_relaxed);
-    s.ns.store(0, std::memory_order_relaxed);
-  }
-}
-
 PhaseProfiler* PhaseProfiler::Current() { return g_phase_profiler; }
 
 PhaseProfiler* PhaseProfiler::Swap(PhaseProfiler* p) {

@@ -30,16 +30,15 @@
 // kEventDispatch scope (message delivery is an event), so the dispatch total
 // includes protocol time; readers subtract when they want exclusive numbers.
 //
-// Thread-safety: PhaseProfiler totals are relaxed atomics, so one profiler may
-// be shared across threads (the sweep engine instead installs one per worker
-// run via the thread-local current pointer — cheaper and per-run attributable).
-// Install/Swap of the thread-local pointers themselves are per-thread
-// operations and must not race with the owning run.
+// Threads: every run installs its own RunCounters and PhaseProfiler on the
+// thread that executes it (the sweep engine does so per worker run), so the
+// totals are plain integers that only that thread touches. Install/Swap of the
+// thread-local pointers are per-thread operations and must not race with the
+// owning run.
 
 #ifndef SRC_COMMON_PROFILER_H_
 #define SRC_COMMON_PROFILER_H_
 
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 
@@ -87,7 +86,8 @@ enum class ProfilePhase : int {
 constexpr int kProfilePhaseCount = static_cast<int>(ProfilePhase::kCount);
 const char* ProfilePhaseName(ProfilePhase phase);
 
-// Per-phase counter/timer accumulator. All mutation is relaxed-atomic.
+// Per-phase counter/timer accumulator for one run. A plain value: the harness
+// keeps it with the run's results after the run.
 class PhaseProfiler {
  public:
   // True in builds configured with -DBULLET_PROFILE=ON; lets tests branch on
@@ -105,22 +105,26 @@ class PhaseProfiler {
     uint64_t ns = 0;
   };
 
-  void AddCount(ProfilePhase phase, uint64_t n = 1) {
-    slot(phase).count.fetch_add(n, std::memory_order_relaxed);
-  }
+  void AddCount(ProfilePhase phase, uint64_t n = 1) { at(phase).count += n; }
   void AddTimed(ProfilePhase phase, uint64_t ns) {
-    Slot& s = slot(phase);
-    s.count.fetch_add(1, std::memory_order_relaxed);
-    s.ns.fetch_add(ns, std::memory_order_relaxed);
+    PhaseTotals& t = at(phase);
+    ++t.count;
+    t.ns += ns;
   }
 
-  PhaseTotals totals(ProfilePhase phase) const {
-    const Slot& s = slots_[static_cast<size_t>(phase)];
-    return PhaseTotals{s.count.load(std::memory_order_relaxed),
-                       s.ns.load(std::memory_order_relaxed)};
+  const PhaseTotals& totals(ProfilePhase phase) const {
+    return phases_[static_cast<size_t>(phase)];
   }
 
-  void Reset();
+  // Sum of the deterministic per-phase counts; zero iff nothing was recorded
+  // (non-profiled builds, or no profiler installed).
+  uint64_t total_count() const {
+    uint64_t n = 0;
+    for (const PhaseTotals& t : phases_) {
+      n += t.count;
+    }
+    return n;
+  }
 
   // Thread-local current instance; nullptr when no profiler is installed (the
   // macros then cost one thread-local load + branch per site).
@@ -128,38 +132,10 @@ class PhaseProfiler {
   static PhaseProfiler* Swap(PhaseProfiler* p);
 
  private:
-  struct Slot {
-    std::atomic<uint64_t> count{0};
-    std::atomic<uint64_t> ns{0};
-  };
-  Slot& slot(ProfilePhase phase) { return slots_[static_cast<size_t>(phase)]; }
+  PhaseTotals& at(ProfilePhase phase) { return phases_[static_cast<size_t>(phase)]; }
 
-  Slot slots_[kProfilePhaseCount];
+  PhaseTotals phases_[kProfilePhaseCount] = {};
 };
-
-// A plain-value copy of a profiler's totals, safe to store and pass around
-// after the profiler itself is gone (the sweep engine snapshots per run).
-struct PhaseSnapshot {
-  PhaseProfiler::PhaseTotals phases[kProfilePhaseCount] = {};
-
-  // Sum of the deterministic per-phase counts; zero iff nothing was recorded
-  // (non-profiled builds, or no profiler installed).
-  uint64_t total_count() const {
-    uint64_t n = 0;
-    for (const PhaseProfiler::PhaseTotals& t : phases) {
-      n += t.count;
-    }
-    return n;
-  }
-};
-
-inline PhaseSnapshot SnapshotPhases(const PhaseProfiler& profiler) {
-  PhaseSnapshot snap;
-  for (int p = 0; p < kProfilePhaseCount; ++p) {
-    snap.phases[p] = profiler.totals(static_cast<ProfilePhase>(p));
-  }
-  return snap;
-}
 
 // RAII install/restore of the thread-local PhaseProfiler.
 class ScopedProfilerInstall {

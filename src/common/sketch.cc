@@ -10,17 +10,6 @@ void AvailabilitySketch::AddBlock(uint32_t block_id) {
   bits_ |= uint64_t{1} << (Mix64(block_id) & 63u);
 }
 
-AvailabilitySketch AvailabilitySketch::FromBitmap(const Bitmap& bitmap) {
-  AvailabilitySketch s;
-  for (uint32_t b : bitmap.SetBits()) {
-    s.AddBlock(b);
-    if (s.bits_ == ~uint64_t{0}) {
-      break;  // Saturated; no further information to add.
-    }
-  }
-  return s;
-}
-
 int AvailabilitySketch::NovelBucketsVs(const AvailabilitySketch& mine) const {
   return std::popcount(bits_ & ~mine.bits_);
 }

@@ -13,8 +13,6 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "src/common/bitmap.h"
-
 namespace bullet {
 
 class AvailabilitySketch {
@@ -22,7 +20,6 @@ class AvailabilitySketch {
   AvailabilitySketch() = default;
 
   void AddBlock(uint32_t block_id);
-  static AvailabilitySketch FromBitmap(const Bitmap& bitmap);
 
   uint64_t bits() const { return bits_; }
   void set_bits(uint64_t b) { bits_ = b; }

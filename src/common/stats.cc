@@ -6,25 +6,10 @@
 namespace bullet {
 
 void RunningStats::Add(double x) {
-  if (count_ == 0) {
-    min_ = x;
-    max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
-}
-
-void RunningStats::Reset() {
-  count_ = 0;
-  mean_ = 0.0;
-  m2_ = 0.0;
-  min_ = 0.0;
-  max_ = 0.0;
 }
 
 double RunningStats::variance() const {
@@ -60,19 +45,6 @@ void Ewma::Add(double x) {
   } else {
     value_ = gain_ * x + (1.0 - gain_) * value_;
   }
-}
-
-void Ewma::Reset() {
-  value_ = 0.0;
-  initialized_ = false;
-}
-
-double RateMeter::RateBps(int64_t window_start_us, int64_t now_us) const {
-  const int64_t span = now_us - window_start_us;
-  if (span <= 0) {
-    return 0.0;
-  }
-  return static_cast<double>(bytes_) * 1e6 / static_cast<double>(span);
 }
 
 }  // namespace bullet

@@ -5,16 +5,14 @@
 #define SRC_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 namespace bullet {
 
-// Welford-style running mean / variance with min and max tracking.
+// Welford-style running mean / variance.
 class RunningStats {
  public:
   void Add(double x);
-  void Reset();
 
   size_t count() const { return count_; }
   double mean() const { return count_ > 0 ? mean_ : 0.0; }
@@ -22,15 +20,11 @@ class RunningStats {
   // individual senders against the set they belong to, so population form is right).
   double variance() const;
   double stddev() const;
-  double min() const { return count_ > 0 ? min_ : 0.0; }
-  double max() const { return count_ > 0 ? max_ : 0.0; }
 
  private:
   size_t count_ = 0;
   double mean_ = 0.0;
   double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
 };
 
 // Percentile with linear interpolation; q in [0, 1]. Sorts a copy. Returns 0 for
@@ -47,7 +41,6 @@ class Ewma {
   explicit Ewma(double gain) : gain_(gain) {}
 
   void Add(double x);
-  void Reset();
   double value() const { return value_; }
   bool has_value() const { return initialized_; }
 
@@ -55,20 +48,6 @@ class Ewma {
   double gain_;
   double value_ = 0.0;
   bool initialized_ = false;
-};
-
-// Bandwidth meter: accumulates byte counts and reports the average rate over the
-// window since the last Reset(). Times are in microseconds (SimTime convention).
-class RateMeter {
- public:
-  void AddBytes(int64_t bytes) { bytes_ += bytes; }
-  // Rate in bytes/second over [window_start, now]; 0 for an empty window.
-  double RateBps(int64_t window_start_us, int64_t now_us) const;
-  void Reset() { bytes_ = 0; }
-  int64_t bytes() const { return bytes_; }
-
- private:
-  int64_t bytes_ = 0;
 };
 
 }  // namespace bullet

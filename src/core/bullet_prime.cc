@@ -702,6 +702,5 @@ void BulletPrime::OnFileComplete() {
   }
 }
 
-double BulletPrime::TotalIncomingBps() const { return incoming_total_Bps_.value() * 8.0; }
 
 }  // namespace bullet

@@ -134,7 +134,6 @@ class BulletPrime : public TreeOverlayProtocol {
   void FlushDirtyDiffs();
   void ManageSenderSet(double epoch_sec, const std::vector<PeerSummary>& subset);
   void ManageReceiverSet(double epoch_sec);
-  double TotalIncomingBps() const;
 
   BulletPrimeConfig config_;
 

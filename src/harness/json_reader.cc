@@ -16,11 +16,6 @@ const JsonValue* JsonValue::Find(const std::string& key) const {
   return it == object_.end() ? nullptr : &it->second;
 }
 
-double JsonValue::NumberOr(const std::string& key, double fallback) const {
-  const JsonValue* v = Find(key);
-  return (v != nullptr && v->is_number()) ? v->number() : fallback;
-}
-
 std::string JsonValue::StringOr(const std::string& key, const std::string& fallback) const {
   const JsonValue* v = Find(key);
   return (v != nullptr && v->is_string()) ? v->str() : fallback;

@@ -27,7 +27,6 @@ class JsonValue {
   bool is_array() const { return type_ == Type::kArray; }
   bool is_number() const { return type_ == Type::kNumber; }
   bool is_string() const { return type_ == Type::kString; }
-  bool is_bool() const { return type_ == Type::kBool; }
 
   double number() const { return number_; }
   bool boolean() const { return bool_; }
@@ -39,8 +38,7 @@ class JsonValue {
   // object, so chained lookups degrade gracefully.
   const JsonValue* Find(const std::string& key) const;
 
-  // Convenience accessors with defaults for optional members.
-  double NumberOr(const std::string& key, double fallback) const;
+  // Convenience accessor with a default for optional members.
   std::string StringOr(const std::string& key, const std::string& fallback) const;
 
   static JsonValue MakeBool(bool v);

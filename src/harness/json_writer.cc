@@ -124,12 +124,6 @@ JsonWriter& JsonWriter::Uint(uint64_t value) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Bool(bool value) {
-  BeforeValue();
-  os_ << (value ? "true" : "false");
-  return *this;
-}
-
 JsonWriter& JsonWriter::Null() {
   BeforeValue();
   os_ << "null";

@@ -30,12 +30,9 @@ class JsonWriter {
   JsonWriter& Number(double value);
   JsonWriter& Int(int64_t value);
   JsonWriter& Uint(uint64_t value);
-  JsonWriter& Bool(bool value);
   JsonWriter& Null();
 
-  // Convenience for "key": value pairs. The const char* overload is load-bearing:
-  // without it, string literals convert to bool (a standard conversion, which beats
-  // the user-defined conversion to std::string) and emit true/false.
+  // Convenience for "key": value pairs.
   JsonWriter& Field(const std::string& key, const std::string& value) {
     return Key(key).String(value);
   }
@@ -48,7 +45,6 @@ class JsonWriter {
   JsonWriter& Field(const std::string& key, int value) {
     return Key(key).Int(static_cast<int64_t>(value));
   }
-  JsonWriter& Field(const std::string& key, bool value) { return Key(key).Bool(value); }
 
  private:
   void BeforeValue();

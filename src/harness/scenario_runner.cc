@@ -154,7 +154,7 @@ RunnerArgs ParseRunnerArgs(int argc, const char* const* argv) {
 }
 
 void WriteReportJson(std::ostream& os, const ScenarioReport& report,
-                     const ScenarioOptions& options, const PhaseSnapshot* profile) {
+                     const ScenarioOptions& options, const PhaseProfiler* profile) {
   JsonWriter json(os);
   json.BeginObject();
   json.Field("schema", "bullet-bench-v3");
@@ -209,9 +209,11 @@ void WriteReportJson(std::ostream& os, const ScenarioReport& report,
   if (profile != nullptr && profile->total_count() > 0) {
     json.Key("profile").BeginObject();
     for (int p = 0; p < kProfilePhaseCount; ++p) {
-      json.Key(ProfilePhaseName(static_cast<ProfilePhase>(p))).BeginObject();
-      json.Field("count", static_cast<int64_t>(profile->phases[p].count));
-      json.Field("ns", static_cast<int64_t>(profile->phases[p].ns));
+      const ProfilePhase phase = static_cast<ProfilePhase>(p);
+      const PhaseProfiler::PhaseTotals& t = profile->totals(phase);
+      json.Key(ProfilePhaseName(phase)).BeginObject();
+      json.Field("count", static_cast<int64_t>(t.count));
+      json.Field("ns", static_cast<int64_t>(t.ns));
       json.EndObject();
     }
     json.EndObject();
@@ -222,7 +224,7 @@ void WriteReportJson(std::ostream& os, const ScenarioReport& report,
 }
 
 void PrintProfileSummary(std::ostream& os, const RunCounters& counters,
-                         const PhaseSnapshot& profile, double wall_sec) {
+                         const PhaseProfiler& profile, double wall_sec) {
   os << "### profile\n";
   const double denom = wall_sec > 1e-9 ? wall_sec : 1e-9;
   os << "wall_sec            = " << wall_sec << "\n";
@@ -252,9 +254,10 @@ void PrintProfileSummary(std::ostream& os, const RunCounters& counters,
   }
   os << "\nphase               count          total_ms   avg_ns\n";
   for (int p = 0; p < kProfilePhaseCount; ++p) {
-    const PhaseProfiler::PhaseTotals& t = profile.phases[p];
+    const ProfilePhase phase = static_cast<ProfilePhase>(p);
+    const PhaseProfiler::PhaseTotals& t = profile.totals(phase);
     std::ostringstream name;
-    name << ProfilePhaseName(static_cast<ProfilePhase>(p));
+    name << ProfilePhaseName(phase);
     os << name.str() << std::string(name.str().size() < 20 ? 20 - name.str().size() : 1, ' ');
     std::ostringstream count;
     count << t.count;
@@ -522,7 +525,6 @@ int RunnerMain(int argc, const char* const* argv, const ScenarioRegistry& regist
   }();
   const double wall_sec =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start).count();
-  const PhaseSnapshot profile = SnapshotPhases(profiler);
 
   const std::string out_path =
       args.out_path.empty() ? "BENCH_" + report.scenario() + ".json" : args.out_path;
@@ -531,7 +533,7 @@ int RunnerMain(int argc, const char* const* argv, const ScenarioRegistry& regist
     err << "bullet_run: cannot open " << out_path << " for writing\n";
     return 1;
   }
-  WriteReportJson(file, report, args.options, &profile);
+  WriteReportJson(file, report, args.options, &profiler);
   file.close();
   if (!file) {
     err << "bullet_run: failed writing " << out_path << "\n";
@@ -552,7 +554,7 @@ int RunnerMain(int argc, const char* const* argv, const ScenarioRegistry& regist
     PrintCdf(out, series, 20);
   }
   if (args.profile) {
-    PrintProfileSummary(out, counters, profile, wall_sec);
+    PrintProfileSummary(out, counters, profiler, wall_sec);
   }
   out << "wrote " << out_path << "\n";
   return 0;

@@ -55,12 +55,12 @@ RunnerArgs ParseRunnerArgs(int argc, const char* const* argv);
 // `profile` block of per-phase {count, ns} totals — per-run documents may
 // carry wall-clock data; sweep *aggregates* may not (see WriteSweepJson).
 void WriteReportJson(std::ostream& os, const ScenarioReport& report,
-                     const ScenarioOptions& options, const PhaseSnapshot* profile = nullptr);
+                     const ScenarioOptions& options, const PhaseProfiler* profile = nullptr);
 
 // Human-readable table behind `bullet_run --profile`: the deterministic run
 // counters plus, in profiled builds, per-phase count/total/mean timings.
 void PrintProfileSummary(std::ostream& os, const RunCounters& counters,
-                         const PhaseSnapshot& profile, double wall_sec);
+                         const PhaseProfiler& profile, double wall_sec);
 
 void PrintScenarioList(std::ostream& os, const ScenarioRegistry& registry);
 void PrintRunnerUsage(std::ostream& os);

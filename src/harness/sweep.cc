@@ -320,11 +320,10 @@ SweepRunOutcome RunSweep(const SweepSpec& spec, const ScenarioRegistry& registry
       // Per-run counter/profiler installs: each worker thread observes only the
       // run it is executing (thread-local current pointers), so counters and
       // wall times attribute cleanly no matter how runs are scheduled.
-      PhaseProfiler profiler;
       const auto run_start = std::chrono::steady_clock::now();
       try {
         ScopedRunCounters install_counters(&ctx.counters);
-        ScopedProfilerInstall install_profiler(&profiler);
+        ScopedProfilerInstall install_profiler(&ctx.profile);
         ctx.report = entry->fn(ctx.point.options);
       } catch (const std::exception& e) {
         ctx.error = e.what();
@@ -333,7 +332,6 @@ SweepRunOutcome RunSweep(const SweepSpec& spec, const ScenarioRegistry& registry
       }
       ctx.wall_sec =
           std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start).count();
-      ctx.profile = SnapshotPhases(profiler);
     }
   };
   if (jobs == 1) {
@@ -465,15 +463,15 @@ void WriteSweepJson(std::ostream& os, const SweepRunOutcome& outcome) {
     if (PhaseProfiler::kCompiledIn) {
       json.Key("profile").BeginObject();
       for (int p = 0; p < kProfilePhaseCount; ++p) {
+        const ProfilePhase phase = static_cast<ProfilePhase>(p);
         std::vector<double> counts;
         counts.reserve(static_cast<size_t>(spec.repeats));
         for (int r = 0; r < spec.repeats; ++r) {
           counts.push_back(static_cast<double>(
-              outcome.runs[i + static_cast<size_t>(r)].profile.phases[p].count));
+              outcome.runs[i + static_cast<size_t>(r)].profile.totals(phase).count));
         }
         std::sort(counts.begin(), counts.end());
-        json.Field(ProfilePhaseName(static_cast<ProfilePhase>(p)),
-                   PercentileSorted(counts, 0.50));
+        json.Field(ProfilePhaseName(phase), PercentileSorted(counts, 0.50));
       }
       json.EndObject();
     }

@@ -71,7 +71,7 @@ struct ScenarioContext {
   double wall_sec = 0.0;
   RunCounters counters;
   // Per-phase totals; all zero unless the build has -DBULLET_PROFILE=ON.
-  PhaseSnapshot profile;
+  PhaseProfiler profile;
 };
 
 struct SweepRunOutcome {

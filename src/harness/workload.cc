@@ -221,8 +221,7 @@ int WorkloadExperiment::AddSessionImpl(SessionSpec spec, const SystemInfo* syste
 
   // --- control tree ---
   // A join-staged tree rooted at the source: parents always join no later
-  // than their children, so a joiner can connect upward immediately. With one
-  // stage holding every other node this is exactly ControlTree::Random.
+  // than their children, so a joiner can connect upward immediately.
   Rng tree_rng(s.seed ^ 0x7f4a7c15ULL);
   std::vector<std::vector<NodeId>> stages;
   for (const JoinBucket& bucket : s.buckets) {
@@ -479,12 +478,6 @@ Protocol* WorkloadExperiment::session_protocol(int session, NodeId node) {
   const Session& s = at(session);
   const int slot = s.member_slot.at(static_cast<size_t>(node));
   return slot < 0 ? nullptr : at(session).protocols[static_cast<size_t>(slot)].get();
-}
-
-SimTime WorkloadExperiment::session_join_time(int session, NodeId node) const {
-  const Session& s = at(session);
-  const int slot = s.member_slot.at(static_cast<size_t>(node));
-  return slot < 0 ? -1 : s.join_at[static_cast<size_t>(slot)];
 }
 
 }  // namespace bullet

@@ -189,13 +189,10 @@ class WorkloadExperiment {
 
   // The normalized spec (members/offsets expanded, seed resolved into seed).
   const SessionSpec& session_spec(int session) const { return at(session).spec; }
-  uint64_t session_seed(int session) const { return at(session).seed; }
   const ControlTree& session_tree(int session) const { return at(session).tree; }
   RunMetrics& session_metrics(int session) { return *at(session).metrics; }
   // nullptr before the node's join time (or for non-members).
   Protocol* session_protocol(int session, NodeId node);
-  // Absolute join time; -1 for non-members.
-  SimTime session_join_time(int session, NodeId node) const;
 
  private:
   struct JoinBucket {

@@ -2,24 +2,6 @@
 
 namespace bullet {
 
-int ControlTree::depth(NodeId n) const {
-  int d = 0;
-  while (parent[static_cast<size_t>(n)] >= 0) {
-    n = parent[static_cast<size_t>(n)];
-    ++d;
-  }
-  return d;
-}
-
-ControlTree ControlTree::Random(int num_nodes, int max_fanout, Rng& rng) {
-  std::vector<NodeId> joiners;
-  joiners.reserve(static_cast<size_t>(num_nodes) - 1);
-  for (NodeId n = 1; n < num_nodes; ++n) {
-    joiners.push_back(n);
-  }
-  return RandomStaged(num_nodes, 0, {joiners}, max_fanout, rng);
-}
-
 ControlTree ControlTree::RandomStaged(int num_nodes, NodeId root,
                                       const std::vector<std::vector<NodeId>>& stages,
                                       int max_fanout, Rng& rng) {

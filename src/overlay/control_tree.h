@@ -18,12 +18,6 @@ struct ControlTree {
 
   int num_nodes() const { return static_cast<int>(parent.size()); }
   bool IsRoot(NodeId n) const { return parent[static_cast<size_t>(n)] < 0; }
-  int depth(NodeId n) const;
-
-  // Random tree rooted at node 0: nodes join in random order and attach to a random
-  // node that still has fanout capacity. Equivalent to RandomStaged with every
-  // other node in one stage (bit-for-bit: it consumes the RNG identically).
-  static ControlTree Random(int num_nodes, int max_fanout, Rng& rng);
 
   // Random tree over a member subset with a join schedule: `stages` lists the
   // non-root members grouped by join time, earliest first. Each stage is

@@ -45,7 +45,6 @@ class StreamPlayback {
   uint32_t num_positions() const { return num_positions_; }
   SimTime block_duration() const { return block_duration_; }
   const StreamingSpec& spec() const { return spec_; }
-  SimTime join_time() const { return join_time_; }
 
   // Playback position of a block id; encoded id spaces wrap (`id mod n`).
   uint32_t PositionOf(uint32_t id) const { return id % num_positions_; }

@@ -20,24 +20,6 @@ FileSignature ComputeSignature(const Bytes& data, size_t block_size) {
   return sig;
 }
 
-int64_t FileDelta::LiteralBytes() const {
-  int64_t n = 0;
-  for (const auto& cmd : commands) {
-    if (cmd.kind == DeltaCommand::Kind::kLiteral) {
-      n += static_cast<int64_t>(cmd.literal.size());
-    }
-  }
-  return n;
-}
-
-int64_t FileDelta::WireBytes() const {
-  int64_t n = 16;  // header: block size, new size, command count
-  for (const auto& cmd : commands) {
-    n += cmd.kind == DeltaCommand::Kind::kCopy ? 9 : 5 + static_cast<int64_t>(cmd.literal.size());
-  }
-  return n;
-}
-
 FileDelta ComputeDelta(const Bytes& new_data, const FileSignature& sig) {
   FileDelta delta;
   delta.block_size = sig.block_size;

@@ -53,10 +53,6 @@ struct FileDelta {
   size_t block_size = 0;
   uint64_t new_size = 0;
   std::vector<DeltaCommand> commands;
-
-  int64_t LiteralBytes() const;
-  // Wire size: command headers plus literals.
-  int64_t WireBytes() const;
 };
 
 // Computes the delta turning `old` (described by `sig`) into `new_data`.

@@ -48,7 +48,7 @@ class Reader {
   }
 
   Bytes Blob(size_t len) {
-    if (pos_ + len > data_.size()) {
+    if (len > data_.size() - pos_) {
       ok_ = false;
       return {};
     }
@@ -64,24 +64,6 @@ class Reader {
 };
 
 }  // namespace
-
-int64_t SyncBundle::WireBytes() const {
-  int64_t n = 20;  // versions, block size, entry count
-  for (const auto& e : entries) {
-    n += 8 + static_cast<int64_t>(e.path.size());
-    switch (e.op) {
-      case BundleEntry::Op::kPatch:
-        n += e.delta.WireBytes();
-        break;
-      case BundleEntry::Op::kAdd:
-        n += 8 + static_cast<int64_t>(e.contents.size());
-        break;
-      case BundleEntry::Op::kDelete:
-        break;
-    }
-  }
-  return n;
-}
 
 int64_t SyncBundle::ReplayBytes() const {
   int64_t n = 0;

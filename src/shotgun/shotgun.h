@@ -40,8 +40,6 @@ struct SyncBundle {
   size_t block_size = 0;
   std::vector<BundleEntry> entries;
 
-  // Exact size the bundle occupies on the wire / on disk.
-  int64_t WireBytes() const;
   // Bytes shotgund must write while replaying (the paper observed replay costing
   // about twice the download on PlanetLab disks).
   int64_t ReplayBytes() const;
@@ -57,7 +55,8 @@ SyncBundle MakeBundle(const FileTree& old_tree, const FileTree& new_tree, size_t
 // any patch fails to apply.
 bool ApplyBundle(FileTree& tree, const SyncBundle& bundle);
 
-// Serialization (used by the examples to round-trip bundles through real buffers).
+// The wire format: what the source multicasts and each shotgund parses. Its size is
+// the bundle's exact size on the wire and on disk.
 Bytes SerializeBundle(const SyncBundle& bundle);
 std::optional<SyncBundle> ParseBundle(const Bytes& data);
 

@@ -85,7 +85,6 @@ class UniqueFunction {
   }
 
   void operator()() { vtable_->invoke(buf_); }
-  explicit operator bool() const { return vtable_ != nullptr; }
 
  private:
   struct VTable {

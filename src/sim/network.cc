@@ -250,15 +250,6 @@ void Network::CountAccessFlow(size_t key, int32_t delta) {
   word = flows > 0 ? (word | bit) : (word & ~bit);
 }
 
-size_t Network::QueuedMessages(ConnId conn_id, NodeId from) const {
-  const Conn* c = GetConn(conn_id);
-  if (c == nullptr) {
-    return 0;
-  }
-  const int idx = EndpointIndex(*c, from);
-  return idx < 0 ? 0 : c->dir[idx].queue.size();
-}
-
 int64_t Network::QueuedBytes(ConnId conn_id, NodeId from) const {
   const Conn* c = GetConn(conn_id);
   if (c == nullptr) {
@@ -287,29 +278,6 @@ double Network::CurrentRateBps(ConnId conn_id, NodeId from) const {
   }
   const int idx = EndpointIndex(*c, from);
   return idx < 0 ? 0.0 : c->dir[idx].rate_bps;
-}
-
-int Network::CountFlowsOnInteriorLink(int32_t link_id) const {
-  int flows = 0;
-  for (const ConnId id : open_conns_) {
-    const Conn* c = GetConn(id);
-    if (c == nullptr || !c->established || c->closed) {
-      continue;
-    }
-    for (int i = 0; i < 2; ++i) {
-      if (c->dir[i].queued_bytes <= 0) {
-        continue;
-      }
-      for (const int32_t* it = PathInteriorBegin(c->path[i]);
-           it != PathInteriorEnd(c->path[i]); ++it) {
-        if (*it == link_id) {
-          ++flows;
-          break;
-        }
-      }
-    }
-  }
-  return flows;
 }
 
 double Network::InteriorLinkAllocatedBps(int32_t link_id) const {
@@ -527,7 +495,7 @@ void Network::RebuildAndAllocate() {
         if (!dir.cap_steady) {
           bool steady = false;
           dir.cap_cache =
-              TcpRateCapDetail(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, &steady);
+              TcpRateCapBps(dir.tcp, now(), c->path[i].rtt, c->path[i].loss, &steady);
           dir.cap_steady = steady;
           if (!steady) {
             ++ramping_flows_;

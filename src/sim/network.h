@@ -162,7 +162,6 @@ class Network {
 
   // Introspection used by protocol flow control (Bullet' measures its send queue to
   // report `in_front` and `wasted`, Section 3.3.3).
-  size_t QueuedMessages(ConnId conn, NodeId from) const;
   int64_t QueuedBytes(ConnId conn, NodeId from) const;
   // Time since this direction last transmitted its final queued byte; 0 if busy.
   // A closed connection reads a stale idle span until the quantum boundary after
@@ -191,12 +190,11 @@ class Network {
   // fig16_shared_bottleneck scenario asserts it exceeds 1.
   int32_t max_interior_link_flows() const { return max_interior_link_flows_; }
 
-  // Live probes over one interior link (a topology link id, e.g. a transit-stub
-  // gateway uplink): the number of busy established flows currently routed
-  // across it, and the total bandwidth the last allocation granted them. Rates
-  // reflect the most recent allocation epoch (at most one quantum stale), which
-  // is exactly the sampling granularity the emulator allocates at anyway.
-  int CountFlowsOnInteriorLink(int32_t link_id) const;
+  // Live probe over one interior link (a topology link id, e.g. a transit-stub
+  // gateway uplink): the total bandwidth the last allocation granted the busy
+  // established flows routed across it. Rates reflect the most recent
+  // allocation epoch (at most one quantum stale), which is exactly the sampling
+  // granularity the emulator allocates at anyway.
   double InteriorLinkAllocatedBps(int32_t link_id) const;
 
   // Deterministic run counters (always on, seed-reproducible; the perf gate
@@ -240,7 +238,6 @@ class Network {
   class MsgRing {
    public:
     bool empty() const { return size_ == 0; }
-    size_t size() const { return size_; }
     QueuedMsg& front() { return buf_[head_]; }
     void push_back(QueuedMsg qm);
     void pop_front();

@@ -25,8 +25,8 @@ double MathisCapBps(SimTime rtt, double loss, double mss_bytes) {
   return mss_bytes * 8.0 / (rtt_sec * std::sqrt(2.0 * loss / 3.0));
 }
 
-double TcpRateCapDetail(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
-                        bool* steady) {
+double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
+                     bool* steady) {
   const double rtt_sec = std::max(SimToSec(rtt), 1e-4);
   // Slow-start ramp: cwnd doubles every RTT starting from the initial window, so the
   // achievable rate after t seconds of activity is IW * 2^(t/RTT) segments per RTT.
@@ -42,10 +42,6 @@ double TcpRateCapDetail(const TcpFlowState& state, SimTime now, SimTime rtt, dou
     *steady = doublings >= 40.0 || ramp_bps >= std::min(mathis_bps, kUnlimitedBps);
   }
   return std::min(std::min(ramp_bps, mathis_bps), kUnlimitedBps);
-}
-
-double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss) {
-  return TcpRateCapDetail(state, now, rtt, loss, nullptr);
 }
 
 }  // namespace bullet

@@ -42,16 +42,13 @@ struct TcpFlowState {
 
 // Upper bound on this flow's rate (bits/second) given path RTT, path loss, and how
 // long it has been continuously active. Returns a very large number when unlimited.
-double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss);
-
-// As TcpRateCapBps, but additionally reports whether the cap has reached its
-// steady state: once the slow-start ramp meets the loss/clamp ceiling (or the
-// doubling count saturates), the cap is a constant for the rest of the busy
-// period, so callers may cache it instead of recomputing per quantum. The
-// returned value is bit-identical to TcpRateCapBps (same operation sequence);
-// the network's incremental tick relies on that for reproducibility.
-double TcpRateCapDetail(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
-                        bool* steady);
+// A non-null `steady` also reports whether the cap has reached its steady state:
+// once the slow-start ramp meets the loss/clamp ceiling (or the doubling count
+// saturates), the cap is a constant for the rest of the busy period, so callers may
+// cache it instead of recomputing per quantum. The returned value does not depend
+// on `steady`; the network's incremental tick relies on that for reproducibility.
+double TcpRateCapBps(const TcpFlowState& state, SimTime now, SimTime rtt, double loss,
+                     bool* steady = nullptr);
 
 // Steady-state Mathis cap alone (bits/second); infinite when loss == 0.
 double MathisCapBps(SimTime rtt, double loss, double mss_bytes);

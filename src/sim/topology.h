@@ -50,7 +50,6 @@ struct LinkParams {
   double loss_rate = 0.0;      // independent packet loss probability
 };
 
-class MeshTopology;
 class RoutedTopology;
 
 // Abstract base: per-node access links plus a topology-specific interior.
@@ -120,9 +119,6 @@ class Topology {
   void ScalePathBandwidth(NodeId src, NodeId dst, double factor);
   void SetPathBandwidth(NodeId src, NodeId dst, double bps);
 
-  // Downcast helper for mesh-specific call sites (per-pair core-link fixtures in
-  // tests and the Fig. 12 cascade bench); nullptr on non-mesh topologies.
-  virtual MeshTopology* AsMesh() { return nullptr; }
   // Downcast helper for routed-specific call sites (stub-domain-aware churn
   // models, shared-link probes); nullptr on non-routed topologies.
   virtual RoutedTopology* AsRouted() { return nullptr; }
@@ -160,7 +156,6 @@ class MeshTopology final : public Topology {
   int64_t interior_id_limit() const override {
     return static_cast<int64_t>(num_nodes_) * num_nodes_;
   }
-  MeshTopology* AsMesh() override { return this; }
 
   // --- Builders for the paper's experimental topologies ---
 

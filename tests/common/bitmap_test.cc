@@ -28,23 +28,7 @@ TEST(Bitmap, OutOfRangeIsSafe) {
   EXPECT_FALSE(b.Set(10));
   EXPECT_FALSE(b.Set(1000));
   EXPECT_FALSE(b.Test(1000));
-  b.Clear(1000);  // no-op
   EXPECT_EQ(b.count(), 0u);
-}
-
-TEST(Bitmap, ClearAndCount) {
-  Bitmap b(64);
-  for (size_t i = 0; i < 64; i += 2) {
-    b.Set(i);
-  }
-  EXPECT_EQ(b.count(), 32u);
-  b.Clear(0);
-  b.Clear(2);
-  b.Clear(3);  // not set; no effect
-  EXPECT_EQ(b.count(), 30u);
-  b.ClearAll();
-  EXPECT_EQ(b.count(), 0u);
-  EXPECT_FALSE(b.Test(4));
 }
 
 TEST(Bitmap, WordBoundaries) {
@@ -54,19 +38,7 @@ TEST(Bitmap, WordBoundaries) {
       EXPECT_TRUE(b.Set(i)) << size << ":" << i;
     }
     EXPECT_TRUE(b.full());
-    EXPECT_EQ(b.FirstClear(), size);
   }
-}
-
-TEST(Bitmap, FirstClear) {
-  Bitmap b(130);
-  EXPECT_EQ(b.FirstClear(), 0u);
-  for (size_t i = 0; i < 70; ++i) {
-    b.Set(i);
-  }
-  EXPECT_EQ(b.FirstClear(), 70u);
-  b.Clear(3);
-  EXPECT_EQ(b.FirstClear(), 3u);
 }
 
 TEST(Bitmap, SetBits) {
@@ -99,28 +71,6 @@ TEST(Bitmap, DiffFromDifferentSizes) {
   b.Set(10);
   const auto diff = a.DiffFrom(b);
   EXPECT_EQ(diff, (std::vector<uint32_t>{100}));
-}
-
-TEST(Bitmap, IntersectCount) {
-  Bitmap a(100);
-  Bitmap b(100);
-  for (size_t i = 0; i < 100; i += 3) {
-    a.Set(i);
-  }
-  for (size_t i = 0; i < 100; i += 5) {
-    b.Set(i);
-  }
-  size_t expected = 0;
-  for (size_t i = 0; i < 100; i += 15) {
-    ++expected;
-  }
-  EXPECT_EQ(a.IntersectCount(b), expected);
-}
-
-TEST(Bitmap, WireBytes) {
-  EXPECT_EQ(Bitmap(0).WireBytes(), 8u);
-  EXPECT_EQ(Bitmap(8).WireBytes(), 9u);
-  EXPECT_EQ(Bitmap(6400).WireBytes(), 8u + 800u);
 }
 
 TEST(Bitmap, ResizeResets) {

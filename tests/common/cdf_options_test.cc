@@ -75,15 +75,5 @@ TEST(Options, UnknownValueFallsBackToCi) {
   unsetenv("REPRO_SCALE");
 }
 
-TEST(Options, ScaledFileBytesWholeBlocks) {
-  unsetenv("REPRO_SCALE");
-  const int64_t block = 16 * 1024;
-  const int64_t bytes = ScaledFileBytes(100 * 1024 * 1024, block);
-  EXPECT_EQ(bytes % block, 0);
-  EXPECT_GT(bytes, 0);
-  // Tiny requests still produce a usable number of blocks.
-  EXPECT_GE(ScaledFileBytes(1024, block) / block, 16);
-}
-
 }  // namespace
 }  // namespace bullet

@@ -1,23 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "src/common/hash.h"
 #include "src/common/sketch.h"
 
 namespace bullet {
 namespace {
-
-TEST(Hash, Fnv1aDeterministic) {
-  const std::string s = "hello world";
-  EXPECT_EQ(Fnv1a64(s), Fnv1a64(s.data(), s.size()));
-  EXPECT_NE(Fnv1a64(std::string("a")), Fnv1a64(std::string("b")));
-}
-
-TEST(Hash, Fnv1aEmpty) {
-  // FNV-1a offset basis for empty input.
-  EXPECT_EQ(Fnv1a64(nullptr, 0), 0xcbf29ce484222325ULL);
-}
 
 TEST(Hash, Mix64Bijective) {
   // Distinct inputs map to distinct outputs over a small sweep (Mix64 is a
@@ -54,16 +44,6 @@ TEST(Sketch, AddSetsBits) {
   const uint64_t after_one = s.bits();
   s.AddBlock(7);
   EXPECT_EQ(s.bits(), after_one);  // idempotent
-}
-
-TEST(Sketch, FromBitmapMatchesIncremental) {
-  Bitmap bm(256);
-  AvailabilitySketch incremental;
-  for (uint32_t i = 0; i < 256; i += 7) {
-    bm.Set(i);
-    incremental.AddBlock(i);
-  }
-  EXPECT_EQ(AvailabilitySketch::FromBitmap(bm).bits(), incremental.bits());
 }
 
 TEST(Sketch, NovelBuckets) {

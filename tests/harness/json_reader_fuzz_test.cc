@@ -104,7 +104,7 @@ TEST(JsonReaderFuzz, DuplicateObjectKeysKeepTheFirstValue) {
   std::string error;
   ASSERT_TRUE(ParseJson(R"({"k":1,"k":2,"other":3})", &value, &error)) << error;
   EXPECT_EQ(value.object().size(), 2u);
-  EXPECT_DOUBLE_EQ(value.NumberOr("k", 0.0), 1.0);
+  EXPECT_DOUBLE_EQ(value.Find("k")->number(), 1.0);
 }
 
 TEST(JsonReaderFuzz, MalformedNumbersAndLiteralsAreRejected) {

@@ -35,10 +35,10 @@ TEST(JsonReaderTest, ParsesNestedStructures) {
   ASSERT_TRUE(points != nullptr && points->is_array());
   ASSERT_EQ(points->array().size(), 1u);
   const JsonValue& point = points->array()[0];
-  EXPECT_DOUBLE_EQ(point.Find("params")->NumberOr("nodes", -1), 20.0);
+  EXPECT_DOUBLE_EQ(point.Find("params")->Find("nodes")->number(), 20.0);
   const JsonValue* band = point.Find("metrics")->Find("Sys.p50_s");
   ASSERT_NE(band, nullptr);
-  EXPECT_DOUBLE_EQ(band->NumberOr("median", -1), 1.25);
+  EXPECT_DOUBLE_EQ(band->Find("median")->number(), 1.25);
   EXPECT_TRUE(doc.Find("empty")->array().empty());
   EXPECT_TRUE(doc.Find("none")->object().empty());
 }
@@ -74,7 +74,7 @@ TEST(JsonReaderTest, RoundTripsWriterOutput) {
 
   const JsonValue doc = MustParse(os.str());
   EXPECT_EQ(doc.StringOr("name", ""), "quote\"and\\slash");
-  EXPECT_DOUBLE_EQ(doc.NumberOr("value", 0), 1.5);
+  EXPECT_DOUBLE_EQ(doc.Find("value")->number(), 1.5);
   ASSERT_EQ(doc.Find("list")->array().size(), 2u);
   EXPECT_DOUBLE_EQ(doc.Find("list")->array()[1].number(), 2.5);
 }

@@ -76,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(HandBuiltScenarios, StreamFlagsTest,
                            return std::string(info.param);
                          });
 
-// churn_resilience names each series after the failures that ran. At 10 nodes
+// churn_resilience names each series after the victims that died. At 10 nodes
 // the control tree has fewer leaves than the 10 and 25 requested, so those
 // series say how many were requested, which also keeps the names apart.
 TEST(ChurnResilience, SeriesNameTheFailuresThatRan) {
@@ -94,7 +94,7 @@ TEST(ChurnResilience, SeriesNameTheFailuresThatRan) {
     ASSERT_TRUE(std::regex_match(name, m, pattern)) << name;
     const int ran = std::stoi(m[1].str());
     // 9 receivers, and every one that did not fail is a survivor.
-    EXPECT_EQ(ran, 9 - static_cast<int>(s.NumberOr("count", -1.0))) << name;
+    EXPECT_EQ(ran, 9 - static_cast<int>(s.Find("count")->number())) << name;
     if (m[2].matched) {
       EXPECT_GT(std::stoi(m[2].str()), ran) << name;
       ++capped;

@@ -159,8 +159,16 @@ TEST(WorkloadExperiment, StaggeredJoinersCompleteAfterTheirJoinTime) {
 
   const SessionResult& r = result.sessions[0];
   EXPECT_EQ(r.completed, r.receivers);
-  EXPECT_EQ(wl.session_join_time(0, 3), 0);
-  EXPECT_EQ(wl.session_join_time(0, 9), SecToSim(join_sec));
+  // Members are 0..11 in order, so a node's index in the normalized spec is its id.
+  const SessionSpec& norm = wl.session_spec(0);
+  ASSERT_EQ(norm.members.size(), 12u);
+  ASSERT_EQ(norm.join_offsets.size(), 12u);
+  const auto join_time = [&norm](NodeId n) {
+    EXPECT_EQ(norm.members[static_cast<size_t>(n)], n);
+    return norm.start + norm.join_offsets[static_cast<size_t>(n)];
+  };
+  EXPECT_EQ(join_time(3), 0);
+  EXPECT_EQ(join_time(9), SecToSim(join_sec));
   // completion_sec is member-ordered with the source excluded: entries 5..10
   // are the late cohort (nodes 6..11).
   ASSERT_EQ(r.completion_sec.size(), 11u);
@@ -173,7 +181,7 @@ TEST(WorkloadExperiment, StaggeredJoinersCompleteAfterTheirJoinTime) {
   for (NodeId n = 1; n < 12; ++n) {
     const NodeId p = tree.parent[static_cast<size_t>(n)];
     ASSERT_GE(p, 0);
-    EXPECT_LE(wl.session_join_time(0, p), wl.session_join_time(0, n));
+    EXPECT_LE(join_time(p), join_time(n));
   }
 }
 

@@ -58,7 +58,7 @@ TEST(Systems, BulletPrimeBeatsBaselinesStatic) {
 TEST(Systems, SplitStreamSlowestAtScale) {
   // The tree-delivery penalty (Fig. 4's rightmost CDF) needs a transfer long enough
   // that streaming rate, not startup, dominates; use the Fig. 4 topology with a
-  // 20 MB file. At full paper scale the gap widens to ~2x (see EXPERIMENTS.md).
+  // 40 MB file. At full paper scale the gap widens to ~2x.
   ScenarioConfig cfg;
   cfg.num_nodes = 100;
   cfg.file_mb = 40.0;

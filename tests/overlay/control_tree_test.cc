@@ -2,14 +2,34 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <vector>
 
 namespace bullet {
 namespace {
 
+// The session shape: every non-root node joins in one stage under root 0.
+ControlTree OneStage(int num_nodes, int max_fanout, Rng& rng) {
+  std::vector<NodeId> joiners;
+  for (NodeId n = 1; n < num_nodes; ++n) {
+    joiners.push_back(n);
+  }
+  return ControlTree::RandomStaged(num_nodes, 0, {joiners}, max_fanout, rng);
+}
+
+int Depth(const ControlTree& tree, NodeId n) {
+  int d = 0;
+  while (tree.parent[static_cast<size_t>(n)] >= 0) {
+    n = tree.parent[static_cast<size_t>(n)];
+    ++d;
+  }
+  return d;
+}
+
 TEST(ControlTree, SingleNode) {
   Rng rng(1);
-  ControlTree tree = ControlTree::Random(1, 4, rng);
+  ControlTree tree = OneStage(1, 4, rng);
   EXPECT_TRUE(tree.IsRoot(0));
   EXPECT_EQ(tree.subtree_size[0], 1);
   EXPECT_TRUE(tree.children[0].empty());
@@ -17,7 +37,7 @@ TEST(ControlTree, SingleNode) {
 
 TEST(ControlTree, AllNodesAttached) {
   Rng rng(2);
-  ControlTree tree = ControlTree::Random(100, 4, rng);
+  ControlTree tree = OneStage(100, 4, rng);
   int roots = 0;
   for (NodeId n = 0; n < 100; ++n) {
     if (tree.parent[static_cast<size_t>(n)] < 0) {
@@ -32,7 +52,7 @@ TEST(ControlTree, AllNodesAttached) {
 TEST(ControlTree, FanoutBound) {
   Rng rng(3);
   const int fanout = 4;
-  ControlTree tree = ControlTree::Random(200, fanout, rng);
+  ControlTree tree = OneStage(200, fanout, rng);
   for (NodeId n = 0; n < 200; ++n) {
     EXPECT_LE(tree.children[static_cast<size_t>(n)].size(), static_cast<size_t>(fanout));
   }
@@ -40,7 +60,7 @@ TEST(ControlTree, FanoutBound) {
 
 TEST(ControlTree, ParentChildConsistency) {
   Rng rng(4);
-  ControlTree tree = ControlTree::Random(60, 3, rng);
+  ControlTree tree = OneStage(60, 3, rng);
   for (NodeId n = 0; n < 60; ++n) {
     for (const NodeId c : tree.children[static_cast<size_t>(n)]) {
       EXPECT_EQ(tree.parent[static_cast<size_t>(c)], n);
@@ -50,7 +70,7 @@ TEST(ControlTree, ParentChildConsistency) {
 
 TEST(ControlTree, SubtreeSizesConsistent) {
   Rng rng(5);
-  ControlTree tree = ControlTree::Random(80, 4, rng);
+  ControlTree tree = OneStage(80, 4, rng);
   for (NodeId n = 0; n < 80; ++n) {
     int sum = 1;
     for (const NodeId c : tree.children[static_cast<size_t>(n)]) {
@@ -62,7 +82,7 @@ TEST(ControlTree, SubtreeSizesConsistent) {
 
 TEST(ControlTree, NoCycles) {
   Rng rng(6);
-  ControlTree tree = ControlTree::Random(150, 4, rng);
+  ControlTree tree = OneStage(150, 4, rng);
   for (NodeId n = 0; n < 150; ++n) {
     std::set<NodeId> seen;
     NodeId cur = n;
@@ -76,10 +96,10 @@ TEST(ControlTree, NoCycles) {
 
 TEST(ControlTree, DepthIsLogarithmicish) {
   Rng rng(7);
-  ControlTree tree = ControlTree::Random(100, 4, rng);
+  ControlTree tree = OneStage(100, 4, rng);
   int max_depth = 0;
   for (NodeId n = 0; n < 100; ++n) {
-    max_depth = std::max(max_depth, tree.depth(n));
+    max_depth = std::max(max_depth, Depth(tree, n));
   }
   // A random tree with fanout 4 on 100 nodes should not degenerate into a chain.
   EXPECT_LE(max_depth, 20);
@@ -89,25 +109,9 @@ TEST(ControlTree, DepthIsLogarithmicish) {
 TEST(ControlTree, DeterministicGivenSeed) {
   Rng rng1(9);
   Rng rng2(9);
-  ControlTree a = ControlTree::Random(50, 4, rng1);
-  ControlTree b = ControlTree::Random(50, 4, rng2);
+  ControlTree a = OneStage(50, 4, rng1);
+  ControlTree b = OneStage(50, 4, rng2);
   EXPECT_EQ(a.parent, b.parent);
-}
-
-TEST(ControlTree, RandomStagedWithOneStageMatchesRandomBitwise) {
-  // Random() is specified as the one-stage special case; legacy runs rely on
-  // the two consuming the RNG identically.
-  Rng rng1(77);
-  Rng rng2(77);
-  ControlTree a = ControlTree::Random(60, 6, rng1);
-  std::vector<NodeId> joiners;
-  for (NodeId n = 1; n < 60; ++n) {
-    joiners.push_back(n);
-  }
-  ControlTree b = ControlTree::RandomStaged(60, 0, {joiners}, 6, rng2);
-  EXPECT_EQ(a.parent, b.parent);
-  EXPECT_EQ(a.children, b.children);
-  EXPECT_EQ(a.subtree_size, b.subtree_size);
 }
 
 TEST(ControlTree, RandomStagedParentsJoinNoLaterThanChildren) {

@@ -29,7 +29,7 @@ TEST(Shotgun, IdenticalTreesProduceEmptyBundle) {
   const FileTree tree = MakeTree(1);
   const SyncBundle bundle = MakeBundle(tree, tree, 1024, 1, 2);
   EXPECT_TRUE(bundle.entries.empty());
-  EXPECT_LT(bundle.WireBytes(), 64);
+  EXPECT_LT(SerializeBundle(bundle).size(), 64u);
 }
 
 TEST(Shotgun, PatchAddDeleteOps) {
@@ -83,7 +83,7 @@ TEST(Shotgun, DeltaBundleMuchSmallerThanImage) {
   for (const auto& [path, bytes] : new_tree) {
     image_bytes += static_cast<int64_t>(bytes.size());
   }
-  EXPECT_LT(bundle.WireBytes(), image_bytes / 20);
+  EXPECT_LT(static_cast<int64_t>(SerializeBundle(bundle).size()), image_bytes / 20);
 }
 
 TEST(Shotgun, ApplyFailsCleanlyOnWrongBase) {
@@ -130,6 +130,17 @@ TEST(Shotgun, ParseRejectsTruncated) {
   new_tree["x"] = RandomBytes(1000, 1);
   Bytes wire = SerializeBundle(MakeBundle(old_tree, new_tree, 512, 1, 2));
   wire.resize(wire.size() / 2);
+  EXPECT_FALSE(ParseBundle(wire).has_value());
+}
+
+TEST(Shotgun, ParseRejectsLengthPastTheEnd) {
+  // One kAdd entry whose 64-bit content length would wrap a naive bounds check.
+  Bytes wire = SerializeBundle(SyncBundle{});
+  wire[16] = 1;                      // entry count
+  wire.push_back(1);                 // op: kAdd
+  wire.insert(wire.end(), 4, 0);     // empty path
+  wire.insert(wire.end(), 8, 0xff);  // content length 2^64 - 1
+  wire.push_back(0);
   EXPECT_FALSE(ParseBundle(wire).has_value());
 }
 
