@@ -1,10 +1,35 @@
 #include "src/baselines/bittorrent.h"
 
 #include <algorithm>
+#include <set>
 
 #include "src/common/profiler.h"
 
 namespace bullet {
+
+namespace {
+
+bool HasNode(const std::vector<NodeId>& nodes, NodeId n) {
+  return std::binary_search(nodes.begin(), nodes.end(), n);
+}
+
+// Inserts `n` into the sorted `nodes` unless it is there already.
+void InsertNode(std::vector<NodeId>& nodes, NodeId n) {
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), n);
+  if (it == nodes.end() || *it != n) {
+    nodes.insert(it, n);
+  }
+}
+
+// Erases `n` from the sorted `nodes` if it is there.
+void EraseNode(std::vector<NodeId>& nodes, NodeId n) {
+  const auto it = std::lower_bound(nodes.begin(), nodes.end(), n);
+  if (it != nodes.end() && *it == n) {
+    nodes.erase(it);
+  }
+}
+
+}  // namespace
 
 BitTorrent::BitTorrent(const Context& ctx, const FileParams& file, NodeId source)
     : DisseminationProtocol(ctx, file, source), peers_(ctx.net->arena_counter()) {
@@ -135,7 +160,7 @@ void BitTorrent::OnConnDown(ConnId conn, NodeId /*peer*/) {
   for (const uint32_t b : requeue) {
     requested_.erase(b);
   }
-  peer_nodes_.erase(p.node);
+  EraseNode(peer_nodes_, p.node);
   peers_.erase(it);
 }
 
@@ -150,14 +175,14 @@ void BitTorrent::OnMessage(ConnId conn, NodeId from, std::unique_ptr<Message> ms
       AccountControlIn(msg->wire_bytes);
       ConnectToPeers(static_cast<bt::TrackerResponseMsg&>(*msg).peers);
       // The tracker connection doubles as a peering with the seed.
-      if (peers_.find(conn) == peers_.end() && peer_nodes_.count(from) == 0 &&
+      if (peers_.find(conn) == peers_.end() && !HasNode(peer_nodes_, from) &&
           static_cast<int>(peers_.size()) < kMaxConnections) {
         Peer p;
         p.node = from;
         p.conn = conn;
         p.pieces.Resize(NumPieces());
         peers_.emplace(conn, std::move(p));
-        peer_nodes_.insert(from);
+        InsertNode(peer_nodes_, from);
         auto bf = std::make_unique<bt::BitfieldMsg>();
         for (uint32_t piece = 0; piece < NumPieces(); ++piece) {
           if (PieceComplete(piece)) {
@@ -185,7 +210,7 @@ void BitTorrent::OnMessage(ConnId conn, NodeId from, std::unique_ptr<Message> ms
         p.conn = conn;
         p.pieces.Resize(NumPieces());
         it = peers_.emplace(conn, std::move(p)).first;
-        peer_nodes_.insert(from);
+        InsertNode(peer_nodes_, from);
         auto reply = std::make_unique<bt::BitfieldMsg>();
         for (uint32_t piece = 0; piece < NumPieces(); ++piece) {
           if (PieceComplete(piece)) {
@@ -306,7 +331,7 @@ void BitTorrent::HandleTrackerRequest(ConnId conn, NodeId from) {
 
 void BitTorrent::ConnectToPeers(const std::vector<NodeId>& list) {
   for (const NodeId n : list) {
-    if (n == self() || peer_nodes_.count(n) > 0 ||
+    if (n == self() || HasNode(peer_nodes_, n) ||
         static_cast<int>(peers_.size()) >= kMaxConnections) {
       continue;
     }
@@ -319,7 +344,7 @@ void BitTorrent::ConnectToPeers(const std::vector<NodeId>& list) {
     p.conn = conn;
     p.pieces.Resize(NumPieces());
     peers_.emplace(conn, std::move(p));
-    peer_nodes_.insert(n);
+    InsertNode(peer_nodes_, n);
   }
 }
 

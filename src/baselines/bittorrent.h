@@ -13,7 +13,6 @@
 #define SRC_BASELINES_BITTORRENT_H_
 
 #include <optional>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -174,7 +173,9 @@ class BitTorrent : public DisseminationProtocol {
   // Counted on the network's ArenaCounter (mega-swarm): same ascending-ConnId
   // iteration order as the std::map it replaced, so results stay byte-identical.
   StableFlatMap<ConnId, Peer> peers_;
-  std::set<NodeId> peer_nodes_;
+  // The nodes peers_ reaches, sorted and each once (a std::set's semantics at
+  // 4 bytes an entry instead of a 40-byte tree node; at most kMaxConnections).
+  std::vector<NodeId> peer_nodes_;
   std::unordered_map<uint32_t, ConnId> requested_;  // block -> conn
   std::vector<int> piece_rarity_;                   // per piece: peers holding it
   std::vector<int> piece_blocks_held_;              // per piece: blocks we hold

@@ -10,10 +10,9 @@ constexpr double kUnlimitedBps = 1e12;
 }
 
 void TcpFlowState::OnBecameActive(SimTime now) {
-  if (!ever_active || now - last_busy > kTcpIdleRestart) {
+  if (active_since < 0 || now - last_busy > kTcpIdleRestart) {
     active_since = now;  // Fresh slow start.
   }
-  ever_active = true;
   last_busy = now;
 }
 

@@ -30,11 +30,12 @@ inline constexpr SimTime kTcpIdleRestart = MsToSim(1000);
 inline constexpr double kTcpInitialWindowSegments = 3.0;
 
 struct TcpFlowState {
-  // When the current busy period began (for the slow-start ramp).
-  SimTime active_since = 0;
+  // When the current busy period began (for the slow-start ramp); -1 until the
+  // first activation, which always starts a fresh ramp. Simulated time is never
+  // negative, so the sentinel needs no flag of its own (16 bytes per direction).
+  SimTime active_since = -1;
   // When the direction last had bytes to send.
   SimTime last_busy = 0;
-  bool ever_active = false;
 
   // Called when a direction transitions idle -> busy.
   void OnBecameActive(SimTime now);

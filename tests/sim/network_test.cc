@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <numeric>
 #include <vector>
 
 #include "src/sim/dynamics.h"
@@ -516,6 +518,143 @@ TEST(Network, CompactedClosedConnectionAnswersAsClosed) {
   EXPECT_EQ(net.node_bytes_received(1), 0);
   EXPECT_EQ(net.open_conn_entries(), 0u);
   EXPECT_EQ(net.active_directions(), 0u);
+}
+
+// A direction's queue starts at one slot and doubles. Queue 1, then 2, then 9
+// messages with partial drains between, so the ring grows 1 -> 2 -> 4 from the
+// front, wraps, and grows 4 -> 8 -> 16 with its head mid-buffer.
+TEST(Network, QueueKeepsOrderAcrossRingGrowth) {
+  Network net = MakeTwoNodeNet();
+  Recorder h0(&net);
+  Recorder h1(&net);
+  net.SetHandler(0, &h0);
+  net.SetHandler(1, &h1);
+  const ConnId conn = net.Connect(0, 1);
+  net.Run(SecToSim(0.5));  // established
+  int next_id = 0;
+  const auto send = [&](int64_t bytes) {
+    ASSERT_TRUE(net.Send(conn, 0, std::make_unique<TestMsg>(next_id++, bytes)));
+  };
+  const auto run_quantum = [&] { net.Run(net.now() + MsToSim(10)); };
+
+  send(40 * 1000);  // one slot
+  run_quantum();    // partly sent
+  ASSERT_EQ(net.QueuedBytes(conn, 0), 40 * 1000);
+  send(30 * 1000);  // two slots
+  constexpr int64_t kThird = 200 * 1000;
+  send(kThird);  // four slots, head at 0
+  // Drain the first two; the third is still queued, so the head sits at slot 2.
+  for (int q = 0; q < 200 && net.QueuedBytes(conn, 0) > kThird; ++q) {
+    run_quantum();
+  }
+  ASSERT_EQ(net.QueuedBytes(conn, 0), kThird);
+  for (int i = 0; i < 9; ++i) {
+    send(1000 + i);  // slots 3, 0, 1 (wrapped), then 8 and 16 slots
+  }
+  net.Run(SecToSim(5.0));
+  EXPECT_EQ(net.QueuedBytes(conn, 0), 0);
+  std::vector<int> delivered;
+  for (const auto& e : h1.events) {
+    if (e.kind == Recorder::Event::Kind::kMsg) {
+      delivered.push_back(e.msg_id);
+    }
+  }
+  std::vector<int> sent(12);
+  std::iota(sent.begin(), sent.end(), 0);
+  EXPECT_EQ(delivered, sent);
+
+  // Messages queued in the grown ring are dropped by a Close.
+  for (int i = 0; i < 3; ++i) {
+    send(50 * 1000);
+  }
+  ASSERT_EQ(net.QueuedBytes(conn, 0), 150 * 1000);
+  net.Close(conn);
+  EXPECT_EQ(net.QueuedBytes(conn, 0), 0);
+  net.Run(SecToSim(8.0));
+  size_t messages = 0;
+  for (const auto& e : h1.events) {
+    messages += e.kind == Recorder::Event::Kind::kMsg ? 1 : 0;
+  }
+  EXPECT_EQ(messages, sent.size());
+  EXPECT_EQ(net.node_bytes_received(1), net.node_bytes_sent(0));
+}
+
+// The pass CompactOpenConns ran before it cost what the closes cost: ascending
+// positions, each closed entry swapped with the last and popped, the moved
+// entry checked again in place, with the busy bit moving along.
+void ScanOutClosed(std::vector<ConnId>& list, std::vector<uint64_t>& bits,
+                   const std::vector<char>& closed_by_id) {
+  for (size_t i = 0; i < list.size();) {
+    if (closed_by_id[static_cast<size_t>(list[i])] == 0) {
+      ++i;
+      continue;
+    }
+    const size_t last = list.size() - 1;
+    list[i] = list[last];
+    list.pop_back();
+    if (i != last) {
+      const uint64_t busy = (bits[last / 64] >> (last % 64)) & 1;
+      bits[last / 64] &= ~(uint64_t{1} << (last % 64));
+      bits[i / 64] |= busy << (i % 64);
+    }
+  }
+}
+
+TEST(Network, DropClosedEntriesMatchesTheScan) {
+  Rng rng(33);
+  for (int trial = 0; trial < 3000; ++trial) {
+    const size_t n = static_cast<size_t>(rng.UniformInt(1, 300));
+    const double closed_frac = trial % 10 == 0 ? 0.0 : trial % 10 == 1 ? 1.0 : rng.UniformDouble();
+    std::vector<char> closed(n, 0);
+    for (size_t i = 0; i < n; ++i) {
+      closed[i] = rng.Bernoulli(closed_frac) ? 1 : 0;
+    }
+    // Runs of closed entries side by side, somewhere and at the tail.
+    if (trial % 3 == 0) {
+      const size_t from = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(n) - 1));
+      const size_t len = static_cast<size_t>(rng.UniformInt(1, 40));
+      for (size_t i = from; i < std::min(n, from + len); ++i) {
+        closed[i] = 1;
+      }
+    }
+    if (trial % 4 == 0) {
+      const size_t len = static_cast<size_t>(rng.UniformInt(1, static_cast<int64_t>(n)));
+      for (size_t i = n - len; i < n; ++i) {
+        closed[i] = 1;
+      }
+    }
+    // Entry ids are a shuffle of 0..n-1; position i holds a closed entry when
+    // closed[i], and only open entries may have their busy bit set.
+    std::vector<ConnId> list(n);
+    for (size_t i = 0; i < n; ++i) {
+      list[i] = static_cast<ConnId>(i);
+    }
+    rng.Shuffle(list);
+    std::vector<char> closed_by_id(n, 0);
+    std::vector<uint64_t> bits((n + 63) / 64 + 1, 0);
+    std::vector<uint32_t> closed_pos;
+    for (size_t i = 0; i < n; ++i) {
+      if (closed[i] != 0) {
+        closed_by_id[static_cast<size_t>(list[i])] = 1;
+        closed_pos.push_back(static_cast<uint32_t>(i));
+      } else if (rng.Bernoulli(0.5)) {
+        bits[i / 64] |= uint64_t{1} << (i % 64);
+      }
+    }
+    rng.Shuffle(closed_pos);  // the order connections closed in
+
+    std::vector<ConnId> want_list = list;
+    std::vector<uint64_t> want_bits = bits;
+    ScanOutClosed(want_list, want_bits, closed_by_id);
+    DropClosedEntries(list, bits, closed_pos);
+    ASSERT_EQ(list, want_list) << "trial " << trial << ", " << n << " entries";
+    ASSERT_EQ(bits, want_bits) << "trial " << trial << ", " << n << " entries";
+    for (const uint32_t pos : closed_pos) {
+      if (pos < list.size()) {
+        EXPECT_EQ(closed_by_id[static_cast<size_t>(list[pos])], 0) << "trial " << trial;
+      }
+    }
+  }
 }
 
 TEST(Dynamics, PeriodicHalvingIsCumulative) {

@@ -55,6 +55,20 @@ TEST(TcpModel, IdleRestartResetsRamp) {
   EXPECT_EQ(state.active_since, SecToSim(30.0));
 }
 
+// The first activation starts the ramp even within kTcpIdleRestart of the
+// default last_busy (0): a fresh state has no busy period to resume.
+TEST(TcpModel, FirstActivationStartsTheRampAtAnyTime) {
+  TcpFlowState state;
+  const SimTime first = SecToSim(0.5);
+  ASSERT_LE(first - state.last_busy, kTcpIdleRestart);
+  state.OnBecameActive(first);
+  EXPECT_EQ(state.active_since, first);
+  const SimTime rtt = MsToSim(100);
+  const double initial = kTcpInitialWindowSegments * kTcpMssBytes * 8.0 / 0.1;
+  EXPECT_NEAR(TcpRateCapBps(state, first, rtt, 0.0), initial, initial * 0.01);
+  EXPECT_NEAR(TcpRateCapBps(state, first + rtt, rtt, 0.0), 2 * initial, initial * 0.01);
+}
+
 TEST(TcpModel, LossCapsTheRamp) {
   TcpFlowState state;
   state.OnBecameActive(0);
