@@ -12,11 +12,22 @@
 
 namespace bullet {
 
+// A bitmap of at most 64 bits keeps its one word inline; a larger one owns a
+// heap array of words. Most bitmaps are small (a BitTorrent peer's piece map
+// has 16 bits on routed_shared's 4 MB file), and each one costs no allocation.
 class Bitmap {
  public:
   Bitmap() = default;
   explicit Bitmap(size_t size);
+  // Move-only: no code copies or reassigns a bitmap. Moving (a container
+  // growing) leaves `other` empty.
+  Bitmap(Bitmap&& other) noexcept;
+  Bitmap(const Bitmap&) = delete;
+  Bitmap& operator=(const Bitmap&) = delete;
+  Bitmap& operator=(Bitmap&&) = delete;
+  ~Bitmap() { Release(); }
 
+  // Clears every bit and sets the size.
   void Resize(size_t size);
 
   size_t size() const { return size_; }
@@ -41,9 +52,16 @@ class Bitmap {
  private:
   static constexpr size_t kWordBits = 64;
 
+  static size_t NumWords(size_t size) { return (size + kWordBits - 1) / kWordBits; }
+  // Frees the heap words, if any, and points words_ at the inline word.
+  void Release();
+
   size_t size_ = 0;
   size_t count_ = 0;
-  std::vector<uint64_t> words_;
+  // NumWords(size_) words: &inline_word_ while size_ <= kWordBits, else an
+  // owned heap array.
+  uint64_t* words_ = &inline_word_;
+  uint64_t inline_word_ = 0;
 };
 
 }  // namespace bullet

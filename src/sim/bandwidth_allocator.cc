@@ -1,6 +1,7 @@
 #include "src/sim/bandwidth_allocator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <functional>
 #include <queue>
@@ -186,10 +187,25 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
 }
 
 void IncrementalMaxMin::BeginEpoch() {
+  // The epoch that ends becomes the previous one, if it was allocated: its
+  // by_cap_ then orders its cap_. Otherwise nothing is carried.
+  if (allocated_) {
+    prev_cap_.swap(cap_);
+    prev_tag_.swap(tag_);
+    prev_by_cap_.swap(by_cap_);
+  } else {
+    prev_cap_.clear();
+    prev_tag_.clear();
+    prev_by_cap_.clear();
+  }
+  allocated_ = false;
+  carried_.assign(prev_by_cap_.size(), kNoFlow);
+  sort_buf_.clear();
   capacity_.clear();
   flow_links_.clear();
   flow_off_.assign(1, 0);
   cap_.clear();
+  tag_.clear();
   rate_.clear();
 }
 
@@ -202,10 +218,22 @@ int32_t IncrementalMaxMin::AddLink(double capacity_bps) {
   return id;
 }
 
-void IncrementalMaxMin::AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps) {
+void IncrementalMaxMin::AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps,
+                                    uint64_t tag, uint32_t prev_index) {
+  const uint32_t fi = static_cast<uint32_t>(cap_.size());
   flow_links_.insert(flow_links_.end(), ids, ids + num_ids);
   flow_off_.push_back(static_cast<uint32_t>(flow_links_.size()));
   cap_.push_back(cap_bps);
+  tag_.push_back(tag);
+  // A previous flow gives its place at most once, so the carried flows stay
+  // a permutation of part of this epoch's flows whatever the hints say.
+  if (prev_index < carried_.size() && prev_tag_[prev_index] == tag &&
+      std::bit_cast<uint64_t>(prev_cap_[prev_index]) == std::bit_cast<uint64_t>(cap_bps) &&
+      carried_[prev_index] == kNoFlow) {
+    carried_[prev_index] = fi;
+  } else {
+    sort_buf_.emplace_back(cap_bps, fi);
+  }
 }
 
 void IncrementalMaxMin::BuildEpochScratch() {
@@ -233,20 +261,32 @@ void IncrementalMaxMin::BuildEpochScratch() {
     }
   }
 
-  // Ascending-cap order. Sorting (cap, index) pairs beats sorting indices with a
-  // gathered comparator (no indirection per comparison). The relative order of
-  // equal caps is whatever the sort produces: equal-cap flows freeze at equal
-  // rates, and subtracting equal values commutes bitwise, so any permutation of
-  // an equal-cap run yields bit-identical results.
-  sort_buf_.resize(num_flows);
-  for (size_t i = 0; i < num_flows; ++i) {
-    sort_buf_[i] = {cap_[i], static_cast<uint32_t>(i)};
-  }
+  // Ascending-cap order: two ascending runs merged. The carried flows, in the
+  // previous epoch's order, are ascending because each has the cap bits of
+  // the flow whose place it took; the others are sorted as (cap, index) pairs,
+  // which beats sorting indices with a gathered comparator. The relative order
+  // of equal caps is whatever the sort and the merge produce: equal-cap flows
+  // freeze at equal rates, and subtracting equal values commutes bitwise, so
+  // any permutation of an equal-cap run yields bit-identical results.
   std::sort(sort_buf_.begin(), sort_buf_.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
   by_cap_.resize(num_flows);
-  for (size_t i = 0; i < num_flows; ++i) {
-    by_cap_[i] = sort_buf_[i].second;
+  size_t out = 0;
+  auto next = sort_buf_.cbegin();
+  if (sort_buf_.size() < num_flows) {
+    for (const uint32_t prev : prev_by_cap_) {
+      const uint32_t fi = carried_[prev];
+      if (fi == kNoFlow) {
+        continue;
+      }
+      for (; next != sort_buf_.cend() && next->first < cap_[fi]; ++next) {
+        by_cap_[out++] = next->second;
+      }
+      by_cap_[out++] = fi;
+    }
+  }
+  for (; next != sort_buf_.cend(); ++next) {
+    by_cap_[out++] = next->second;
   }
 
   frozen_.assign(num_flows, 0);
@@ -271,6 +311,7 @@ void IncrementalMaxMin::Allocate() {
   const size_t num_flows = cap_.size();
 
   BuildEpochScratch();
+  allocated_ = true;
   size_t cap_cursor = 0;
 
   heap_.Reset(num_links);

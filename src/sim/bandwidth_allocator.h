@@ -21,7 +21,10 @@
 //    persists across allocation epochs, so a recompute performs zero heap
 //    allocations after warm-up. Callers dirty-track their flow set and simply
 //    skip Allocate() when nothing changed: the previous rates are, by
-//    determinism, exactly what a recompute would produce.
+//    determinism, exactly what a recompute would produce. The ascending-cap
+//    order is carried from one epoch to the next: a flow the caller names
+//    again with a bit-identical cap keeps its place, and only the new and
+//    re-capped flows are sorted and merged in.
 //
 // Bit-exactness contract: for the same sequence of links and flows (same link
 // ids, same per-flow link order), IncrementalMaxMin::Allocate() produces rates
@@ -30,20 +33,22 @@
 // freeze order depends on flow and link numbering. Both implementations
 // therefore follow one rule: links saturate in (share, link id) order, so of
 // two links with equal fair shares the lower id saturates first; cap-limited
-// flows freeze in the order of the same std::sort by cap; and every update
-// performs the same arithmetic. The network feeds them flows in the identical
+// flows freeze in ascending-cap order; and every update performs the same
+// arithmetic. The network feeds them flows in the identical
 // order. Link ids themselves are labels: only their order matters, through
 // the tie rule. Leaving out links no flow crosses, or renumbering links in a
 // way that keeps that order, leaves every rate unchanged (the network
-// registers only the links its flows cross). Equal-cap flows may be permuted
-// by the sort: they freeze at equal rates, and each link they cross sees the
-// same subtractions whatever their order, so after a run of equal-cap freezes
+// registers only the links its flows cross). Equal-cap flows may come in any
+// order: they freeze at equal rates, and each link they cross sees the same
+// subtractions whatever their order, so after a run of equal-cap freezes
 // every link's remaining capacity and flow count, and with them the heap's
-// content, do not depend on that order. Partial recomputation of "affected
-// bottleneck groups" cannot meet this contract (restricting the water level to
-// a subgraph changes when cap-limited flows freeze relative to saturations),
-// which is why incrementality here means exact result reuse plus
-// allocation-free rebuild rather than subgraph water-filling.
+// content, do not depend on that order. That is why the reference may sort
+// afresh while the hot path carries its order across epochs: any ascending
+// order gives the same freezes. Partial recomputation of "affected bottleneck
+// groups" cannot meet this contract (restricting the water level to a
+// subgraph changes when cap-limited flows freeze relative to saturations), so
+// incrementality here means exact result reuse, an allocation-free rebuild
+// and a carried cap order, never subgraph water-filling.
 //
 // Thread-safety: the free functions are safe to call concurrently on disjoint
 // arguments (they touch only their parameters); an IncrementalMaxMin instance
@@ -227,7 +232,7 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
 //   alloc.BeginEpoch();
 //   for each link (fixed ids first, discovered ones after): alloc.AddLink(capacity);
 //   for each flow in the caller's canonical order:
-//     alloc.AddFlowPath(ids, num_ids, cap);
+//     alloc.AddFlowPath(ids, num_ids, cap, tag, prev_index);  // or without the last two
 //   alloc.Allocate();
 //   ... alloc.rate(i) ...
 //
@@ -236,7 +241,8 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
 class IncrementalMaxMin {
  public:
   // Resets the flow and link sets for a new epoch; previously returned rates
-  // are invalidated. Scratch capacity is retained.
+  // are invalidated. Scratch capacity is retained. The cap order of the
+  // previous epoch is carried into this one only if Allocate() ran on it.
   void BeginEpoch();
 
   // Registers the next link; ids are assigned densely in call order. The
@@ -245,8 +251,21 @@ class IncrementalMaxMin {
   int32_t AddLink(double capacity_bps);
 
   // Registers the next flow (index = number of AddFlowPath calls so far this
-  // epoch), crossing the `num_ids` links at `ids`.
-  void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps);
+  // epoch), crossing the `num_ids` links at `ids`. Its place in the
+  // ascending-cap order is found by sorting.
+  void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps) {
+    AddFlowPath(ids, num_ids, cap_bps, kNoTag, kNoFlow);
+  }
+
+  // The same for a caller that names its flows across epochs. `tag` is the
+  // flow's stable name (no other flow's, then or later) and `prev_index` its
+  // index in the previous epoch. When the previous epoch's flow at
+  // `prev_index` had this tag and a bit-identical cap, the flow keeps that
+  // flow's place in the cap order instead of being sorted. A wrong hint (out
+  // of range, stale, another flow's, or a flow whose cap changed) only costs
+  // the sort; the rates never depend on the hints.
+  void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps, uint64_t tag,
+                   uint32_t prev_index);
 
   // Water-fills the current epoch. Bit-identical to the stateless reference over
   // the same links/flows sequence.
@@ -265,6 +284,11 @@ class IncrementalMaxMin {
   }
 
  private:
+  static constexpr uint32_t kNoFlow = UINT32_MAX;
+  // The tag of flows registered without one; their out-of-range hint always
+  // sends them to the sort.
+  static constexpr uint64_t kNoTag = UINT64_MAX;
+
   // Rebuilds the per-epoch scratch (remaining capacities, CSR link->flow rows,
   // ascending-cap order, frozen flags, zeroed rates) from the epoch inputs.
   // Pure data movement, kept apart from Allocate()'s arithmetic.
@@ -276,7 +300,19 @@ class IncrementalMaxMin {
   std::vector<int32_t> flow_links_;  // CSR payload
   std::vector<uint32_t> flow_off_;   // CSR offsets, size F+1
   std::vector<double> cap_;          // per flow
+  std::vector<uint64_t> tag_;        // per flow
   std::vector<double> rate_;         // per flow (output)
+
+  // The carried cap order. The previous epoch's caps, tags and ascending-cap
+  // order (empty unless Allocate() ran on it); per previous flow, the flow of
+  // this epoch that took its place, or kNoFlow; and the (cap, flow) pairs of
+  // the flows that found no place and are sorted.
+  std::vector<double> prev_cap_;
+  std::vector<uint64_t> prev_tag_;
+  std::vector<uint32_t> prev_by_cap_;
+  std::vector<uint32_t> carried_;
+  std::vector<std::pair<double, uint32_t>> sort_buf_;
+  bool allocated_ = false;  // Allocate() ran since the last BeginEpoch()
 
   // Scratch reused across epochs.
   std::vector<double> remaining_;
@@ -284,8 +320,7 @@ class IncrementalMaxMin {
   std::vector<uint32_t> link_off_;    // CSR offsets, size L+1
   std::vector<uint32_t> link_flow_;   // CSR payload: flow indices per link, flow order
   std::vector<uint32_t> fill_cursor_;
-  std::vector<std::pair<double, uint32_t>> sort_buf_;  // (cap, flow) pairs
-  std::vector<size_t> by_cap_;
+  std::vector<uint32_t> by_cap_;      // flow indices, ascending cap
   std::vector<char> frozen_;
   LinkHeap heap_;
 };

@@ -527,7 +527,12 @@ void Network::RebuildAndAllocate() {
             ++ramping_flows_;
           }
         }
-        alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache);
+        // ConnIds are never reused, so 2 * id + direction names the flow for
+        // as long as the run lasts.
+        alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache,
+                           2 * static_cast<uint64_t>(id) + static_cast<uint64_t>(i),
+                           dir.flow_index);
+        dir.flow_index = static_cast<uint32_t>(cached_flows_.size());
         cached_flows_.push_back(CachedFlow{c, i});
       }
     }

@@ -277,6 +277,11 @@ class Network {
     // period, so the rebuild skips the transcendental-heavy recomputation.
     double cap_cache = 0.0;
     bool cap_steady = false;
+    // The direction's flow index in the last allocation epoch that had it:
+    // the allocator's hint for keeping the flow's place in its cap order
+    // (stale once the direction sat an epoch out; the allocator checks).
+    // Fills padding, so a Direction stays 88 bytes.
+    uint32_t flow_index = UINT32_MAX;
   };
 
   // Per-direction path parameters snapshotted at Connect(). Propagation delay,

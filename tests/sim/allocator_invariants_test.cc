@@ -9,7 +9,10 @@
 //  4. bit-exactness    — IncrementalMaxMin (with its scratch reused across many
 //                        epochs, including tie-heavy uniform instances) produces
 //                        rates bit-identical to a fresh AllocateMaxMinPaths;
-//  5. the tie rule     — links with equal shares saturate in link id order.
+//  5. the tie rule     — links with equal shares saturate in link id order;
+//  6. the carried order — IncrementalMaxMin's cap order, carried from epoch to
+//                        epoch through tags and hints, gives the reference's
+//                        rates over hundreds of epochs, whatever the hints say.
 //
 // Run standalone with `ctest -L invariants`.
 
@@ -228,6 +231,173 @@ TEST_P(AllocatorInvariants, RemovingAFlowNeverHurtsSurvivorsLexicographically) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomizedInstances, AllocatorInvariants, ::testing::Range(0, 100));
+
+// A flow the caller names across epochs: its tag, and its index when it was
+// last registered, which is the hint it passes next time (as the network's
+// directions keep theirs).
+struct NamedFlow {
+  uint64_t tag = 0;
+  uint32_t hint = UINT32_MAX;
+  PathFlowSpec spec;
+};
+
+class CarriedCapOrder : public ::testing::TestWithParam<int> {};
+
+// One IncrementalMaxMin over 300 epochs. Between epochs most flows stay and
+// some are re-capped, dropped, added, moved, or sit epochs out and come back
+// with a stale hint. Caps come mostly from five values, so equal-cap runs are
+// long, and on even seeds every link starts with the same capacity. Some
+// hints are wrong on purpose: out of range, another flow's index, a tag two
+// flows share, and hints into an epoch abandoned before Allocate(). Every
+// epoch's rates must equal a fresh AllocateMaxMinPaths bit for bit.
+TEST_P(CarriedCapOrder, MatchesTheReferenceEpochAfterEpoch) {
+  const int seed = GetParam();
+  Rng rng(static_cast<uint64_t>(seed) * 0x2545f4914f6cdd1dULL + 3);
+  const bool uniform = seed % 2 == 0;
+
+  const std::vector<double> cap_values = {0.25e6, 0.5e6, 1e6, 2e6, kUnlimited};
+  auto draw_cap = [&] {
+    return rng.Bernoulli(0.7) ? rng.Choice(cap_values) : rng.UniformDouble(0.1e6, 5e6);
+  };
+  const std::vector<double> capacity_values = {2e6, 4e6, 8e6};
+  auto draw_capacity = [&] {
+    return uniform ? rng.Choice(capacity_values) : rng.UniformDouble(0.5e6, 20e6);
+  };
+  std::vector<double> capacity(static_cast<size_t>(rng.UniformInt(2, 24)));
+  for (double& c : capacity) {
+    c = uniform ? 4e6 : draw_capacity();
+  }
+
+  uint64_t next_tag = 0;
+  auto make_flow = [&] {
+    NamedFlow f;
+    f.tag = next_tag++;
+    // A flow may cross no link at all; then only its cap bounds it.
+    const int nlinks = rng.Bernoulli(0.05) ? 0 : static_cast<int>(rng.UniformInt(1, 3));
+    for (int l = 0; l < nlinks; ++l) {
+      f.spec.links.push_back(
+          static_cast<int32_t>(rng.UniformInt(0, static_cast<int64_t>(capacity.size()) - 1)));
+    }
+    f.spec.cap_bps = draw_cap();
+    return f;
+  };
+  auto random_pos = [&](size_t n) {
+    return static_cast<long>(rng.UniformInt(0, static_cast<int64_t>(n)));
+  };
+
+  std::vector<NamedFlow> flows;  // this epoch's, in registration order
+  std::vector<NamedFlow> idle;   // sitting epochs out, hints kept
+  for (int i = static_cast<int>(rng.UniformInt(1, 60)); i > 0; --i) {
+    flows.push_back(make_flow());
+  }
+
+  IncrementalMaxMin alloc;
+  size_t prev_flows = 0;  // flows in the last registered epoch
+  for (int epoch = 0; epoch < 300; ++epoch) {
+    // An epoch abandoned before Allocate(), over the same flows in another
+    // order and with other caps. The hints then point into it, and the next
+    // epoch must not carry its order.
+    if (rng.Bernoulli(0.05)) {
+      alloc.BeginEpoch();
+      for (const double c : capacity) {
+        alloc.AddLink(c);
+      }
+      std::vector<uint32_t> order(flows.size());
+      for (size_t k = 0; k < order.size(); ++k) {
+        order[k] = static_cast<uint32_t>(k);
+      }
+      rng.Shuffle(order);
+      for (size_t k = 0; k < order.size(); ++k) {
+        NamedFlow& f = flows[order[k]];
+        alloc.AddFlowPath(f.spec.links.data(), f.spec.links.size(), draw_cap(), f.tag, f.hint);
+        f.hint = static_cast<uint32_t>(k);
+      }
+      prev_flows = flows.size();
+    }
+
+    alloc.BeginEpoch();
+    for (const double c : capacity) {
+      alloc.AddLink(c);
+    }
+    std::vector<PathFlowSpec> reference;
+    uint64_t last_tag = NamedFlow{}.tag;  // what the previous flow passed
+    uint32_t last_hint = NamedFlow{}.hint;
+    for (size_t i = 0; i < flows.size(); ++i) {
+      NamedFlow& f = flows[i];
+      uint64_t tag = f.tag;
+      uint32_t hint = f.hint;
+      switch (rng.UniformInt(0, 19)) {
+        case 0:  // out of range
+          hint = rng.Bernoulli(0.5) ? static_cast<uint32_t>(prev_flows) : UINT32_MAX - 1;
+          break;
+        case 1:  // another flow's index
+          if (prev_flows > 0) {
+            hint = static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(prev_flows) - 1));
+          }
+          break;
+        case 2:  // the previous flow's tag and hint: two flows claim one place
+          tag = last_tag;
+          hint = last_hint;
+          break;
+        default:
+          break;
+      }
+      alloc.AddFlowPath(f.spec.links.data(), f.spec.links.size(), f.spec.cap_bps, tag, hint);
+      last_tag = tag;
+      last_hint = hint;
+      f.hint = static_cast<uint32_t>(i);
+      reference.push_back(f.spec);
+    }
+    alloc.Allocate();
+    prev_flows = flows.size();
+    AllocateMaxMinPaths(reference, capacity);
+    ASSERT_EQ(alloc.num_flows(), reference.size());
+    for (size_t i = 0; i < reference.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<uint64_t>(reference[i].rate_bps),
+                std::bit_cast<uint64_t>(alloc.rate(i)))
+          << "seed " << seed << " epoch " << epoch << " flow " << i;
+    }
+
+    // Into the next epoch: flows leave, sit out or get a new cap; idle flows
+    // come back anywhere, new ones arrive anywhere, and two may trade places.
+    std::vector<NamedFlow> kept;
+    for (NamedFlow& f : flows) {
+      if (rng.Bernoulli(0.05)) {
+        continue;
+      }
+      if (rng.Bernoulli(0.05)) {
+        idle.push_back(std::move(f));
+        continue;
+      }
+      if (rng.Bernoulli(0.1)) {
+        f.spec.cap_bps = draw_cap();
+      }
+      kept.push_back(std::move(f));
+    }
+    flows = std::move(kept);
+    for (size_t k = 0; k < idle.size();) {
+      if (rng.Bernoulli(0.5)) {
+        flows.insert(flows.begin() + random_pos(flows.size()), std::move(idle[k]));
+        idle.erase(idle.begin() + static_cast<long>(k));
+      } else {
+        ++k;
+      }
+    }
+    for (int added = static_cast<int>(rng.UniformInt(flows.size() < 10 ? 3 : 0, 3));
+         added > 0 && flows.size() < 120; --added) {
+      flows.insert(flows.begin() + random_pos(flows.size()), make_flow());
+    }
+    if (flows.size() > 1 && rng.Bernoulli(0.1)) {
+      std::swap(flows[static_cast<size_t>(random_pos(flows.size() - 1))],
+                flows[static_cast<size_t>(random_pos(flows.size() - 1))]);
+    }
+    if (rng.Bernoulli(0.1)) {
+      capacity[static_cast<size_t>(random_pos(capacity.size() - 1))] = draw_capacity();
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CarriedCapOrder, ::testing::Range(0, 20));
 
 // The tie rule: of two links with equal fair shares, the lower id saturates
 // first. Links `a` and `b` (10 Mb/s) both carry three uncapped flows, and link
