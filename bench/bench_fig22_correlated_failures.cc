@@ -20,7 +20,6 @@
 
 #include "bench/session_common.h"
 #include "src/harness/scenario_registry.h"
-#include "src/sim/dynamics.h"
 
 namespace bullet {
 namespace {
@@ -64,12 +63,23 @@ BULLET_SCENARIO(fig22_correlated_failures,
   const RoutedTopology::TransitStubInfo* info = routed->transit_stub_info();
   // One sampled link per stub domain: the transit->gateway direction of its
   // shared uplink carries the stub's download traffic — the dominant direction
-  // for dissemination.
+  // for dissemination. Once a second from 1 s, the tick hook appends the
+  // bandwidth the allocator granted across each of them.
   const std::vector<int32_t> links = info->gateway_uplink_edge;
   std::vector<double> sample_sec;
   std::vector<std::vector<double>> sample_bps;
-  StartInteriorLinkSampling(exp->net(), links, SecToSim(1.0), SecToSim(1.0), &sample_sec,
-                            &sample_bps);
+  SimTime next_sample = SecToSim(1.0);
+  exp->net().SetTickHook([&](const Network& net) {
+    if (net.now() < next_sample) {
+      return;
+    }
+    next_sample += SecToSim(1.0);
+    sample_sec.push_back(SimToSec(net.now()));
+    std::vector<double>& row = sample_bps.emplace_back();
+    for (const int32_t link : links) {
+      row.push_back(net.InteriorLinkAllocatedBps(link));
+    }
+  });
   const WorkloadResult wl = exp->Run();
 
   // Aggregate utilization over *surviving* stubs' uplinks, so the dead

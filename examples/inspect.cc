@@ -4,9 +4,9 @@
 //
 // Usage: inspect [num_nodes] [file_mb] [probe_node]
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
 #include <memory>
 
 #include "src/core/bullet_prime.h"
@@ -36,25 +36,28 @@ int main(int argc, char** argv) {
       bullet::BuildScenarioExperiment(cfg, workload);
   const uint32_t num_blocks = exp->session_spec(0).file.num_blocks;
 
-  // Periodic probe of the protocol state (every member joins at t=0, so the
-  // probe's protocol exists from the first sample on).
-  std::function<void()> sample = [&] {
+  // Periodic probe of the protocol state on the network's tick hook (every
+  // member joins at t=0, so the probe's protocol exists from the first sample
+  // on).
+  bullet::SimTime next_sample = bullet::SecToSim(5.0);
+  int64_t prev_total = 0;
+  exp->net().SetTickHook([&](const bullet::Network& net) {
+    if (net.now() < next_sample) {
+      return;
+    }
+    next_sample += bullet::SecToSim(5.0);
     const auto* probe_proto =
         static_cast<const bullet::BulletPrime*>(exp->session_protocol(0, probe));
-    const double t = bullet::SimToSec(exp->net().now());
     int64_t total_rx = 0;
     for (int n = 0; n < num_nodes; ++n) {
-      total_rx += exp->net().node_bytes_received(n);
+      total_rx += net.node_bytes_received(n);
     }
-    static int64_t prev_total = 0;
     const double agg_mbps = static_cast<double>(total_rx - prev_total) * 8.0 / 5.0 / 1e6;
     prev_total = total_rx;
-    std::printf("t=%6.1fs probe: senders=%d max_senders=%d blocks=%zu/%u agg_rx=%.1f Mbps\n", t,
-                probe_proto->num_senders(), probe_proto->max_senders(),
-                probe_proto->have().count(), num_blocks, agg_mbps);
-    exp->net().queue().ScheduleAfter(bullet::SecToSim(5.0), sample);
-  };
-  exp->net().queue().ScheduleAfter(bullet::SecToSim(5.0), sample);
+    std::printf("t=%6.1fs probe: senders=%d max_senders=%d blocks=%zu/%u agg_rx=%.1f Mbps\n",
+                bullet::SimToSec(net.now()), probe_proto->num_senders(),
+                probe_proto->max_senders(), probe_proto->have().count(), num_blocks, agg_mbps);
+  });
 
   exp->Run();
   std::printf("completed %d/%d\n", exp->session_metrics(0).completed(), num_nodes - 1);

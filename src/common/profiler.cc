@@ -3,18 +3,9 @@
 namespace bullet {
 namespace {
 
-thread_local RunCounters* g_run_counters = nullptr;
 thread_local PhaseProfiler* g_phase_profiler = nullptr;
 
 }  // namespace
-
-RunCounters* RunCounters::Current() { return g_run_counters; }
-
-RunCounters* RunCounters::Swap(RunCounters* c) {
-  RunCounters* prev = g_run_counters;
-  g_run_counters = c;
-  return prev;
-}
 
 const char* ProfilePhaseName(ProfilePhase phase) {
   switch (phase) {

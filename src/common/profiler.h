@@ -1,24 +1,22 @@
-// Per-phase profiling and always-on run counters for the perf flywheel.
+// The per-run profile for the perf flywheel: one PhaseProfiler, which the
+// harness installs for each run through a thread-local pointer, holds the
+// run's always-on counters and its per-phase totals.
 //
-// Two layers with different cost/availability trade-offs:
+//  * Run counters — always compiled in. Deterministic event/epoch/byte totals
+//    the network adds at the end of each Run() (plain integer additions; a
+//    run is single-threaded). These counts depend solely on the seed and
+//    configuration — never on wall time — which is what lets sweep aggregates
+//    stay byte-identical across --jobs and lets CI gate normalized throughput
+//    (count / wall) instead of raw wall clocks.
 //
-//  * RunCounters — always compiled in. Deterministic event/epoch/byte totals
-//    the simulator publishes as it runs (plain integer increments; the network
-//    is single-threaded per run). The harness installs a fresh RunCounters per
-//    scenario run through a thread-local pointer, so concurrent sweep workers
-//    each observe only their own run. These counts depend solely on the seed
-//    and configuration — never on wall time — which is what lets sweep
-//    aggregates stay byte-identical across --jobs and lets CI gate normalized
-//    throughput (count / wall) instead of raw wall clocks.
-//
-//  * PhaseProfiler — compiled in only with -DBULLET_PROFILE=ON (the
+//  * Phase totals — compiled in only with -DBULLET_PROFILE=ON (the
 //    BULLET_PROFILE preprocessor flag). Per-phase {count, nanoseconds} totals
 //    fed by the BULLET_PROFILE_SCOPE / BULLET_PROFILE_COUNT macros below; in
 //    non-profiled builds the macros expand to nothing and the hot paths carry
-//    zero overhead. Counts are deterministic (same contract as RunCounters);
-//    the nanosecond totals are wall-clock measurements and are therefore only
-//    surfaced where wall time is already allowed (per-run JSON, the --profile
-//    summary), never in sweep aggregates.
+//    zero overhead. Counts are deterministic (same contract as the run
+//    counters); the nanosecond totals are wall-clock measurements and are
+//    therefore only surfaced where wall time is already allowed (per-run JSON,
+//    the --profile summary), never in sweep aggregates.
 //
 // Determinism contract: profiling only *observes* the simulation. Timer reads
 // (steady_clock) and counter increments never feed back into event ordering,
@@ -30,10 +28,10 @@
 // kEventDispatch scope (message delivery is an event), so the dispatch total
 // includes protocol time; readers subtract when they want exclusive numbers.
 //
-// Threads: every run installs its own RunCounters and PhaseProfiler on the
-// thread that executes it (the sweep engine does so per worker run), so the
-// totals are plain integers that only that thread touches. Install/Swap of the
-// thread-local pointers are per-thread operations and must not race with the
+// Threads: every run installs its own PhaseProfiler on the thread that
+// executes it (the sweep engine does so per worker run), so the totals are
+// plain integers that only that thread touches. Install/Swap of the
+// thread-local pointer are per-thread operations and must not race with the
 // owning run.
 
 #ifndef SRC_COMMON_PROFILER_H_
@@ -43,31 +41,6 @@
 #include <cstdint>
 
 namespace bullet {
-
-// Deterministic totals for one scenario run. The simulator adds to the
-// installed instance (if any); the harness snapshots it after the run.
-struct RunCounters {
-  uint64_t events_executed = 0;   // event-queue callbacks fired
-  uint64_t allocator_epochs = 0;  // max-min water-fill recomputations
-  uint64_t sim_bytes_sent = 0;    // wire bytes transmitted (all nodes)
-
-  // Thread-local current instance; nullptr outside an installed run.
-  static RunCounters* Current();
-  // Installs `c` (may be nullptr) and returns the previous instance.
-  static RunCounters* Swap(RunCounters* c);
-};
-
-// RAII install/restore of the thread-local RunCounters.
-class ScopedRunCounters {
- public:
-  explicit ScopedRunCounters(RunCounters* c) : prev_(RunCounters::Swap(c)) {}
-  ~ScopedRunCounters() { RunCounters::Swap(prev_); }
-  ScopedRunCounters(const ScopedRunCounters&) = delete;
-  ScopedRunCounters& operator=(const ScopedRunCounters&) = delete;
-
- private:
-  RunCounters* prev_;
-};
 
 // The instrumented phases. Names (ProfilePhaseName) are the JSON keys of the
 // `profile` block, so renaming one is a schema-visible change.
@@ -86,7 +59,7 @@ enum class ProfilePhase : int {
 constexpr int kProfilePhaseCount = static_cast<int>(ProfilePhase::kCount);
 const char* ProfilePhaseName(ProfilePhase phase);
 
-// Per-phase counter/timer accumulator for one run. A plain value: the harness
+// The run counters and per-phase totals of one run. A plain value: the harness
 // keeps it with the run's results after the run.
 class PhaseProfiler {
  public:
@@ -105,6 +78,18 @@ class PhaseProfiler {
     uint64_t ns = 0;
   };
 
+  // Adds to the run counters; the network calls this at the end of each
+  // Run() with what that call executed, so several networks (or Run() calls)
+  // feeding one run add up exactly.
+  void AddRunTotals(uint64_t events, uint64_t epochs, uint64_t bytes) {
+    events_executed_ += events;
+    allocator_epochs_ += epochs;
+    sim_bytes_sent_ += bytes;
+  }
+  uint64_t events_executed() const { return events_executed_; }    // queue callbacks fired
+  uint64_t allocator_epochs() const { return allocator_epochs_; }  // water-fill recomputes
+  uint64_t sim_bytes_sent() const { return sim_bytes_sent_; }      // wire bytes, all nodes
+
   void AddCount(ProfilePhase phase, uint64_t n = 1) { at(phase).count += n; }
   void AddTimed(ProfilePhase phase, uint64_t ns) {
     PhaseTotals& t = at(phase);
@@ -116,8 +101,9 @@ class PhaseProfiler {
     return phases_[static_cast<size_t>(phase)];
   }
 
-  // Sum of the deterministic per-phase counts; zero iff nothing was recorded
-  // (non-profiled builds, or no profiler installed).
+  // Sum of the deterministic per-phase counts; zero iff no phase was recorded
+  // (non-profiled builds, or no profiler installed). The run counters are not
+  // phases and are not included.
   uint64_t total_count() const {
     uint64_t n = 0;
     for (const PhaseTotals& t : phases_) {
@@ -135,6 +121,9 @@ class PhaseProfiler {
   PhaseTotals& at(ProfilePhase phase) { return phases_[static_cast<size_t>(phase)]; }
 
   PhaseTotals phases_[kProfilePhaseCount] = {};
+  uint64_t events_executed_ = 0;
+  uint64_t allocator_epochs_ = 0;
+  uint64_t sim_bytes_sent_ = 0;
 };
 
 // RAII install/restore of the thread-local PhaseProfiler.

@@ -223,17 +223,16 @@ void WriteReportJson(std::ostream& os, const ScenarioReport& report,
   os << "\n";
 }
 
-void PrintProfileSummary(std::ostream& os, const RunCounters& counters,
-                         const PhaseProfiler& profile, double wall_sec) {
+void PrintProfileSummary(std::ostream& os, const PhaseProfiler& profile, double wall_sec) {
   os << "### profile\n";
   const double denom = wall_sec > 1e-9 ? wall_sec : 1e-9;
   os << "wall_sec            = " << wall_sec << "\n";
-  os << "events_executed     = " << counters.events_executed << "  ("
-     << static_cast<uint64_t>(static_cast<double>(counters.events_executed) / denom)
+  os << "events_executed     = " << profile.events_executed() << "  ("
+     << static_cast<uint64_t>(static_cast<double>(profile.events_executed()) / denom)
      << " events/s)\n";
-  os << "allocator_epochs    = " << counters.allocator_epochs << "\n";
-  os << "sim_bytes_sent      = " << counters.sim_bytes_sent << "  ("
-     << static_cast<uint64_t>(static_cast<double>(counters.sim_bytes_sent) / denom)
+  os << "allocator_epochs    = " << profile.allocator_epochs() << "\n";
+  os << "sim_bytes_sent      = " << profile.sim_bytes_sent() << "  ("
+     << static_cast<uint64_t>(static_cast<double>(profile.sim_bytes_sent()) / denom)
      << " bytes/s)\n";
   // Peak RSS is machine/allocator-dependent, so it is informational output
   // only — it must never land in a BENCH json (those stay byte-identical
@@ -513,13 +512,11 @@ int RunnerMain(int argc, const char* const* argv, const ScenarioRegistry& regist
         << registry.size() << "\n";
     return 2;
   }
-  // Counters always record (they are cheap and deterministic); the profiler
-  // records per-phase data only in BULLET_PROFILE builds.
-  RunCounters counters;
+  // The run counters always record (they are cheap and deterministic); the
+  // profile records per-phase data only in BULLET_PROFILE builds.
   PhaseProfiler profiler;
   const auto run_start = std::chrono::steady_clock::now();
   const ScenarioReport report = [&] {
-    ScopedRunCounters install_counters(&counters);
     ScopedProfilerInstall install_profiler(&profiler);
     return entry->fn(args.options);
   }();
@@ -554,7 +551,7 @@ int RunnerMain(int argc, const char* const* argv, const ScenarioRegistry& regist
     PrintCdf(out, series, 20);
   }
   if (args.profile) {
-    PrintProfileSummary(out, counters, profiler, wall_sec);
+    PrintProfileSummary(out, profiler, wall_sec);
   }
   out << "wrote " << out_path << "\n";
   return 0;

@@ -59,8 +59,7 @@ void WriteReportJson(std::ostream& os, const ScenarioReport& report,
 
 // Human-readable table behind `bullet_run --profile`: the deterministic run
 // counters plus, in profiled builds, per-phase count/total/mean timings.
-void PrintProfileSummary(std::ostream& os, const RunCounters& counters,
-                         const PhaseProfiler& profile, double wall_sec);
+void PrintProfileSummary(std::ostream& os, const PhaseProfiler& profile, double wall_sec);
 
 void PrintScenarioList(std::ostream& os, const ScenarioRegistry& registry);
 void PrintRunnerUsage(std::ostream& os);

@@ -317,12 +317,11 @@ SweepRunOutcome RunSweep(const SweepSpec& spec, const ScenarioRegistry& registry
   const auto worker = [&]() {
     for (size_t i = next.fetch_add(1); i < outcome.runs.size(); i = next.fetch_add(1)) {
       ScenarioContext& ctx = outcome.runs[i];
-      // Per-run counter/profiler installs: each worker thread observes only the
-      // run it is executing (thread-local current pointers), so counters and
-      // wall times attribute cleanly no matter how runs are scheduled.
+      // Per-run profile install: each worker thread observes only the run it
+      // is executing (a thread-local current pointer), so counters and wall
+      // times attribute cleanly no matter how runs are scheduled.
       const auto run_start = std::chrono::steady_clock::now();
       try {
-        ScopedRunCounters install_counters(&ctx.counters);
         ScopedProfilerInstall install_profiler(&ctx.profile);
         ctx.report = entry->fn(ctx.point.options);
       } catch (const std::exception& e) {
@@ -540,8 +539,8 @@ void WriteSweepFloorsJson(std::ostream& os, const SweepRunOutcome& outcome) {
     for (int r = 0; r < spec.repeats; ++r) {
       const ScenarioContext& ctx = outcome.runs[i + static_cast<size_t>(r)];
       wall.push_back(ctx.wall_sec);
-      events.push_back(static_cast<double>(ctx.counters.events_executed));
-      bytes.push_back(static_cast<double>(ctx.counters.sim_bytes_sent));
+      events.push_back(static_cast<double>(ctx.profile.events_executed()));
+      bytes.push_back(static_cast<double>(ctx.profile.sim_bytes_sent()));
     }
     const double wall_median = median_of(wall);
     json.Field("wall_sec_median", wall_median);

@@ -65,12 +65,12 @@ struct ScenarioContext {
   SweepPoint point;
   std::optional<ScenarioReport> report;  // empty until the run finishes
   std::string error;                     // non-empty if the scenario threw
-  // This run's wall time and deterministic counters (captured via a per-run
-  // ScopedRunCounters install). Wall time feeds only the floors document —
-  // never the aggregate, which must stay byte-identical across --jobs.
+  // This run's wall time. It feeds only the floors document — never the
+  // aggregate, which must stay byte-identical across --jobs.
   double wall_sec = 0.0;
-  RunCounters counters;
-  // Per-phase totals; all zero unless the build has -DBULLET_PROFILE=ON.
+  // This run's profile (a per-run ScopedProfilerInstall): the deterministic
+  // run counters, and per-phase totals that stay zero unless the build has
+  // -DBULLET_PROFILE=ON.
   PhaseProfiler profile;
 };
 

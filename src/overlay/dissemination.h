@@ -60,7 +60,6 @@ class DisseminationProtocol : public Protocol {
     return self() == source_ || have_.count() >= file_.DistinctNeeded();
   }
   const Bitmap& have() const { return have_; }
-  const FileParams& file() const { return file_; }
   NodeId source() const { return source_; }
   bool is_source() const { return self() == source_; }
 

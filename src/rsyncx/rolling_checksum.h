@@ -18,7 +18,6 @@ class RollingChecksum {
   void Roll(uint8_t out, uint8_t in);
 
   uint32_t value() const { return (b_ << 16) | (a_ & 0xffff); }
-  size_t window() const { return len_; }
 
   // One-shot convenience.
   static uint32_t Compute(const uint8_t* data, size_t len);

@@ -191,11 +191,9 @@ void IncrementalMaxMin::BeginEpoch() {
   // by_cap_ then orders its cap_. Otherwise nothing is carried.
   if (allocated_) {
     prev_cap_.swap(cap_);
-    prev_tag_.swap(tag_);
     prev_by_cap_.swap(by_cap_);
   } else {
     prev_cap_.clear();
-    prev_tag_.clear();
     prev_by_cap_.clear();
   }
   allocated_ = false;
@@ -205,7 +203,6 @@ void IncrementalMaxMin::BeginEpoch() {
   flow_links_.clear();
   flow_off_.assign(1, 0);
   cap_.clear();
-  tag_.clear();
   rate_.clear();
 }
 
@@ -219,15 +216,14 @@ int32_t IncrementalMaxMin::AddLink(double capacity_bps) {
 }
 
 void IncrementalMaxMin::AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps,
-                                    uint64_t tag, uint32_t prev_index) {
+                                    uint32_t prev_index) {
   const uint32_t fi = static_cast<uint32_t>(cap_.size());
   flow_links_.insert(flow_links_.end(), ids, ids + num_ids);
   flow_off_.push_back(static_cast<uint32_t>(flow_links_.size()));
   cap_.push_back(cap_bps);
-  tag_.push_back(tag);
   // A previous flow gives its place at most once, so the carried flows stay
   // a permutation of part of this epoch's flows whatever the hints say.
-  if (prev_index < carried_.size() && prev_tag_[prev_index] == tag &&
+  if (prev_index < carried_.size() &&
       std::bit_cast<uint64_t>(prev_cap_[prev_index]) == std::bit_cast<uint64_t>(cap_bps) &&
       carried_[prev_index] == kNoFlow) {
     carried_[prev_index] = fi;

@@ -22,9 +22,9 @@
 //    allocations after warm-up. Callers dirty-track their flow set and simply
 //    skip Allocate() when nothing changed: the previous rates are, by
 //    determinism, exactly what a recompute would produce. The ascending-cap
-//    order is carried from one epoch to the next: a flow the caller names
-//    again with a bit-identical cap keeps its place, and only the new and
-//    re-capped flows are sorted and merged in.
+//    order is carried from one epoch to the next: a flow whose hint names a
+//    previous flow with a bit-identical cap takes that flow's place, and only
+//    the new and re-capped flows are sorted and merged in.
 //
 // Bit-exactness contract: for the same sequence of links and flows (same link
 // ids, same per-flow link order), IncrementalMaxMin::Allocate() produces rates
@@ -232,7 +232,7 @@ void AllocateMaxMinPaths(std::vector<PathFlowSpec>& flows,
 //   alloc.BeginEpoch();
 //   for each link (fixed ids first, discovered ones after): alloc.AddLink(capacity);
 //   for each flow in the caller's canonical order:
-//     alloc.AddFlowPath(ids, num_ids, cap, tag, prev_index);  // or without the last two
+//     alloc.AddFlowPath(ids, num_ids, cap, prev_index);  // or without the last
 //   alloc.Allocate();
 //   ... alloc.rate(i) ...
 //
@@ -254,18 +254,18 @@ class IncrementalMaxMin {
   // epoch), crossing the `num_ids` links at `ids`. Its place in the
   // ascending-cap order is found by sorting.
   void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps) {
-    AddFlowPath(ids, num_ids, cap_bps, kNoTag, kNoFlow);
+    AddFlowPath(ids, num_ids, cap_bps, kNoFlow);
   }
 
-  // The same for a caller that names its flows across epochs. `tag` is the
-  // flow's stable name (no other flow's, then or later) and `prev_index` its
-  // index in the previous epoch. When the previous epoch's flow at
-  // `prev_index` had this tag and a bit-identical cap, the flow keeps that
-  // flow's place in the cap order instead of being sorted. A wrong hint (out
-  // of range, stale, another flow's, or a flow whose cap changed) only costs
-  // the sort; the rates never depend on the hints.
-  void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps, uint64_t tag,
-                   uint32_t prev_index);
+  // The same for a caller that tracks its flows across epochs: `prev_index`
+  // is the flow's index in the previous epoch. When the previous epoch's flow
+  // at `prev_index` had a bit-identical cap and no flow of this epoch took its
+  // place yet, the flow takes that place in the cap order instead of being
+  // sorted. Any flow may take any such place: equal caps are interchangeable
+  // in the order, and each place is taken at most once. A wrong hint (out of
+  // range, stale, another flow's, or a flow whose cap changed) only costs the
+  // sort; the rates never depend on the hints.
+  void AddFlowPath(const int32_t* ids, size_t num_ids, double cap_bps, uint32_t prev_index);
 
   // Water-fills the current epoch. Bit-identical to the stateless reference over
   // the same links/flows sequence.
@@ -285,9 +285,6 @@ class IncrementalMaxMin {
 
  private:
   static constexpr uint32_t kNoFlow = UINT32_MAX;
-  // The tag of flows registered without one; their out-of-range hint always
-  // sends them to the sort.
-  static constexpr uint64_t kNoTag = UINT64_MAX;
 
   // Rebuilds the per-epoch scratch (remaining capacities, CSR link->flow rows,
   // ascending-cap order, frozen flags, zeroed rates) from the epoch inputs.
@@ -300,15 +297,13 @@ class IncrementalMaxMin {
   std::vector<int32_t> flow_links_;  // CSR payload
   std::vector<uint32_t> flow_off_;   // CSR offsets, size F+1
   std::vector<double> cap_;          // per flow
-  std::vector<uint64_t> tag_;        // per flow
   std::vector<double> rate_;         // per flow (output)
 
-  // The carried cap order. The previous epoch's caps, tags and ascending-cap
-  // order (empty unless Allocate() ran on it); per previous flow, the flow of
-  // this epoch that took its place, or kNoFlow; and the (cap, flow) pairs of
-  // the flows that found no place and are sorted.
+  // The carried cap order. The previous epoch's caps and ascending-cap order
+  // (empty unless Allocate() ran on it); per previous flow, the flow of this
+  // epoch that took its place, or kNoFlow; and the (cap, flow) pairs of the
+  // flows that found no place and are sorted.
   std::vector<double> prev_cap_;
-  std::vector<uint64_t> prev_tag_;
   std::vector<uint32_t> prev_by_cap_;
   std::vector<uint32_t> carried_;
   std::vector<std::pair<double, uint32_t>> sort_buf_;

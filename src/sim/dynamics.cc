@@ -1,7 +1,5 @@
 #include "src/sim/dynamics.h"
 
-#include <memory>
-
 namespace bullet {
 
 namespace {
@@ -52,36 +50,6 @@ void ScheduleNextChange(Network& net, BandwidthDynamicsParams params) {
 
 void StartPeriodicBandwidthChanges(Network& net, const BandwidthDynamicsParams& params) {
   ScheduleNextChange(net, params);
-}
-
-namespace {
-
-// The id list is shared by every firing of the self-rescheduling chain, so each
-// event closure keeps it alive through a shared_ptr.
-void SampleLinksAndReschedule(Network& net, std::shared_ptr<const std::vector<int32_t>> link_ids,
-                              SimTime period, std::vector<double>* out_time_sec,
-                              std::vector<std::vector<double>>* out_bps) {
-  out_time_sec->push_back(SimToSec(net.now()));
-  std::vector<double> row;
-  row.reserve(link_ids->size());
-  for (const int32_t link : *link_ids) {
-    row.push_back(net.InteriorLinkAllocatedBps(link));
-  }
-  out_bps->push_back(std::move(row));
-  net.queue().ScheduleAfter(period, [&net, link_ids, period, out_time_sec, out_bps] {
-    SampleLinksAndReschedule(net, link_ids, period, out_time_sec, out_bps);
-  });
-}
-
-}  // namespace
-
-void StartInteriorLinkSampling(Network& net, std::vector<int32_t> link_ids, SimTime start,
-                               SimTime period, std::vector<double>* out_time_sec,
-                               std::vector<std::vector<double>>* out_bps) {
-  auto ids = std::make_shared<const std::vector<int32_t>>(std::move(link_ids));
-  net.queue().Schedule(start, [&net, ids, period, out_time_sec, out_bps] {
-    SampleLinksAndReschedule(net, ids, period, out_time_sec, out_bps);
-  });
 }
 
 void StartCascade(Network& net, NodeId target, std::vector<NodeId> senders, SimTime interval,

@@ -44,17 +44,6 @@ void StartPeriodicBandwidthChanges(Network& net, const BandwidthDynamicsParams& 
 void StartCascade(Network& net, NodeId target, std::vector<NodeId> senders, SimTime interval,
                   double new_bps);
 
-// Periodically samples the bandwidth the allocator granted across each of
-// `link_ids` (topology interior link ids, e.g. transit-stub gateway uplinks).
-// Every `period`, starting at `start`, one sample time is appended to
-// *out_time_sec and one row — allocated bits/second per link, parallel to
-// `link_ids` — is appended to *out_bps. Runs for the simulation lifetime; the
-// output vectors must outlive the run. Used by the correlated-failure scenario
-// to show shared-link utilization collapsing and recovering around an outage.
-void StartInteriorLinkSampling(Network& net, std::vector<int32_t> link_ids, SimTime start,
-                               SimTime period, std::vector<double>* out_time_sec,
-                               std::vector<std::vector<double>>* out_bps);
-
 }  // namespace bullet
 
 #endif  // SRC_SIM_DYNAMICS_H_

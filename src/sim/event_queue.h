@@ -52,21 +52,15 @@ using EventId = uint64_t;
 // A type-erased callable built in place, which never moves once built: the
 // event queue's closure store constructs each event's closure directly in its
 // slot. Unlike std::function it owns move-only captures (a delivery closure
-// holds its unique_ptr<Message> directly). Closures up to kInlineBytes live in
-// the wrapper itself; larger ones fall back to a single heap allocation.
+// holds its unique_ptr<Message> directly). Every closure lives in the wrapper
+// itself, so scheduling never allocates; a closure over kInlineBytes fails to
+// compile, and a caller with more state captures a pointer to it.
 //
 // 40 inline bytes make the wrapper 48 bytes and an EventQueue slot 64 (a
-// 256-slot chunk is 16 KB). Every closure the simulator schedules fits except
-// fig22's two link-sampling closures (48 bytes, once per simulated second),
-// which take the heap path; the network's own closures are at most 32 bytes
-// and assert that they stay inline (network.cc).
+// 256-slot chunk is 16 KB). The network's own closures are at most 32 bytes.
 class UniqueFunction {
  public:
   static constexpr size_t kInlineBytes = 40;
-  // Whether Emplace builds an `F` in the wrapper rather than on the heap.
-  template <typename F>
-  static constexpr bool kStoresInline =
-      sizeof(F) <= kInlineBytes && alignof(F) <= alignof(std::max_align_t);
 
   UniqueFunction() = default;
   UniqueFunction(const UniqueFunction&) = delete;
@@ -77,13 +71,10 @@ class UniqueFunction {
   template <typename F>
   void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
-    if constexpr (kStoresInline<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vtable_ = InlineVTable<Fn>();
-    } else {
-      *reinterpret_cast<Fn**>(buf_) = new Fn(std::forward<F>(f));
-      vtable_ = HeapVTable<Fn>();
-    }
+    static_assert(sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t),
+                  "an event closure outgrew the inline buffer: capture a pointer to its state");
+    ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+    vtable_ = VTableFor<Fn>();
   }
 
   // Destroys the held callable, if any.
@@ -103,19 +94,10 @@ class UniqueFunction {
   };
 
   template <typename Fn>
-  static const VTable* InlineVTable() {
+  static const VTable* VTableFor() {
     static const VTable vt = {
         [](unsigned char* b) { (*std::launder(reinterpret_cast<Fn*>(b)))(); },
         [](unsigned char* b) { std::launder(reinterpret_cast<Fn*>(b))->~Fn(); },
-    };
-    return &vt;
-  }
-
-  template <typename Fn>
-  static const VTable* HeapVTable() {
-    static const VTable vt = {
-        [](unsigned char* b) { (**reinterpret_cast<Fn**>(b))(); },
-        [](unsigned char* b) { delete *reinterpret_cast<Fn**>(b); },
     };
     return &vt;
   }

@@ -141,7 +141,6 @@ ConnId Network::Connect(NodeId from, NodeId to) {
   const SimTime rtt = conn->rtt;
   conn->open_pos = static_cast<uint32_t>(open_conns_.size());
   conns_.push_back(std::move(conn));
-  conn_busy_mask_.push_back(0);
   if (busy_pos_.size() * 64 <= open_conns_.size()) {
     busy_pos_.push_back(0);
   }
@@ -170,7 +169,6 @@ ConnId Network::Connect(NodeId from, NodeId to) {
       }
     }
   };
-  static_assert(UniqueFunction::kStoresInline<decltype(handshake)>);
   queue_.Schedule(established_at, std::move(handshake));
   return id;
 }
@@ -206,7 +204,6 @@ void Network::Close(ConnId conn_id) {
         h->OnConnDown(conn_id, peer);
       }
     };
-    static_assert(UniqueFunction::kStoresInline<decltype(notice)>);
     queue_.Schedule(at, std::move(notice));
   }
 }
@@ -240,8 +237,7 @@ bool Network::Send(ConnId conn_id, NodeId from, std::unique_ptr<Message> msg) {
 // mark the flow set dirty so the next quantum re-water-fills.
 void Network::ActivateDirection(Conn& c, int dir_idx) {
   c.dir[dir_idx].cap_steady = false;
-  const uint8_t mask = conn_busy_mask_[static_cast<size_t>(c.id)];
-  SetConnBusyMask(c, mask | static_cast<uint8_t>(1 << dir_idx));
+  SetConnBusyMask(c, c.busy_mask | static_cast<uint8_t>(1 << dir_idx));
   ++active_dirs_;
   alloc_dirty_ = true;
 }
@@ -250,8 +246,7 @@ void Network::DeactivateDirection(Conn& c, int dir_idx) {
   Direction& dir = c.dir[dir_idx];
   dir.idle_since = now();
   dir.rate_bps = 0.0;
-  const uint8_t mask = conn_busy_mask_[static_cast<size_t>(c.id)];
-  SetConnBusyMask(c, mask & static_cast<uint8_t>(~(1 << dir_idx)));
+  SetConnBusyMask(c, c.busy_mask & static_cast<uint8_t>(~(1 << dir_idx)));
   --active_dirs_;
   alloc_dirty_ = true;
 }
@@ -259,8 +254,8 @@ void Network::DeactivateDirection(Conn& c, int dir_idx) {
 // Stores the connection's busy mask and keeps the busy index and the busy-flow
 // counts of the access links in step.
 void Network::SetConnBusyMask(Conn& c, uint8_t mask) {
-  const uint8_t flipped = conn_busy_mask_[static_cast<size_t>(c.id)] ^ mask;
-  conn_busy_mask_[static_cast<size_t>(c.id)] = mask;
+  const uint8_t flipped = c.busy_mask ^ mask;
+  c.busy_mask = mask;
   uint64_t& word = busy_pos_[c.open_pos / 64];
   const uint64_t bit = uint64_t{1} << (c.open_pos % 64);
   word = mask != 0 ? (word | bit) : (word & ~bit);
@@ -348,9 +343,7 @@ void Network::FailNode(NodeId node) {
 }
 
 void Network::ScheduleNextTick() {
-  auto tick = [this] { Tick(); };
-  static_assert(UniqueFunction::kStoresInline<decltype(tick)>);
-  queue_.ScheduleAfter(config_.quantum, tick);
+  queue_.ScheduleAfter(config_.quantum, [this] { Tick(); });
 }
 
 // Removes the quantum's closed connections in the permutation of one
@@ -406,6 +399,9 @@ void Network::CompactPathPool() {
 }
 
 void Network::Tick() {
+  if (tick_hook_) {
+    tick_hook_(*this);
+  }
   const double dt_sec = SimToSec(now() - last_tick_);
   last_tick_ = now();
 
@@ -501,11 +497,9 @@ void Network::RebuildAndAllocate() {
     for (uint64_t bits = busy_pos_[w]; bits != 0; bits &= bits - 1) {
       const size_t pos = w * 64 + static_cast<size_t>(std::countr_zero(bits));
       BULLET_CHECK(pos < open && "busy index bit past the open-connection list");
-      const ConnId id = open_conns_[pos];
-      const uint8_t busy = conn_busy_mask_[static_cast<size_t>(id)];
-      Conn* c = conns_[static_cast<size_t>(id)].get();
+      Conn* c = conns_[static_cast<size_t>(open_conns_[pos])].get();
       for (int i = 0; i < 2; ++i) {
-        if ((busy & (1 << i)) == 0) {
+        if ((c->busy_mask & (1 << i)) == 0) {
           continue;
         }
         Direction& dir = c->dir[i];
@@ -527,10 +521,7 @@ void Network::RebuildAndAllocate() {
             ++ramping_flows_;
           }
         }
-        // ConnIds are never reused, so 2 * id + direction names the flow for
-        // as long as the run lasts.
         alloc_.AddFlowPath(flow_link_scratch_.data(), flow_link_scratch_.size(), dir.cap_cache,
-                           2 * static_cast<uint64_t>(id) + static_cast<uint64_t>(i),
                            dir.flow_index);
         dir.flow_index = static_cast<uint32_t>(cached_flows_.size());
         cached_flows_.push_back(CachedFlow{c, i});
@@ -672,11 +663,9 @@ void Network::EnqueueDelivery(ConnId conn_id, Conn& c, int sender_idx, std::uniq
   dir.delivery_floor = delivered_at;
 
   const int receiver_idx = 1 - sender_idx;
-  auto deliver = [this, conn_id, receiver_idx, msg = std::move(msg)]() mutable {
+  queue_.Schedule(delivered_at, [this, conn_id, receiver_idx, msg = std::move(msg)]() mutable {
     DeliverMessage(conn_id, receiver_idx, std::move(msg));
-  };
-  static_assert(UniqueFunction::kStoresInline<decltype(deliver)>);
-  queue_.Schedule(delivered_at, std::move(deliver));
+  });
 }
 
 void Network::DeliverMessage(ConnId conn_id, int receiver_idx, std::unique_ptr<Message> msg) {
@@ -716,13 +705,13 @@ void Network::Run(SimTime until) {
   }
   events_executed_ += queue_.RunUntil(until);
   // Publish the deltas since the last publication into the harness's installed
-  // per-run counters (if any); several networks may feed one run's totals.
-  if (RunCounters* rc = RunCounters::Current()) {
-    rc->events_executed += events_executed_ - rc_published_events_;
-    rc->allocator_epochs += allocator_epochs_ - published_epochs_;
+  // per-run profile (if any); several networks may feed one run's totals.
+  if (PhaseProfiler* profile = PhaseProfiler::Current()) {
     const int64_t bytes = total_bytes_sent();
-    rc->sim_bytes_sent += static_cast<uint64_t>(bytes - published_bytes_);
-    rc_published_events_ = events_executed_;
+    profile->AddRunTotals(events_executed_ - published_events_,
+                          allocator_epochs_ - published_epochs_,
+                          static_cast<uint64_t>(bytes - published_bytes_));
+    published_events_ = events_executed_;
     published_epochs_ = allocator_epochs_;
     published_bytes_ = bytes;
   }

@@ -66,14 +66,15 @@
 // and the protocols attached to it — belongs to one simulation run and is
 // driven only from the thread that calls Run(). The one source of parallelism
 // is the sweep engine's --jobs pool (src/harness/sweep.h), which isolates
-// whole runs: every worker builds its own Network, and the run counters and
-// phase profiler it publishes to are installed thread-locally per run, so no
-// simulator state is ever shared between threads.
+// whole runs: every worker builds its own Network, and the profile it adds its
+// run counters to is installed thread-locally per run, so no simulator state is
+// ever shared between threads.
 
 #ifndef SRC_SIM_NETWORK_H_
 #define SRC_SIM_NETWORK_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <type_traits>
 #include <utility>
@@ -210,7 +211,7 @@ class Network {
 
   // Deterministic run counters (always on, seed-reproducible; the perf gate
   // normalizes them by wall time — see docs/PERFORMANCE.md). Run() also adds
-  // the same deltas to the thread-locally installed RunCounters, if any, so a
+  // the same deltas to the thread-locally installed PhaseProfiler, if any, so a
   // harness can total them across the several networks one scenario may build.
   uint64_t events_executed() const { return events_executed_; }   // queue callbacks fired
   uint64_t allocator_epochs() const { return allocator_epochs_; } // water-fill recomputes
@@ -231,6 +232,14 @@ class Network {
   int64_t arena_peak_bytes() const { return arena_counter_.peak_bytes(); }
   // The counter protocol node-state containers (StableFlatMap) charge.
   ArenaCounter* arena_counter() { return &arena_counter_; }
+
+  // The run's observer: called at the top of every quantum tick, before the
+  // tick compacts closed connections or reallocates, so it sees the rates the
+  // last quantum transmitted at. The hook gets the network const and must
+  // only read it (schedule no event, draw no random number), so a run with a
+  // hook is the run without one. One hook per network; setting another
+  // replaces it.
+  void SetTickHook(std::function<void(const Network&)> hook) { tick_hook_ = std::move(hook); }
 
   // Runs the simulation until `until` or Stop().
   void Run(SimTime until);
@@ -307,7 +316,8 @@ class Network {
 
   // Every peer a Bullet′ or BitTorrent node knows holds one open connection,
   // so at scale the network's memory is these records: 256 bytes each (two
-  // 88-byte directions, two 24-byte path snapshots and one round-trip time).
+  // 88-byte directions, two 24-byte path snapshots and one round-trip time;
+  // the flags fill the tail padding).
   struct Conn {
     ConnId id = -1;
     NodeId node[2] = {-1, -1};
@@ -318,6 +328,8 @@ class Network {
     uint32_t open_pos = 0;  // index in open_conns_ while listed there
     bool established = false;
     bool closed = false;
+    // Bit i set while dir[i] is established with queued bytes.
+    uint8_t busy_mask = 0;
   };
 
   Conn* GetConn(ConnId id);
@@ -382,8 +394,6 @@ class Network {
   std::vector<int32_t> path_pool_;
   size_t path_pool_open_ = 0;
   std::vector<ConnId> open_conns_;            // compacted on quantum boundaries
-  // Bit i set when conn->dir[i] is established with queued bytes.
-  std::vector<uint8_t> conn_busy_mask_;  // indexed by ConnId
   // The busy index: bit p set while open_conns_[p] has a nonzero busy mask.
   // CompactOpenConns moves a bit with its connection, so scanning the set bits
   // in ascending order visits the busy connections in open_conns_ order
@@ -442,13 +452,14 @@ class Network {
   int32_t max_interior_link_flows_ = 0;
 
   // Always-on deterministic counters (see the public accessors). Run() pushes
-  // deltas into the installed RunCounters; published_* track what was pushed.
+  // deltas into the installed PhaseProfiler; published_* track what was pushed.
   uint64_t events_executed_ = 0;
   uint64_t allocator_epochs_ = 0;
-  uint64_t rc_published_events_ = 0;
+  uint64_t published_events_ = 0;
   uint64_t published_epochs_ = 0;
   int64_t published_bytes_ = 0;
 
+  std::function<void(const Network&)> tick_hook_;
   SimTime last_tick_ = 0;
   bool tick_scheduled_ = false;
 };

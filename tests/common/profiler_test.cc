@@ -1,6 +1,6 @@
-// Tests for the two-layer profiling harness (src/common/profiler.h):
-// always-on RunCounters install/accumulate semantics, PhaseProfiler totals,
-// and — crucially — that profiling never perturbs simulation results. The
+// Tests for the per-run profile (src/common/profiler.h): install and
+// accumulate semantics of its always-on run counters, per-phase totals, and —
+// crucially — that profiling never perturbs simulation results. The
 // determinism assertions run in every build; the macro-liveness assertions
 // branch on PhaseProfiler::kCompiledIn so one test source covers both the
 // default and the -DBULLET_PROFILE=ON CI configurations.
@@ -16,29 +16,31 @@
 namespace bullet {
 namespace {
 
+// The run counters live in the installed profile: an install nests and
+// restores the previous one, and is visible only on its own thread.
 TEST(RunCountersTest, SwapInstallsAndRestores) {
-  EXPECT_EQ(RunCounters::Current(), nullptr);
-  RunCounters outer;
+  EXPECT_EQ(PhaseProfiler::Current(), nullptr);
+  PhaseProfiler outer;
   {
-    ScopedRunCounters install(&outer);
-    EXPECT_EQ(RunCounters::Current(), &outer);
-    RunCounters inner;
+    ScopedProfilerInstall install(&outer);
+    EXPECT_EQ(PhaseProfiler::Current(), &outer);
+    PhaseProfiler inner;
     {
-      ScopedRunCounters nested(&inner);
-      EXPECT_EQ(RunCounters::Current(), &inner);
+      ScopedProfilerInstall nested(&inner);
+      EXPECT_EQ(PhaseProfiler::Current(), &inner);
     }
-    EXPECT_EQ(RunCounters::Current(), &outer);
+    EXPECT_EQ(PhaseProfiler::Current(), &outer);
   }
-  EXPECT_EQ(RunCounters::Current(), nullptr);
+  EXPECT_EQ(PhaseProfiler::Current(), nullptr);
 }
 
 TEST(RunCountersTest, InstallIsThreadLocal) {
-  RunCounters mine;
-  ScopedRunCounters install(&mine);
-  RunCounters* seen_in_thread = &mine;
-  std::thread([&seen_in_thread] { seen_in_thread = RunCounters::Current(); }).join();
+  PhaseProfiler mine;
+  ScopedProfilerInstall install(&mine);
+  PhaseProfiler* seen_in_thread = &mine;
+  std::thread([&seen_in_thread] { seen_in_thread = PhaseProfiler::Current(); }).join();
   EXPECT_EQ(seen_in_thread, nullptr);
-  EXPECT_EQ(RunCounters::Current(), &mine);
+  EXPECT_EQ(PhaseProfiler::Current(), &mine);
 }
 
 TEST(PhaseProfilerTest, PhaseNamesAreUniqueJsonKeys) {
@@ -60,6 +62,13 @@ TEST(PhaseProfilerTest, AddTotals) {
   EXPECT_EQ(profiler.totals(ProfilePhase::kEventDispatch).count, 1u);
   EXPECT_EQ(profiler.totals(ProfilePhase::kEventDispatch).ns, 250u);
   EXPECT_EQ(profiler.total_count(), 4u);
+  // The run counters add up on their own and are not phase counts.
+  profiler.AddRunTotals(10, 2, 300);
+  profiler.AddRunTotals(5, 1, 100);
+  EXPECT_EQ(profiler.events_executed(), 15u);
+  EXPECT_EQ(profiler.allocator_epochs(), 3u);
+  EXPECT_EQ(profiler.sim_bytes_sent(), 400u);
+  EXPECT_EQ(profiler.total_count(), 4u);
 }
 
 ScenarioConfig TinyConfig() {
@@ -70,19 +79,16 @@ ScenarioConfig TinyConfig() {
   return cfg;
 }
 
-// One small scenario, three ways: bare, with counters installed, with counters
-// and a profiler installed. All three must produce identical results (the
-// determinism contract in profiler.h), and the counters must match the
-// network totals the scenario reports.
+// One small scenario, two ways: bare, and with a profile installed. Both must
+// produce identical results (the determinism contract in profiler.h), and the
+// profile's run counters must match the network totals the scenario reports.
 TEST(ProfilerDeterminismTest, InstrumentationDoesNotPerturbResults) {
   const ScenarioConfig cfg = TinyConfig();
   const WorkloadResult bare = RunScenario("bullet-prime", cfg);
 
-  RunCounters counters;
   PhaseProfiler profiler;
   WorkloadResult instrumented;
   {
-    ScopedRunCounters install_counters(&counters);
     ScopedProfilerInstall install_profiler(&profiler);
     instrumented = RunScenario("bullet-prime", cfg);
   }
@@ -98,13 +104,13 @@ TEST(ProfilerDeterminismTest, InstrumentationDoesNotPerturbResults) {
   EXPECT_EQ(bare.allocator_epochs, instrumented.allocator_epochs);
   EXPECT_EQ(bare.sim_bytes_sent, instrumented.sim_bytes_sent);
 
-  // The installed RunCounters saw exactly what the network published.
-  EXPECT_EQ(counters.events_executed, instrumented.events_executed);
-  EXPECT_EQ(counters.allocator_epochs, instrumented.allocator_epochs);
-  EXPECT_EQ(counters.sim_bytes_sent, instrumented.sim_bytes_sent);
-  EXPECT_GT(counters.events_executed, 0u);
-  EXPECT_GT(counters.allocator_epochs, 0u);
-  EXPECT_GT(counters.sim_bytes_sent, 0u);
+  // The installed profile saw exactly what the network published.
+  EXPECT_EQ(profiler.events_executed(), instrumented.events_executed);
+  EXPECT_EQ(profiler.allocator_epochs(), instrumented.allocator_epochs);
+  EXPECT_EQ(profiler.sim_bytes_sent(), instrumented.sim_bytes_sent);
+  EXPECT_GT(profiler.events_executed(), 0u);
+  EXPECT_GT(profiler.allocator_epochs(), 0u);
+  EXPECT_GT(profiler.sim_bytes_sent(), 0u);
 }
 
 // The BULLET_PROFILE_* macros are live exactly in profiled builds: a real run
@@ -135,24 +141,24 @@ TEST(ProfilerDeterminismTest, PhaseRecordingMatchesBuildFlag) {
 
 // Counter accounting at the network level: a run's events_executed matches the
 // event queue's executed count, and repeated Run() calls on one network never
-// double-publish into the installed RunCounters.
+// double-publish into the installed profile.
 TEST(RunCountersTest, NetworkPublishesDeltasNotTotals) {
-  RunCounters counters;
+  PhaseProfiler profile;
   uint64_t first_events = 0;
   {
-    ScopedRunCounters install(&counters);
+    ScopedProfilerInstall install(&profile);
     const WorkloadResult r = RunScenario("bittorrent", TinyConfig());
     first_events = r.events_executed;
   }
-  EXPECT_EQ(counters.events_executed, first_events);
+  EXPECT_EQ(profile.events_executed(), first_events);
 
   // A second, separate run accumulates on top (the sweep engine installs a
-  // fresh RunCounters per run; accumulation across runs must still be exact).
+  // fresh profile per run; accumulation across runs must still be exact).
   {
-    ScopedRunCounters install(&counters);
+    ScopedProfilerInstall install(&profile);
     (void)RunScenario("bittorrent", TinyConfig());
   }
-  EXPECT_EQ(counters.events_executed, 2 * first_events);
+  EXPECT_EQ(profile.events_executed(), 2 * first_events);
 }
 
 }  // namespace

@@ -447,8 +447,7 @@ TEST(WriteSweepFloorsJsonTest, EmitsMedianWallAndNormalizedThroughput) {
     ctx.point.point_index = 0;
     ctx.point.repeat = r;
     ctx.wall_sec = r == 0 ? 2.0 : 4.0;
-    ctx.counters.events_executed = 600;
-    ctx.counters.sim_bytes_sent = 1200;
+    ctx.profile.AddRunTotals(/*events=*/600, /*epochs=*/0, /*bytes=*/1200);
     ctx.report = ScenarioReport("s");
     outcome.runs.push_back(std::move(ctx));
   }

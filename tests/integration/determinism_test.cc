@@ -21,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -195,15 +196,19 @@ std::vector<std::string> RunScript(std::unique_ptr<Topology> topo = ScriptTopolo
   // Node 0's uplink narrows under the busy c01/c02 flows of the last burst.
   net.queue().Schedule(SecToSim(6.1) + MsToSim(2),
                        [&] { net.topology().uplink(0).bandwidth_bps = 0.15e6; });
+  // An event closure holds at most UniqueFunction::kInlineBytes, so the burst
+  // events capture the burst's state through one reference.
+  auto send_burst = [&](int burst) {
+    net.Send(c01, 0, std::make_unique<ScriptMsg>(next_id++, 200 * 1024));
+    net.Send(c02, 0, std::make_unique<ScriptMsg>(next_id++, 64 * 1024));
+    if (burst % 2 == 0) {
+      net.Send(c12, 2, std::make_unique<ScriptMsg>(next_id++, 16 * 1024));
+      net.Send(c34, 3, std::make_unique<ScriptMsg>(next_id++, 512 * 1024));
+    }
+  };
   for (int burst = 0; burst < 6; ++burst) {
-    net.queue().Schedule(SecToSim(0.3) + burst * SecToSim(1.1) + MsToSim(3), [&, burst] {
-      net.Send(c01, 0, std::make_unique<ScriptMsg>(next_id++, 200 * 1024));
-      net.Send(c02, 0, std::make_unique<ScriptMsg>(next_id++, 64 * 1024));
-      if (burst % 2 == 0) {
-        net.Send(c12, 2, std::make_unique<ScriptMsg>(next_id++, 16 * 1024));
-        net.Send(c34, 3, std::make_unique<ScriptMsg>(next_id++, 512 * 1024));
-      }
-    });
+    net.queue().Schedule(SecToSim(0.3) + burst * SecToSim(1.1) + MsToSim(3),
+                         [&send_burst, burst] { send_burst(burst); });
   }
   net.queue().Schedule(SecToSim(3.7) + MsToSim(1), [&] { net.Close(c12); });
   net.queue().Schedule(SecToSim(5.2) + MsToSim(7), [&] { net.FailNode(4); });
@@ -255,6 +260,40 @@ TEST(Determinism, TransitStubScriptRepeatedRunsIdentical) {
   const std::vector<std::string> b = RunScript(RoutedScriptTopology());
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, b);
+}
+
+// Observing a run through the network's tick hook never perturbs it (the
+// InstrumentationDoesNotPerturbResults pattern of profiler_test.cc): a hook
+// that reads every interior link's allocated rate at every tick leaves the
+// results and the run counters exactly those of the run without a hook.
+TEST(Determinism, TickHookDoesNotPerturbResults) {
+  const ScenarioConfig cfg = TransitStubConfig();
+  WorkloadSpec workload;
+  SessionSpec session;
+  session.protocol = "bullet-prime";
+  session.seed = cfg.seed;
+  workload.sessions.push_back(session);
+  const WorkloadResult bare = BuildScenarioExperiment(cfg, workload)->Run();
+
+  const std::unique_ptr<WorkloadExperiment> exp = BuildScenarioExperiment(cfg, workload);
+  const int64_t links = exp->net().topology().interior_id_limit();
+  uint64_t ticks = 0;
+  double max_link_bps = 0.0;
+  exp->net().SetTickHook([&](const Network& net) {
+    ++ticks;
+    for (int32_t link = 0; link < links; ++link) {
+      max_link_bps = std::max(max_link_bps, net.InteriorLinkAllocatedBps(link));
+    }
+  });
+  const WorkloadResult observed = exp->Run();
+
+  EXPECT_EQ(Serialize(bare), Serialize(observed));
+  EXPECT_EQ(bare.events_executed, observed.events_executed);
+  EXPECT_EQ(bare.allocator_epochs, observed.allocator_epochs);
+  EXPECT_EQ(bare.sim_bytes_sent, observed.sim_bytes_sent);
+  // The hook ran through the transfer and saw the shared links carry traffic.
+  EXPECT_GT(ticks, 100u);
+  EXPECT_GT(max_link_bps, 0.0);
 }
 
 // --- session-workload goldens (staggered joins + churn) ---

@@ -11,7 +11,7 @@
 //                        rates bit-identical to a fresh AllocateMaxMinPaths;
 //  5. the tie rule     — links with equal shares saturate in link id order;
 //  6. the carried order — IncrementalMaxMin's cap order, carried from epoch to
-//                        epoch through tags and hints, gives the reference's
+//                        epoch through hints, gives the reference's
 //                        rates over hundreds of epochs, whatever the hints say.
 //
 // Run standalone with `ctest -L invariants`.
@@ -232,11 +232,10 @@ TEST_P(AllocatorInvariants, RemovingAFlowNeverHurtsSurvivorsLexicographically) {
 
 INSTANTIATE_TEST_SUITE_P(RandomizedInstances, AllocatorInvariants, ::testing::Range(0, 100));
 
-// A flow the caller names across epochs: its tag, and its index when it was
-// last registered, which is the hint it passes next time (as the network's
+// A flow the caller tracks across epochs: its index when it was last
+// registered, which is the hint it passes next time (as the network's
 // directions keep theirs).
 struct NamedFlow {
-  uint64_t tag = 0;
   uint32_t hint = UINT32_MAX;
   PathFlowSpec spec;
 };
@@ -247,7 +246,7 @@ class CarriedCapOrder : public ::testing::TestWithParam<int> {};
 // some are re-capped, dropped, added, moved, or sit epochs out and come back
 // with a stale hint. Caps come mostly from five values, so equal-cap runs are
 // long, and on even seeds every link starts with the same capacity. Some
-// hints are wrong on purpose: out of range, another flow's index, a tag two
+// hints are wrong on purpose: out of range, another flow's index, a hint two
 // flows share, and hints into an epoch abandoned before Allocate(). Every
 // epoch's rates must equal a fresh AllocateMaxMinPaths bit for bit.
 TEST_P(CarriedCapOrder, MatchesTheReferenceEpochAfterEpoch) {
@@ -268,10 +267,8 @@ TEST_P(CarriedCapOrder, MatchesTheReferenceEpochAfterEpoch) {
     c = uniform ? 4e6 : draw_capacity();
   }
 
-  uint64_t next_tag = 0;
   auto make_flow = [&] {
     NamedFlow f;
-    f.tag = next_tag++;
     // A flow may cross no link at all; then only its cap bounds it.
     const int nlinks = rng.Bernoulli(0.05) ? 0 : static_cast<int>(rng.UniformInt(1, 3));
     for (int l = 0; l < nlinks; ++l) {
@@ -309,7 +306,7 @@ TEST_P(CarriedCapOrder, MatchesTheReferenceEpochAfterEpoch) {
       rng.Shuffle(order);
       for (size_t k = 0; k < order.size(); ++k) {
         NamedFlow& f = flows[order[k]];
-        alloc.AddFlowPath(f.spec.links.data(), f.spec.links.size(), draw_cap(), f.tag, f.hint);
+        alloc.AddFlowPath(f.spec.links.data(), f.spec.links.size(), draw_cap(), f.hint);
         f.hint = static_cast<uint32_t>(k);
       }
       prev_flows = flows.size();
@@ -320,11 +317,9 @@ TEST_P(CarriedCapOrder, MatchesTheReferenceEpochAfterEpoch) {
       alloc.AddLink(c);
     }
     std::vector<PathFlowSpec> reference;
-    uint64_t last_tag = NamedFlow{}.tag;  // what the previous flow passed
-    uint32_t last_hint = NamedFlow{}.hint;
+    uint32_t last_hint = NamedFlow{}.hint;  // what the previous flow passed
     for (size_t i = 0; i < flows.size(); ++i) {
       NamedFlow& f = flows[i];
-      uint64_t tag = f.tag;
       uint32_t hint = f.hint;
       switch (rng.UniformInt(0, 19)) {
         case 0:  // out of range
@@ -335,15 +330,13 @@ TEST_P(CarriedCapOrder, MatchesTheReferenceEpochAfterEpoch) {
             hint = static_cast<uint32_t>(rng.UniformInt(0, static_cast<int64_t>(prev_flows) - 1));
           }
           break;
-        case 2:  // the previous flow's tag and hint: two flows claim one place
-          tag = last_tag;
+        case 2:  // the previous flow's hint: two flows claim one place
           hint = last_hint;
           break;
         default:
           break;
       }
-      alloc.AddFlowPath(f.spec.links.data(), f.spec.links.size(), f.spec.cap_bps, tag, hint);
-      last_tag = tag;
+      alloc.AddFlowPath(f.spec.links.data(), f.spec.links.size(), f.spec.cap_bps, hint);
       last_hint = hint;
       f.hint = static_cast<uint32_t>(i);
       reference.push_back(f.spec);

@@ -132,8 +132,7 @@ struct Counted {
 };
 
 // Each closure is destroyed exactly once: after it runs, when it is cancelled,
-// or with the queue. `Pad` makes the closure big enough to live behind the
-// wrapper's heap fallback instead of inline.
+// or with the queue. `Pad` grows the closure up to the wrapper's inline limit.
 template <size_t Pad>
 void CheckClosureLifetimes() {
   int ran = 0;
@@ -171,7 +170,7 @@ void CheckClosureLifetimes() {
 
 TEST(EventQueue, EveryClosureIsDestroyedExactlyOnce) {
   CheckClosureLifetimes<1>();
-  CheckClosureLifetimes<UniqueFunction::kInlineBytes + 16>();
+  CheckClosureLifetimes<UniqueFunction::kInlineBytes - 3 * sizeof(void*)>();
 }
 
 // A running closure stays valid while its own callback grows the closure store

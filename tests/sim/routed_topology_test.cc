@@ -249,15 +249,19 @@ std::vector<std::string> RunEncodedScript(std::unique_ptr<Topology> topo) {
   const ConnId c12 = net.Connect(1, 2);
   const ConnId c34 = net.Connect(3, 4);
   int next_id = 0;
+  // An event closure holds at most UniqueFunction::kInlineBytes, so the burst
+  // events capture the burst's state through one reference.
+  auto send_burst = [&](int burst) {
+    net.Send(c01, 0, std::make_unique<ScriptMsg>(next_id++, 150 * 1024));
+    net.Send(c02, 0, std::make_unique<ScriptMsg>(next_id++, 48 * 1024));
+    if (burst % 2 == 0) {
+      net.Send(c12, 2, std::make_unique<ScriptMsg>(next_id++, 24 * 1024));
+      net.Send(c34, 3, std::make_unique<ScriptMsg>(next_id++, 384 * 1024));
+    }
+  };
   for (int burst = 0; burst < 5; ++burst) {
-    net.queue().Schedule(SecToSim(0.2) + burst * SecToSim(1.3) + MsToSim(3), [&, burst] {
-      net.Send(c01, 0, std::make_unique<ScriptMsg>(next_id++, 150 * 1024));
-      net.Send(c02, 0, std::make_unique<ScriptMsg>(next_id++, 48 * 1024));
-      if (burst % 2 == 0) {
-        net.Send(c12, 2, std::make_unique<ScriptMsg>(next_id++, 24 * 1024));
-        net.Send(c34, 3, std::make_unique<ScriptMsg>(next_id++, 384 * 1024));
-      }
-    });
+    net.queue().Schedule(SecToSim(0.2) + burst * SecToSim(1.3) + MsToSim(3),
+                         [&send_burst, burst] { send_burst(burst); });
   }
   net.queue().Schedule(SecToSim(3.1) + MsToSim(1), [&] { net.Close(c12); });
   net.queue().Schedule(SecToSim(4.6) + MsToSim(7), [&] { net.FailNode(4); });
